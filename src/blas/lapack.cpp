@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <vector>
 
 #include "blas/level1.hpp"
 #include "blas/level3.hpp"
@@ -181,14 +183,29 @@ double cholesky_residual(ConstMatrixView<double> a_original,
                          ConstMatrixView<double> l) {
   const int n = a_original.rows();
   FTLA_CHECK(a_original.cols() == n && l.rows() == n && l.cols() == n);
+  // L's lower triangle packed row by row (row i at offset i(i+1)/2), so
+  // both operands of the dot below are read with unit stride instead of
+  // stride ld. The dot itself is unchanged: same operands, same k order,
+  // so the result is bit-identical to reading L in place.
+  const auto row_at = [](int i) {
+    return static_cast<std::size_t>(i) * static_cast<std::size_t>(i + 1) / 2;
+  };
+  std::vector<double> rows(row_at(n));
+  for (int k = 0; k < n; ++k) {
+    for (int i = k; i < n; ++i) {
+      rows[row_at(i) + static_cast<std::size_t>(k)] = l(i, k);
+    }
+  }
   // Reconstruct the lower triangle of L L^T and compare with A.
   double num_scale = 0.0, num_ssq = 1.0;
   for (int j = 0; j < n; ++j) {
+    const double* lj = rows.data() + row_at(j);
     for (int i = j; i < n; ++i) {
       // (L L^T)(i,j) = dot(L(i, 0:min(i,j)), L(j, 0:min(i,j))); with
       // i >= j the shared prefix length is j+1.
+      const double* li = rows.data() + row_at(i);
       double s = 0.0;
-      for (int k = 0; k <= j; ++k) s += l(i, k) * l(j, k);
+      for (int k = 0; k <= j; ++k) s += li[k] * lj[k];
       const double r = std::abs(a_original(i, j) - s);
       if (r != 0.0) {
         if (num_scale < r) {

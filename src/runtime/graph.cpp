@@ -1,6 +1,8 @@
 #include "runtime/graph.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <queue>
 #include <utility>
 
@@ -20,15 +22,63 @@ struct Ready {
   }
 };
 
+/// splitmix64 finalizer over the packed key: spreads the small, dense
+/// coordinates drivers use across the whole word.
+std::size_t tile_hash(const TileKey& k) {
+  std::uint64_t h =
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.matrix))
+       << 42) ^
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.row)) << 21) ^
+      static_cast<std::uint32_t>(k.col);
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebULL;
+  h ^= h >> 31;
+  return static_cast<std::size_t>(h);
+}
+
 }  // namespace
 
-void TaskGraph::link(int from, int to) {
-  if (from == to) return;
-  auto& preds = nodes_[static_cast<std::size_t>(to)].preds;
-  if (std::find(preds.begin(), preds.end(), from) != preds.end()) return;
-  preds.push_back(from);
+TaskGraph::TileState& TaskGraph::tile_state(const TileKey& key) {
+  // Linear probing from the key's hash to its slot or the first empty
+  // one; the table is at most half full, so an empty slot exists.
+  const auto probe = [this](const TileKey& k) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t h = tile_hash(k) & mask;
+    while (slots_[h] >= 0 &&
+           !(tiles_[static_cast<std::size_t>(slots_[h])].first == k)) {
+      h = (h + 1) & mask;
+    }
+    return h;
+  };
+  if (!slots_.empty()) {
+    const int at = slots_[probe(key)];
+    if (at >= 0) return tiles_[static_cast<std::size_t>(at)].second;
+  }
+  tiles_.emplace_back(key, TileState{});
+  if (2 * tiles_.size() > slots_.size()) {
+    slots_.assign(std::max<std::size_t>(64, 2 * slots_.size()), -1);
+    for (std::size_t i = 0; i < tiles_.size(); ++i) {
+      slots_[probe(tiles_[i].first)] = static_cast<int>(i);
+    }
+  } else {
+    slots_[probe(key)] = static_cast<int>(tiles_.size() - 1);
+  }
+  return tiles_.back().second;
+}
+
+void TaskGraph::link_new(int from, int to) {
+  nodes_[static_cast<std::size_t>(to)].preds.push_back(from);
   nodes_[static_cast<std::size_t>(from)].succs.push_back(to);
   ++edges_;
+}
+
+void TaskGraph::infer(int from, int to) {
+  int& stamp = linked_into_[static_cast<std::size_t>(from)];
+  if (from == to || stamp == to) return;
+  stamp = to;
+  link_new(from, to);
 }
 
 int TaskGraph::add_task(std::string name, std::vector<Footprint> footprint,
@@ -40,24 +90,19 @@ int TaskGraph::add_task(std::string name, std::vector<Footprint> footprint,
   node.body = std::move(body);
   node.opts = opts;
   nodes_.push_back(std::move(node));
+  linked_into_.push_back(-1);
 
   for (const Footprint& f : nodes_.back().footprint) {
-    auto it = std::lower_bound(
-        tiles_.begin(), tiles_.end(), f.tile,
-        [](const auto& entry, const TileKey& key) { return entry.first < key; });
-    if (it == tiles_.end() || !(it->first == f.tile)) {
-      it = tiles_.insert(it, {f.tile, TileState{}});
-    }
-    TileState& state = it->second;
+    TileState& state = tile_state(f.tile);
     switch (f.access) {
       case Access::Read:
-        if (state.last_writer >= 0) link(state.last_writer, id);
+        if (state.last_writer >= 0) infer(state.last_writer, id);
         state.readers_since_write.push_back(id);
         break;
       case Access::Write:
       case Access::ReadWrite:
-        if (state.last_writer >= 0) link(state.last_writer, id);
-        for (int r : state.readers_since_write) link(r, id);
+        if (state.last_writer >= 0) infer(state.last_writer, id);
+        for (int r : state.readers_since_write) infer(r, id);
         state.readers_since_write.clear();
         state.last_writer = id;
         break;
@@ -70,7 +115,9 @@ void TaskGraph::add_edge(int from, int to) {
   FTLA_CHECK_MSG(from >= 0 && from < size(), "add_edge: from out of range");
   FTLA_CHECK_MSG(to >= 0 && to < size(), "add_edge: to out of range");
   FTLA_CHECK_MSG(from != to, "add_edge: self-edge");
-  link(from, to);
+  const auto& preds = nodes_[static_cast<std::size_t>(to)].preds;
+  if (std::find(preds.begin(), preds.end(), from) != preds.end()) return;
+  link_new(from, to);
 }
 
 std::vector<int> TaskGraph::schedule() const {

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -191,10 +192,23 @@ class TaskGraph {
     std::vector<int> readers_since_write;
   };
 
-  void link(int from, int to);
+  /// Appends the edge; the caller has ruled out a duplicate.
+  void link_new(int from, int to);
+  /// Inference path: every edge it adds points into the task being
+  /// added, so `linked_into_[from] == to` marks a duplicate in O(1).
+  void infer(int from, int to);
+  /// The state of tile `key`, created empty on first use.
+  TileState& tile_state(const TileKey& key);
 
   std::vector<TaskNode> nodes_;
-  std::vector<std::pair<TileKey, TileState>> tiles_;  // sorted by key
+  // Tile states in first-use order, indexed by an open-addressing table
+  // (slot -> index into tiles_, -1 empty; a power of two, at most half
+  // full). Only lookups read the table, so hash order never reaches the
+  // graph. Two flat arrays instead of one node per tile keep the heap
+  // compact.
+  std::vector<std::pair<TileKey, TileState>> tiles_;
+  std::vector<int> slots_;
+  std::vector<int> linked_into_;  // per source: last task inferred into
   std::int64_t edges_ = 0;
   AccessTracker* tracker_ = nullptr;  // not owned
 };

@@ -288,6 +288,7 @@ JobResult FactorizationService::run_job(const JobSpec& spec,
   double earliest = submit_time;
 
   for (;;) {
+    fleet_.prune_link();
     const int dev = pick_device();
     if (dev < 0) {
       r.outcome = JobOutcome::FailStop;

@@ -89,6 +89,17 @@ double Fleet::now() const {
   return t;
 }
 
+void Fleet::prune_link() {
+  bool any = false;
+  double horizon = 0.0;
+  for (const auto& m : devices_) {
+    if (m->lost()) continue;
+    horizon = any ? std::min(horizon, m->host_now()) : m->host_now();
+    any = true;
+  }
+  if (any) link_.prune(horizon);
+}
+
 double Fleet::makespan() const {
   double t = 0.0;
   for (const auto& m : devices_) t = std::max(t, m->makespan());

@@ -88,6 +88,12 @@ class Fleet {
   [[nodiscard]] const ResourceTimeline& link() const noexcept {
     return link_;
   }
+  /// Drops link history no future transfer can see: breakpoints at or
+  /// before the earliest host clock among devices that are not lost().
+  /// Every reservation starts at or after its own device's host clock,
+  /// host clocks only move forward, and a lost device throws before it
+  /// reserves anything. The service calls this at each placement.
+  void prune_link();
 
  private:
   FleetProfile profile_;

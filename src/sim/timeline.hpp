@@ -7,8 +7,16 @@
 // without ever exceeding capacity (space-sharing, no preemption, no
 // slowdown under contention — contention delays starts instead, which is
 // how SMs behave for co-resident kernels).
+//
+// Representation: a map from breakpoint time to the absolute usage on
+// [time, next breakpoint); every allocation start and end is a
+// breakpoint. allocate() reads the usage at its earliest start with one
+// lookup, so it costs O(log B + k) for B breakpoints and k of them
+// inside the scanned window, however far the queued future reaches;
+// usage_at() costs O(log B). See docs/simulator.md.
 #pragma once
 
+#include <cstddef>
 #include <map>
 
 #include "common/error.hpp"
@@ -42,10 +50,23 @@ class ResourceTimeline {
   /// have earliest >= t). Keeps the timeline small over long runs.
   void prune(double t);
 
+  /// Breakpoints currently held (what prune() keeps bounded).
+  [[nodiscard]] std::size_t breakpoints() const noexcept {
+    return level_.size();
+  }
+
  private:
+  using Levels = std::map<double, int>;
+
+  /// Usage just before the breakpoint `it` (base before the first one).
+  [[nodiscard]] int level_before(Levels::const_iterator it) const;
+  /// The breakpoint at exactly `t`, inserted with the usage there if
+  /// absent.
+  Levels::iterator split_at(double t);
+
   int capacity_;
-  int base_usage_ = 0;           // usage carried by pruned breakpoints
-  std::map<double, int> delta_;  // time -> usage change at that time
+  int base_usage_ = 0;  // usage before the first breakpoint
+  Levels level_;        // time -> usage on [time, next breakpoint)
   double busy_unit_seconds_ = 0.0;
   double last_end_ = 0.0;
   double prune_horizon_ = 0.0;

@@ -3,6 +3,7 @@
 // (service::FactorizationService) — docs/fleet.md.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <string>
@@ -308,6 +309,33 @@ TEST(Service, JobsAdmittedOnAShrunkenFleetReportDegraded) {
   EXPECT_EQ(rs[0].outcome, JobOutcome::Degraded);
   EXPECT_TRUE(rs[0].success);
   EXPECT_FALSE(rs[0].sdc);
+}
+
+TEST(Service, SharedLinkStaysPrunedAcrossJobsAndADeviceLoss) {
+  // Every placement prunes the shared link to the earliest host clock
+  // among devices that are not lost, so the link holds only the recent
+  // transfers of the live devices however many jobs drain. Device 0
+  // dies after a few jobs; its frozen clock must not pin the horizon.
+  const JobSpec spec = basic_job(64);
+  const double horizon = fault_free_makespan(spec);
+  Fleet fleet(small_fleet(3, 2), ExecutionMode::Numeric);
+  fleet.arm_loss(0, 2.5 * horizon);
+  FactorizationService svc(fleet, ServiceOptions{});
+  std::size_t first_job = 0;
+  std::size_t most = 0;
+  for (int id = 0; id < 60; ++id) {
+    JobSpec job = spec;
+    job.id = id;
+    svc.submit(job);
+    const std::vector<JobResult> rs = svc.drain();
+    ASSERT_EQ(rs.size(), 1u);
+    EXPECT_TRUE(rs[0].success) << "job " << id;
+    if (id == 0) first_job = fleet.link().breakpoints();
+    most = std::max(most, fleet.link().breakpoints());
+  }
+  EXPECT_EQ(fleet.state(0), DeviceState::Lost);
+  EXPECT_GT(first_job, 0u);
+  EXPECT_LE(most, 4 * first_job);
 }
 
 // ----- deterministic-twin replay -------------------------------------

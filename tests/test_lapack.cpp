@@ -2,7 +2,10 @@
 // non-SPD input, solves, norms and residual helpers.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "blas/lapack.hpp"
 #include "blas/level3.hpp"
@@ -125,6 +128,64 @@ TEST(CholeskyResidual, DetectsCorruptedFactor) {
   potrf(l.view());
   l(10, 3) += 1.0;
   EXPECT_GT(cholesky_residual(a.view(), l.view()), 1e-4);
+}
+
+/// cholesky_residual as it read L in place, with stride ld: the
+/// reference the packed-row version must match bit for bit.
+double strided_cholesky_residual(ConstMatrixView<double> a,
+                                 ConstMatrixView<double> l) {
+  const int n = a.rows();
+  double num_scale = 0.0, num_ssq = 1.0;
+  for (int j = 0; j < n; ++j) {
+    for (int i = j; i < n; ++i) {
+      double s = 0.0;
+      for (int k = 0; k <= j; ++k) s += l(i, k) * l(j, k);
+      const double r = std::abs(a(i, j) - s);
+      if (r != 0.0) {
+        if (num_scale < r) {
+          const double q = num_scale / r;
+          num_ssq = 1.0 + num_ssq * q * q;
+          num_scale = r;
+        } else {
+          const double q = r / num_scale;
+          num_ssq += q * q;
+        }
+      }
+    }
+  }
+  const double num = num_scale * std::sqrt(num_ssq);
+  const double den = lange(Norm::Fro, a);
+  return den > 0.0 ? num / den : num;
+}
+
+TEST(CholeskyResidual, BitIdenticalToStridedLoop) {
+  for (const int n : {1, 2, 7, 64, 130, 257}) {
+    auto a = random_spd(n, static_cast<std::uint64_t>(n));
+    auto l = a;
+    potrf(l.view());
+    l(n / 2, n / 3) *= 1.0 + 1e-9;  // a residual well above rounding
+    const double got = cholesky_residual(a.view(), l.view());
+    const double want = strided_cholesky_residual(a.view(), l.view());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << "n " << n << ": " << got << " vs " << want;
+
+    // The same factor and input seen through views with ld > n.
+    Matrix<double> big_l(n + 5, n + 2, -7.0);
+    Matrix<double> big_a(n + 3, n, 11.0);
+    for (int j = 0; j < n; ++j) {
+      for (int i = 0; i < n; ++i) {
+        big_l(i + 4, j + 1) = l(i, j);
+        big_a(i + 1, j) = a(i, j);
+      }
+    }
+    const auto lv = std::as_const(big_l).block(4, 1, n, n);
+    const auto av = std::as_const(big_a).block(1, 0, n, n);
+    ASSERT_GT(lv.ld(), n);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(cholesky_residual(av, lv)),
+              std::bit_cast<std::uint64_t>(want))
+        << "n " << n << " (strided views)";
+  }
 }
 
 TEST(MaxAbsDiff, Basics) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <vector>
 
 #include "blas/lapack.hpp"
@@ -96,6 +97,77 @@ TEST(GraphInference, DuplicateEdgesCollapse) {
   ASSERT_EQ(g.node(r).preds.size(), 1u);
   EXPECT_EQ(g.node(r).preds[0], w);
   EXPECT_EQ(g.edge_count(), 1);
+}
+
+TEST(GraphInference, ManyReadersThenWriterKeepPredsOrderAndDedup) {
+  TaskGraph g;
+  const int w0 = g.add_task("w0", {write(t(0, 0, 0))}, noop());
+  const int w1 = g.add_task("w1", {write(t(0, 1, 0))}, noop());
+  // Reader i reads tile A when i % 3 != 1 and tile B when i % 3 != 0,
+  // so every third reader sits in both reader lists.
+  std::vector<int> readers;
+  std::int64_t edges = 0;
+  for (int i = 0; i < 60; ++i) {
+    std::vector<Footprint> fp;
+    if (i % 3 != 0) fp.push_back(read(t(0, 1, 0)));
+    if (i % 3 != 1) fp.push_back(read(t(0, 0, 0)));
+    readers.push_back(g.add_task("r", fp, noop()));
+    edges += static_cast<std::int64_t>(fp.size());
+  }
+  const int w = g.add_task("w", {rw(t(0, 0, 0)), write(t(0, 1, 0))}, noop());
+  // A's writer and readers in insertion order, then B's writer and the
+  // B readers not already linked through A.
+  std::vector<int> expect{w0};
+  for (int i = 0; i < 60; ++i) {
+    if (i % 3 != 1) expect.push_back(readers[static_cast<std::size_t>(i)]);
+  }
+  expect.push_back(w1);
+  for (int i = 0; i < 60; ++i) {
+    if (i % 3 == 1) expect.push_back(readers[static_cast<std::size_t>(i)]);
+  }
+  EXPECT_EQ(g.node(w).preds, expect);
+  edges += static_cast<std::int64_t>(expect.size());
+  EXPECT_EQ(g.edge_count(), edges);
+
+  // A duplicate explicit edge changes nothing; a new one appends.
+  g.add_edge(readers[2], w);
+  EXPECT_EQ(g.node(w).preds, expect);
+  EXPECT_EQ(g.edge_count(), edges);
+  g.add_edge(readers[0], readers[1]);
+  g.add_edge(readers[0], readers[1]);
+  EXPECT_EQ(g.node(readers[1]).preds, (std::vector<int>{w1, readers[0]}));
+  EXPECT_EQ(g.edge_count(), edges + 1);
+
+  // After the explicit edges, inference still dedups and skips the
+  // task's own read when it then writes the same tile.
+  const int x = g.add_task("x", {read(t(0, 0, 0))}, noop());
+  const int y =
+      g.add_task("y", {read(t(0, 0, 0)), write(t(0, 0, 0))}, noop());
+  EXPECT_EQ(g.node(x).preds, std::vector<int>{w});
+  EXPECT_EQ(g.node(y).preds, (std::vector<int>{w, x}));
+  EXPECT_EQ(g.edge_count(), edges + 4);
+}
+
+TEST(GraphInference, TileTableKeepsEveryTileAcrossGrowth) {
+  // Enough tiles to regrow the tile index several times, over several
+  // matrices and negative coordinates; each reader, added in a different
+  // order, must find exactly its own tile's writer.
+  TaskGraph g;
+  std::vector<TileKey> keys;
+  for (int m = -1; m <= 2; ++m) {
+    for (int r = -3; r < 15; ++r) {
+      for (int c = 0; c < 20; ++c) keys.push_back(t(m, r, c));
+    }
+  }
+  std::vector<int> writer;
+  for (const TileKey& k : keys) {
+    writer.push_back(g.add_task("w", {write(k)}, noop()));
+  }
+  for (std::size_t i = keys.size(); i-- > 0;) {
+    const int r = g.add_task("r", {read(keys[i])}, noop());
+    EXPECT_EQ(g.node(r).preds, std::vector<int>{writer[i]});
+  }
+  EXPECT_EQ(g.edge_count(), static_cast<std::int64_t>(keys.size()));
 }
 
 // --------------------------- scheduling --------------------------------

@@ -1,7 +1,10 @@
 // ResourceTimeline tests: capacity packing, delayed starts, window
-// conflicts, pruning, and a randomized never-exceeds-capacity property.
+// conflicts, pruning, a randomized never-exceeds-capacity property, and
+// a differential test against a brute-force first fit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -175,6 +178,157 @@ TEST(TimelineProperty, WorkConservingForUnitJobs) {
   }
   EXPECT_NEAR(t.busy_unit_seconds(), total, 1e-9);
   EXPECT_NEAR(t.last_end(), total, 1e-9);
+}
+
+TEST(Timeline, BreakpointsTrackStartsAndEndsAndPruneDropsThem) {
+  ResourceTimeline t(2);
+  EXPECT_EQ(t.breakpoints(), 0u);
+  t.allocate(0.0, 2.0, 1);  // breakpoints 0, 2
+  t.allocate(0.0, 3.0, 1);  // adds 3
+  t.allocate(2.0, 0.0, 1);  // zero duration at an existing breakpoint
+  EXPECT_EQ(t.breakpoints(), 3u);
+  t.prune(2.0);  // drops 0 and 2, keeps 3
+  EXPECT_EQ(t.breakpoints(), 1u);
+  EXPECT_EQ(t.usage_at(2.0), 1);
+  EXPECT_DOUBLE_EQ(t.allocate(2.0, 1.0, 2), 3.0);
+}
+
+/// Reference first fit over an explicit interval list: the earliest
+/// candidate (the requested start, or any start or end at or after it)
+/// whose usage, and the usage at every breakpoint strictly inside
+/// [c, c + duration), leaves room for `units`.
+class BruteForceTimeline {
+ public:
+  explicit BruteForceTimeline(int capacity) : capacity_(capacity) {}
+
+  double allocate(double earliest, double duration, int units) {
+    std::set<double> candidates{earliest};
+    for (const Interval& iv : intervals_) {
+      for (const double at : {iv.start, iv.end}) {
+        if (at >= earliest) candidates.insert(at);
+      }
+    }
+    const int avail = capacity_ - units;
+    for (const double c : candidates) {
+      bool fits = usage_at(c) <= avail;
+      for (const Interval& iv : intervals_) {
+        for (const double at : {iv.start, iv.end}) {
+          if (at > c && at < c + duration && usage_at(at) > avail) {
+            fits = false;
+          }
+        }
+      }
+      if (fits) {
+        intervals_.push_back({c, c + duration, units});
+        kept_.insert(c);
+        kept_.insert(c + duration);
+        busy_unit_seconds_ += duration * units;
+        last_end_ = std::max(last_end_, c + duration);
+        return c;
+      }
+    }
+    ADD_FAILURE() << "no feasible start";
+    return -1.0;
+  }
+
+  [[nodiscard]] int usage_at(double at) const {
+    int usage = 0;
+    for (const Interval& iv : intervals_) {
+      if (iv.start <= at && at < iv.end) usage += iv.units;
+    }
+    return usage;
+  }
+
+  /// Drops starts and ends at or before `t` from the kept set; like the
+  /// timeline, a prune that does not move the horizon does nothing.
+  void prune(double t) {
+    if (t <= horizon_) return;
+    kept_.erase(kept_.begin(), kept_.upper_bound(t));
+    horizon_ = t;
+  }
+
+  /// Distinct starts and ends not yet pruned: what the timeline keeps.
+  [[nodiscard]] std::size_t breakpoints() const { return kept_.size(); }
+
+  [[nodiscard]] std::vector<double> points() const {
+    std::vector<double> out;
+    for (const Interval& iv : intervals_) {
+      out.push_back(iv.start);
+      out.push_back(iv.end);
+    }
+    return out;
+  }
+
+  [[nodiscard]] double busy_unit_seconds() const { return busy_unit_seconds_; }
+  [[nodiscard]] double last_end() const { return last_end_; }
+
+ private:
+  struct Interval {
+    double start, end;
+    int units;
+  };
+  int capacity_;
+  std::vector<Interval> intervals_;
+  std::set<double> kept_;
+  double horizon_ = 0.0;
+  double busy_unit_seconds_ = 0.0;
+  double last_end_ = 0.0;
+};
+
+TEST(TimelineProperty, MatchesBruteForceFirstFit) {
+  // Times and durations are multiples of 1/4, so sums are exact and
+  // requested starts and window ends tie exactly on breakpoints often.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const int cap = static_cast<int>(1 + (seed - 1) % 8);  // 1..8
+    ResourceTimeline fast(cap);
+    BruteForceTimeline slow(cap);
+    double horizon = 0.0;
+    for (int i = 0; i < 120; ++i) {
+      const int pick = rng.uniform_int(0, 9);
+      if (pick == 0) {
+        // Prune at a random quarter just ahead of the horizon, or
+        // exactly on a breakpoint.
+        double h = horizon + 0.25 * rng.uniform_int(0, 8);
+        const std::vector<double> pts = slow.points();
+        if (!pts.empty() && rng.uniform_int(0, 1) == 0) {
+          const double at =
+              pts[static_cast<std::size_t>(
+                  rng.uniform_int(0, static_cast<int>(pts.size()) - 1))];
+          if (at >= horizon) h = at;
+        }
+        fast.prune(h);
+        slow.prune(h);
+        horizon = std::max(horizon, h);
+        EXPECT_EQ(fast.breakpoints(), slow.breakpoints())
+            << "seed " << seed << " step " << i;
+        continue;
+      }
+      double earliest = horizon + 0.25 * rng.uniform_int(0, 12);
+      const std::vector<double> pts = slow.points();
+      if (!pts.empty() && pick <= 3) {
+        const double at =
+            pts[static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<int>(pts.size()) - 1))];
+        if (at >= horizon) earliest = at;  // tie on a breakpoint
+      }
+      const double dur = pick == 4 ? 0.0 : 0.25 * rng.uniform_int(1, 10);
+      const int units = rng.uniform_int(1, cap);
+      ASSERT_EQ(fast.allocate(earliest, dur, units),
+                slow.allocate(earliest, dur, units))
+          << "seed " << seed << " step " << i;
+      EXPECT_EQ(fast.last_end(), slow.last_end());
+      EXPECT_EQ(fast.busy_unit_seconds(), slow.busy_unit_seconds());
+      EXPECT_EQ(fast.breakpoints(), slow.breakpoints());
+    }
+    for (const double at : slow.points()) {
+      for (const double probe : {at, at + 0.125}) {
+        if (probe < horizon) continue;
+        EXPECT_EQ(fast.usage_at(probe), slow.usage_at(probe))
+            << "seed " << seed << " t " << probe;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 // With FTLA_POSTMORTEM=FILE.json in the environment (or
 // --postmortem-out), the flight-recorder bundle is dumped on exit
 // (docs/observability.md, "Analytics & postmortems").
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -252,12 +253,12 @@ int main(int argc, char** argv) {
   std::printf("%-14s %9s %6s %6s %12s %s\n", "slo", "objective", "total",
               "bad", "burn_rate", "state");
   for (const auto& st : slo.states()) {
-    std::printf("%-14s %9.4f %6lld %6lld %12.4e %s\n",
+    std::printf("%-14s %9.4f %6" PRId64 " %6" PRId64 " %12.4e %s\n",
                 st.spec.name.c_str(), st.spec.objective, st.total, st.bad,
                 st.burn_rate(), st.alerting ? "ALERTING" : "ok");
   }
-  std::printf("slo p99   : %.9e s (%lld alert(s))\n", slo.latency_p99(),
-              slo.alerts_fired());
+  std::printf("slo p99   : %.9e s (%" PRId64 " alert(s))\n",
+              slo.latency_p99(), slo.alerts_fired());
 
   if (!sum.failures.empty()) {
     std::printf("\n%zu invariant violation(s):\n", sum.failures.size());
