@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <vector>
 
 #include "blas/level2.hpp"
@@ -119,22 +120,41 @@ void pack_b_panel(Trans tb, ConstMatrixView<double> b, int pc, int jc,
   }
 }
 
-/// C[0:mr, 0:nr] += ap * bp over kc: the register tile is a fixed-size
-/// local array updated with compile-time-bounded loops, which the
-/// compiler unrolls and vectorizes; the writeback clips to the live
-/// mr x nr corner.
+/// Two doubles in one vector register: the GNU vector extension, which
+/// GCC and Clang lower for any target.
+using Pair = double __attribute__((vector_size(16)));
+
+/// C[0:mr, 0:nr] += ap * bp over kc. The 4 x 6 tile lives in twelve
+/// two-lane accumulators, c<row pair><column>; with the two A pairs, a
+/// broadcast B value and one product they fill the sixteen registers of
+/// the SSE2 baseline. Each lane starts at +0 and adds one rounded
+/// product per p, in p order; the writeback clips to the live mr x nr
+/// corner.
 void micro_kernel(int kc, const double* ap, const double* bp, double* c,
                   int ldc, int mr, int nr) {
-  double acc[kGemmMR * kGemmNR] = {};
-  for (int p = 0; p < kc; ++p) {
-    const double* a = ap + static_cast<std::size_t>(p) * kGemmMR;
-    const double* b = bp + static_cast<std::size_t>(p) * kGemmNR;
-    for (int j = 0; j < kGemmNR; ++j) {
-      const double bj = b[j];
-      double* accj = acc + j * kGemmMR;
-      for (int i = 0; i < kGemmMR; ++i) accj[i] += a[i] * bj;
-    }
+  static_assert(kGemmMR == 4 && kGemmNR == 6, "written out for 4 x 6");
+  Pair c00{}, c01{}, c02{}, c03{}, c04{}, c05{};
+  Pair c10{}, c11{}, c12{}, c13{}, c14{}, c15{};
+  for (int p = 0; p < kc; ++p, ap += kGemmMR, bp += kGemmNR) {
+    Pair a0{}, a1{};
+    std::memcpy(&a0, ap, sizeof a0);
+    std::memcpy(&a1, ap + 2, sizeof a1);
+    const auto column = [&](Pair& lo, Pair& hi, double bv) {
+      const Pair b = {bv, bv};
+      lo += a0 * b;
+      hi += a1 * b;
+    };
+    column(c00, c10, bp[0]);
+    column(c01, c11, bp[1]);
+    column(c02, c12, bp[2]);
+    column(c03, c13, bp[3]);
+    column(c04, c14, bp[4]);
+    column(c05, c15, bp[5]);
   }
+  const Pair tile[] = {c00, c10, c01, c11, c02, c12,
+                       c03, c13, c04, c14, c05, c15};
+  double acc[kGemmMR * kGemmNR] = {};
+  std::memcpy(acc, tile, sizeof acc);
   if (mr == kGemmMR && nr == kGemmNR) {
     for (int j = 0; j < kGemmNR; ++j) {
       double* cj = c + static_cast<std::ptrdiff_t>(j) * ldc;

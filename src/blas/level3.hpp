@@ -2,11 +2,12 @@
 //
 // These are the routines MAGMA's hybrid Cholesky dispatches to the GPU
 // (GEMM, SYRK, TRSM). The implementations are cache-blocked with packed
-// operand panels and a register-tiled microkernel (plain C++ written so
-// the compiler auto-vectorizes), parallelized over row panels through
-// the shared thread pool (common/thread_pool.hpp). The naive loops in
-// blas/reference.cpp remain the conformance oracle; docs/performance.md
-// describes the blocking scheme and how to tune it.
+// operand panels and a 4 x 6 microkernel whose tile stays in registers,
+// written once in the GNU vector extension (no intrinsics, no ISA
+// dispatch), and parallelized over row panels through the shared thread
+// pool (common/thread_pool.hpp). The naive loops in blas/reference.cpp
+// remain the conformance oracle; docs/performance.md describes the
+// blocking scheme, the numeric contract and how to tune it.
 #pragma once
 
 #include "blas/types.hpp"
@@ -19,11 +20,14 @@ using ftla::MatrixView;
 
 // Blocking parameters of the packed GEMM core (see docs/performance.md).
 // Exposed so tests can probe sizes straddling the panel boundaries and
-// benches can report the configuration they measured.
-inline constexpr int kGemmMR = 8;    ///< microkernel rows (register tile)
-inline constexpr int kGemmNR = 6;    ///< microkernel cols (register tile)
+// benches can report the configuration they measured. Only kGemmKC is
+// part of the results; the others change speed, never a bit.
+inline constexpr int kGemmMR = 4;    ///< microkernel rows: two SSE2 pairs
+inline constexpr int kGemmNR = 6;    ///< microkernel cols: 12 accumulators
 inline constexpr int kGemmMC = 120;  ///< packed-A panel rows (L2 resident)
-inline constexpr int kGemmKC = 256;  ///< shared panel depth (L1/L2)
+/// Shared panel depth (L1/L2). Each KC block's sum starts at +0 and is
+/// added to C once, so KC is part of the results.
+inline constexpr int kGemmKC = 256;
 inline constexpr int kGemmNC = 1024; ///< packed-B panel cols (L3 resident)
 /// Diagonal-block width of the blocked triangular routines (TRSM/TRMM)
 /// and the SYRK column panel.

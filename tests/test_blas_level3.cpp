@@ -3,6 +3,10 @@
 // alpha/beta, including empty and degenerate shapes).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <tuple>
 
 #include "blas/level3.hpp"
@@ -371,6 +375,109 @@ TEST_F(ThreadedBlas, ParallelGemmMatchesReference) {
             c_ref.view());
   EXPECT_MATRIX_NEAR(c, c_ref, 1e-9);
 }
+
+// --------------------------------------------------------------------
+// Numeric contract of the packed GEMM core. After beta scales C, each
+// KC-deep block of the k loop gives every C element a sum that starts
+// at +0 and adds the rounded products (alpha * op(A)(i,p)) * op(B)(p,j)
+// in p order, then one add into C. So KC (256) is part of the results
+// and MR, NR, MC, NC and the thread count are not. The model below is
+// that contract as scalar code; gemm must match it bit for bit.
+// --------------------------------------------------------------------
+
+constexpr int kContractKC = 256;
+
+void contract_gemm(Trans ta, Trans tb, double alpha, ConstMatrixView<double> a,
+                   ConstMatrixView<double> b, double beta,
+                   MatrixView<double> c) {
+  const int m = c.rows();
+  const int n = c.cols();
+  const int k = ta == Trans::No ? a.cols() : a.rows();
+  for (int j = 0; j < n; ++j) {
+    for (int i = 0; i < m; ++i) {
+      if (beta == 0.0) {
+        c(i, j) = 0.0;
+      } else if (beta != 1.0) {
+        c(i, j) *= beta;
+      }
+    }
+  }
+  for (int pc = 0; pc < k; pc += kContractKC) {
+    const int pe = std::min(k, pc + kContractKC);
+    for (int j = 0; j < n; ++j) {
+      for (int i = 0; i < m; ++i) {
+        double s = 0.0;
+        for (int p = pc; p < pe; ++p) {
+          const double ap = alpha * (ta == Trans::No ? a(i, p) : a(p, i));
+          // Rounded on its own even where the build contracts a*b+c.
+          const volatile double prod =
+              ap * (tb == Trans::No ? b(p, j) : b(j, p));
+          s += prod;
+        }
+        c(i, j) += s;
+      }
+    }
+  }
+}
+
+class GemmContractParam
+    : public ::testing::TestWithParam<std::tuple<Trans, Trans, int, int>> {
+ protected:
+  void TearDown() override { common::set_global_threads(1); }
+};
+
+TEST_P(GemmContractParam, PackedPathIsBitIdenticalToTheContract) {
+  const auto [ta, tb, k, threads] = GetParam();
+  common::set_global_threads(threads);
+  // Neither m nor n is a multiple of the register tile; m spans three
+  // MC panels and m*n*k is above the pool's engagement threshold, so
+  // 4 threads really fan out. Every operand is a view with ld > rows.
+  const int m = 2 * kGemmMC + 3;
+  const int n = 5 * kGemmNR + 5;
+  const int ar = ta == Trans::No ? m : k;
+  const int ac = ta == Trans::No ? k : m;
+  const int br = tb == Trans::No ? k : n;
+  const int bc = tb == Trans::No ? n : k;
+  auto big_a = random_matrix(ar + 5, ac + 2, 51);
+  auto big_b = random_matrix(br + 3, bc + 1, 52);
+  MatrixView<double> av = big_a.block(2, 1, ar, ac);
+  MatrixView<double> bv = big_b.block(1, 0, br, bc);
+  // op(A) row 0 is zero and op(B) column 0 negative, so for alpha > 0
+  // every product into C(0,0) is -0: a sum started at +0 stays +0 and
+  // turns the -0 seeded in C(0,0) into +0 when beta = 1.
+  for (int p = 0; p < k; ++p) {
+    (ta == Trans::No ? av(0, p) : av(p, 0)) = 0.0;
+    double& b0 = tb == Trans::No ? bv(p, 0) : bv(0, p);
+    b0 = -std::abs(b0) - 0.5;
+  }
+  for (const double alpha : {1.0, -1.0, 0.37}) {
+    for (const double beta : {0.0, 1.0, -0.5}) {
+      auto big_c = random_matrix(m + 4, n + 3, 53);
+      big_c(3, 2) = -0.0;
+      auto model = big_c;
+      gemm(ta, tb, alpha, av, bv, beta, big_c.block(3, 2, m, n));
+      contract_gemm(ta, tb, alpha, av, bv, beta, model.block(3, 2, m, n));
+      int mismatches = 0;
+      for (int j = 0; j < big_c.cols(); ++j) {
+        for (int i = 0; i < big_c.rows(); ++i) {
+          if (std::bit_cast<std::uint64_t>(big_c(i, j)) !=
+              std::bit_cast<std::uint64_t>(model(i, j))) {
+            ++mismatches;
+          }
+        }
+      }
+      EXPECT_EQ(mismatches, 0) << "alpha=" << alpha << " beta=" << beta;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TransKThreads, GemmContractParam,
+    ::testing::Combine(::testing::Values(Trans::No, Trans::Yes),
+                       ::testing::Values(Trans::No, Trans::Yes),
+                       ::testing::Values(kContractKC - 1, kContractKC + 1,
+                                         2 * kContractKC + 3),
+                       ::testing::Values(1, 4)));
 
 TEST(FlopCounts, MatchClosedForms) {
   EXPECT_EQ(gemm_flops(3, 4, 5), 120);
