@@ -172,7 +172,7 @@ double Machine::kernel_duration(const KernelDesc& d, int units) const {
   return dur;
 }
 
-void Machine::note_trace(std::string name, KernelClass cls, int lane,
+void Machine::note_trace(const std::string& name, KernelClass cls, int lane,
                          double start, double end, int units,
                          std::int64_t flops) {
   if (!trace_enabled_) return;
@@ -180,8 +180,7 @@ void Machine::note_trace(std::string name, KernelClass cls, int lane,
     ++trace_dropped_;
     return;
   }
-  trace_.push_back(
-      TraceRecord{std::move(name), cls, lane, start, end, units, flops});
+  trace_.push_back(TraceRecord{name, cls, lane, start, end, units, flops});
 }
 
 void Machine::note_span(obs::EventKind kind, const std::string& name,
@@ -215,8 +214,7 @@ void Machine::note_sync(const char* name) {
   sink_->post(e);
 }
 
-void Machine::launch(StreamId s, const KernelDesc& d,
-                     const std::function<void()>& body) {
+void Machine::launch(StreamId s, const KernelDesc& d, Body body) {
   tick();
   FTLA_CHECK(s >= 0 && s < stream_count());
   if (numeric() && body) body();
@@ -245,8 +243,7 @@ void Machine::launch(StreamId s, const KernelDesc& d,
             units);
 }
 
-void Machine::host_compute(const KernelDesc& d,
-                           const std::function<void()>& body) {
+void Machine::host_compute(const KernelDesc& d, Body body) {
   tick();
   if (numeric() && body) body();
   double dur = 0.0;

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/function_ref.hpp"
 #include "common/matrix.hpp"
 #include "obs/event_sink.hpp"
 #include "obs/span.hpp"
@@ -219,14 +220,21 @@ class Machine {
   void sync_all();
 
   // ----- work -------------------------------------------------------
-  /// Launches a kernel asynchronously on stream `s`. `body` performs the
-  /// numeric payload (run eagerly in Numeric mode, skipped otherwise).
-  void launch(StreamId s, const KernelDesc& d,
-              const std::function<void()>& body);
+  /// Body contract for launch() and host_compute(): `body` performs the
+  /// numeric payload. In Numeric mode it runs exactly once, before the
+  /// call returns; in TimingOnly mode it never runs. An empty body (`{}`
+  /// or an empty std::function) is skipped. The machine never stores
+  /// it, so it is taken by non-owning reference and a capturing lambda
+  /// costs no allocation.
+  using Body = FunctionRef<void()>;
 
-  /// Runs work on the host CPU, advancing the host clock by the modeled
-  /// duration. Host work implicitly serializes with other host work.
-  void host_compute(const KernelDesc& d, const std::function<void()>& body);
+  /// Launches a kernel asynchronously on stream `s` (see Body).
+  void launch(StreamId s, const KernelDesc& d, Body body);
+
+  /// Runs work on the host CPU (see Body), advancing the host clock by
+  /// the modeled duration. Host work implicitly serializes with other
+  /// host work.
+  void host_compute(const KernelDesc& d, Body body);
 
   /// Advances the host clock without doing work (driver-logic cost).
   void host_advance(double seconds);
@@ -369,8 +377,9 @@ class Machine {
   void note_transfer(const char* name, bool h2d, double* data, int rows,
                      int cols, int ld, std::int64_t dev_off, double start,
                      double end, StreamId s);
-  void note_trace(std::string name, KernelClass cls, int lane, double start,
-                  double end, int units, std::int64_t flops = 0);
+  void note_trace(const std::string& name, KernelClass cls, int lane,
+                  double start, double end, int units,
+                  std::int64_t flops = 0);
   void note_span(obs::EventKind kind, const std::string& name,
                  KernelClass cls, int lane, double start, double end,
                  std::int64_t flops, std::int64_t bytes, int units);

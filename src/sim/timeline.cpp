@@ -1,18 +1,22 @@
 #include "sim/timeline.hpp"
 
 #include <algorithm>
-#include <iterator>
 
 namespace ftla::sim {
 
-int ResourceTimeline::level_before(Levels::const_iterator it) const {
-  return it == level_.begin() ? base_usage_ : std::prev(it)->second;
-}
+namespace {
 
-ResourceTimeline::Levels::iterator ResourceTimeline::split_at(double t) {
-  auto it = level_.lower_bound(t);
-  if (it != level_.end() && it->first == t) return it;
-  return level_.emplace_hint(it, t, level_before(it));
+/// Prefix length below which prune() never compacts: small arrays are
+/// left alone rather than shifted on every other prune.
+constexpr std::size_t kCompactMin = 256;
+
+}  // namespace
+
+std::size_t ResourceTimeline::first_after(double t) const {
+  const auto it = std::upper_bound(
+      level_.begin() + static_cast<std::ptrdiff_t>(head_), level_.end(), t,
+      [](double v, const std::pair<double, int>& b) { return v < b.first; });
+  return static_cast<std::size_t>(it - level_.begin());
 }
 
 double ResourceTimeline::allocate(double earliest, double duration,
@@ -22,35 +26,36 @@ double ResourceTimeline::allocate(double earliest, double duration,
   FTLA_CHECK_MSG(earliest >= prune_horizon_,
                  "allocation starts before the pruned horizon");
   const int avail = capacity_ - units;
+  const std::size_t n = level_.size();
 
   // Usage just after `earliest` (a breakpoint at exactly `earliest`
   // included): the level of the last breakpoint at or before it.
   double t = earliest;
-  auto it = level_.upper_bound(t);
-  int usage = level_before(it);
+  std::size_t i = first_after(t);
+  int usage = level_before(i);
 
   // Slide the candidate start forward until [t, t+duration) fits.
-  // `it` always points at the first breakpoint strictly after t, and
-  // `usage` is the usage on [t, it->first).
+  // `i` always indexes the first breakpoint strictly after t, and
+  // `usage` is the usage on [t, level_[i].first).
   while (true) {
     if (usage > avail) {
       // Cannot start at t: advance to the next point where usage drops.
-      FTLA_CHECK_MSG(it != level_.end(),
+      FTLA_CHECK_MSG(i != n,
                      "timeline invariant broken: usage exceeds capacity "
                      "with no future release");
-      usage = it->second;
-      t = it->first;
-      ++it;
+      t = level_[i].first;
+      usage = level_[i].second;
+      ++i;
       continue;
     }
     // t is feasible now; verify the whole window [t, t+duration).
     bool fits = true;
-    for (auto jt = it; jt != level_.end() && jt->first < t + duration; ++jt) {
-      if (jt->second > avail) {
+    for (std::size_t j = i; j != n && level_[j].first < t + duration; ++j) {
+      if (level_[j].second > avail) {
         // Conflict inside the window: restart from this breakpoint.
-        usage = jt->second;
-        t = jt->first;
-        it = std::next(jt);
+        t = level_[j].first;
+        usage = level_[j].second;
+        i = j + 1;
         fits = false;
         break;
       }
@@ -58,27 +63,50 @@ double ResourceTimeline::allocate(double earliest, double duration,
     if (fits) break;
   }
 
-  // Every start and end is a breakpoint (one, for a zero duration);
-  // raise every level inside the window.
-  const auto first = split_at(t);
-  const auto last = split_at(t + duration);
-  for (auto jt = first; jt != last; ++jt) jt->second += units;
+  // Every start and end is a breakpoint (one, for a zero duration). The
+  // scan left `i` just past t, so the start split lands at i - 1 or i;
+  // the end split scans forward from there. Raise every level between.
+  std::size_t first = i;
+  if (first != head_ && level_[first - 1].first == t) {
+    --first;
+  } else {
+    level_.insert(level_.begin() + static_cast<std::ptrdiff_t>(first),
+                  {t, level_before(first)});
+  }
+  const double end = t + duration;
+  std::size_t last = first;
+  while (last != level_.size() && level_[last].first < end) ++last;
+  if (last == level_.size() || level_[last].first != end) {
+    level_.insert(level_.begin() + static_cast<std::ptrdiff_t>(last),
+                  {end, level_before(last)});
+  }
+  for (std::size_t j = first; j != last; ++j) level_[j].second += units;
   busy_unit_seconds_ += duration * units;
-  last_end_ = std::max(last_end_, t + duration);
+  last_end_ = std::max(last_end_, end);
   return t;
 }
 
 int ResourceTimeline::usage_at(double t) const {
   if (t < prune_horizon_) return 0;  // history discarded
-  return level_before(level_.upper_bound(t));
+  return level_before(first_after(t));
 }
 
 void ResourceTimeline::prune(double t) {
   if (t <= prune_horizon_) return;
-  const auto keep = level_.upper_bound(t);
+  // Advance the head past every breakpoint at or before t; each one is
+  // passed once, so the walk is amortized O(1) per breakpoint.
+  std::size_t keep = head_;
+  while (keep != level_.size() && level_[keep].first <= t) ++keep;
   base_usage_ = level_before(keep);
-  level_.erase(level_.begin(), keep);
+  head_ = keep;
   prune_horizon_ = t;
+  // Compact once the pruned prefix passes half of the array: the shift
+  // moves fewer entries than were pruned, so it too is amortized O(1).
+  if (head_ >= kCompactMin && 2 * head_ > level_.size()) {
+    level_.erase(level_.begin(),
+                 level_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
 }
 
 }  // namespace ftla::sim

@@ -8,16 +8,17 @@
 // slowdown under contention — contention delays starts instead, which is
 // how SMs behave for co-resident kernels).
 //
-// Representation: a map from breakpoint time to the absolute usage on
-// [time, next breakpoint); every allocation start and end is a
-// breakpoint. allocate() reads the usage at its earliest start with one
-// lookup, so it costs O(log B + k) for B breakpoints and k of them
-// inside the scanned window, however far the queued future reaches;
-// usage_at() costs O(log B). See docs/simulator.md.
+// Representation: one sorted array of (breakpoint time, absolute usage
+// on [time, next breakpoint)); every allocation start and end is a
+// breakpoint. A head index marks the pruned prefix. allocate() costs
+// O(log B + k + r) for B breakpoints, k of them inside the scanned
+// window and r after the insertion point; usage_at() costs O(log B) and
+// prune() is amortized O(1). See docs/simulator.md.
 #pragma once
 
 #include <cstddef>
-#include <map>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -52,21 +53,24 @@ class ResourceTimeline {
 
   /// Breakpoints currently held (what prune() keeps bounded).
   [[nodiscard]] std::size_t breakpoints() const noexcept {
-    return level_.size();
+    return level_.size() - head_;
   }
 
  private:
-  using Levels = std::map<double, int>;
-
-  /// Usage just before the breakpoint `it` (base before the first one).
-  [[nodiscard]] int level_before(Levels::const_iterator it) const;
-  /// The breakpoint at exactly `t`, inserted with the usage there if
-  /// absent.
-  Levels::iterator split_at(double t);
+  /// Index of the first held breakpoint strictly after `t`.
+  [[nodiscard]] std::size_t first_after(double t) const;
+  /// Usage just before the breakpoint at index `i` (the base level
+  /// before the first held one).
+  [[nodiscard]] int level_before(std::size_t i) const {
+    return i == head_ ? base_usage_ : level_[i - 1].second;
+  }
 
   int capacity_;
-  int base_usage_ = 0;  // usage before the first breakpoint
-  Levels level_;        // time -> usage on [time, next breakpoint)
+  int base_usage_ = 0;  // usage before the first held breakpoint
+  /// (time, usage on [time, next breakpoint)), sorted by time; entries
+  /// before head_ are pruned and wait for compaction.
+  std::vector<std::pair<double, int>> level_;
+  std::size_t head_ = 0;
   double busy_unit_seconds_ = 0.0;
   double last_end_ = 0.0;
   double prune_horizon_ = 0.0;

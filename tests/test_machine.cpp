@@ -3,10 +3,52 @@
 // fixed overheads — so expected virtual times are computed by hand.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <cstdlib>
+#include <functional>
+#include <new>
 #include <vector>
 
+#include "sim/gpublas.hpp"
 #include "sim/machine.hpp"
 #include "sim/profile.hpp"
+
+// AddressSanitizer brings its own allocator; elsewhere this binary
+// replaces the global operator new so a test can count allocations.
+#if defined(__SANITIZE_ADDRESS__)
+#define FTLA_COUNT_ALLOCATIONS 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define FTLA_COUNT_ALLOCATIONS 0
+#endif
+#endif
+#ifndef FTLA_COUNT_ALLOCATIONS
+#define FTLA_COUNT_ALLOCATIONS 1
+#endif
+
+#if FTLA_COUNT_ALLOCATIONS
+namespace {
+std::atomic<long long> g_allocations{0};
+}  // namespace
+
+// GCC pairs the inlined replacement new with free() below and flags
+// the pair, though both sides are malloc/free.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t /*size*/) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+#endif
 
 namespace ftla::sim {
 namespace {
@@ -254,6 +296,78 @@ TEST(Machine, ConcurrentKernelLimitInflatesFootprint) {
   m.sync_all();
   // 4 kernels, only 2 at a time -> 2 s.
   EXPECT_DOUBLE_EQ(m.host_now(), 2.0);
+}
+
+// ----- body contract (Machine::Body) ---------------------------------
+
+KernelDesc host_task(std::int64_t flops) {
+  return KernelDesc{"h", KernelClass::HostPotf2, flops, 0};
+}
+
+TEST(MachineBody, RunsOnceInNumericNeverInTimingOnly) {
+  for (const auto mode : {ExecutionMode::Numeric, ExecutionMode::TimingOnly}) {
+    Machine m(test_rig(), mode);
+    int launched = 0;
+    int hosted = 0;
+    m.launch(0, blas2(100), [&] { ++launched; });
+    m.host_compute(host_task(100), [&] { ++hosted; });
+    const int expected = mode == ExecutionMode::Numeric ? 1 : 0;
+    EXPECT_EQ(launched, expected);
+    EXPECT_EQ(hosted, expected);
+  }
+}
+
+TEST(MachineBody, EmptyBodiesAreAcceptedAndCharged) {
+  for (const auto mode : {ExecutionMode::Numeric, ExecutionMode::TimingOnly}) {
+    Machine m(test_rig(), mode);
+    const std::function<void()> empty;
+    m.launch(0, blas2(10e9), {});
+    m.launch(0, blas2(10e9), empty);
+    m.host_compute(host_task(100), {});
+    m.host_compute(host_task(100), empty);
+    EXPECT_EQ(m.stats().gpu.at(KernelClass::Blas2).count, 2);
+    EXPECT_EQ(m.stats().host.at(KernelClass::HostPotf2).count, 2);
+    m.sync_all();
+    EXPECT_GT(m.host_now(), 0.0);
+  }
+}
+
+TEST(MachineBody, CapturesBeyondSmallBufferRun) {
+  // Ten doubles by value: more than std::function stores inline.
+  Machine m(test_rig(), ExecutionMode::Numeric);
+  std::array<double, 10> w{};
+  for (std::size_t i = 0; i < w.size(); ++i) w[i] = static_cast<double>(i + 1);
+  double launched = 0.0;
+  double hosted = 0.0;
+  m.launch(0, blas2(100), [w, &launched] {
+    for (const double x : w) launched += x;
+  });
+  m.host_compute(host_task(100), [w, &hosted] {
+    for (const double x : w) hosted += x;
+  });
+  EXPECT_EQ(launched, 55.0);
+  EXPECT_EQ(hosted, 55.0);
+}
+
+TEST(MachineBody, TimingOnlyLaunchesDoNotAllocatePerOp) {
+#if FTLA_COUNT_ALLOCATIONS
+  // gpublas::gemm captures three device views and four scalars, which
+  // std::function would have put on the heap once per launch.
+  Machine m(tardis(), ExecutionMode::TimingOnly);
+  auto buf = m.alloc(256 * 256);
+  const DMat c{&buf, 0, 256, 256, 256};
+  const auto gemm = [&] {
+    gpublas::gemm(m, 0, gpublas::Trans::No, gpublas::Trans::No, 1.0, c, c,
+                  1.0, c);
+  };
+  for (int i = 0; i < 1000; ++i) gemm();  // warm: stats, timeline storage
+  const long long before = g_allocations.load();
+  for (int i = 0; i < 1000; ++i) gemm();
+  EXPECT_LT(g_allocations.load() - before, 50);
+  EXPECT_EQ(m.stats().gpu.at(KernelClass::Blas3).count, 2000);
+#else
+  GTEST_SKIP() << "allocation counting is off under AddressSanitizer";
+#endif
 }
 
 }  // namespace

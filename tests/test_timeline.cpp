@@ -239,12 +239,24 @@ class BruteForceTimeline {
     return usage;
   }
 
-  /// Drops starts and ends at or before `t` from the kept set; like the
-  /// timeline, a prune that does not move the horizon does nothing.
+  /// Drops starts and ends at or before `t` from the kept set, and the
+  /// intervals that end by `t`, which no later start or probe can see;
+  /// like the timeline, a prune that does not move the horizon does
+  /// nothing.
   void prune(double t) {
     if (t <= horizon_) return;
     kept_.erase(kept_.begin(), kept_.upper_bound(t));
+    intervals_.erase(std::remove_if(intervals_.begin(), intervals_.end(),
+                                    [t](const Interval& iv) {
+                                      return iv.end <= t;
+                                    }),
+                     intervals_.end());
     horizon_ = t;
+  }
+
+  /// Latest breakpoint still kept (the horizon when none is).
+  [[nodiscard]] double last_point() const {
+    return kept_.empty() ? horizon_ : *kept_.rbegin();
   }
 
   /// Distinct starts and ends not yet pruned: what the timeline keeps.
@@ -278,15 +290,23 @@ class BruteForceTimeline {
 TEST(TimelineProperty, MatchesBruteForceFirstFit) {
   // Times and durations are multiples of 1/4, so sums are exact and
   // requested starts and window ends tie exactly on breakpoints often.
-  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+  // Seeds past 40 are long runs: they also book some work far into the
+  // future and prune more often, so thousands of breakpoints pass
+  // through the timeline, its pruned prefix repeatedly passes the point
+  // where the array is compacted, and many starts land before the last
+  // breakpoint instead of at the end of the array.
+  for (std::uint64_t seed = 1; seed <= 48; ++seed) {
+    const bool long_run = seed > 40;
+    const int steps = long_run ? 2500 : 120;
     Rng rng(seed);
     const int cap = static_cast<int>(1 + (seed - 1) % 8);  // 1..8
     ResourceTimeline fast(cap);
     BruteForceTimeline slow(cap);
     double horizon = 0.0;
-    for (int i = 0; i < 120; ++i) {
-      const int pick = rng.uniform_int(0, 9);
-      if (pick == 0) {
+    int inserts_before_last = 0;
+    for (int i = 0; i < steps; ++i) {
+      const int pick = rng.uniform_int(0, long_run ? 19 : 9);
+      if (pick == 0 || (long_run && pick == 10)) {
         // Prune at a random quarter just ahead of the horizon, or
         // exactly on a breakpoint.
         double h = horizon + 0.25 * rng.uniform_int(0, 8);
@@ -305,6 +325,9 @@ TEST(TimelineProperty, MatchesBruteForceFirstFit) {
         continue;
       }
       double earliest = horizon + 0.25 * rng.uniform_int(0, 12);
+      if (long_run && pick == 11) {
+        earliest = horizon + 0.25 * rng.uniform_int(40, 160);  // far ahead
+      }
       const std::vector<double> pts = slow.points();
       if (!pts.empty() && pick <= 3) {
         const double at =
@@ -314,9 +337,11 @@ TEST(TimelineProperty, MatchesBruteForceFirstFit) {
       }
       const double dur = pick == 4 ? 0.0 : 0.25 * rng.uniform_int(1, 10);
       const int units = rng.uniform_int(1, cap);
-      ASSERT_EQ(fast.allocate(earliest, dur, units),
-                slow.allocate(earliest, dur, units))
+      const double last_point = slow.last_point();
+      const double start = slow.allocate(earliest, dur, units);
+      ASSERT_EQ(fast.allocate(earliest, dur, units), start)
           << "seed " << seed << " step " << i;
+      if (start < last_point) ++inserts_before_last;
       EXPECT_EQ(fast.last_end(), slow.last_end());
       EXPECT_EQ(fast.busy_unit_seconds(), slow.busy_unit_seconds());
       EXPECT_EQ(fast.breakpoints(), slow.breakpoints());
@@ -327,6 +352,9 @@ TEST(TimelineProperty, MatchesBruteForceFirstFit) {
         EXPECT_EQ(fast.usage_at(probe), slow.usage_at(probe))
             << "seed " << seed << " t " << probe;
       }
+    }
+    if (long_run) {
+      EXPECT_GT(inserts_before_last, steps / 10) << "seed " << seed;
     }
   }
 }
