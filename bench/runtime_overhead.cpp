@@ -1,6 +1,7 @@
 // Task-graph runtime vs bulk-synchronous oracle: simulated makespan of
-// the Enhanced Online-ABFT Cholesky under both execution structures
-// (docs/runtime.md), on both testbeds, at CI-tractable sizes.
+// the Enhanced Online-ABFT Cholesky, LU and QR under both execution
+// structures (docs/runtime.md), on both testbeds, at CI-tractable
+// sizes.
 //
 // The DAG runtime issues the same kernels as bulk (bit-identical
 // numerics — tests/test_runtime_drivers.cpp) but replaces the bulk
@@ -13,42 +14,73 @@
 // Flags: `--sizes N1,N2,...` replaces the pinned sizes,
 // `--metrics-out FILE` dumps every measurement (byte-stable JSON; the
 // perf gate compares it against bench/baselines/BENCH_runtime.json).
+// Cholesky rows are keyed bench.runtime.<machine>.n<N>.*, LU and QR
+// rows bench.runtime.<algo>.<machine>.n<N>.*.
 //
-// Placement is pinned to Gpu on both machines: the Cpu-mirror placement
-// keeps checksum updates on the host and falls back to bulk by design,
-// so it cannot exercise the graph path.
+// Cholesky placement is pinned to Gpu on both machines: the Cpu-mirror
+// placement keeps checksum updates on the host and falls back to bulk
+// by design, so it cannot exercise the graph path.
 #include <iostream>
 
+#include "abft/lu.hpp"
+#include "abft/qr.hpp"
 #include "bench_util.hpp"
 
 namespace {
 
-bool sweep(const ftla::sim::MachineProfile& profile,
+// Enhanced Online-ABFT, K = 1: the simulated makespan of `algo`.
+double makespan(const ftla::sim::MachineProfile& profile, int n,
+                const std::string& algo, ftla::abft::RuntimeMode runtime) {
+  using namespace ftla;
+  if (algo == "cholesky") {
+    abft::CholeskyOptions opt;
+    opt.variant = abft::Variant::EnhancedOnline;
+    opt.placement = abft::UpdatePlacement::Gpu;
+    opt.runtime = runtime;
+    return bench::timing_run(profile, n, opt);
+  }
+  sim::Machine m(profile, sim::ExecutionMode::TimingOnly);
+  abft::CholeskyResult res;
+  if (algo == "lu") {
+    abft::LuOptions opt;
+    opt.runtime = runtime;
+    res = abft::lu(m, nullptr, n, opt);
+  } else {
+    abft::QrOptions opt;
+    opt.runtime = runtime;
+    res = abft::qr(m, nullptr, nullptr, n, opt);
+  }
+  if (!res.success) {
+    std::cerr << "timing run failed: " << res.note << "\n";
+    std::exit(1);
+  }
+  return res.seconds;
+}
+
+bool sweep(const ftla::sim::MachineProfile& profile, const std::string& algo,
            const std::vector<int>& sizes,
            ftla::obs::MetricsRegistry* metrics) {
   using namespace ftla;
   using namespace ftla::bench;
 
-  print_header("Task-graph runtime — makespan vs bulk on " + profile.name,
-               "Enhanced Online-ABFT, K = 1, placement Gpu, concurrent "
-               "recalc. delta = 1 - dag/bulk (positive = DAG shorter).");
+  print_header("Task-graph runtime — " + algo + " makespan vs bulk on " +
+                   profile.name,
+               "Enhanced Online-ABFT, K = 1, concurrent recalc" +
+                   std::string(algo == "cholesky" ? ", placement Gpu" : "") +
+                   ". delta = 1 - dag/bulk (positive = DAG shorter).");
   Table t({"n", "bulk (s)", "dag (s)", "delta"});
   bool strictly_shorter = true;
   for (int n : sizes) {
-    abft::CholeskyOptions opt;
-    opt.variant = abft::Variant::EnhancedOnline;
-    opt.placement = abft::UpdatePlacement::Gpu;
-    opt.runtime = abft::RuntimeMode::Bulk;
-    const double bulk = timing_run(profile, n, opt);
-    opt.runtime = abft::RuntimeMode::Dag;
-    const double dag = timing_run(profile, n, opt);
+    const double bulk = makespan(profile, n, algo, abft::RuntimeMode::Bulk);
+    const double dag = makespan(profile, n, algo, abft::RuntimeMode::Dag);
     const double delta = 1.0 - dag / bulk;
     strictly_shorter &= dag < bulk;
     t.add_row({std::to_string(n), Table::num(bulk, 6), Table::num(dag, 6),
                Table::pct(delta)});
     if (metrics != nullptr) {
-      const std::string key =
-          "bench.runtime." + profile.name + ".n" + std::to_string(n) + ".";
+      const std::string key = "bench.runtime." +
+                              (algo == "cholesky" ? "" : algo + ".") +
+                              profile.name + ".n" + std::to_string(n) + ".";
       metrics->set_gauge(key + "bulk_s", bulk);
       metrics->set_gauge(key + "dag_s", dag);
       metrics->set_gauge(key + "delta", delta);
@@ -71,8 +103,11 @@ int main(int argc, char** argv) {
 
   obs::MetricsRegistry metrics;
   obs::MetricsRegistry* mp = metrics_path.empty() ? nullptr : &metrics;
-  bool ok = sweep(sim::tardis(), sizes, mp);
-  ok &= sweep(sim::bulldozer64(), sizes, mp);
+  bool ok = true;
+  for (const char* algo : {"cholesky", "lu", "qr"}) {
+    ok &= sweep(sim::tardis(), algo, sizes, mp);
+    ok &= sweep(sim::bulldozer64(), algo, sizes, mp);
+  }
 
   write_bench_report(metrics_path, "runtime_overhead",
                      {{"variant", "enhanced"},

@@ -4,19 +4,16 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <utility>
 #include <vector>
 
+#include "abft/driver.hpp"
 #include "abft/opt2_model.hpp"
-#include "abft/telemetry.hpp"
 #include "blas/lapack.hpp"
 #include "blas/level3.hpp"
 #include "blas/types.hpp"
 #include "common/error.hpp"
 #include "common/fp.hpp"
-#include "runtime/executor.hpp"
-#include "runtime/sanitizer.hpp"
 #include "sim/device_matrix.hpp"
 #include "sim/gpublas.hpp"
 
@@ -33,7 +30,6 @@ using sim::EventId;
 using sim::KernelClass;
 using sim::KernelDesc;
 using sim::Machine;
-using sim::StreamId;
 
 const char* to_string(Variant v) {
   switch (v) {
@@ -64,37 +60,28 @@ const char* to_string(RuntimeMode m) {
 }
 
 int resolve_block_size(const sim::MachineProfile& profile,
-                       const CholeskyOptions& options) {
+                       const DriverOptions& options) {
   return options.block_size > 0 ? options.block_size
                                 : profile.magma_block_size;
 }
 
 namespace {
 
-/// Block coordinates (block_row, block_col) in the block grid.
-using BlockId = std::pair<int, int>;
+// Column checksums only; the kernels keep their unsuffixed names, which
+// the pinned profile baselines record.
+constexpr SumNames kCholeskySums{"encode", "recalc", "verify"};
 
-class Run {
+class Run final : public Driver {
  public:
   Run(Machine& m, Matrix<double>* a, int n, const CholeskyOptions& opt,
       fault::Injector* injector)
-      : m_(m), a_(a), n_(n), opt_(opt), injector_(injector),
-        tel_(m, opt.event_sink, opt.metrics, injector, opt.profile,
-             opt.timeseries) {
-    FTLA_CHECK(n_ > 0);
-    if (m_.numeric()) {
-      FTLA_CHECK_MSG(a_ != nullptr && a_->rows() == n_ && a_->cols() == n_,
-                     "Numeric mode needs the host matrix");
-    }
-    FTLA_CHECK_MSG(injector_ == nullptr || m_.numeric(),
-                   "fault injection requires Numeric mode");
-    FTLA_CHECK(opt_.verify_interval >= 1);
-    FTLA_CHECK(opt_.checkpoint_interval >= 1);
-    FTLA_CHECK(opt_.max_reruns >= 0 && opt_.max_rollbacks >= 0);
-    b_ = resolve_block_size(m_.profile(), opt_);
-    nb_ = (n_ + b_ - 1) / b_;
-    ft_ = opt_.variant != Variant::NoFt;
-    placement_ = opt_.placement;
+      : Driver(m, a, n, opt, injector, "cholesky", 1.0, &kCholeskySums,
+               nullptr),
+        copt_(opt) {
+    FTLA_CHECK(copt_.checkpoint_interval >= 1);
+    FTLA_CHECK(copt_.max_rollbacks >= 0);
+    chk_strikes_ = true;
+    placement_ = copt_.placement;
     if (!ft_) placement_ = UpdatePlacement::Gpu;  // no checksums to place
     if (placement_ == UpdatePlacement::Auto) {
       placement_ = opt2_decide(m_.profile(), n_, b_, opt_.verify_interval)
@@ -103,12 +90,14 @@ class Run {
     if (ft_ && tel_.active()) {
       const Opt2Estimate est =
           opt2_decide(m_.profile(), n_, b_, opt_.verify_interval);
-      tel_.placement_decided(opt_.placement, placement_, est.t_pick_gpu_s,
+      tel_.placement_decided(copt_.placement, placement_, est.t_pick_gpu_s,
                              est.t_pick_cpu_s);
     }
+    host_compare_ = placement_ == UpdatePlacement::Cpu;
+    result_.chosen_placement = placement_;
     // Panel checkpointing needs real panel data, so it is Numeric-only;
     // a TimingOnly run silently ignores the store.
-    ck_ = m_.numeric() ? opt_.panel_checkpoint : nullptr;
+    ck_ = m_.numeric() ? copt_.panel_checkpoint : nullptr;
     if (ck_ != nullptr) {
       if (ck_->usable(n_, b_) && ck_->columns.rows() == n_ &&
           ck_->columns.cols() == n_) {
@@ -124,47 +113,11 @@ class Run {
       }
       result_.resumed_iterations = resume_from_;
     }
-    // Causal tracing (docs/observability.md): the driver roots its
-    // "factorize" span at the fixed child slot of the caller's context,
-    // so the service's attempt span and the driver's spans agree on ids
-    // without further coordination.
-    trace_ = opt_.trace != nullptr && opt_.trace_ctx.valid() ? opt_.trace
-                                                             : nullptr;
-    if (trace_ != nullptr) {
-      trace_factorize_ =
-          obs::derive_span_id(opt_.trace_ctx.span_id, obs::kTraceDriverChild);
-    }
+    enable_tracing(copt_.trace, copt_.trace_ctx);
   }
-
-  CholeskyResult execute();
 
  private:
-  // ---- geometry -----------------------------------------------------
-  [[nodiscard]] int bs(int i) const { return std::min(b_, n_ - i * b_); }
-  [[nodiscard]] int off(int i) const { return i * b_; }
-
-  [[nodiscard]] DMat data_block(int i, int k) {
-    return DMat{&d_a_, static_cast<std::int64_t>(off(k)) * n_ + off(i),
-                bs(i), bs(k), n_};
-  }
-  /// Rectangular region of the data matrix in element coordinates.
-  [[nodiscard]] DMat data_region(int row, int col, int rows, int cols) {
-    return DMat{&d_a_, static_cast<std::int64_t>(col) * n_ + row, rows, cols,
-                n_};
-  }
-  /// Device checksum rows (2 x cols of block (i,k)).
-  [[nodiscard]] DMat chk_block(int i, int k) {
-    return DMat{&d_chk_,
-                static_cast<std::int64_t>(off(k)) * (2 * nb_) + 2 * i,
-                kChecksumRows, bs(k), 2 * nb_};
-  }
-  /// Device checksum strip: rows of block-rows [i0, i1) over element
-  /// columns [col, col+cols).
-  [[nodiscard]] DMat chk_strip(int i0, int i1, int col, int cols) {
-    return DMat{&d_chk_, static_cast<std::int64_t>(col) * (2 * nb_) + 2 * i0,
-                2 * (i1 - i0), cols, 2 * nb_};
-  }
-  /// Host mirror equivalents (placement == Cpu).
+  /// Host mirror of the checksum blocks and strips (placement Cpu).
   [[nodiscard]] MatrixView<double> h_chk_block(int i, int k) {
     return h_chk_.block(2 * i, off(k), kChecksumRows, bs(k));
   }
@@ -172,101 +125,41 @@ class Run {
                                                int cols) {
     return h_chk_.block(2 * i0, col, 2 * (i1 - i0), cols);
   }
+  /// The diagonal block's checksum rows on the host: the mirror itself
+  /// under placement Cpu, else the staging copy that rides along.
+  [[nodiscard]] MatrixView<double> h_diag_chk(int j) {
+    return placement_ == UpdatePlacement::Cpu
+               ? h_chk_block(j, j)
+               : h_diag_chk_.block(0, 0, kChecksumRows, bs(j));
+  }
 
-  // ---- phases --------------------------------------------------------
-  void allocate();
-  void upload();
-  void encode();
-  void iterate(int j);
-  void run_once();
+  void allocate() override;
+  void upload() override;
+  void run_once() override;
+  // The graph covers the device-resident checksum placements and Rerun
+  // recovery; the CPU checksum mirror, checkpoint recovery and fleet
+  // panel checkpoints run bulk.
+  [[nodiscard]] bool graph_models() const override {
+    return placement_ != UpdatePlacement::Cpu && !checkpointing_ &&
+           ck_ == nullptr;
+  }
+  [[nodiscard]] BlockId fault_target(const fault::FaultSpec& spec,
+                                     int j) const override;
+  [[nodiscard]] double* stored_checksum(int row, int col) override;
+  void compare_on_host(const std::vector<BlockId>& blocks, fault::Op attr,
+                       std::int64_t used) override;
+
+  void iteration(int j);
   void take_checkpoint(int next_iter);
   void save_panels(int upto);
   void rollback();
-  void final_download();
   void offline_final_verify();
-
-  // ---- checksum maintenance -------------------------------------------
-  void chk_update_syrk(int j);
-  void chk_update_gemm(int j);
-  void chk_update_trsm(int j, EventId e_l_ready);
   void fetch_panel_for_cpu_update(int j);
   void wait_panel(int j);
-
-  // ---- verification ----------------------------------------------------
-  void verify_blocks(const std::vector<BlockId>& blocks, fault::Op attr);
-  void issue_block_verify(StreamId s, int bi, int bk, fault::Op attr,
-                          std::int64_t scratch_col, int iter);
-  void absorb(const VerifyOutcome& out);
-  [[nodiscard]] StreamId chk_stream() const {
-    return placement_ == UpdatePlacement::Gpu ? s_chk_ : s_compute_;
-  }
-
-  // ---- task-graph (DAG) runtime path -----------------------------------
-  // The DAG path expresses the same kernel sequence as a dependency
-  // graph (docs/runtime.md). It covers the device-resident checksum
-  // placements and Rerun recovery; the remaining combinations (CPU
-  // checksum mirror, checkpoint recovery, fleet panel checkpoints)
-  // fall back to the bulk-synchronous oracle.
-  [[nodiscard]] bool use_dag() const {
-    return opt_.runtime == RuntimeMode::Dag &&
-           placement_ != UpdatePlacement::Cpu && !checkpointing_ &&
-           ck_ == nullptr;
-  }
-  void run_once_dag();
-  void dag_encode(runtime::TaskGraph& g);
-  void dag_iteration(runtime::TaskGraph& g, int j);
-  void dag_verify(runtime::TaskGraph& g, int bi, int bk, fault::Op attr,
-                  int iter);
-  void dag_hook(runtime::TaskGraph& g, const char* name, int iter,
-                std::function<void()> fn);
-  [[nodiscard]] std::vector<StreamId> dag_streams() const;
-
-  // Tile namespaces for dependency inference: data blocks, checksum
-  // blocks, the reused host diagonal staging buffer (h_diag_ +
-  // h_diag_chk_, one tile so cross-iteration reuse hazards serialize),
-  // and recalc scratch slots.
-  enum TileSpace : int { kTileData = 0, kTileChk, kTileHost, kTileScratch };
-  [[nodiscard]] static runtime::TileKey dtile(int i, int k) {
-    return {kTileData, i, k};
-  }
-  [[nodiscard]] static runtime::TileKey ctile(int i, int k) {
-    return {kTileChk, i, k};
-  }
-  [[nodiscard]] static runtime::TileKey htile() { return {kTileHost, 0, 0}; }
-  [[nodiscard]] static runtime::TileKey stile(int slot) {
-    return {kTileScratch, slot, 0};
-  }
-
-  // ---- fault hooks ------------------------------------------------------
-  void hook_storage(fault::Op op, int j);
-  void hook_computing(fault::Op op, int j);
   void poll_window_faults(fault::Op op, int j);
-  void apply_storage_fault(const fault::FaultSpec& spec, int j);
-  void apply_computing_fault(const fault::FaultSpec& spec, int j);
 
-  // ---- members ----------------------------------------------------------
-  Machine& m_;
-  Matrix<double>* a_;
-  int n_;
-  CholeskyOptions opt_;
-  fault::Injector* injector_;
-  Telemetry tel_;
-  /// Outer iteration currently executing; -1 outside the j-loop (encode,
-  /// offline final sweep) — used only to annotate telemetry events.
-  int cur_iter_ = -1;
-
-  int b_ = 0;
-  int nb_ = 0;
-  bool ft_ = false;
+  const CholeskyOptions& copt_;
   UpdatePlacement placement_ = UpdatePlacement::Gpu;
-
-  DeviceBuffer d_a_;
-  DeviceBuffer d_chk_;
-  DeviceBuffer d_scratch_;
-  std::int64_t scratch_capacity_cols_ = 0;
-  /// Round-robin scratch-slot cursor for DAG verify tasks (each slot is
-  /// b_ columns wide; slot reuse serializes through the slot tile).
-  std::int64_t dag_slot_ = 0;
 
   // Checkpoint state (Recovery::Checkpoint): on-device snapshots of the
   // matrix (and checksums), plus a host snapshot of the checksum mirror
@@ -279,12 +172,10 @@ class Run {
 
   // Fleet panel-checkpoint store (options.panel_checkpoint, Numeric
   // only): host-side slab of retired panel columns, refreshed every
-  // checkpoint_interval iterations; resume_from_ is the outer iteration
-  // this run starts at when the store seeded it.
+  // checkpoint_interval iterations; the run starts at resume_from_ when
+  // the store seeded it.
   PanelCheckpoint* ck_ = nullptr;
-  int resume_from_ = 0;
 
-  Matrix<double> pristine_;     // host copy for recovery reruns
   Matrix<double> h_chk_;        // host checksum mirror (placement Cpu)
   Matrix<double> h_scratch_;    // host landing area for recalc batches
   Matrix<double> h_diag_;       // host diagonal block for POTF2
@@ -295,137 +186,18 @@ class Run {
   Matrix<double> h_panel_[2];
   EventId panel_event_[2] = {-1, -1};
   int panel_iter_[2] = {-1, -1};
-
-  StreamId s_compute_ = 0;
-  StreamId s_chk_ = 0;
-  StreamId s_xfer_ = 0;
-  std::vector<StreamId> s_recalc_;
-
-  /// Records one span under the job's causal trace (no-op when tracing
-  /// is off). Device and tenant come from the caller's context.
-  void trace_span(obs::SpanId id, obs::SpanId parent, const char* name,
-                  const char* kind, double start, double end,
-                  const char* status, std::string detail = {}) {
-    if (trace_ == nullptr) return;
-    obs::TraceSpan s;
-    s.trace_id = opt_.trace_ctx.trace_id;
-    s.span_id = id;
-    s.parent_span = parent;
-    s.name = name;
-    s.kind = kind;
-    s.device = opt_.trace_ctx.device;
-    s.tenant = opt_.trace_ctx.tenant;
-    s.start = start;
-    s.end = end;
-    s.status = status;
-    s.detail = std::move(detail);
-    trace_->record(s);
-  }
-
-  obs::TraceStore* trace_ = nullptr;      // null = tracing off
-  obs::SpanId trace_factorize_ = 0;       // the driver's root span id
-  obs::SpanId trace_pass_ = 0;            // current pass span id
-  double trace_pass_start_ = 0.0;
-  int trace_pass_count_ = 0;
-
-  CholeskyResult result_;
 };
-
-CholeskyResult Run::execute() {
-  allocate();
-
-  upload();
-  m_.sync_all();
-  const double t0 = m_.host_now();
-
-  if (trace_ != nullptr && resume_from_ > 0) {
-    trace_span(obs::derive_span_id(trace_factorize_, 1), trace_factorize_,
-               "resume", "marker", t0, t0, "ok",
-               "iterations=" + std::to_string(resume_from_));
-  }
-
-  bool done = false;
-  try {
-    while (!done) {
-      ++trace_pass_count_;
-      trace_pass_ = obs::derive_span_id(
-          trace_factorize_,
-          obs::kTraceIterationChildBase +
-              static_cast<std::uint64_t>(trace_pass_count_));
-      trace_pass_start_ = m_.host_now();
-      try {
-        run_once();
-        done = true;
-        result_.success = true;
-        trace_span(trace_pass_, trace_factorize_, "pass", "pass",
-                   trace_pass_start_, m_.host_now(), "ok");
-      } catch (const NotPositiveDefiniteError& e) {
-        trace_span(trace_pass_, trace_factorize_, "pass", "pass",
-                   trace_pass_start_, m_.host_now(), "error",
-                   "not_positive_definite");
-        result_.fail_stop_observed = true;
-        if (opt_.variant == Variant::NoFt ||
-            result_.reruns >= opt_.max_reruns) {
-          result_.note = std::string("fail-stop: ") + e.what();
-          done = true;
-        } else {
-          ++result_.reruns;
-          tel_.rerun(result_.reruns, "not_positive_definite");
-          const obs::PhaseScope recover(tel_.profile(), obs::Phase::Recover);
-          upload();
-        }
-      } catch (const UnrecoverableCorruptionError& e) {
-        trace_span(trace_pass_, trace_factorize_, "pass", "pass",
-                   trace_pass_start_, m_.host_now(), "error",
-                   "unrecoverable_corruption");
-        if (opt_.variant == Variant::NoFt ||
-            result_.reruns >= opt_.max_reruns) {
-          result_.note = std::string("unrecoverable: ") + e.what();
-          done = true;
-        } else {
-          ++result_.reruns;
-          tel_.rerun(result_.reruns, "unrecoverable_corruption");
-          const obs::PhaseScope recover(tel_.profile(), obs::Phase::Recover);
-          upload();
-        }
-      }
-    }
-  } catch (...) {
-    // A device loss (or any other failure the retry ladder does not
-    // handle) unwinds out of the driver: close the open pass and
-    // factorize spans first so the trace keeps its parentage intact —
-    // the service's attempt span records the loss itself.
-    const double at = m_.host_now();
-    trace_span(trace_pass_, trace_factorize_, "pass", "pass",
-               trace_pass_start_, at, "loss");
-    trace_span(trace_factorize_, opt_.trace_ctx.span_id, "factorize",
-               "driver", t0, at, "loss");
-    throw;
-  }
-
-  m_.sync_all();
-  result_.seconds = m_.host_now() - t0;
-  const double flops = static_cast<double>(n_) * n_ * n_ / 3.0;
-  result_.gflops =
-      result_.seconds > 0.0 ? flops / result_.seconds / 1e9 : 0.0;
-  result_.chosen_placement = placement_;
-
-  trace_span(trace_factorize_, opt_.trace_ctx.span_id, "factorize", "driver",
-             t0, t0 + result_.seconds, result_.success ? "ok" : "error");
-
-  if (result_.success) final_download();
-  return result_;
-}
 
 void Run::allocate() {
   d_a_ = m_.alloc(static_cast<std::int64_t>(n_) * n_);
   if (ft_) {
-    d_chk_ = m_.alloc(static_cast<std::int64_t>(2 * nb_) * n_);
-    scratch_capacity_cols_ =
+    d_cchk_ = m_.alloc(static_cast<std::int64_t>(2 * nb_) * n_);
+    const std::int64_t scratch_cols =
         static_cast<std::int64_t>(nb_) * nb_ * b_ + 2LL * nb_ * b_;
-    d_scratch_ = m_.alloc(2 * scratch_capacity_cols_);
+    scratch_capacity_ = 2 * scratch_cols;
+    d_scratch_ = m_.alloc(scratch_capacity_);
     if (m_.numeric()) {
-      h_scratch_ = Matrix<double>(2, static_cast<int>(scratch_capacity_cols_));
+      h_scratch_ = Matrix<double>(2, static_cast<int>(scratch_cols));
       if (placement_ == UpdatePlacement::Cpu) {
         h_chk_ = Matrix<double>(2 * nb_, n_);
         h_panel_[0] = Matrix<double>(b_, n_);
@@ -437,7 +209,7 @@ void Run::allocate() {
   h_diag_ = Matrix<double>(b_, b_);
   if (m_.numeric()) pristine_ = *a_;
 
-  checkpointing_ = opt_.recovery == Recovery::Checkpoint &&
+  checkpointing_ = copt_.recovery == Recovery::Checkpoint &&
                    opt_.variant != Variant::Offline;
   if (checkpointing_) {
     d_ckpt_a_ = m_.alloc(static_cast<std::int64_t>(n_) * n_);
@@ -446,27 +218,15 @@ void Run::allocate() {
     }
   }
 
-  s_compute_ = m_.default_stream();
-  if (ft_) {
-    s_chk_ = m_.create_stream();
-    s_xfer_ = m_.create_stream();
-    int streams = opt_.recalc_streams > 0
-                      ? opt_.recalc_streams
-                      : m_.profile().max_concurrent_kernels;
-    if (!opt_.concurrent_recalc) streams = 1;
-    s_recalc_.clear();
-    for (int i = 0; i < streams; ++i) s_recalc_.push_back(m_.create_stream());
-  } else if (use_dag()) {
-    // NoFt DAG: one extra lane so the graph can overlap the diagonal
-    // staging copies with the trailing update of the previous iteration.
-    s_xfer_ = m_.create_stream();
-  }
+  // NoFt under the DAG still gets the transfer lane: the graph overlaps
+  // the diagonal staging copies with the previous trailing update.
+  create_streams(ft_ ||
+                 (opt_.runtime == RuntimeMode::Dag && graph_models()));
+  if (placement_ != UpdatePlacement::Gpu) s_update_ = s_compute_;
 }
 
 void Run::upload() {
-  m_.memcpy_h2d(d_a_, 0, m_.numeric() ? pristine_.data() : nullptr,
-                static_cast<std::int64_t>(n_) * n_, s_compute_,
-                /*blocking=*/true);
+  Driver::upload();
   if (ck_ == nullptr) return;
   // A rerun escalation restarts from the resume point, so panels saved
   // by the failed attempt are discarded along with the device state.
@@ -481,65 +241,33 @@ void Run::upload() {
   }
 }
 
-void Run::encode() {
-  if (!ft_) return;
-  // Profiler attribution: everything issued here (the encode kernels
-  // and, for placement Cpu, the checksum D2H move) is encode overhead.
-  const obs::PhaseScope phase(tel_.profile(), obs::Phase::Encode);
-  // One BLAS-2 encode kernel per lower-triangle block, spread across the
-  // recalc streams so encoding itself benefits from concurrency.
-  const EventId e_up = m_.record_event(s_compute_);
-  for (StreamId s : s_recalc_) m_.stream_wait_event(s, e_up);
-  int q = 0;
-  for (int k = 0; k < nb_; ++k) {
-    for (int i = k; i < nb_; ++i) {
-      const StreamId s = s_recalc_[q++ % s_recalc_.size()];
-      const DMat blk = data_block(i, k);
-      const DMat chk = chk_block(i, k);
-      KernelDesc d{"encode", KernelClass::Blas2,
-                   blas::gemv_flops(blk.rows, blk.cols) * 2, 0};
-      m_.launch(s, d, [blk, chk] {
-        encode_block(ConstMatrixView<double>(blk.view()), chk.view());
-      });
-    }
-  }
-  for (StreamId s : s_recalc_) {
-    const EventId e = m_.record_event(s);
-    m_.stream_wait_event(s_compute_, e);
-    m_.stream_wait_event(s_chk_, e);
-  }
-  if (placement_ == UpdatePlacement::Cpu) {
+void Run::run_once() {
+  panel_iter_[0] = panel_iter_[1] = -1;  // panels are stale after a rerun
+  encode(/*lower=*/true);
+  if (ft_ && placement_ == UpdatePlacement::Cpu) {
     // Paper §VI-6a: the initial checksums move to the host once.
+    const obs::PhaseScope phase(tel_.profile(), obs::Phase::Encode);
     m_.sync_stream(s_compute_);
-    m_.memcpy_d2h(m_.numeric() ? h_chk_.data() : nullptr, d_chk_, 0,
+    m_.memcpy_d2h(m_.numeric() ? h_chk_.data() : nullptr, d_cchk_, 0,
                   static_cast<std::int64_t>(2 * nb_) * n_, s_compute_,
                   /*blocking=*/true);
   }
-}
-
-void Run::run_once() {
-  if (use_dag()) {
-    run_once_dag();
-    return;
-  }
-  panel_iter_[0] = panel_iter_[1] = -1;  // panels are stale after a rerun
-  encode();
   // Stochastic transfer faults cover the H2D copies between encode and
   // the final download (a corrupted *initial* upload is indistinguishable
   // from a different input — no ABFT can detect it). D2H staging copies
   // are armed individually where an arrival check exists (transfer_guard).
-  sim::TransferArmGuard arm(m_, /*h2d=*/true, /*d2h=*/false);
+  const sim::TransferArmGuard arm(m_, /*h2d=*/true, /*d2h=*/false);
   if (checkpointing_) take_checkpoint(resume_from_);
   // Resuming mid-matrix with CPU-side checksum updating: the first
   // resumed iteration needs its decomposed row panel on the host (a
   // no-op for cold starts and for the other placements).
   fetch_panel_for_cpu_update(resume_from_);
-  int rollbacks_left = opt_.max_rollbacks;
+  int rollbacks_left = copt_.max_rollbacks;
   int j = resume_from_;
   while (j < nb_) {
     if (checkpointing_ && rollbacks_left > 0) {
       try {
-        iterate(j);
+        iteration(j);
       } catch (const Error&) {
         // Timely detection (Online/Enhanced) guarantees the corruption
         // postdates the snapshot: roll back and resume instead of
@@ -551,20 +279,27 @@ void Run::run_once() {
         continue;
       }
     } else {
-      iterate(j);
+      iteration(j);
     }
     ++j;
-    if (checkpointing_ && j < nb_ && j % opt_.checkpoint_interval == 0) {
+    if (checkpointing_ && j < nb_ && j % copt_.checkpoint_interval == 0) {
       take_checkpoint(j);
     }
-    if (ck_ != nullptr && j < nb_ && j % opt_.checkpoint_interval == 0 &&
+    if (ck_ != nullptr && j < nb_ && j % copt_.checkpoint_interval == 0 &&
         j > ck_->iterations) {
       save_panels(j);
     }
   }
   if (opt_.variant == Variant::Offline) {
+    // The offline sweep is a bulk batch under either runtime: issue the
+    // graph and align the host clock with all its work first, so the
+    // sweep's fences see the full run.
+    if (!bulk()) {
+      run_graph();
+      m_.sync_all();
+    }
     offline_final_verify();
-  } else if (ft_ && opt_.transfer_guard) {
+  } else if (ft_ && copt_.transfer_guard) {
     // Transfer-fault hardening: pre-use verification cannot see a
     // strike on a retired output block (nothing reads it again), so
     // the guard closes the output-at-rest window with one end sweep.
@@ -572,14 +307,15 @@ void Run::run_once() {
     // sweep-detected error never propagated — anything it finds struck
     // after the block's last verification and was never read since —
     // so in-place correction is safe; uncorrectable damage escalates.
-    cur_iter_ = -1;
-    tel_.begin_iteration(-1);
-    std::vector<BlockId> all;
+    // Under the DAG each block's verify depends only on that block's
+    // last writer, so retired columns are swept while the tail runs.
+    begin_iteration(-1);
+    std::vector<BlockId>& all = block_list();
     for (int k = 0; k < nb_; ++k)
       for (int i = k; i < nb_; ++i) all.emplace_back(i, k);
-    verify_blocks(all, fault::Op::Gemm);
+    verify(all, fault::Op::Gemm);
   }
-  m_.sync_all();
+  finish_pass();
 }
 
 void Run::take_checkpoint(int next_iter) {
@@ -592,7 +328,7 @@ void Run::take_checkpoint(int next_iter) {
   poll_window_faults(fault::Op::Syrk, next_iter);
   // Snapshot a consistent (matrix, checksum) pair: all checksum-stream
   // work must land first.
-  m_.stream_wait_event(s_compute_, m_.record_event(chk_stream()));
+  m_.stream_wait_event(s_compute_, m_.record_event(s_update_));
   m_.memcpy_d2d(d_ckpt_a_, 0, d_a_, 0, static_cast<std::int64_t>(n_) * n_,
                 s_compute_);
   if (ft_) {
@@ -602,7 +338,7 @@ void Run::take_checkpoint(int next_iter) {
                    static_cast<std::int64_t>(2 * nb_) * n_, 0};
       m_.host_compute(d, {});
     } else {
-      m_.memcpy_d2d(d_ckpt_chk_, 0, d_chk_, 0,
+      m_.memcpy_d2d(d_ckpt_chk_, 0, d_cchk_, 0,
                     static_cast<std::int64_t>(2 * nb_) * n_, s_compute_);
     }
   }
@@ -628,11 +364,11 @@ void Run::save_panels(int upto) {
   // escalates up the rerun ladder like any other detection.
   if (ft_) {
     poll_window_faults(fault::Op::Syrk, upto);
-    std::vector<BlockId> shipped;
+    std::vector<BlockId>& shipped = block_list();
     for (int k = ck_->iterations; k < upto; ++k) {
       for (int i = k; i < nb_; ++i) shipped.emplace_back(i, k);
     }
-    verify_blocks(shipped, fault::Op::Gemm);
+    verify(shipped, fault::Op::Gemm);
   }
   const obs::PhaseScope phase(tel_.profile(), obs::Phase::Recover);
   const double ck_t0 = m_.host_now();
@@ -667,7 +403,7 @@ void Run::rollback() {
                    static_cast<std::int64_t>(2 * nb_) * n_, 0};
       m_.host_compute(d, {});
     } else {
-      m_.memcpy_d2d(d_chk_, 0, d_ckpt_chk_, 0,
+      m_.memcpy_d2d(d_cchk_, 0, d_ckpt_chk_, 0,
                     static_cast<std::int64_t>(2 * nb_) * n_, s_compute_);
     }
   }
@@ -680,154 +416,59 @@ void Run::rollback() {
   poll_window_faults(fault::Op::Syrk, ckpt_iter_);
 }
 
-void Run::final_download() {
-  if (!m_.numeric()) return;
-  // Outside the timed section: MAGMA's dpotrf_gpu leaves the factor on
-  // the device; callers fetch it separately.
-  m_.memcpy_d2h(a_->data(), d_a_, 0, static_cast<std::int64_t>(n_) * n_,
-                s_compute_, /*blocking=*/true);
-}
-
-// ----------------------------------------------------------------------
-// Verification
-// ----------------------------------------------------------------------
-
-void Run::absorb(const VerifyOutcome& out) {
-  result_.errors_detected += out.errors_detected;
-  result_.errors_corrected += out.errors_corrected;
-  result_.checksum_repairs += out.checksum_repairs;
-  if (out.uncorrectable) {
+void Run::offline_final_verify() {
+  begin_iteration(-1);  // the sweep belongs to no outer iteration
+  // Huang & Abraham: one verification sweep over the finished factor.
+  // Any anomaly triggers a full re-run — an offline scheme cannot tell
+  // whether a detected error propagated before the sweep, so correcting
+  // in place would risk silently keeping polluted blocks.
+  const int detected_before = result_.errors_detected;
+  const int repairs_before = result_.checksum_repairs;
+  std::vector<BlockId>& all = block_list();
+  for (int k = 0; k < nb_; ++k)
+    for (int i = k; i < nb_; ++i) all.emplace_back(i, k);
+  verify(all, fault::Op::Gemm);
+  m_.sync_all();
+  if (result_.errors_detected != detected_before ||
+      result_.checksum_repairs != repairs_before) {
     throw UnrecoverableCorruptionError(
-        "more than one error per block column");
+        "offline sweep found corruption in the finished factor");
   }
 }
 
-void Run::verify_blocks(const std::vector<BlockId>& blocks, fault::Op attr) {
-  if (!ft_ || blocks.empty()) return;
-  // Recalc kernels classify as Recalc by name; the scope catches the
-  // neutral spans issued here (scratch D2H batch, host repair H2Ds).
-  const obs::PhaseScope phase(tel_.profile(), obs::Phase::Verify);
-  switch (attr) {
-    case fault::Op::Potf2: result_.verified.potf2_blocks += blocks.size(); break;
-    case fault::Op::Trsm: result_.verified.trsm_blocks += blocks.size(); break;
-    case fault::Op::Syrk: result_.verified.syrk_blocks += blocks.size(); break;
-    case fault::Op::Gemm: result_.verified.gemm_blocks += blocks.size(); break;
-  }
-  tel_.verify_scheduled(attr, blocks.size());
-
-  // Recalc kernels must observe the data state after all compute so far
-  // and the checksum state after all updates so far.
-  const EventId e_comp = m_.record_event(s_compute_);
-  const EventId e_chk = m_.record_event(chk_stream());
-  const int nstreams = std::max(
-      1, std::min(static_cast<int>(s_recalc_.size()),
-                  static_cast<int>(blocks.size())));
-  for (int i = 0; i < nstreams; ++i) {
-    m_.stream_wait_event(s_recalc_[i], e_comp);
-    m_.stream_wait_event(s_recalc_[i], e_chk);
-  }
-
-  // Lay the recalculated checksums side by side in the scratch buffer.
-  std::int64_t col_pos = 0;
-  const bool device_compare = placement_ != UpdatePlacement::Cpu;
-  struct Placed {
-    BlockId id;
-    std::int64_t col;
-  };
-  std::vector<Placed> placed;
-  placed.reserve(blocks.size());
-  for (std::size_t q = 0; q < blocks.size(); ++q) {
-    const auto [bi, bk] = blocks[q];
-    const DMat blk = data_block(bi, bk);
-    FTLA_CHECK(col_pos + blk.cols <= scratch_capacity_cols_);
-    placed.push_back(Placed{blocks[q], col_pos});
-    const StreamId s = s_recalc_[q % nstreams];
-    if (device_compare) {
-      // Recalc + compare + correct in place on the device, one stream so
-      // the compare observes the freshly computed sums.
-      issue_block_verify(s, bi, bk, attr, col_pos, cur_iter_);
-    } else {
-      const DMat scratch{&d_scratch_, 2 * col_pos, kChecksumRows, blk.cols,
-                         2};
-      KernelDesc rd{"recalc", KernelClass::Blas2,
-                    blas::gemv_flops(blk.rows, blk.cols) * 2, 0};
-      m_.launch(s, rd, [blk, scratch] {
-        encode_block(ConstMatrixView<double>(blk.view()), scratch.view());
-      });
-    }
-    col_pos += blk.cols;
-  }
-
-  for (int i = 0; i < nstreams; ++i) {
-    const EventId e = m_.record_event(s_recalc_[i]);
-    m_.stream_wait_event(s_compute_, e);
-    m_.stream_wait_event(chk_stream(), e);
-  }
-
-  if (!device_compare) {
-    // Placement Cpu: stored checksums live on the host; ship the whole
-    // recalc batch over in one transfer (paper §VI-6c) and compare there.
-    m_.memcpy_d2h_2d(m_.numeric() ? h_scratch_.data() : nullptr, 2,
-                     d_scratch_, 0, 2, 2, static_cast<int>(col_pos),
-                     s_compute_, /*blocking=*/true);
-    const Tolerance tol = opt_.tolerance;
-    KernelDesc hd{"verify_host", KernelClass::HostChecksum, 4 * col_pos, 0};
-    std::vector<Placed> items = placed;
-    m_.host_compute(hd, [this, items, tol, attr] {
-      for (const auto& p : items) {
-        const auto [bi, bk] = p.id;
-        const DMat blk = data_block(bi, bk);
-        auto out = verify_block(
-            blk.view(), h_chk_block(bi, bk),
-            ConstMatrixView<double>(
-                h_scratch_.block(0, static_cast<int>(p.col), 2, blk.cols)),
-            tol);
-        // Repairs computed on the host must cross back over PCIe.
-        for (std::size_t c = 0; c < out.corrections.size(); ++c) {
-          m_.memcpy_h2d(d_a_, 0, nullptr, 0, s_compute_);
-        }
-        tel_.block_verified(out, attr, cur_iter_, bi, bk,
-                            blas::gemv_flops(blk.rows, blk.cols) * 2,
-                            off(bi), blk.rows, off(bk), blk.cols, 2 * bi);
-        absorb(out);
-      }
-    });
-  }
-}
-
-// One block verification: recalc the block's column sums into the
-// scratch slot at `scratch_col`, then compare against the stored
-// checksum rows and correct in place. Both launches ride the same
-// stream so the compare observes the fresh sums. Shared by the bulk
-// batches (which pass cur_iter_) and the DAG verify tasks (which pass
-// the iteration the task belongs to).
-void Run::issue_block_verify(StreamId s, int bi, int bk, fault::Op attr,
-                             std::int64_t scratch_col, int iter) {
-  const DMat blk = data_block(bi, bk);
-  const DMat scratch{&d_scratch_, 2 * scratch_col, kChecksumRows, blk.cols,
-                     2};
-  KernelDesc rd{"recalc", KernelClass::Blas2,
-                blas::gemv_flops(blk.rows, blk.cols) * 2, 0};
-  m_.launch(s, rd, [blk, scratch] {
-    encode_block(ConstMatrixView<double>(blk.view()), scratch.view());
-  });
-  const DMat chk = chk_block(bi, bk);
+// Placement Cpu: stored checksums live on the host; the whole recalc
+// batch ships over in one transfer (paper §VI-6c) and is compared there.
+void Run::compare_on_host(const std::vector<BlockId>& blocks, fault::Op attr,
+                          std::int64_t used) {
+  const std::int64_t cols = used / 2;
+  m_.memcpy_d2h_2d(m_.numeric() ? h_scratch_.data() : nullptr, 2, d_scratch_,
+                   0, 2, 2, static_cast<int>(cols), s_compute_,
+                   /*blocking=*/true);
   const Tolerance tol = opt_.tolerance;
-  KernelDesc cd{"verify", KernelClass::Compare, 4LL * blk.cols, 0};
-  const std::int64_t rflops = rd.flops;
-  m_.launch(s, cd,
-            [this, blk, chk, scratch, tol, attr, bi, bk, rflops, iter] {
-              const VerifyOutcome out =
-                  verify_block(blk.view(), chk.view(),
-                               ConstMatrixView<double>(scratch.view()), tol);
-              tel_.block_verified(out, attr, iter, bi, bk, rflops, off(bi),
-                                  blk.rows, off(bk), blk.cols, 2 * bi);
-              absorb(out);
-            });
+  KernelDesc hd{"verify_host", KernelClass::HostChecksum, 4 * cols, 0};
+  m_.host_compute(hd, [this, &blocks, tol, attr] {
+    int col = 0;
+    for (const auto& [bi, bk] : blocks) {
+      const DMat blk = data_block(bi, bk);
+      auto out = verify_block(
+          blk.view(), h_chk_block(bi, bk),
+          ConstMatrixView<double>(h_scratch_.block(0, col, 2, blk.cols)),
+          tol);
+      // Repairs computed on the host must cross back over PCIe.
+      for (std::size_t c = 0; c < out.corrections.size(); ++c) {
+        m_.memcpy_h2d(d_a_, 0, nullptr, 0, s_compute_);
+      }
+      tel_.block_verified(out, attr, cur_iter_, bi, bk,
+                          blas::gemv_flops(blk.rows, blk.cols) * 2, off(bi),
+                          blk.rows, off(bk), blk.cols, 2 * bi);
+      absorb(out);
+      col += blk.cols;
+    }
+  });
 }
 
 // ----------------------------------------------------------------------
-// Checksum updating (paper §IV-B, placement per Opt 2)
+// Checksum mirror on the host (paper §IV-B, placement Cpu per Opt 2)
 // ----------------------------------------------------------------------
 
 void Run::fetch_panel_for_cpu_update(int j) {
@@ -857,111 +498,14 @@ void Run::wait_panel(int j) {
   m_.sync_event(panel_event_[slot]);
 }
 
-void Run::chk_update_syrk(int j) {
-  if (!ft_ || j == 0) return;
-  // The GPU path issues neutral gpublas names ("gemm"/"trsm"); the scope
-  // is what tags them as checksum-update overhead.
-  const obs::PhaseScope phase(tel_.profile(), obs::Phase::Update);
-  const int jb = bs(j);
-  const int w = off(j);  // width of the decomposed panel to the left
-  if (placement_ == UpdatePlacement::Cpu) {
-    wait_panel(j);
-    KernelDesc d{"chk_syrk_cpu", KernelClass::HostChecksum,
-                 blas::gemm_flops(kChecksumRows, jb, w), 0};
-    m_.host_compute(d, [this, j, jb, w] {
-      blas::gemm(Trans::No, Trans::Yes, -1.0,
-                 ConstMatrixView<double>(h_chk_strip(j, j + 1, 0, w)),
-                 ConstMatrixView<double>(h_panel_[j & 1].block(0, 0, jb, w)),
-                 1.0, h_chk_block(j, j));
-    });
-    return;
-  }
-  // chk(A') = chk(A) - chk(LC) * LC^T
-  sim::gpublas::gemm(m_, chk_stream(), Trans::No, Trans::Yes, -1.0,
-                     chk_strip(j, j + 1, 0, w),
-                     data_region(off(j), 0, jb, w), 1.0, chk_block(j, j),
-                     KernelClass::Blas3Skinny);
-}
-
-void Run::chk_update_gemm(int j) {
-  if (!ft_ || j == 0 || j + 1 >= nb_) return;
-  const obs::PhaseScope phase(tel_.profile(), obs::Phase::Update);
-  const int jb = bs(j);
-  const int w = off(j);
-  if (placement_ == UpdatePlacement::Cpu) {
-    wait_panel(j);
-    KernelDesc d{"chk_gemm_cpu", KernelClass::HostChecksum,
-                 blas::gemm_flops(2 * (nb_ - j - 1), jb, w), 0};
-    m_.host_compute(d, [this, j, jb, w] {
-      blas::gemm(Trans::No, Trans::Yes, -1.0,
-                 ConstMatrixView<double>(h_chk_strip(j + 1, nb_, 0, w)),
-                 ConstMatrixView<double>(h_panel_[j & 1].block(0, 0, jb, w)),
-                 1.0, h_chk_strip(j + 1, nb_, off(j), jb));
-    });
-    return;
-  }
-  // chk(B') = chk(B) - chk(LD) * LC^T, one skinny GEMM for the whole
-  // block column.
-  sim::gpublas::gemm(m_, chk_stream(), Trans::No, Trans::Yes, -1.0,
-                     chk_strip(j + 1, nb_, 0, w),
-                     data_region(off(j), 0, jb, w), 1.0,
-                     chk_strip(j + 1, nb_, off(j), jb),
-                     KernelClass::Blas3Skinny);
-}
-
-void Run::chk_update_trsm(int j, EventId e_l_ready) {
-  if (!ft_ || j + 1 >= nb_) return;
-  const obs::PhaseScope phase(tel_.profile(), obs::Phase::Update);
-  const int jb = bs(j);
-  if (placement_ == UpdatePlacement::Cpu) {
-    KernelDesc d{"chk_trsm_cpu", KernelClass::HostChecksum,
-                 blas::trsm_flops(Side::Right, 2 * (nb_ - j - 1), jb), 0};
-    m_.host_compute(d, [this, j, jb] {
-      blas::trsm(Side::Right, Uplo::Lower, Trans::Yes, Diag::NonUnit, 1.0,
-                 ConstMatrixView<double>(h_diag_.block(0, 0, jb, jb)),
-                 h_chk_strip(j + 1, nb_, off(j), jb));
-    });
-    return;
-  }
-  // chk(LB) = chk(B') * (LA^T)^{-1}; the factor block must be resident.
-  m_.stream_wait_event(chk_stream(), e_l_ready);
-  sim::gpublas::trsm(m_, chk_stream(), Side::Right, Uplo::Lower, Trans::Yes,
-                     Diag::NonUnit, 1.0, data_block(j, j),
-                     chk_strip(j + 1, nb_, off(j), jb),
-                     KernelClass::Blas3Skinny);
-}
-
 // ----------------------------------------------------------------------
-// Fault hooks
+// Fault targets
 // ----------------------------------------------------------------------
 
-void Run::hook_storage(fault::Op op, int j) {
-  if (injector_ == nullptr) return;
-  for (const auto& spec : injector_->take(fault::FaultType::Storage, op, j)) {
-    apply_storage_fault(spec, j);
-  }
-}
-
-void Run::hook_computing(fault::Op op, int j) {
-  if (injector_ == nullptr) return;
-  for (const auto& spec :
-       injector_->take(fault::FaultType::Computing, op, j)) {
-    apply_computing_fault(spec, j);
-  }
-}
-
-void Run::poll_window_faults(fault::Op op, int j) {
-  if (injector_ == nullptr || !m_.numeric()) return;
-  for (const auto& spec : injector_->poll_window(op, j)) {
-    apply_storage_fault(spec, j);
-  }
-}
-
-namespace {
 // Default block targets when a spec leaves them unspecified. Computing
 // errors corrupt an *output* block of the operation; storage errors
 // corrupt an *input* block it is about to read.
-BlockId default_target(const fault::FaultSpec& spec, int j, int nb) {
+BlockId Run::fault_target(const fault::FaultSpec& spec, int j) const {
   int bi = spec.block_row;
   int bk = spec.block_col;
   const bool output = spec.type == fault::FaultType::Computing;
@@ -978,412 +522,43 @@ BlockId default_target(const fault::FaultSpec& spec, int j, int nb) {
       case fault::Op::Syrk:
       case fault::Op::Potf2: bi = j; break;
       case fault::Op::Gemm:
-      case fault::Op::Trsm: bi = std::min(j + 1, nb - 1); break;
+      case fault::Op::Trsm: bi = std::min(j + 1, nb_ - 1); break;
     }
   }
   return {bi, bk};
 }
-}  // namespace
 
-void Run::apply_storage_fault(const fault::FaultSpec& spec, int j) {
-  if (!m_.numeric()) return;
-  const auto [bi, bk] = default_target(spec, j, nb_);
-  FTLA_CHECK(bi >= 0 && bi < nb_ && bk >= 0 && bk < nb_);
-  if (spec.target_checksum && ft_) {
-    const int row = spec.elem_row & 1;
-    const int col = off(bk) + std::min(spec.elem_col, bs(bk) - 1);
-    double* p = placement_ == UpdatePlacement::Cpu
-                    ? &h_chk_(2 * bi + row, col)
-                    : d_chk_.data() +
-                          static_cast<std::int64_t>(col) * (2 * nb_) +
-                          2 * bi + row;
-    const double old_value = *p;
-    for (int bit : spec.bits) *p = flip_bit(*p, bit);
-    injector_->record(spec, old_value, *p, 2 * bi + row, col);
-    return;
-  }
-  const int er = std::min(spec.elem_row, bs(bi) - 1);
-  const int ec = std::min(spec.elem_col, bs(bk) - 1);
-  const int grow = off(bi) + er;
-  const int gcol = off(bk) + ec;
-  double* p = d_a_.data() + static_cast<std::int64_t>(gcol) * n_ + grow;
-  const double old_value = *p;
-  for (int bit : spec.bits) *p = flip_bit(*p, bit);
-  injector_->record(spec, old_value, *p, grow, gcol);
+double* Run::stored_checksum(int row, int col) {
+  if (placement_ == UpdatePlacement::Cpu) return &h_chk_(row, col);
+  return Driver::stored_checksum(row, col);
 }
 
-void Run::apply_computing_fault(const fault::FaultSpec& spec, int j) {
-  if (!m_.numeric()) return;
-  const auto [bi, bk] = default_target(spec, j, nb_);
-  FTLA_CHECK(bi >= 0 && bi < nb_ && bk >= 0 && bk < nb_);
-  const int er = std::min(spec.elem_row, bs(bi) - 1);
-  const int ec = std::min(spec.elem_col, bs(bk) - 1);
-  const int grow = off(bi) + er;
-  const int gcol = off(bk) + ec;
-  double* p = d_a_.data() + static_cast<std::int64_t>(gcol) * n_ + grow;
-  const double old_value = *p;
-  *p = old_value + spec.magnitude * std::max(1.0, std::abs(old_value));
-  injector_->record(spec, old_value, *p, grow, gcol);
-}
-
-// ----------------------------------------------------------------------
-// One outer iteration of Algorithm 1
-// ----------------------------------------------------------------------
-
-void Run::iterate(int j) {
-  cur_iter_ = j;
-  tel_.begin_iteration(j);
-  const int jb = bs(j);
-  const int w = off(j);          // decomposed width to the left
-  const int below = n_ - off(j) - jb;  // rows below the diagonal block
-  const bool enhanced = opt_.variant == Variant::EnhancedOnline;
-  const bool online = opt_.variant == Variant::Online;
-  const bool verify_this_iter = (j % opt_.verify_interval) == 0;
-
-  fetch_panel_for_cpu_update(j);
-
-  // ---------------- SYRK: A[j,j] -= LC LC^T --------------------------
-  hook_storage(fault::Op::Syrk, j);
-  if (enhanced) {
-    // Inputs of SYRK are always verified (Opt 3 never gates them):
-    // an error entering the diagonal block cannot be repaired later.
-    std::vector<BlockId> in;
-    in.emplace_back(j, j);
-    for (int k = 0; k < j; ++k) in.emplace_back(j, k);
-    verify_blocks(in, fault::Op::Syrk);
-  }
-  if (j > 0) {
-    // MAGMA calls dsyrk here; we price it as SYRK but update the full
-    // square block so the block stays exactly A - LC LC^T and its
-    // column checksums remain meaningful for every column.
-    const DMat diag = data_block(j, j);
-    const DConstMat lc = data_region(off(j), 0, jb, w);
-    KernelDesc d{"syrk", KernelClass::Blas3, blas::syrk_flops(jb, w), 0};
-    m_.launch(s_compute_, d, [diag, lc] {
-      blas::gemm(Trans::No, Trans::Yes, -1.0, lc.view(), lc.view(), 1.0,
-                 diag.view());
-    });
-  }
-  hook_computing(fault::Op::Syrk, j);
-  chk_update_syrk(j);
-
-  if (online && j > 0) {
-    verify_blocks({{j, j}}, fault::Op::Syrk);
-  }
-  if (enhanced) {
-    // Pre-read verification for POTF2: the diagonal block as SYRK left
-    // it, immediately before it crosses to the host.
-    verify_blocks({{j, j}}, fault::Op::Potf2);
-  }
-
-  // ---------------- diagonal block to the host -----------------------
-  hook_storage(fault::Op::Potf2, j);
-  const bool chk_on_host = placement_ == UpdatePlacement::Cpu;
-  {
-    // The D2H staging copies are fault-armed only when the arrival check
-    // below exists to catch them (otherwise a mid-copy strike would be
-    // factored into L and laundered into consistent checksums).
-    sim::TransferArmGuard diag_arm(m_, m_.h2d_faults_armed(),
-                                   ft_ && opt_.transfer_guard);
-    m_.memcpy_d2h_2d(m_.numeric() ? h_diag_.data() : nullptr, b_, d_a_,
-                     static_cast<std::int64_t>(off(j)) * n_ + off(j), n_, jb,
-                     jb, s_compute_);
-    if (ft_ && !chk_on_host) {
-      // Checksum rows ride along only because FT is on: Update overhead.
-      const obs::PhaseScope chk_phase(tel_.profile(), obs::Phase::Update);
-      m_.memcpy_d2h_2d(m_.numeric() ? h_diag_chk_.data() : nullptr,
-                       kChecksumRows, d_chk_,
-                       static_cast<std::int64_t>(off(j)) * (2 * nb_) + 2 * j,
-                       2 * nb_, kChecksumRows, jb, s_compute_);
-    }
-  }
-  const EventId e_diag = m_.record_event(s_compute_);
-
-  // ---------------- GEMM: panel update (async, hides POTF2) ----------
-  if (below > 0 && j > 0) {
-    hook_storage(fault::Op::Gemm, j);
-    if (enhanced && verify_this_iter) {
-      std::vector<BlockId> in;
-      for (int i = j + 1; i < nb_; ++i) in.emplace_back(i, j);  // B
-      for (int k = 0; k < j; ++k) in.emplace_back(j, k);        // C
-      for (int i = j + 1; i < nb_; ++i)
-        for (int k = 0; k < j; ++k) in.emplace_back(i, k);      // D
-      verify_blocks(in, fault::Op::Gemm);
-    } else if (enhanced) {
-      // Opt 3: GEMM input verification skipped this iteration.
-      const std::size_t skipped = static_cast<std::size_t>(nb_ - j - 1) +
-                                  static_cast<std::size_t>(j) +
-                                  static_cast<std::size_t>(nb_ - j - 1) *
-                                      static_cast<std::size_t>(j);
-      tel_.verify_skipped(fault::Op::Gemm, skipped, j);
-    }
-    sim::gpublas::gemm(m_, s_compute_, Trans::No, Trans::Yes, -1.0,
-                       data_region(off(j) + jb, 0, below, w),
-                       data_region(off(j), 0, jb, w), 1.0,
-                       data_region(off(j) + jb, off(j), below, jb));
-    hook_computing(fault::Op::Gemm, j);
-    chk_update_gemm(j);
-    if (online) {
-      std::vector<BlockId> outs;
-      for (int i = j + 1; i < nb_; ++i) outs.emplace_back(i, j);
-      verify_blocks(outs, fault::Op::Gemm);
-    }
-  }
-
-  // ---------------- POTF2 on the host (overlapped with GEMM) ---------
-  m_.sync_event(e_diag);
-  if (ft_ && opt_.transfer_guard) {
-    // Arrival verification: the diagonal block (and, for device-resident
-    // checksums, its checksum rows) just crossed PCIe. A mid-copy strike
-    // is invisible to every device-side verification — POTF2 would
-    // factor the corrupted block and derive *consistent* checksums from
-    // it, i.e. silent corruption. Check the landed data before use; the
-    // device copy is overwritten by the factor's return trip either way.
-    result_.verified.potf2_blocks += 1;
-    tel_.verify_scheduled(fault::Op::Potf2, 1);
-    const Tolerance tol = opt_.tolerance;
-    KernelDesc vd{"verify_arrival", KernelClass::HostChecksum,
-                  blas::gemv_flops(jb, jb) * 2, 0};
-    m_.host_compute(vd, [this, j, jb, chk_on_host, tol] {
-      auto chk = chk_on_host
-                     ? h_chk_block(j, j)
-                     : h_diag_chk_.block(0, 0, kChecksumRows, jb);
-      const VerifyOutcome out =
-          verify_block_host(h_diag_.block(0, 0, jb, jb), chk, tol);
-      if (std::getenv("FTLA_CAMPAIGN_DEBUG") != nullptr) {
-        std::fprintf(stderr,
-                     "arrival-verify j=%d det=%lld corr=%lld rep=%lld "
-                     "unc=%d\n",
-                     j, static_cast<long long>(out.errors_detected),
-                     static_cast<long long>(out.errors_corrected),
-                     static_cast<long long>(out.checksum_repairs),
-                     out.uncorrectable ? 1 : 0);
-      }
-      tel_.block_verified(out, fault::Op::Potf2, j, j, j,
-                          blas::gemv_flops(jb, jb) * 2, off(j), jb, off(j),
-                          jb, 2 * j);
-      absorb(out);
-    });
-  }
-  {
-    KernelDesc d{"potf2", KernelClass::HostPotf2, blas::potf2_flops(jb), 0};
-    m_.host_compute(d, [this, jb] {
-      auto blk = h_diag_.block(0, 0, jb, jb);
-      blas::potf2(blk);
-      // Zero the strict upper triangle so the stored block is exactly L
-      // and column checksums cover well-defined contents.
-      for (int c = 1; c < jb; ++c)
-        for (int r = 0; r < c; ++r) blk(r, c) = 0.0;
-    });
-  }
-  if (ft_) {
-    auto chk_rows = [&]() -> MatrixView<double> {
-      return chk_on_host ? h_chk_block(j, j)
-                         : h_diag_chk_.block(0, 0, kChecksumRows, jb);
-    };
-    KernelDesc d{"chk_potf2", KernelClass::HostChecksum,
-                 2LL * kChecksumRows * jb * jb, 0};
-    m_.host_compute(d, [this, jb, chk_rows] {
-      potf2_update_checksum(
-          ConstMatrixView<double>(h_diag_.block(0, 0, jb, jb)), chk_rows());
-    });
-    if (online) {
-      result_.verified.potf2_blocks += 1;
-      tel_.verify_scheduled(fault::Op::Potf2, 1);
-      const Tolerance tol = opt_.tolerance;
-      KernelDesc vd{"verify_potf2", KernelClass::HostChecksum,
-                    blas::gemv_flops(jb, jb) * 2, 0};
-      m_.host_compute(vd, [this, j, jb, chk_rows, tol] {
-        const VerifyOutcome out =
-            verify_block_host(h_diag_.block(0, 0, jb, jb), chk_rows(), tol);
-        tel_.block_verified(out, fault::Op::Potf2, j, j, j,
-                            blas::gemv_flops(jb, jb) * 2, off(j), jb, off(j),
-                            jb, 2 * j);
-        absorb(out);
-      });
-    }
-  }
-  // ---------------- factor block (and checksums) back to the GPU ------
-  m_.memcpy_h2d_2d(d_a_, static_cast<std::int64_t>(off(j)) * n_ + off(j), n_,
-                   m_.numeric() ? h_diag_.data() : nullptr, b_, jb, jb,
-                   s_compute_);
-  if (ft_ && !chk_on_host) {
-    const obs::PhaseScope chk_phase(tel_.profile(), obs::Phase::Update);
-    m_.memcpy_h2d_2d(d_chk_,
-                     static_cast<std::int64_t>(off(j)) * (2 * nb_) + 2 * j,
-                     2 * nb_, m_.numeric() ? h_diag_chk_.data() : nullptr,
-                     kChecksumRows, kChecksumRows, jb, s_compute_);
-  }
-  // A computing error in POTF2 corrupts the factor block the GPU now
-  // holds (after the transfer, or the copy would mask it).
-  hook_computing(fault::Op::Potf2, j);
-  const EventId e_l = m_.record_event(s_compute_);
-
-  // ---------------- TRSM: panel solve ---------------------------------
-  if (below > 0) {
-    hook_storage(fault::Op::Trsm, j);
-    if (enhanced) {
-      // The factor block is always verified before use (its only
-      // consumer is this TRSM); the panel obeys the K interval.
-      std::vector<BlockId> in;
-      in.emplace_back(j, j);
-      if (verify_this_iter) {
-        for (int i = j + 1; i < nb_; ++i) in.emplace_back(i, j);
-      } else {
-        tel_.verify_skipped(fault::Op::Trsm,
-                            static_cast<std::size_t>(nb_ - j - 1), j);
-      }
-      verify_blocks(in, fault::Op::Trsm);
-    }
-    sim::gpublas::trsm(m_, s_compute_, Side::Right, Uplo::Lower, Trans::Yes,
-                       Diag::NonUnit, 1.0, data_block(j, j),
-                       data_region(off(j) + jb, off(j), below, jb));
-    hook_computing(fault::Op::Trsm, j);
-    chk_update_trsm(j, e_l);
-    if (online) {
-      std::vector<BlockId> outs;
-      for (int i = j + 1; i < nb_; ++i) outs.emplace_back(i, j);
-      verify_blocks(outs, fault::Op::Trsm);
-    }
-  } else if (ft_ && opt_.transfer_guard) {
-    // Last block column: no TRSM re-reads the factor block, so its
-    // return H2D copy is the one transfer nothing downstream would
-    // verify. One device-side check closes the window.
-    verify_blocks({{j, j}}, fault::Op::Trsm);
-  }
-
-  // Row panel j+1 is final now; start moving it to the host so the next
-  // iteration's CPU checksum updates never wait on PCIe.
-  fetch_panel_for_cpu_update(j + 1);
-}
-
-void Run::offline_final_verify() {
-  cur_iter_ = -1;  // telemetry: the sweep belongs to no outer iteration
-  tel_.begin_iteration(-1);
-  // Huang & Abraham: one verification sweep over the finished factor.
-  // Any anomaly triggers a full re-run — an offline scheme cannot tell
-  // whether a detected error propagated before the sweep, so correcting
-  // in place would risk silently keeping polluted blocks.
-  const int detected_before = result_.errors_detected;
-  const int repairs_before = result_.checksum_repairs;
-  std::vector<BlockId> all;
-  for (int k = 0; k < nb_; ++k)
-    for (int i = k; i < nb_; ++i) all.emplace_back(i, k);
-  verify_blocks(all, fault::Op::Gemm);
-  m_.sync_all();
-  if (result_.errors_detected != detected_before ||
-      result_.checksum_repairs != repairs_before) {
-    throw UnrecoverableCorruptionError(
-        "offline sweep found corruption in the finished factor");
+void Run::poll_window_faults(fault::Op op, int j) {
+  if (injector_ == nullptr || !m_.numeric()) return;
+  for (const auto& spec : injector_->poll_window(op, j)) {
+    apply_fault(spec, j);
   }
 }
 
 // ----------------------------------------------------------------------
-// Task-graph (DAG) runtime path (docs/runtime.md)
-//
-// The graph is built in exactly the order the bulk path issues its
-// machine operations, every task carries its data footprint, and all
-// inferred edges point from earlier to later tasks — so the executor's
-// deterministic (priority, insertion) schedule issues tasks in bulk
-// program order and the numeric results (and fault-hook firing points)
-// are bit-identical to Bulk by construction. Only the *virtual-time*
-// placement differs: instead of the bulk barriers (every verification
-// batch fences all prior compute), each task waits for its true
-// dependencies, so iteration j's trailing update overlaps iteration
-// j+1's panel work and verify tasks hide in compute/transfer slack.
+// One outer iteration of Algorithm 1, written once for both runtimes
+// (docs/runtime.md). Bulk issues each step at once and fences verify
+// batches against all prior work; the DAG turns each step into a task
+// that waits only on its true dependencies, so iteration j's trailing
+// update overlaps iteration j+1's panel work and verify tasks hide in
+// compute/transfer slack. Steps are issued in the same order either
+// way, and the executor's deterministic schedule is insertion order, so
+// numerics and fault-hook firing points are bit-identical.
 // ----------------------------------------------------------------------
 
-std::vector<StreamId> Run::dag_streams() const {
-  std::vector<StreamId> streams{s_compute_};
-  if (ft_) {
-    streams.push_back(s_chk_);
-    streams.push_back(s_xfer_);
-    streams.insert(streams.end(), s_recalc_.begin(), s_recalc_.end());
-  } else if (s_xfer_ != s_compute_) {
-    streams.push_back(s_xfer_);
-  }
-  return streams;
-}
-
-void Run::dag_hook(runtime::TaskGraph& g, const char* name, int iter,
-                   std::function<void()> fn) {
-  // Fault hooks consume injector state at a fixed program point; they
-  // issue no machine work, so an empty footprint keeps them out of the
-  // dependency structure while insertion order fixes *when* they fire.
-  if (injector_ == nullptr) return;
-  runtime::TaskOptions opts;
-  opts.phase = obs::Phase::Base;
-  opts.iteration = iter;
-  opts.where = runtime::Where::Inline;
-  g.add_task(name, {},
-             [fn = std::move(fn)](const runtime::TaskContext&) { fn(); },
-             opts);
-}
-
-void Run::dag_verify(runtime::TaskGraph& g, int bi, int bk, fault::Op attr,
-                     int iter) {
-  if (!ft_) return;
-  // Counter bumps happen at graph-build time — the bulk path also counts
-  // at issue time, and the metric totals are what the conformance tests
-  // compare.
-  switch (attr) {
-    case fault::Op::Potf2: result_.verified.potf2_blocks += 1; break;
-    case fault::Op::Trsm: result_.verified.trsm_blocks += 1; break;
-    case fault::Op::Syrk: result_.verified.syrk_blocks += 1; break;
-    case fault::Op::Gemm: result_.verified.gemm_blocks += 1; break;
-  }
-  tel_.verify_scheduled(attr, 1);
-  const std::int64_t nslots = scratch_capacity_cols_ / b_;
-  const int slot = static_cast<int>(dag_slot_++ % nslots);
-  const std::int64_t col = static_cast<std::int64_t>(slot) * b_;
-  runtime::TaskOptions opts;
-  opts.phase = obs::Phase::Verify;
-  opts.iteration = iter;
-  g.add_task(
-      "verify",
-      {runtime::rw(dtile(bi, bk)), runtime::rw(ctile(bi, bk)),
-       runtime::write(stile(slot))},
-      [this, bi, bk, attr, col, slot, iter](const runtime::TaskContext& c) {
-        c.tiles.rw(dtile(bi, bk));
-        c.tiles.rw(ctile(bi, bk));
-        c.tiles.write(stile(slot));
-        issue_block_verify(c.stream, bi, bk, attr, col, iter);
-      },
-      opts);
-}
-
-void Run::dag_encode(runtime::TaskGraph& g) {
-  runtime::TaskOptions opts;
-  opts.phase = obs::Phase::Encode;
-  for (int k = 0; k < nb_; ++k) {
-    for (int i = k; i < nb_; ++i) {
-      const DMat blk = data_block(i, k);
-      const DMat chk = chk_block(i, k);
-      g.add_task("encode",
-                 {runtime::read(dtile(i, k)), runtime::write(ctile(i, k))},
-                 [this, blk, chk, i, k](const runtime::TaskContext& c) {
-                   c.tiles.read(dtile(i, k));
-                   c.tiles.write(ctile(i, k));
-                   KernelDesc d{"encode", KernelClass::Blas2,
-                                blas::gemv_flops(blk.rows, blk.cols) * 2, 0};
-                   m_.launch(c.stream, d, [blk, chk] {
-                     encode_block(ConstMatrixView<double>(blk.view()),
-                                  chk.view());
-                   });
-                 },
-                 opts);
-    }
-  }
-}
-
-void Run::dag_iteration(runtime::TaskGraph& g, int j) {
+void Run::iteration(int j) {
+  begin_iteration(j);
   const int jb = bs(j);
   const int w = off(j);                // decomposed width to the left
   const int below = n_ - off(j) - jb;  // rows below the diagonal block
   const bool enhanced = opt_.variant == Variant::EnhancedOnline;
   const bool online = opt_.variant == Variant::Online;
   const bool verify_this_iter = (j % opt_.verify_interval) == 0;
-
   runtime::TaskOptions base;
   base.phase = obs::Phase::Base;
   base.iteration = j;
@@ -1392,182 +567,259 @@ void Run::dag_iteration(runtime::TaskGraph& g, int j) {
   runtime::TaskOptions host = base;
   host.phase = obs::Phase::Base;
   host.where = runtime::Where::Host;
+  // Bulk's Algorithm-1 fences: the diagonal block has landed on the
+  // host (e_diag), the factor block is back on the device (e_l).
+  EventId e_diag = -1;
+  EventId e_l = -1;
+
+  fetch_panel_for_cpu_update(j);
 
   // ---------------- SYRK: A[j,j] -= LC LC^T --------------------------
-  dag_hook(g, "hook_storage_syrk", j,
-           [this, j] { hook_storage(fault::Op::Syrk, j); });
+  hook(fault::FaultType::Storage, fault::Op::Syrk, j);
   if (enhanced) {
-    // SYRK inputs are always verified (Opt 3 never gates them). Column
-    // j was untouched since encode, so these verify tasks depend only
-    // on the encode tasks and park arbitrarily early.
-    dag_verify(g, j, j, fault::Op::Syrk, j);
-    for (int k = 0; k < j; ++k) dag_verify(g, j, k, fault::Op::Syrk, j);
+    // Inputs of SYRK are always verified (Opt 3 never gates them):
+    // an error entering the diagonal block cannot be repaired later.
+    std::vector<BlockId>& in = block_list(j, j);
+    for (int k = 0; k < j; ++k) in.emplace_back(j, k);
+    verify(in, fault::Op::Syrk);
   }
   if (j > 0) {
-    std::vector<runtime::Footprint> fp;
-    for (int k = 0; k < j; ++k) fp.push_back(runtime::read(dtile(j, k)));
-    fp.push_back(runtime::rw(dtile(j, j)));
-    g.add_task("syrk", std::move(fp),
-               [this, j, jb, w](const runtime::TaskContext& c) {
-                 for (int k = 0; k < j; ++k) c.tiles.read(dtile(j, k));
-                 c.tiles.rw(dtile(j, j));
-                 const DMat diag = data_block(j, j);
-                 const DConstMat lc = data_region(off(j), 0, jb, w);
-                 KernelDesc d{"syrk", KernelClass::Blas3,
-                              blas::syrk_flops(jb, w), 0};
-                 m_.launch(c.stream, d, [diag, lc] {
-                   blas::gemm(Trans::No, Trans::Yes, -1.0, lc.view(),
-                              lc.view(), 1.0, diag.view());
-                 });
-               },
-               base);
+    // MAGMA calls dsyrk here; we price it as SYRK but update the full
+    // square block so the block stays exactly A - LC LC^T and its
+    // column checksums remain meaningful for every column.
+    step(
+        "syrk",
+        [&] {
+          std::vector<runtime::Footprint> fp;
+          for (int k = 0; k < j; ++k) fp.push_back(runtime::read(dtile(j, k)));
+          fp.push_back(runtime::rw(dtile(j, j)));
+          return fp;
+        },
+        [this, j, jb, w](const runtime::TaskContext& c) {
+          if (c.tiles.armed()) {
+            for (int k = 0; k < j; ++k) c.tiles.read(dtile(j, k));
+            c.tiles.rw(dtile(j, j));
+          }
+          const DMat diag = data_block(j, j);
+          const DConstMat lc = data_region(off(j), 0, jb, w);
+          KernelDesc d{"syrk", KernelClass::Blas3, blas::syrk_flops(jb, w),
+                       0};
+          m_.launch(c.stream, d, [diag, lc] {
+            blas::gemm(Trans::No, Trans::Yes, -1.0, lc.view(), lc.view(),
+                       1.0, diag.view());
+          });
+        },
+        base, s_compute_);
   }
-  dag_hook(g, "hook_computing_syrk", j,
-           [this, j] { hook_computing(fault::Op::Syrk, j); });
+  hook(fault::FaultType::Computing, fault::Op::Syrk, j);
   if (ft_ && j > 0) {
-    std::vector<runtime::Footprint> fp;
-    for (int k = 0; k < j; ++k) {
-      fp.push_back(runtime::read(ctile(j, k)));
-      fp.push_back(runtime::read(dtile(j, k)));
-    }
-    fp.push_back(runtime::rw(ctile(j, j)));
-    g.add_task("chk_syrk", std::move(fp),
-               [this, j, jb, w](const runtime::TaskContext& c) {
-                 for (int k = 0; k < j; ++k) {
-                   c.tiles.read(ctile(j, k));
-                   c.tiles.read(dtile(j, k));
-                 }
-                 c.tiles.rw(ctile(j, j));
-                 sim::gpublas::gemm(m_, c.stream, Trans::No, Trans::Yes,
-                                    -1.0, chk_strip(j, j + 1, 0, w),
-                                    data_region(off(j), 0, jb, w), 1.0,
-                                    chk_block(j, j),
-                                    KernelClass::Blas3Skinny);
-               },
-               update);
+    // chk(A') = chk(A) - chk(LC) * LC^T. The GPU path issues a neutral
+    // gpublas name; the step's Update phase tags it as checksum upkeep.
+    step(
+        "chk_syrk",
+        [&] {
+          std::vector<runtime::Footprint> fp;
+          for (int k = 0; k < j; ++k) {
+            fp.push_back(runtime::read(ctile(j, k)));
+            fp.push_back(runtime::read(dtile(j, k)));
+          }
+          fp.push_back(runtime::rw(ctile(j, j)));
+          return fp;
+        },
+        [this, j, jb, w](const runtime::TaskContext& c) {
+          if (c.tiles.armed()) {
+            for (int k = 0; k < j; ++k) {
+              c.tiles.read(ctile(j, k));
+              c.tiles.read(dtile(j, k));
+            }
+            c.tiles.rw(ctile(j, j));
+          }
+          if (placement_ == UpdatePlacement::Cpu) {
+            wait_panel(j);
+            KernelDesc d{"chk_syrk_cpu", KernelClass::HostChecksum,
+                         blas::gemm_flops(kChecksumRows, jb, w), 0};
+            m_.host_compute(d, [this, j, jb, w] {
+              blas::gemm(
+                  Trans::No, Trans::Yes, -1.0,
+                  ConstMatrixView<double>(h_chk_strip(j, j + 1, 0, w)),
+                  ConstMatrixView<double>(h_panel_[j & 1].block(0, 0, jb, w)),
+                  1.0, h_chk_block(j, j));
+            });
+            return;
+          }
+          sim::gpublas::gemm(m_, c.stream, Trans::No, Trans::Yes, -1.0,
+                             cchk_strip(j, j + 1, 0, w),
+                             data_region(off(j), 0, jb, w), 1.0,
+                             cchk_block(j, j), KernelClass::Blas3Skinny);
+        },
+        update, s_update_);
   }
-  if (online && j > 0) dag_verify(g, j, j, fault::Op::Syrk, j);
-  if (enhanced) dag_verify(g, j, j, fault::Op::Potf2, j);
+
+  if (online && j > 0) verify(block_list(j, j), fault::Op::Syrk);
+  if (enhanced) {
+    // Pre-read verification for POTF2: the diagonal block as SYRK left
+    // it, immediately before it crosses to the host.
+    verify(block_list(j, j), fault::Op::Potf2);
+  }
 
   // ---------------- diagonal block to the host -----------------------
-  dag_hook(g, "hook_storage_potf2", j,
-           [this, j] { hook_storage(fault::Op::Potf2, j); });
-  {
-    std::vector<runtime::Footprint> fp{runtime::read(dtile(j, j)),
-                                       runtime::write(htile())};
-    if (ft_) fp.push_back(runtime::read(ctile(j, j)));
-    g.add_task(
-        "d2h_diag", std::move(fp),
-        [this, j, jb](const runtime::TaskContext& c) {
+  hook(fault::FaultType::Storage, fault::Op::Potf2, j);
+  step(
+      "d2h_diag",
+      [&] {
+        std::vector<runtime::Footprint> fp{runtime::read(dtile(j, j)),
+                                           runtime::write(htile())};
+        if (ft_) fp.push_back(runtime::read(ctile(j, j)));
+        return fp;
+      },
+      [this, j, jb](const runtime::TaskContext& c) {
+        if (c.tiles.armed()) {
           c.tiles.read(dtile(j, j));
           c.tiles.write(htile());
           if (ft_) c.tiles.read(ctile(j, j));
-          sim::TransferArmGuard diag_arm(m_, m_.h2d_faults_armed(),
-                                         ft_ && opt_.transfer_guard);
-          m_.memcpy_d2h_2d(m_.numeric() ? h_diag_.data() : nullptr, b_, d_a_,
-                           static_cast<std::int64_t>(off(j)) * n_ + off(j),
-                           n_, jb, jb, c.stream);
-          if (ft_) {
-            const obs::PhaseScope chk_phase(tel_.profile(),
-                                            obs::Phase::Update);
-            m_.memcpy_d2h_2d(
-                m_.numeric() ? h_diag_chk_.data() : nullptr, kChecksumRows,
-                d_chk_,
-                static_cast<std::int64_t>(off(j)) * (2 * nb_) + 2 * j,
-                2 * nb_, kChecksumRows, jb, c.stream);
-          }
-        },
-        base);
-  }
+        }
+        // The D2H staging copies are fault-armed only when the arrival
+        // check below exists to catch them (otherwise a mid-copy strike
+        // would be factored into L and laundered into consistent
+        // checksums).
+        const sim::TransferArmGuard diag_arm(m_, m_.h2d_faults_armed(),
+                                             ft_ && copt_.transfer_guard);
+        m_.memcpy_d2h_2d(m_.numeric() ? h_diag_.data() : nullptr, b_, d_a_,
+                         static_cast<std::int64_t>(off(j)) * n_ + off(j), n_,
+                         jb, jb, c.stream);
+        if (ft_ && placement_ != UpdatePlacement::Cpu) {
+          // Checksum rows ride along only because FT is on: Update
+          // overhead.
+          const obs::PhaseScope chk_phase(tel_.profile(), obs::Phase::Update);
+          m_.memcpy_d2h_2d(
+              m_.numeric() ? h_diag_chk_.data() : nullptr, kChecksumRows,
+              d_cchk_, static_cast<std::int64_t>(off(j)) * (2 * nb_) + 2 * j,
+              2 * nb_, kChecksumRows, jb, c.stream);
+        }
+      },
+      base, s_compute_);
+  if (bulk()) e_diag = m_.record_event(s_compute_);
 
-  // ---------------- GEMM: panel update -------------------------------
-  // Built before the host tasks, as in bulk: it has no dependency on
-  // POTF2 (disjoint footprints), so it runs under the host section and
-  // — unlike bulk, which serializes on the compute stream — also
-  // alongside the *next* iteration's SYRK.
+  // ---------------- GEMM: panel update (async, hides POTF2) ----------
+  // Issued before the host section: it shares no tile with POTF2, so it
+  // runs under the host section and — under the DAG, which does not
+  // serialize it on the compute stream — also alongside the next
+  // iteration's SYRK.
   if (below > 0 && j > 0) {
-    dag_hook(g, "hook_storage_gemm", j,
-             [this, j] { hook_storage(fault::Op::Gemm, j); });
+    hook(fault::FaultType::Storage, fault::Op::Gemm, j);
     if (enhanced && verify_this_iter) {
+      std::vector<BlockId>& in = block_list();
+      for (int i = j + 1; i < nb_; ++i) in.emplace_back(i, j);  // B
+      for (int k = 0; k < j; ++k) in.emplace_back(j, k);        // C
       for (int i = j + 1; i < nb_; ++i)
-        dag_verify(g, i, j, fault::Op::Gemm, j);                       // B
-      for (int k = 0; k < j; ++k) dag_verify(g, j, k, fault::Op::Gemm, j);
-      for (int i = j + 1; i < nb_; ++i)
-        for (int k = 0; k < j; ++k)
-          dag_verify(g, i, k, fault::Op::Gemm, j);                     // D
+        for (int k = 0; k < j; ++k) in.emplace_back(i, k);      // D
+      verify(in, fault::Op::Gemm);
     } else if (enhanced) {
+      // Opt 3: GEMM input verification skipped this iteration.
       const std::size_t skipped = static_cast<std::size_t>(nb_ - j - 1) +
                                   static_cast<std::size_t>(j) +
                                   static_cast<std::size_t>(nb_ - j - 1) *
                                       static_cast<std::size_t>(j);
       tel_.verify_skipped(fault::Op::Gemm, skipped, j);
     }
-    {
-      std::vector<runtime::Footprint> fp;
-      for (int i = j + 1; i < nb_; ++i)
-        for (int k = 0; k < j; ++k) fp.push_back(runtime::read(dtile(i, k)));
-      for (int k = 0; k < j; ++k) fp.push_back(runtime::read(dtile(j, k)));
-      for (int i = j + 1; i < nb_; ++i)
-        fp.push_back(runtime::rw(dtile(i, j)));
-      g.add_task("gemm", std::move(fp),
-                 [this, j, jb, w, below](const runtime::TaskContext& c) {
-                   for (int i = j + 1; i < nb_; ++i)
-                     for (int k = 0; k < j; ++k) c.tiles.read(dtile(i, k));
-                   for (int k = 0; k < j; ++k) c.tiles.read(dtile(j, k));
-                   for (int i = j + 1; i < nb_; ++i) c.tiles.rw(dtile(i, j));
-                   sim::gpublas::gemm(m_, c.stream, Trans::No, Trans::Yes,
-                                      -1.0,
-                                      data_region(off(j) + jb, 0, below, w),
-                                      data_region(off(j), 0, jb, w), 1.0,
-                                      data_region(off(j) + jb, off(j), below,
-                                                  jb));
-                 },
-                 base);
-    }
-    dag_hook(g, "hook_computing_gemm", j,
-             [this, j] { hook_computing(fault::Op::Gemm, j); });
-    if (ft_ && j + 1 < nb_) {
-      std::vector<runtime::Footprint> fp;
-      for (int i = j + 1; i < nb_; ++i)
-        for (int k = 0; k < j; ++k) fp.push_back(runtime::read(ctile(i, k)));
-      for (int k = 0; k < j; ++k) fp.push_back(runtime::read(dtile(j, k)));
-      for (int i = j + 1; i < nb_; ++i)
-        fp.push_back(runtime::rw(ctile(i, j)));
-      g.add_task("chk_gemm", std::move(fp),
-                 [this, j, jb, w](const runtime::TaskContext& c) {
-                   for (int i = j + 1; i < nb_; ++i)
-                     for (int k = 0; k < j; ++k) c.tiles.read(ctile(i, k));
-                   for (int k = 0; k < j; ++k) c.tiles.read(dtile(j, k));
-                   for (int i = j + 1; i < nb_; ++i) c.tiles.rw(ctile(i, j));
-                   sim::gpublas::gemm(m_, c.stream, Trans::No, Trans::Yes,
-                                      -1.0, chk_strip(j + 1, nb_, 0, w),
-                                      data_region(off(j), 0, jb, w), 1.0,
-                                      chk_strip(j + 1, nb_, off(j), jb),
-                                      KernelClass::Blas3Skinny);
-                 },
-                 update);
+    step(
+        "gemm",
+        [&] {
+          std::vector<runtime::Footprint> fp;
+          for (int i = j + 1; i < nb_; ++i)
+            for (int k = 0; k < j; ++k)
+              fp.push_back(runtime::read(dtile(i, k)));
+          for (int k = 0; k < j; ++k) fp.push_back(runtime::read(dtile(j, k)));
+          for (int i = j + 1; i < nb_; ++i)
+            fp.push_back(runtime::rw(dtile(i, j)));
+          return fp;
+        },
+        [this, j, jb, w, below](const runtime::TaskContext& c) {
+          if (c.tiles.armed()) {
+            for (int i = j + 1; i < nb_; ++i)
+              for (int k = 0; k < j; ++k) c.tiles.read(dtile(i, k));
+            for (int k = 0; k < j; ++k) c.tiles.read(dtile(j, k));
+            for (int i = j + 1; i < nb_; ++i) c.tiles.rw(dtile(i, j));
+          }
+          sim::gpublas::gemm(m_, c.stream, Trans::No, Trans::Yes, -1.0,
+                             data_region(off(j) + jb, 0, below, w),
+                             data_region(off(j), 0, jb, w), 1.0,
+                             data_region(off(j) + jb, off(j), below, jb));
+        },
+        base, s_compute_);
+    hook(fault::FaultType::Computing, fault::Op::Gemm, j);
+    if (ft_) {
+      // chk(B') = chk(B) - chk(LD) * LC^T, one skinny GEMM for the whole
+      // block column.
+      step(
+          "chk_gemm",
+          [&] {
+            std::vector<runtime::Footprint> fp;
+            for (int i = j + 1; i < nb_; ++i)
+              for (int k = 0; k < j; ++k)
+                fp.push_back(runtime::read(ctile(i, k)));
+            for (int k = 0; k < j; ++k)
+              fp.push_back(runtime::read(dtile(j, k)));
+            for (int i = j + 1; i < nb_; ++i)
+              fp.push_back(runtime::rw(ctile(i, j)));
+            return fp;
+          },
+          [this, j, jb, w](const runtime::TaskContext& c) {
+            if (c.tiles.armed()) {
+              for (int i = j + 1; i < nb_; ++i)
+                for (int k = 0; k < j; ++k) c.tiles.read(ctile(i, k));
+              for (int k = 0; k < j; ++k) c.tiles.read(dtile(j, k));
+              for (int i = j + 1; i < nb_; ++i) c.tiles.rw(ctile(i, j));
+            }
+            if (placement_ == UpdatePlacement::Cpu) {
+              wait_panel(j);
+              KernelDesc d{"chk_gemm_cpu", KernelClass::HostChecksum,
+                           blas::gemm_flops(2 * (nb_ - j - 1), jb, w), 0};
+              m_.host_compute(d, [this, j, jb, w] {
+                blas::gemm(Trans::No, Trans::Yes, -1.0,
+                           ConstMatrixView<double>(
+                               h_chk_strip(j + 1, nb_, 0, w)),
+                           ConstMatrixView<double>(
+                               h_panel_[j & 1].block(0, 0, jb, w)),
+                           1.0, h_chk_strip(j + 1, nb_, off(j), jb));
+              });
+              return;
+            }
+            sim::gpublas::gemm(m_, c.stream, Trans::No, Trans::Yes, -1.0,
+                               cchk_strip(j + 1, nb_, 0, w),
+                               data_region(off(j), 0, jb, w), 1.0,
+                               cchk_strip(j + 1, nb_, off(j), jb),
+                               KernelClass::Blas3Skinny);
+          },
+          update, s_update_);
     }
     if (online) {
-      for (int i = j + 1; i < nb_; ++i)
-        dag_verify(g, i, j, fault::Op::Gemm, j);
+      std::vector<BlockId>& outs = block_list();
+      for (int i = j + 1; i < nb_; ++i) outs.emplace_back(i, j);
+      verify(outs, fault::Op::Gemm);
     }
   }
 
-  // ---------------- POTF2 on the host --------------------------------
-  if (ft_ && opt_.transfer_guard) {
-    result_.verified.potf2_blocks += 1;
-    tel_.verify_scheduled(fault::Op::Potf2, 1);
-    g.add_task(
-        "verify_arrival", {runtime::rw(htile())},
+  // ---------------- POTF2 on the host (overlapped with GEMM) ---------
+  if (bulk()) m_.sync_event(e_diag);
+  if (ft_ && copt_.transfer_guard) {
+    // Arrival verification: the diagonal block (and, for device-resident
+    // checksums, its checksum rows) just crossed PCIe. A mid-copy strike
+    // is invisible to every device-side verification — POTF2 would
+    // factor the corrupted block and derive *consistent* checksums from
+    // it, i.e. silent corruption. Check the landed data before use; the
+    // device copy is overwritten by the factor's return trip either way.
+    count_verified(fault::Op::Potf2, 1);
+    step(
+        "verify_arrival", [] { return std::vector{runtime::rw(htile())}; },
         [this, j, jb](const runtime::TaskContext& c) {
-          c.tiles.rw(htile());
+          if (c.tiles.armed()) c.tiles.rw(htile());
           const Tolerance tol = opt_.tolerance;
           KernelDesc vd{"verify_arrival", KernelClass::HostChecksum,
                         blas::gemv_flops(jb, jb) * 2, 0};
           m_.host_compute(vd, [this, j, jb, tol] {
             const VerifyOutcome out = verify_block_host(
-                h_diag_.block(0, 0, jb, jb),
-                h_diag_chk_.block(0, 0, kChecksumRows, jb), tol);
+                h_diag_.block(0, 0, jb, jb), h_diag_chk(j), tol);
             if (std::getenv("FTLA_CAMPAIGN_DEBUG") != nullptr) {
               std::fprintf(stderr,
                            "arrival-verify j=%d det=%lld corr=%lld rep=%lld "
@@ -1583,199 +835,181 @@ void Run::dag_iteration(runtime::TaskGraph& g, int j) {
             absorb(out);
           });
         },
-        host);
+        host, s_compute_);
   }
-  g.add_task("potf2", {runtime::rw(htile())},
-             [this, jb](const runtime::TaskContext& tc) {
-               tc.tiles.rw(htile());
-               KernelDesc d{"potf2", KernelClass::HostPotf2,
-                            blas::potf2_flops(jb), 0};
-               m_.host_compute(d, [this, jb] {
-                 auto blk = h_diag_.block(0, 0, jb, jb);
-                 blas::potf2(blk);
-                 // Zero the strict upper triangle so the stored block is
-                 // exactly L and column checksums cover well-defined
-                 // contents.
-                 for (int c = 1; c < jb; ++c)
-                   for (int r = 0; r < c; ++r) blk(r, c) = 0.0;
-               });
-             },
-             host);
+  step(
+      "potf2", [] { return std::vector{runtime::rw(htile())}; },
+      [this, jb](const runtime::TaskContext& tc) {
+        if (tc.tiles.armed()) tc.tiles.rw(htile());
+        KernelDesc d{"potf2", KernelClass::HostPotf2, blas::potf2_flops(jb),
+                     0};
+        m_.host_compute(d, [this, jb] {
+          auto blk = h_diag_.block(0, 0, jb, jb);
+          blas::potf2(blk);
+          // Zero the strict upper triangle so the stored block is exactly
+          // L and column checksums cover well-defined contents.
+          for (int c = 1; c < jb; ++c)
+            for (int r = 0; r < c; ++r) blk(r, c) = 0.0;
+        });
+      },
+      host, s_compute_);
   if (ft_) {
-    g.add_task("chk_potf2", {runtime::rw(htile())},
-               [this, jb](const runtime::TaskContext& c) {
-                 c.tiles.rw(htile());
-                 KernelDesc d{"chk_potf2", KernelClass::HostChecksum,
-                              2LL * kChecksumRows * jb * jb, 0};
-                 m_.host_compute(d, [this, jb] {
-                   potf2_update_checksum(
-                       ConstMatrixView<double>(h_diag_.block(0, 0, jb, jb)),
-                       h_diag_chk_.block(0, 0, kChecksumRows, jb));
-                 });
-               },
-               host);
+    step(
+        "chk_potf2", [] { return std::vector{runtime::rw(htile())}; },
+        [this, j, jb](const runtime::TaskContext& c) {
+          if (c.tiles.armed()) c.tiles.rw(htile());
+          KernelDesc d{"chk_potf2", KernelClass::HostChecksum,
+                       2LL * kChecksumRows * jb * jb, 0};
+          m_.host_compute(d, [this, j, jb] {
+            potf2_update_checksum(
+                ConstMatrixView<double>(h_diag_.block(0, 0, jb, jb)),
+                h_diag_chk(j));
+          });
+        },
+        host, s_compute_);
     if (online) {
-      result_.verified.potf2_blocks += 1;
-      tel_.verify_scheduled(fault::Op::Potf2, 1);
-      g.add_task("verify_potf2", {runtime::rw(htile())},
-                 [this, j, jb](const runtime::TaskContext& c) {
-                   c.tiles.rw(htile());
-                   const Tolerance tol = opt_.tolerance;
-                   KernelDesc vd{"verify_potf2", KernelClass::HostChecksum,
-                                 blas::gemv_flops(jb, jb) * 2, 0};
-                   m_.host_compute(vd, [this, j, jb, tol] {
-                     const VerifyOutcome out = verify_block_host(
-                         h_diag_.block(0, 0, jb, jb),
-                         h_diag_chk_.block(0, 0, kChecksumRows, jb), tol);
-                     tel_.block_verified(out, fault::Op::Potf2, j, j, j,
-                                         blas::gemv_flops(jb, jb) * 2,
-                                         off(j), jb, off(j), jb, 2 * j);
-                     absorb(out);
-                   });
-                 },
-                 host);
+      count_verified(fault::Op::Potf2, 1);
+      step(
+          "verify_potf2", [] { return std::vector{runtime::rw(htile())}; },
+          [this, j, jb](const runtime::TaskContext& c) {
+            if (c.tiles.armed()) c.tiles.rw(htile());
+            const Tolerance tol = opt_.tolerance;
+            KernelDesc vd{"verify_potf2", KernelClass::HostChecksum,
+                          blas::gemv_flops(jb, jb) * 2, 0};
+            m_.host_compute(vd, [this, j, jb, tol] {
+              const VerifyOutcome out = verify_block_host(
+                  h_diag_.block(0, 0, jb, jb), h_diag_chk(j), tol);
+              tel_.block_verified(out, fault::Op::Potf2, j, j, j,
+                                  blas::gemv_flops(jb, jb) * 2, off(j), jb,
+                                  off(j), jb, 2 * j);
+              absorb(out);
+            });
+          },
+          host, s_compute_);
     }
   }
 
-  // ---------------- factor (and checksums) back to the GPU ------------
-  {
-    std::vector<runtime::Footprint> fp{runtime::read(htile()),
-                                       runtime::write(dtile(j, j))};
-    if (ft_) fp.push_back(runtime::write(ctile(j, j)));
-    g.add_task(
-        "h2d_factor", std::move(fp),
-        [this, j, jb](const runtime::TaskContext& c) {
+  // ---------------- factor block (and checksums) back to the GPU ------
+  step(
+      "h2d_factor",
+      [&] {
+        std::vector<runtime::Footprint> fp{runtime::read(htile()),
+                                           runtime::write(dtile(j, j))};
+        if (ft_) fp.push_back(runtime::write(ctile(j, j)));
+        return fp;
+      },
+      [this, j, jb](const runtime::TaskContext& c) {
+        if (c.tiles.armed()) {
           c.tiles.read(htile());
           c.tiles.write(dtile(j, j));
           if (ft_) c.tiles.write(ctile(j, j));
-          m_.memcpy_h2d_2d(d_a_,
-                           static_cast<std::int64_t>(off(j)) * n_ + off(j),
-                           n_, m_.numeric() ? h_diag_.data() : nullptr, b_,
-                           jb, jb, c.stream);
-          if (ft_) {
-            const obs::PhaseScope chk_phase(tel_.profile(),
-                                            obs::Phase::Update);
-            m_.memcpy_h2d_2d(
-                d_chk_,
-                static_cast<std::int64_t>(off(j)) * (2 * nb_) + 2 * j,
-                2 * nb_, m_.numeric() ? h_diag_chk_.data() : nullptr,
-                kChecksumRows, kChecksumRows, jb, c.stream);
-          }
-        },
-        base);
-  }
-  dag_hook(g, "hook_computing_potf2", j,
-           [this, j] { hook_computing(fault::Op::Potf2, j); });
+        }
+        m_.memcpy_h2d_2d(d_a_, static_cast<std::int64_t>(off(j)) * n_ + off(j),
+                         n_, m_.numeric() ? h_diag_.data() : nullptr, b_, jb,
+                         jb, c.stream);
+        if (ft_ && placement_ != UpdatePlacement::Cpu) {
+          const obs::PhaseScope chk_phase(tel_.profile(), obs::Phase::Update);
+          m_.memcpy_h2d_2d(
+              d_cchk_, static_cast<std::int64_t>(off(j)) * (2 * nb_) + 2 * j,
+              2 * nb_, m_.numeric() ? h_diag_chk_.data() : nullptr,
+              kChecksumRows, kChecksumRows, jb, c.stream);
+        }
+      },
+      base, s_compute_);
+  // A computing error in POTF2 corrupts the factor block the GPU now
+  // holds (after the transfer, or the copy would mask it).
+  hook(fault::FaultType::Computing, fault::Op::Potf2, j);
+  if (bulk()) e_l = m_.record_event(s_compute_);
 
   // ---------------- TRSM: panel solve ---------------------------------
   if (below > 0) {
-    dag_hook(g, "hook_storage_trsm", j,
-             [this, j] { hook_storage(fault::Op::Trsm, j); });
+    hook(fault::FaultType::Storage, fault::Op::Trsm, j);
     if (enhanced) {
-      // The factor block is always verified before use; the panel obeys
-      // the K interval.
-      dag_verify(g, j, j, fault::Op::Trsm, j);
+      // The factor block is always verified before use (its only
+      // consumer is this TRSM); the panel obeys the K interval.
+      std::vector<BlockId>& in = block_list(j, j);
       if (verify_this_iter) {
-        for (int i = j + 1; i < nb_; ++i)
-          dag_verify(g, i, j, fault::Op::Trsm, j);
+        for (int i = j + 1; i < nb_; ++i) in.emplace_back(i, j);
       } else {
         tel_.verify_skipped(fault::Op::Trsm,
                             static_cast<std::size_t>(nb_ - j - 1), j);
       }
+      verify(in, fault::Op::Trsm);
     }
-    {
-      std::vector<runtime::Footprint> fp{runtime::read(dtile(j, j))};
-      for (int i = j + 1; i < nb_; ++i)
-        fp.push_back(runtime::rw(dtile(i, j)));
-      g.add_task("trsm", std::move(fp),
-                 [this, j, jb, below](const runtime::TaskContext& c) {
-                   c.tiles.read(dtile(j, j));
-                   for (int i = j + 1; i < nb_; ++i) c.tiles.rw(dtile(i, j));
-                   sim::gpublas::trsm(m_, c.stream, Side::Right, Uplo::Lower,
-                                      Trans::Yes, Diag::NonUnit, 1.0,
-                                      data_block(j, j),
-                                      data_region(off(j) + jb, off(j), below,
-                                                  jb));
-                 },
-                 base);
-    }
-    dag_hook(g, "hook_computing_trsm", j,
-             [this, j] { hook_computing(fault::Op::Trsm, j); });
-    if (ft_ && j + 1 < nb_) {
-      std::vector<runtime::Footprint> fp{runtime::read(dtile(j, j))};
-      for (int i = j + 1; i < nb_; ++i)
-        fp.push_back(runtime::rw(ctile(i, j)));
-      g.add_task("chk_trsm", std::move(fp),
-                 [this, j, jb](const runtime::TaskContext& c) {
-                   c.tiles.read(dtile(j, j));
-                   for (int i = j + 1; i < nb_; ++i) c.tiles.rw(ctile(i, j));
-                   sim::gpublas::trsm(m_, c.stream, Side::Right, Uplo::Lower,
-                                      Trans::Yes, Diag::NonUnit, 1.0,
-                                      data_block(j, j),
-                                      chk_strip(j + 1, nb_, off(j), jb),
-                                      KernelClass::Blas3Skinny);
-                 },
-                 update);
+    step(
+        "trsm",
+        [&] {
+          std::vector<runtime::Footprint> fp{runtime::read(dtile(j, j))};
+          for (int i = j + 1; i < nb_; ++i)
+            fp.push_back(runtime::rw(dtile(i, j)));
+          return fp;
+        },
+        [this, j, jb, below](const runtime::TaskContext& c) {
+          if (c.tiles.armed()) {
+            c.tiles.read(dtile(j, j));
+            for (int i = j + 1; i < nb_; ++i) c.tiles.rw(dtile(i, j));
+          }
+          sim::gpublas::trsm(m_, c.stream, Side::Right, Uplo::Lower,
+                             Trans::Yes, Diag::NonUnit, 1.0, data_block(j, j),
+                             data_region(off(j) + jb, off(j), below, jb));
+        },
+        base, s_compute_);
+    hook(fault::FaultType::Computing, fault::Op::Trsm, j);
+    if (ft_) {
+      // chk(LB) = chk(B') * (LA^T)^{-1}; the factor block must be
+      // resident.
+      if (bulk() && placement_ != UpdatePlacement::Cpu) {
+        m_.stream_wait_event(s_update_, e_l);
+      }
+      step(
+          "chk_trsm",
+          [&] {
+            std::vector<runtime::Footprint> fp{runtime::read(dtile(j, j))};
+            for (int i = j + 1; i < nb_; ++i)
+              fp.push_back(runtime::rw(ctile(i, j)));
+            return fp;
+          },
+          [this, j, jb](const runtime::TaskContext& c) {
+            if (c.tiles.armed()) {
+              c.tiles.read(dtile(j, j));
+              for (int i = j + 1; i < nb_; ++i) c.tiles.rw(ctile(i, j));
+            }
+            if (placement_ == UpdatePlacement::Cpu) {
+              KernelDesc d{"chk_trsm_cpu", KernelClass::HostChecksum,
+                           blas::trsm_flops(Side::Right, 2 * (nb_ - j - 1),
+                                            jb),
+                           0};
+              m_.host_compute(d, [this, j, jb] {
+                blas::trsm(
+                    Side::Right, Uplo::Lower, Trans::Yes, Diag::NonUnit, 1.0,
+                    ConstMatrixView<double>(h_diag_.block(0, 0, jb, jb)),
+                    h_chk_strip(j + 1, nb_, off(j), jb));
+              });
+              return;
+            }
+            sim::gpublas::trsm(m_, c.stream, Side::Right, Uplo::Lower,
+                               Trans::Yes, Diag::NonUnit, 1.0,
+                               data_block(j, j),
+                               cchk_strip(j + 1, nb_, off(j), jb),
+                               KernelClass::Blas3Skinny);
+          },
+          update, s_update_);
     }
     if (online) {
-      for (int i = j + 1; i < nb_; ++i)
-        dag_verify(g, i, j, fault::Op::Trsm, j);
+      std::vector<BlockId>& outs = block_list();
+      for (int i = j + 1; i < nb_; ++i) outs.emplace_back(i, j);
+      verify(outs, fault::Op::Trsm);
     }
-  } else if (ft_ && opt_.transfer_guard) {
-    // Last block column: no TRSM re-reads the factor block; one
-    // device-side check closes the H2D return window (same as bulk).
-    dag_verify(g, j, j, fault::Op::Trsm, j);
+  } else if (ft_ && copt_.transfer_guard) {
+    // Last block column: no TRSM re-reads the factor block, so its
+    // return H2D copy is the one transfer nothing downstream would
+    // verify. One device-side check closes the window.
+    verify(block_list(j, j), fault::Op::Trsm);
   }
-}
 
-void Run::run_once_dag() {
-  panel_iter_[0] = panel_iter_[1] = -1;
-  dag_slot_ = 0;
-  runtime::TaskGraph g;
-  if (ft_) dag_encode(g);
-  for (int j = 0; j < nb_; ++j) dag_iteration(g, j);
-  if (ft_ && opt_.transfer_guard && opt_.variant != Variant::Offline) {
-    // Output-at-rest end sweep (see the bulk path for the rationale).
-    // Each block's verify depends only on that block's last writer, so
-    // retired columns are swept while the factorization tail still runs.
-    cur_iter_ = -1;
-    for (int k = 0; k < nb_; ++k)
-      for (int i = k; i < nb_; ++i) dag_verify(g, i, k, fault::Op::Gemm, -1);
-  }
-  // Opt-in dynamic footprint sanitizer (docs/static-analysis.md): the
-  // executor hands every body a recording TileAccessor, and any access
-  // outside a declared footprint — or unordered by happens-before —
-  // fails the run with the tracker's report.
-  runtime::AccessTracker tracker;
-  const bool sanitize = runtime::sanitize_env_enabled();
-  if (sanitize) g.set_access_tracker(&tracker);
-  // Same transfer-fault arming as the bulk path: H2D copies inside the
-  // run are armed; D2H staging copies arm individually (transfer_guard).
-  sim::TransferArmGuard arm(m_, /*h2d=*/true, /*d2h=*/false);
-  runtime::StreamRunOptions ropts;
-  ropts.streams = dag_streams();
-  ropts.profile = tel_.profile();
-  ropts.metrics = opt_.metrics;
-  ropts.schedule_seed = opt_.dag_schedule_seed;
-  if (trace_ != nullptr) {
-    // DAG task spans hang off the current pass span, ids derived from
-    // node ids — the same graph traces to the same ids at any schedule.
-    ropts.trace = trace_;
-    ropts.trace_ctx = opt_.trace_ctx;
-    ropts.trace_ctx.span_id = trace_pass_;
-  }
-  runtime::run_on_streams(g, m_, ropts);
-  if (opt_.variant == Variant::Offline) {
-    // The offline sweep reuses the bulk batch machinery; align the host
-    // clock with all graph work first so its fences see the full run.
-    m_.sync_all();
-    offline_final_verify();
-  }
-  m_.sync_all();
-  if (sanitize && !tracker.clean()) {
-    throw Error("cholesky DAG failed footprint sanitizing\n" +
-                tracker.report(g));
-  }
+  // Row panel j+1 is final now; start moving it to the host so the next
+  // iteration's CPU checksum updates never wait on PCIe.
+  fetch_panel_for_cpu_update(j + 1);
 }
 
 }  // namespace

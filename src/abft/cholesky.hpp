@@ -40,9 +40,9 @@ CholeskyResult cholesky(sim::Machine& machine, Matrix<double>* a, int n,
                         const CholeskyOptions& options,
                         fault::Injector* injector = nullptr);
 
-/// The block size the driver will use for these options on this machine.
+/// The block size a driver will use for these options on this machine.
 int resolve_block_size(const sim::MachineProfile& profile,
-                       const CholeskyOptions& options);
+                       const DriverOptions& options);
 
 /// Solves A x = b using the fault-tolerant factorization: factorizes on
 /// the simulated node, then applies forward/backward substitution on the

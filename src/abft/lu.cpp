@@ -1,20 +1,13 @@
 #include "abft/lu.hpp"
 
-#include "abft/telemetry.hpp"
-
 #include <algorithm>
-#include <cmath>
-#include <functional>
-#include <utility>
 #include <vector>
 
+#include "abft/driver.hpp"
 #include "blas/lapack.hpp"
 #include "blas/level3.hpp"
 #include "blas/types.hpp"
 #include "common/error.hpp"
-#include "common/fp.hpp"
-#include "runtime/executor.hpp"
-#include "runtime/sanitizer.hpp"
 #include "sim/device_matrix.hpp"
 #include "sim/gpublas.hpp"
 
@@ -24,204 +17,36 @@ using blas::Diag;
 using blas::Side;
 using blas::Trans;
 using blas::Uplo;
-using sim::DConstMat;
-using sim::DeviceBuffer;
-using sim::DMat;
 using sim::EventId;
 using sim::KernelClass;
 using sim::KernelDesc;
 using sim::Machine;
-using sim::StreamId;
 
 namespace {
 
-using BlockId = std::pair<int, int>;
+constexpr SumNames kLuCols{"encode_c", "recalc_c", "verify_c"};
+constexpr SumNames kLuRows{"encode_r", "recalc_r", "verify_r"};
 
-class LuRun {
+class LuRun final : public Driver {
  public:
   LuRun(Machine& m, Matrix<double>* a, int n, const LuOptions& opt,
         fault::Injector* injector)
-      : m_(m), a_(a), n_(n), opt_(opt), injector_(injector),
-        tel_(m, opt.event_sink, opt.metrics, injector, opt.profile,
-             opt.timeseries) {
-    FTLA_CHECK(n_ > 0);
+      : Driver(m, a, n, opt, injector, "lu", 2.0, &kLuCols, &kLuRows) {
     FTLA_CHECK_MSG(opt_.variant == Variant::NoFt ||
                        opt_.variant == Variant::EnhancedOnline,
                    "the LU extension implements NoFt and EnhancedOnline");
-    if (m_.numeric()) {
-      FTLA_CHECK(a_ != nullptr && a_->rows() == n_ && a_->cols() == n_);
-    }
-    FTLA_CHECK(injector_ == nullptr || m_.numeric());
-    b_ = opt_.block_size > 0 ? opt_.block_size
-                             : m_.profile().magma_block_size;
-    nb_ = (n_ + b_ - 1) / b_;
-    ft_ = opt_.variant == Variant::EnhancedOnline;
   }
-
-  CholeskyResult execute();
 
  private:
-  [[nodiscard]] int bs(int i) const { return std::min(b_, n_ - i * b_); }
-  [[nodiscard]] int off(int i) const { return i * b_; }
+  void allocate() override;
+  void run_once() override;
+  [[nodiscard]] BlockId fault_target(const fault::FaultSpec& spec,
+                                     int j) const override;
+  void iteration(int j);
 
-  [[nodiscard]] DMat data_region(int row, int col, int rows, int cols) {
-    return DMat{&d_a_, static_cast<std::int64_t>(col) * n_ + row, rows, cols,
-                n_};
-  }
-  [[nodiscard]] DMat data_block(int i, int k) {
-    return data_region(off(i), off(k), bs(i), bs(k));
-  }
-  /// Column checksums of block (i, k): 2 rows in the (2nb x n) matrix.
-  [[nodiscard]] DMat cchk_block(int i, int k) {
-    return DMat{&d_cchk_,
-                static_cast<std::int64_t>(off(k)) * (2 * nb_) + 2 * i,
-                kChecksumRows, bs(k), 2 * nb_};
-  }
-  [[nodiscard]] DMat cchk_strip(int i0, int i1, int col, int cols) {
-    return DMat{&d_cchk_,
-                static_cast<std::int64_t>(col) * (2 * nb_) + 2 * i0,
-                2 * (i1 - i0), cols, 2 * nb_};
-  }
-  /// Row checksums of block (i, k): 2 columns in the (n x 2nb) matrix.
-  [[nodiscard]] DMat rchk_block(int i, int k) {
-    return DMat{&d_rchk_, static_cast<std::int64_t>(2 * k) * n_ + off(i),
-                bs(i), kChecksumRows, n_};
-  }
-  [[nodiscard]] DMat rchk_strip(int row, int rows, int k0, int k1) {
-    return DMat{&d_rchk_, static_cast<std::int64_t>(2 * k0) * n_ + row, rows,
-                2 * (k1 - k0), n_};
-  }
-
-  void allocate();
-  void upload();
-  void encode();
-  void iterate(int j);
-  void run_once();
-  void final_sweep();
-
-  void verify_col_blocks(const std::vector<BlockId>& blocks, fault::Op attr);
-  void verify_row_blocks(const std::vector<BlockId>& blocks, fault::Op attr);
-  /// Recalc + compare launches for one block on one stream, against the
-  /// column (respectively row) checksums. Shared by the bulk batches and
-  /// the DAG verify tasks so both runtimes issue identical kernels.
-  void issue_col_verify(StreamId s, int bi, int bk, fault::Op attr,
-                        std::int64_t pos, int iter);
-  void issue_row_verify(StreamId s, int bi, int bk, fault::Op attr,
-                        std::int64_t pos, int iter);
-  void absorb(const VerifyOutcome& out);
-
-  void hook_storage(fault::Op op, int j);
-  void hook_computing(fault::Op op, int j);
-
-  // ---- task-graph (DAG) runtime path (docs/runtime.md) ----
-  [[nodiscard]] bool use_dag() const {
-    return opt_.runtime == RuntimeMode::Dag;
-  }
-  void run_once_dag();
-  void dag_encode(runtime::TaskGraph& g);
-  void dag_iteration(runtime::TaskGraph& g, int j);
-  void dag_sweep(runtime::TaskGraph& g);
-  void dag_col_verify(runtime::TaskGraph& g, int bi, int bk, fault::Op attr,
-                      int iter);
-  void dag_row_verify(runtime::TaskGraph& g, int bi, int bk, fault::Op attr,
-                      int iter);
-  void dag_hook(runtime::TaskGraph& g, const char* name, int iter,
-                std::function<void()> fn);
-  [[nodiscard]] std::vector<StreamId> dag_streams() const;
-
-  /// Tile namespaces for dependency inference: data blocks, the two
-  /// checksum flavors, the host panel staging area, and scratch slots.
-  enum TileSpace : int {
-    kTileData = 0,
-    kTileCchk,
-    kTileRchk,
-    kTileHost,
-    kTileScratch
-  };
-  [[nodiscard]] static runtime::TileKey dtile(int i, int k) {
-    return {kTileData, i, k};
-  }
-  [[nodiscard]] static runtime::TileKey cctile(int i, int k) {
-    return {kTileCchk, i, k};
-  }
-  [[nodiscard]] static runtime::TileKey rctile(int i, int k) {
-    return {kTileRchk, i, k};
-  }
-  [[nodiscard]] static runtime::TileKey htile() { return {kTileHost, 0, 0}; }
-  [[nodiscard]] static runtime::TileKey stile(int slot) {
-    return {kTileScratch, slot, 0};
-  }
-  std::int64_t dag_slot_ = 0;  ///< round-robin scratch-slot cursor
-
-  Machine& m_;
-  Matrix<double>* a_;
-  int n_;
-  LuOptions opt_;
-  fault::Injector* injector_;
-  Telemetry tel_;
-  int cur_iter_ = -1;  ///< telemetry iteration; -1 outside the j-loop
-
-  int b_ = 0;
-  int nb_ = 0;
-  bool ft_ = false;
-
-  DeviceBuffer d_a_;
-  DeviceBuffer d_cchk_;   // column checksums, 2nb x n
-  DeviceBuffer d_rchk_;   // row checksums, n x 2nb
-  DeviceBuffer d_scratch_;
-  std::int64_t scratch_capacity_ = 0;  // doubles
-
-  Matrix<double> pristine_;
   Matrix<double> h_panel_;       // host panel (n x b)
   Matrix<double> h_panel_chk_;   // re-encoded column checksums (2nb x b)
-
-  StreamId s_compute_ = 0;
-  StreamId s_chk_ = 0;
-  std::vector<StreamId> s_recalc_;
-
-  CholeskyResult result_;
 };
-
-CholeskyResult LuRun::execute() {
-  allocate();
-  upload();
-  m_.sync_all();
-  const double t0 = m_.host_now();
-
-  bool done = false;
-  while (!done) {
-    try {
-      run_once();
-      done = true;
-      result_.success = true;
-    } catch (const Error& e) {
-      result_.fail_stop_observed |=
-          dynamic_cast<const NotPositiveDefiniteError*>(&e) != nullptr;
-      if (!ft_ || result_.reruns >= opt_.max_reruns) {
-        result_.note = e.what();
-        done = true;
-      } else {
-        ++result_.reruns;
-        tel_.rerun(result_.reruns, e.what());
-        const obs::PhaseScope recover(tel_.profile(), obs::Phase::Recover);
-        upload();
-      }
-    }
-  }
-
-  m_.sync_all();
-  result_.seconds = m_.host_now() - t0;
-  // LU costs 2n^3/3 flops.
-  const double flops = 2.0 * n_ * static_cast<double>(n_) * n_ / 3.0;
-  result_.gflops =
-      result_.seconds > 0.0 ? flops / result_.seconds / 1e9 : 0.0;
-
-  if (result_.success && m_.numeric()) {
-    m_.memcpy_d2h(a_->data(), d_a_, 0, static_cast<std::int64_t>(n_) * n_,
-                  s_compute_, /*blocking=*/true);
-  }
-  return result_;
-}
 
 void LuRun::allocate() {
   d_a_ = m_.alloc(static_cast<std::int64_t>(n_) * n_);
@@ -236,347 +61,237 @@ void LuRun::allocate() {
   }
   h_panel_ = Matrix<double>(n_, b_);
   if (m_.numeric()) pristine_ = *a_;
-
-  s_compute_ = m_.default_stream();
-  if (ft_) {
-    s_chk_ = m_.create_stream();
-    int streams = opt_.recalc_streams > 0
-                      ? opt_.recalc_streams
-                      : m_.profile().max_concurrent_kernels;
-    if (!opt_.concurrent_recalc) streams = 1;
-    for (int i = 0; i < streams; ++i) s_recalc_.push_back(m_.create_stream());
-  }
-}
-
-void LuRun::upload() {
-  m_.memcpy_h2d(d_a_, 0, m_.numeric() ? pristine_.data() : nullptr,
-                static_cast<std::int64_t>(n_) * n_, s_compute_,
-                /*blocking=*/true);
-}
-
-void LuRun::encode() {
-  if (!ft_) return;
-  const obs::PhaseScope phase(tel_.profile(), obs::Phase::Encode);
-  const EventId e_up = m_.record_event(s_compute_);
-  for (StreamId s : s_recalc_) m_.stream_wait_event(s, e_up);
-  int q = 0;
-  for (int k = 0; k < nb_; ++k) {
-    for (int i = 0; i < nb_; ++i) {
-      const StreamId s = s_recalc_[q++ % s_recalc_.size()];
-      const DMat blk = data_block(i, k);
-      {
-        const DMat chk = cchk_block(i, k);
-        KernelDesc d{"encode_c", KernelClass::Blas2,
-                     blas::gemv_flops(blk.rows, blk.cols) * 2, 0};
-        m_.launch(s, d, [blk, chk] {
-          encode_block(ConstMatrixView<double>(blk.view()), chk.view());
-        });
-      }
-      {
-        const DMat chk = rchk_block(i, k);
-        KernelDesc d{"encode_r", KernelClass::Blas2,
-                     blas::gemv_flops(blk.rows, blk.cols) * 2, 0};
-        m_.launch(s, d, [blk, chk] {
-          encode_block_rows(ConstMatrixView<double>(blk.view()), chk.view());
-        });
-      }
-    }
-  }
-  for (StreamId s : s_recalc_) {
-    const EventId e = m_.record_event(s);
-    m_.stream_wait_event(s_compute_, e);
-    m_.stream_wait_event(s_chk_, e);
-  }
+  create_streams(/*xfer=*/false);
 }
 
 void LuRun::run_once() {
-  if (use_dag()) {
-    run_once_dag();
-    return;
-  }
-  encode();
+  encode(/*lower=*/false);
   // Stochastic transfer faults cover the H2D return trips of the host
   // factored panel and its checksums; every landed corruption stays
   // inconsistent with the separately shipped checksums, so the K-gated
   // trailing verifications or the final sweep catch it. The D2H panel
   // staging copy has no arrival check yet and stays out of the armed
   // surface (see docs/fault-model.md, residual exposures).
-  sim::TransferArmGuard arm(m_, /*h2d=*/true, /*d2h=*/false);
-  for (int j = 0; j < nb_; ++j) iterate(j);
-  if (ft_) final_sweep();
-  m_.sync_all();
+  const sim::TransferArmGuard arm(m_, /*h2d=*/true, /*d2h=*/false);
+  for (int j = 0; j < nb_; ++j) iteration(j);
+  if (ft_) {
+    // Right-looking LU never re-reads finished blocks, so storage errors
+    // striking them after their last use can only be caught here: one
+    // verification pass over the whole factor (column checksums for the
+    // L region and the diagonal, row checksums for the U region). Under
+    // the DAG each verify depends only on its block's last writer, so
+    // retired columns are swept while the factorization tail runs.
+    begin_iteration(-1);
+    std::vector<BlockId>& l_blocks = block_list();
+    for (int k = 0; k < nb_; ++k)
+      for (int i = k; i < nb_; ++i) l_blocks.emplace_back(i, k);
+    verify(l_blocks, fault::Op::Potf2);
+    std::vector<BlockId>& u_blocks = block_list();
+    for (int k = 0; k < nb_; ++k)
+      for (int i = 0; i < k; ++i) u_blocks.emplace_back(i, k);
+    verify(u_blocks, fault::Op::Trsm, Sums::Row);
+  }
+  finish_pass();
 }
 
-void LuRun::absorb(const VerifyOutcome& out) {
-  result_.errors_detected += out.errors_detected;
-  result_.errors_corrected += out.errors_corrected;
-  result_.checksum_repairs += out.checksum_repairs;
-  if (out.uncorrectable) {
-    throw UnrecoverableCorruptionError(
-        "more than one error per checksum lane");
-  }
+// Defaults per LU context: the panel (Potf2), the U row (Trsm) or a
+// trailing block (Gemm) that the op is about to read or write.
+BlockId LuRun::fault_target(const fault::FaultSpec& spec, int j) const {
+  const int next = std::min(j + 1, nb_ - 1);
+  const int bi = spec.block_row >= 0 ? spec.block_row
+                 : spec.op == fault::Op::Trsm ? j
+                                              : next;
+  const int bk = spec.block_col >= 0 ? spec.block_col
+                 : spec.op == fault::Op::Potf2 ? j
+                                               : next;
+  return {bi, bk};
 }
 
-void LuRun::verify_col_blocks(const std::vector<BlockId>& blocks,
-                              fault::Op attr) {
-  if (!ft_ || blocks.empty()) return;
-  const obs::PhaseScope phase(tel_.profile(), obs::Phase::Verify);
-  switch (attr) {
-    case fault::Op::Potf2: result_.verified.potf2_blocks += blocks.size(); break;
-    case fault::Op::Trsm: result_.verified.trsm_blocks += blocks.size(); break;
-    case fault::Op::Syrk: result_.verified.syrk_blocks += blocks.size(); break;
-    case fault::Op::Gemm: result_.verified.gemm_blocks += blocks.size(); break;
-  }
-  tel_.verify_scheduled(attr, blocks.size());
-  const EventId e_comp = m_.record_event(s_compute_);
-  const EventId e_chk = m_.record_event(s_chk_);
-  const int nstreams = std::max(
-      1, std::min(static_cast<int>(s_recalc_.size()),
-                  static_cast<int>(blocks.size())));
-  for (int i = 0; i < nstreams; ++i) {
-    m_.stream_wait_event(s_recalc_[i], e_comp);
-    m_.stream_wait_event(s_recalc_[i], e_chk);
-  }
-  std::int64_t pos = 0;
-  for (std::size_t q = 0; q < blocks.size(); ++q) {
-    const auto [bi, bk] = blocks[q];
-    issue_col_verify(s_recalc_[q % nstreams], bi, bk, attr, pos, cur_iter_);
-    pos += 2LL * bs(bk);
-  }
-  for (int i = 0; i < nstreams; ++i) {
-    const EventId e = m_.record_event(s_recalc_[i]);
-    m_.stream_wait_event(s_compute_, e);
-    m_.stream_wait_event(s_chk_, e);
-  }
-}
-
-void LuRun::issue_col_verify(StreamId s, int bi, int bk, fault::Op attr,
-                             std::int64_t pos, int iter) {
-  const DMat blk = data_block(bi, bk);
-  FTLA_CHECK(pos + 2LL * blk.cols <= scratch_capacity_);
-  const DMat scratch{&d_scratch_, pos, kChecksumRows, blk.cols, 2};
-  KernelDesc rd{"recalc_c", KernelClass::Blas2,
-                blas::gemv_flops(blk.rows, blk.cols) * 2, 0};
-  m_.launch(s, rd, [blk, scratch] {
-    encode_block(ConstMatrixView<double>(blk.view()), scratch.view());
-  });
-  const DMat chk = cchk_block(bi, bk);
-  const DMat rchk = rchk_block(bi, bk);
-  const Tolerance tol = opt_.tolerance;
-  KernelDesc cd{"verify_c", KernelClass::Compare, 4LL * blk.cols, 0};
-  const std::int64_t rflops = rd.flops;
-  m_.launch(s, cd, [this, blk, chk, rchk, tol, scratch, attr, bi, bk, rflops,
-                    iter] {
-    auto out = verify_block(blk.view(), chk.view(),
-                            ConstMatrixView<double>(scratch.view()), tol);
-    // Blocks carry both checksum flavors; after a correction through
-    // the column side, re-derive the row checksums from the repaired
-    // data so the two sides stay coherent (corrections are rare, so
-    // the O(B^2) re-encode is negligible).
-    if (!out.corrections.empty()) {
-      encode_block_rows(ConstMatrixView<double>(blk.view()), rchk.view());
-    }
-    tel_.block_verified(out, attr, iter, bi, bk, rflops, off(bi), blk.rows,
-                        off(bk), blk.cols);
-    absorb(out);
-  });
-}
-
-void LuRun::verify_row_blocks(const std::vector<BlockId>& blocks,
-                              fault::Op attr) {
-  if (!ft_ || blocks.empty()) return;
-  const obs::PhaseScope phase(tel_.profile(), obs::Phase::Verify);
-  switch (attr) {
-    case fault::Op::Potf2: result_.verified.potf2_blocks += blocks.size(); break;
-    case fault::Op::Trsm: result_.verified.trsm_blocks += blocks.size(); break;
-    case fault::Op::Syrk: result_.verified.syrk_blocks += blocks.size(); break;
-    case fault::Op::Gemm: result_.verified.gemm_blocks += blocks.size(); break;
-  }
-  tel_.verify_scheduled(attr, blocks.size());
-  const EventId e_comp = m_.record_event(s_compute_);
-  const EventId e_chk = m_.record_event(s_chk_);
-  const int nstreams = std::max(
-      1, std::min(static_cast<int>(s_recalc_.size()),
-                  static_cast<int>(blocks.size())));
-  for (int i = 0; i < nstreams; ++i) {
-    m_.stream_wait_event(s_recalc_[i], e_comp);
-    m_.stream_wait_event(s_recalc_[i], e_chk);
-  }
-  std::int64_t pos = 0;
-  for (std::size_t q = 0; q < blocks.size(); ++q) {
-    const auto [bi, bk] = blocks[q];
-    issue_row_verify(s_recalc_[q % nstreams], bi, bk, attr, pos, cur_iter_);
-    pos += 2LL * bs(bi);
-  }
-  for (int i = 0; i < nstreams; ++i) {
-    const EventId e = m_.record_event(s_recalc_[i]);
-    m_.stream_wait_event(s_compute_, e);
-    m_.stream_wait_event(s_chk_, e);
-  }
-}
-
-void LuRun::issue_row_verify(StreamId s, int bi, int bk, fault::Op attr,
-                             std::int64_t pos, int iter) {
-  const DMat blk = data_block(bi, bk);
-  FTLA_CHECK(pos + 2LL * blk.rows <= scratch_capacity_);
-  const DMat scratch{&d_scratch_, pos, blk.rows, kChecksumRows, blk.rows};
-  KernelDesc rd{"recalc_r", KernelClass::Blas2,
-                blas::gemv_flops(blk.rows, blk.cols) * 2, 0};
-  m_.launch(s, rd, [blk, scratch] {
-    encode_block_rows(ConstMatrixView<double>(blk.view()), scratch.view());
-  });
-  const DMat chk = rchk_block(bi, bk);
-  const DMat cchk = cchk_block(bi, bk);
-  const Tolerance tol = opt_.tolerance;
-  KernelDesc cd{"verify_r", KernelClass::Compare, 4LL * blk.rows, 0};
-  const std::int64_t rflops = rd.flops;
-  m_.launch(s, cd, [this, blk, chk, cchk, tol, scratch, attr, bi, bk, rflops,
-                    iter] {
-    auto out = verify_block_rows(blk.view(), chk.view(),
-                                 ConstMatrixView<double>(scratch.view()),
-                                 tol);
-    // Mirror of the column path: re-derive the column checksums from
-    // the repaired data.
-    if (!out.corrections.empty()) {
-      encode_block(ConstMatrixView<double>(blk.view()), cchk.view());
-    }
-    tel_.block_verified(out, attr, iter, bi, bk, rflops, off(bi), blk.rows,
-                        off(bk), blk.cols);
-    absorb(out);
-  });
-}
-
-void LuRun::hook_storage(fault::Op op, int j) {
-  if (injector_ == nullptr) return;
-  for (const auto& spec :
-       injector_->take(fault::FaultType::Storage, op, j)) {
-    if (!m_.numeric()) continue;
-    int bi = spec.block_row;
-    int bk = spec.block_col;
-    // Defaults per LU context: the panel (Potf2), the U row (Trsm) or a
-    // trailing block (Gemm) that the op is about to read.
-    if (bi < 0) bi = op == fault::Op::Trsm ? j : std::min(j + 1, nb_ - 1);
-    if (bk < 0) bk = op == fault::Op::Potf2 ? j : std::min(j + 1, nb_ - 1);
-    FTLA_CHECK(bi >= 0 && bi < nb_ && bk >= 0 && bk < nb_);
-    const int grow = off(bi) + std::min(spec.elem_row, bs(bi) - 1);
-    const int gcol = off(bk) + std::min(spec.elem_col, bs(bk) - 1);
-    double* p = d_a_.data() + static_cast<std::int64_t>(gcol) * n_ + grow;
-    const double old_value = *p;
-    for (int bit : spec.bits) *p = flip_bit(*p, bit);
-    injector_->record(spec, old_value, *p, grow, gcol);
-  }
-}
-
-void LuRun::hook_computing(fault::Op op, int j) {
-  if (injector_ == nullptr) return;
-  for (const auto& spec :
-       injector_->take(fault::FaultType::Computing, op, j)) {
-    if (!m_.numeric()) continue;
-    int bi = spec.block_row;
-    int bk = spec.block_col;
-    if (bi < 0) bi = op == fault::Op::Trsm ? j : std::min(j + 1, nb_ - 1);
-    if (bk < 0) bk = op == fault::Op::Potf2 ? j : std::min(j + 1, nb_ - 1);
-    FTLA_CHECK(bi >= 0 && bi < nb_ && bk >= 0 && bk < nb_);
-    const int grow = off(bi) + std::min(spec.elem_row, bs(bi) - 1);
-    const int gcol = off(bk) + std::min(spec.elem_col, bs(bk) - 1);
-    double* p = d_a_.data() + static_cast<std::int64_t>(gcol) * n_ + grow;
-    const double old_value = *p;
-    *p = old_value + spec.magnitude * std::max(1.0, std::abs(old_value));
-    injector_->record(spec, old_value, *p, grow, gcol);
-  }
-}
-
-void LuRun::iterate(int j) {
-  cur_iter_ = j;
-  tel_.begin_iteration(j);
+// One outer iteration, written once for both runtimes (see the
+// Cholesky driver). Bulk fences the checksum stream on the panel's
+// return trip (e_panel); the DAG infers that edge from the tiles.
+void LuRun::iteration(int j) {
+  begin_iteration(j);
   const int jb = bs(j);
   const int below = n_ - off(j);           // panel height (incl. diagonal)
   const int right = n_ - off(j) - jb;      // trailing width
   const bool verify_this_iter = (j % opt_.verify_interval) == 0;
+  runtime::TaskOptions base;
+  base.phase = obs::Phase::Base;
+  base.iteration = j;
+  runtime::TaskOptions update = base;
+  update.phase = obs::Phase::Update;
+  runtime::TaskOptions host = base;
+  host.phase = obs::Phase::Base;
+  host.where = runtime::Where::Host;
+  EventId e_panel = -1;
 
   // ---------------- panel: fetch, factor on host, re-encode ----------
-  hook_storage(fault::Op::Potf2, j);
+  hook(fault::FaultType::Storage, fault::Op::Potf2, j);
   if (ft_) {
     // Panel inputs are always verified: a corrupted pivot path is the
     // LU analog of the unrecoverable SYRK input (paper Opt 3 logic).
-    std::vector<BlockId> in;
+    std::vector<BlockId>& in = block_list();
     for (int i = j; i < nb_; ++i) in.emplace_back(i, j);
-    verify_col_blocks(in, fault::Op::Potf2);
+    verify(in, fault::Op::Potf2);
   }
-  m_.memcpy_d2h_2d(m_.numeric() ? h_panel_.data() : nullptr, n_, d_a_,
-                   static_cast<std::int64_t>(off(j)) * n_ + off(j), n_,
-                   below, jb, s_compute_, /*blocking=*/true);
-  {
-    KernelDesc d{"getf2", KernelClass::HostPotf2,
-                 // ~ m*b^2 flops for the panel factorization
-                 static_cast<std::int64_t>(below) * jb * jb, 0};
-    m_.host_compute(d, [this, below, jb] {
-      blas::getf2_nopiv(h_panel_.block(0, 0, below, jb));
-    });
-  }
+  step(
+      "d2h_panel",
+      [&] {
+        std::vector<runtime::Footprint> fp;
+        for (int i = j; i < nb_; ++i) fp.push_back(runtime::read(dtile(i, j)));
+        fp.push_back(runtime::write(htile()));
+        return fp;
+      },
+      [this, j, jb, below, blocking = bulk()](const runtime::TaskContext& c) {
+        if (c.tiles.armed()) {
+          for (int i = j; i < nb_; ++i) c.tiles.read(dtile(i, j));
+          c.tiles.write(htile());
+        }
+        m_.memcpy_d2h_2d(m_.numeric() ? h_panel_.data() : nullptr, n_, d_a_,
+                         static_cast<std::int64_t>(off(j)) * n_ + off(j), n_,
+                         below, jb, c.stream, blocking);
+      },
+      base, s_compute_);
+  step(
+      "getf2", [] { return std::vector{runtime::rw(htile())}; },
+      [this, below, jb](const runtime::TaskContext& c) {
+        if (c.tiles.armed()) c.tiles.rw(htile());
+        KernelDesc d{"getf2", KernelClass::HostPotf2,
+                     // ~ m*b^2 flops for the panel factorization
+                     static_cast<std::int64_t>(below) * jb * jb, 0};
+        m_.host_compute(d, [this, below, jb] {
+          blas::getf2_nopiv(h_panel_.block(0, 0, below, jb));
+        });
+      },
+      host, s_compute_);
   if (ft_) {
-    KernelDesc d{"encode_panel", KernelClass::HostChecksum,
-                 4LL * below * jb, 0};
-    m_.host_compute(d, [this, j, below, jb] {
-      // Column checksums of each finished panel block, derived on the
-      // (reliable) host before the factors return to device memory.
-      for (int i = j; i < nb_; ++i) {
-        encode_block(ConstMatrixView<double>(
-                         h_panel_.block(off(i) - off(j), 0, bs(i), jb)),
-                     h_panel_chk_.block(2 * i, 0, kChecksumRows, jb));
-      }
-    });
+    step(
+        "encode_panel", [] { return std::vector{runtime::rw(htile())}; },
+        [this, j, below, jb](const runtime::TaskContext& c) {
+          if (c.tiles.armed()) c.tiles.rw(htile());
+          KernelDesc d{"encode_panel", KernelClass::HostChecksum,
+                       4LL * below * jb, 0};
+          m_.host_compute(d, [this, j, jb] {
+            // Column checksums of each finished panel block, derived on
+            // the (reliable) host before the factors return to device
+            // memory.
+            for (int i = j; i < nb_; ++i) {
+              encode_block(ConstMatrixView<double>(h_panel_.block(
+                               off(i) - off(j), 0, bs(i), jb)),
+                           h_panel_chk_.block(2 * i, 0, kChecksumRows, jb));
+            }
+          });
+        },
+        host, s_compute_);
   }
-  m_.memcpy_h2d_2d(d_a_, static_cast<std::int64_t>(off(j)) * n_ + off(j), n_,
-                   m_.numeric() ? h_panel_.data() : nullptr, n_, below, jb,
-                   s_compute_);
+  step(
+      "h2d_panel",
+      [&] {
+        std::vector<runtime::Footprint> fp{runtime::read(htile())};
+        for (int i = j; i < nb_; ++i)
+          fp.push_back(runtime::write(dtile(i, j)));
+        return fp;
+      },
+      [this, j, jb, below](const runtime::TaskContext& c) {
+        if (c.tiles.armed()) {
+          c.tiles.read(htile());
+          for (int i = j; i < nb_; ++i) c.tiles.write(dtile(i, j));
+        }
+        m_.memcpy_h2d_2d(d_a_, static_cast<std::int64_t>(off(j)) * n_ + off(j),
+                         n_, m_.numeric() ? h_panel_.data() : nullptr, n_,
+                         below, jb, c.stream);
+      },
+      base, s_compute_);
   // Applied after the transfer so the corrupted value actually lands in
   // device memory.
-  hook_computing(fault::Op::Potf2, j);
+  hook(fault::FaultType::Computing, fault::Op::Potf2, j);
   if (ft_) {
     // The re-encoded panel checksums ride back only because FT is on.
-    const obs::PhaseScope chk_phase(tel_.profile(), obs::Phase::Update);
-    m_.memcpy_h2d_2d(d_cchk_,
-                     static_cast<std::int64_t>(off(j)) * (2 * nb_) + 2 * j,
-                     2 * nb_, m_.numeric() ? &h_panel_chk_(2 * j, 0) : nullptr,
-                     h_panel_chk_.ld(), 2 * (nb_ - j), jb, s_compute_);
+    step(
+        "h2d_panel_chk",
+        [&] {
+          std::vector<runtime::Footprint> fp{runtime::read(htile())};
+          for (int i = j; i < nb_; ++i)
+            fp.push_back(runtime::write(ctile(i, j)));
+          return fp;
+        },
+        [this, j, jb](const runtime::TaskContext& c) {
+          if (c.tiles.armed()) {
+            c.tiles.read(htile());
+            for (int i = j; i < nb_; ++i) c.tiles.write(ctile(i, j));
+          }
+          m_.memcpy_h2d_2d(
+              d_cchk_, static_cast<std::int64_t>(off(j)) * (2 * nb_) + 2 * j,
+              2 * nb_, m_.numeric() ? &h_panel_chk_(2 * j, 0) : nullptr,
+              h_panel_chk_.ld(), 2 * (nb_ - j), jb, c.stream);
+        },
+        update, s_compute_);
   }
-  const EventId e_panel = m_.record_event(s_compute_);
+  if (bulk()) e_panel = m_.record_event(s_compute_);
 
   if (right <= 0) return;
 
   // ---------------- TRSM: U row solve ---------------------------------
-  hook_storage(fault::Op::Trsm, j);
+  hook(fault::FaultType::Storage, fault::Op::Trsm, j);
   if (ft_) {
     // The diagonal block is always verified before its solve; the
     // targets follow the K interval.
-    std::vector<BlockId> in;
-    in.emplace_back(j, j);
+    std::vector<BlockId>& in = block_list(j, j);
     if (verify_this_iter) {
       for (int k = j + 1; k < nb_; ++k) in.emplace_back(j, k);
     } else {
       tel_.verify_skipped(fault::Op::Trsm,
                           static_cast<std::size_t>(nb_ - j - 1), j);
     }
-    verify_col_blocks(in, fault::Op::Trsm);
+    verify(in, fault::Op::Trsm);
   }
-  sim::gpublas::trsm(m_, s_compute_, Side::Left, Uplo::Lower, Trans::No,
-                     Diag::Unit, 1.0, data_block(j, j),
-                     data_region(off(j), off(j) + jb, jb, right));
-  hook_computing(fault::Op::Trsm, j);
-  // rchk(U') = L^{-1} rchk(A) on the checksum stream.
+  step(
+      "trsm",
+      [&] {
+        std::vector<runtime::Footprint> fp{runtime::read(dtile(j, j))};
+        for (int k = j + 1; k < nb_; ++k)
+          fp.push_back(runtime::rw(dtile(j, k)));
+        return fp;
+      },
+      [this, j, jb, right](const runtime::TaskContext& c) {
+        if (c.tiles.armed()) {
+          c.tiles.read(dtile(j, j));
+          for (int k = j + 1; k < nb_; ++k) c.tiles.rw(dtile(j, k));
+        }
+        sim::gpublas::trsm(m_, c.stream, Side::Left, Uplo::Lower, Trans::No,
+                           Diag::Unit, 1.0, data_block(j, j),
+                           data_region(off(j), off(j) + jb, jb, right));
+      },
+      base, s_compute_);
+  hook(fault::FaultType::Computing, fault::Op::Trsm, j);
   if (ft_) {
-    // Neutral gpublas name ("trsm"): the scope tags it Update.
-    const obs::PhaseScope chk_phase(tel_.profile(), obs::Phase::Update);
-    m_.stream_wait_event(s_chk_, e_panel);
-    sim::gpublas::trsm(m_, s_chk_, Side::Left, Uplo::Lower, Trans::No,
-                       Diag::Unit, 1.0, data_block(j, j),
-                       rchk_strip(off(j), jb, j + 1, nb_),
-                       KernelClass::Blas3Skinny);
+    // rchk(U') = L^{-1} rchk(A) on the checksum stream (a neutral
+    // gpublas name; the step's Update phase tags it).
+    if (bulk()) m_.stream_wait_event(s_chk_, e_panel);
+    step(
+        "chk_trsm",
+        [&] {
+          std::vector<runtime::Footprint> fp{runtime::read(dtile(j, j))};
+          for (int k = j + 1; k < nb_; ++k)
+            fp.push_back(runtime::rw(rtile(j, k)));
+          return fp;
+        },
+        [this, j, jb](const runtime::TaskContext& c) {
+          if (c.tiles.armed()) {
+            c.tiles.read(dtile(j, j));
+            for (int k = j + 1; k < nb_; ++k) c.tiles.rw(rtile(j, k));
+          }
+          sim::gpublas::trsm(m_, c.stream, Side::Left, Uplo::Lower,
+                             Trans::No, Diag::Unit, 1.0, data_block(j, j),
+                             rchk_strip(off(j), jb, j + 1, nb_),
+                             KernelClass::Blas3Skinny);
+        },
+        update, s_chk_);
   }
 
   // ---------------- GEMM: trailing update -----------------------------
-  hook_storage(fault::Op::Gemm, j);
+  hook(fault::FaultType::Storage, fault::Op::Gemm, j);
   if (ft_) {
     // The GEMM multipliers — the L panel and the U row — multiply the
     // data update and the checksum update *identically*, so corruption
@@ -586,7 +301,7 @@ void LuRun::iterate(int j) {
     // SYRK inputs. Only the update targets tolerate the K interval
     // (Opt 3): a struck target stays inconsistent with its stored
     // checksums and is caught by a later verification or the sweep.
-    std::vector<BlockId> col_in;
+    std::vector<BlockId>& col_in = block_list();
     for (int i = j + 1; i < nb_; ++i) col_in.emplace_back(i, j);  // L panel
     if (verify_this_iter) {
       for (int i = j + 1; i < nb_; ++i)
@@ -596,479 +311,96 @@ void LuRun::iterate(int j) {
       const std::size_t t = static_cast<std::size_t>(nb_ - j - 1);
       tel_.verify_skipped(fault::Op::Gemm, t * t, j);
     }
-    verify_col_blocks(col_in, fault::Op::Gemm);
-    std::vector<BlockId> row_in;
+    verify(col_in, fault::Op::Gemm);
+    std::vector<BlockId>& row_in = block_list();
     for (int k = j + 1; k < nb_; ++k) row_in.emplace_back(j, k);  // U row
-    verify_row_blocks(row_in, fault::Op::Gemm);
+    verify(row_in, fault::Op::Gemm, Sums::Row);
   }
-  sim::gpublas::gemm(m_, s_compute_, Trans::No, Trans::No, -1.0,
-                     data_region(off(j) + jb, off(j), right, jb),
-                     data_region(off(j), off(j) + jb, jb, right), 1.0,
-                     data_region(off(j) + jb, off(j) + jb, right, right));
-  hook_computing(fault::Op::Gemm, j);
-  if (ft_) {
-    const obs::PhaseScope chk_phase(tel_.profile(), obs::Phase::Update);
-    // cchk(B') = cchk(B) - cchk(L) U_row  (2(nb-j-1) x right GEMM)
-    sim::gpublas::gemm(m_, s_chk_, Trans::No, Trans::No, -1.0,
-                       cchk_strip(j + 1, nb_, off(j), jb),
-                       data_region(off(j), off(j) + jb, jb, right), 1.0,
-                       cchk_strip(j + 1, nb_, off(j) + jb, right),
-                       KernelClass::Blas3Skinny);
-    // rchk(B') = rchk(B) - L rchk(U_row)  (right x 2(nb-j-1) GEMM)
-    sim::gpublas::gemm(m_, s_chk_, Trans::No, Trans::No, -1.0,
-                       data_region(off(j) + jb, off(j), right, jb),
-                       rchk_strip(off(j), jb, j + 1, nb_), 1.0,
-                       rchk_strip(off(j) + jb, right, j + 1, nb_),
-                       KernelClass::Blas3Skinny);
-  }
-}
-
-void LuRun::final_sweep() {
-  cur_iter_ = -1;  // telemetry: the sweep belongs to no outer iteration
-  tel_.begin_iteration(-1);
-  // Right-looking LU never re-reads finished blocks, so storage errors
-  // striking them after their last use can only be caught here: one
-  // verification pass over the whole factor (column checksums for the
-  // L region and the diagonal, row checksums for the U region).
-  std::vector<BlockId> l_blocks;
-  std::vector<BlockId> u_blocks;
-  for (int k = 0; k < nb_; ++k) {
-    for (int i = 0; i < nb_; ++i) {
-      if (i >= k) {
-        l_blocks.emplace_back(i, k);
-      } else {
-        u_blocks.emplace_back(i, k);
-      }
-    }
-  }
-  verify_col_blocks(l_blocks, fault::Op::Potf2);
-  verify_row_blocks(u_blocks, fault::Op::Trsm);
-}
-
-// ----------------------------------------------------------------------
-// Task-graph (DAG) runtime path (docs/runtime.md)
-//
-// Same construction as the Cholesky driver: the graph is built in the
-// exact order the bulk path issues its machine operations, so the
-// executor's deterministic (priority, insertion) schedule replays bulk
-// program order and the numerics (and fault-hook firing points) are
-// bit-identical by design. Only virtual time changes: verify tasks
-// depend on their block's writers instead of fencing every stream, and
-// the final sweep over retired factor blocks overlaps the tail of the
-// factorization instead of running after it.
-// ----------------------------------------------------------------------
-
-std::vector<StreamId> LuRun::dag_streams() const {
-  std::vector<StreamId> streams{s_compute_};
-  if (ft_) {
-    streams.push_back(s_chk_);
-    streams.insert(streams.end(), s_recalc_.begin(), s_recalc_.end());
-  }
-  return streams;
-}
-
-void LuRun::dag_hook(runtime::TaskGraph& g, const char* name, int iter,
-                     std::function<void()> fn) {
-  // Fault hooks consume injector state at a fixed program point; an
-  // empty footprint keeps them out of the dependency structure while
-  // insertion order fixes *when* they fire.
-  if (injector_ == nullptr) return;
-  runtime::TaskOptions opts;
-  opts.phase = obs::Phase::Base;
-  opts.iteration = iter;
-  opts.where = runtime::Where::Inline;
-  g.add_task(name, {},
-             [fn = std::move(fn)](const runtime::TaskContext&) { fn(); },
-             opts);
-}
-
-void LuRun::dag_col_verify(runtime::TaskGraph& g, int bi, int bk,
-                           fault::Op attr, int iter) {
-  if (!ft_) return;
-  switch (attr) {
-    case fault::Op::Potf2: result_.verified.potf2_blocks += 1; break;
-    case fault::Op::Trsm: result_.verified.trsm_blocks += 1; break;
-    case fault::Op::Syrk: result_.verified.syrk_blocks += 1; break;
-    case fault::Op::Gemm: result_.verified.gemm_blocks += 1; break;
-  }
-  tel_.verify_scheduled(attr, 1);
-  const std::int64_t nslots = scratch_capacity_ / (2 * b_);
-  const int slot = static_cast<int>(dag_slot_++ % nslots);
-  const std::int64_t pos = static_cast<std::int64_t>(slot) * 2 * b_;
-  runtime::TaskOptions opts;
-  opts.phase = obs::Phase::Verify;
-  opts.iteration = iter;
-  // Corrections through the column side re-derive the row checksums,
-  // so both checksum tiles are read-write.
-  g.add_task(
-      "verify_c",
-      {runtime::rw(dtile(bi, bk)), runtime::rw(cctile(bi, bk)),
-       runtime::rw(rctile(bi, bk)), runtime::write(stile(slot))},
-      [this, bi, bk, attr, pos, slot, iter](const runtime::TaskContext& c) {
-        c.tiles.rw(dtile(bi, bk));
-        c.tiles.rw(cctile(bi, bk));
-        c.tiles.rw(rctile(bi, bk));
-        c.tiles.write(stile(slot));
-        issue_col_verify(c.stream, bi, bk, attr, pos, iter);
+  step(
+      "gemm",
+      [&] {
+        std::vector<runtime::Footprint> fp;
+        for (int i = j + 1; i < nb_; ++i)
+          fp.push_back(runtime::read(dtile(i, j)));
+        for (int k = j + 1; k < nb_; ++k)
+          fp.push_back(runtime::read(dtile(j, k)));
+        for (int i = j + 1; i < nb_; ++i)
+          for (int k = j + 1; k < nb_; ++k)
+            fp.push_back(runtime::rw(dtile(i, k)));
+        return fp;
       },
-      opts);
-}
-
-void LuRun::dag_row_verify(runtime::TaskGraph& g, int bi, int bk,
-                           fault::Op attr, int iter) {
-  if (!ft_) return;
-  switch (attr) {
-    case fault::Op::Potf2: result_.verified.potf2_blocks += 1; break;
-    case fault::Op::Trsm: result_.verified.trsm_blocks += 1; break;
-    case fault::Op::Syrk: result_.verified.syrk_blocks += 1; break;
-    case fault::Op::Gemm: result_.verified.gemm_blocks += 1; break;
-  }
-  tel_.verify_scheduled(attr, 1);
-  const std::int64_t nslots = scratch_capacity_ / (2 * b_);
-  const int slot = static_cast<int>(dag_slot_++ % nslots);
-  const std::int64_t pos = static_cast<std::int64_t>(slot) * 2 * b_;
-  runtime::TaskOptions opts;
-  opts.phase = obs::Phase::Verify;
-  opts.iteration = iter;
-  g.add_task(
-      "verify_r",
-      {runtime::rw(dtile(bi, bk)), runtime::rw(cctile(bi, bk)),
-       runtime::rw(rctile(bi, bk)), runtime::write(stile(slot))},
-      [this, bi, bk, attr, pos, slot, iter](const runtime::TaskContext& c) {
-        c.tiles.rw(dtile(bi, bk));
-        c.tiles.rw(cctile(bi, bk));
-        c.tiles.rw(rctile(bi, bk));
-        c.tiles.write(stile(slot));
-        issue_row_verify(c.stream, bi, bk, attr, pos, iter);
+      [this, j, jb, right](const runtime::TaskContext& c) {
+        if (c.tiles.armed()) {
+          for (int i = j + 1; i < nb_; ++i) c.tiles.read(dtile(i, j));
+          for (int k = j + 1; k < nb_; ++k) c.tiles.read(dtile(j, k));
+          for (int i = j + 1; i < nb_; ++i)
+            for (int k = j + 1; k < nb_; ++k) c.tiles.rw(dtile(i, k));
+        }
+        sim::gpublas::gemm(
+            m_, c.stream, Trans::No, Trans::No, -1.0,
+            data_region(off(j) + jb, off(j), right, jb),
+            data_region(off(j), off(j) + jb, jb, right), 1.0,
+            data_region(off(j) + jb, off(j) + jb, right, right));
       },
-      opts);
-}
-
-void LuRun::dag_encode(runtime::TaskGraph& g) {
-  runtime::TaskOptions opts;
-  opts.phase = obs::Phase::Encode;
-  for (int k = 0; k < nb_; ++k) {
-    for (int i = 0; i < nb_; ++i) {
-      const DMat blk = data_block(i, k);
-      const DMat cchk = cchk_block(i, k);
-      const DMat rchk = rchk_block(i, k);
-      g.add_task("encode",
-                 {runtime::read(dtile(i, k)), runtime::write(cctile(i, k)),
-                  runtime::write(rctile(i, k))},
-                 [this, blk, cchk, rchk, i, k](const runtime::TaskContext& c) {
-                   c.tiles.read(dtile(i, k));
-                   c.tiles.write(cctile(i, k));
-                   c.tiles.write(rctile(i, k));
-                   KernelDesc dc{"encode_c", KernelClass::Blas2,
-                                 blas::gemv_flops(blk.rows, blk.cols) * 2, 0};
-                   m_.launch(c.stream, dc, [blk, cchk] {
-                     encode_block(ConstMatrixView<double>(blk.view()),
-                                  cchk.view());
-                   });
-                   KernelDesc dr{"encode_r", KernelClass::Blas2,
-                                 blas::gemv_flops(blk.rows, blk.cols) * 2, 0};
-                   m_.launch(c.stream, dr, [blk, rchk] {
-                     encode_block_rows(ConstMatrixView<double>(blk.view()),
-                                       rchk.view());
-                   });
-                 },
-                 opts);
-    }
-  }
-}
-
-void LuRun::dag_iteration(runtime::TaskGraph& g, int j) {
-  const int jb = bs(j);
-  const int below = n_ - off(j);       // panel height (incl. diagonal)
-  const int right = n_ - off(j) - jb;  // trailing width
-  const bool verify_this_iter = (j % opt_.verify_interval) == 0;
-
-  runtime::TaskOptions base;
-  base.phase = obs::Phase::Base;
-  base.iteration = j;
-  runtime::TaskOptions update = base;
-  update.phase = obs::Phase::Update;
-  runtime::TaskOptions host = base;
-  host.phase = obs::Phase::Base;
-  host.where = runtime::Where::Host;
-
-  // ---------------- panel: fetch, factor on host, re-encode ----------
-  dag_hook(g, "hook_storage_potf2", j,
-           [this, j] { hook_storage(fault::Op::Potf2, j); });
-  if (ft_) {
-    // Panel inputs are always verified (see the bulk path).
-    for (int i = j; i < nb_; ++i)
-      dag_col_verify(g, i, j, fault::Op::Potf2, j);
-  }
-  {
-    std::vector<runtime::Footprint> fp;
-    for (int i = j; i < nb_; ++i) fp.push_back(runtime::read(dtile(i, j)));
-    fp.push_back(runtime::write(htile()));
-    g.add_task("d2h_panel", std::move(fp),
-               [this, j, jb, below](const runtime::TaskContext& c) {
-                 for (int i = j; i < nb_; ++i) c.tiles.read(dtile(i, j));
-                 c.tiles.write(htile());
-                 m_.memcpy_d2h_2d(
-                     m_.numeric() ? h_panel_.data() : nullptr, n_, d_a_,
-                     static_cast<std::int64_t>(off(j)) * n_ + off(j), n_,
-                     below, jb, c.stream);
-               },
-               base);
-  }
-  g.add_task("getf2", {runtime::rw(htile())},
-             [this, below, jb](const runtime::TaskContext& c) {
-               c.tiles.rw(htile());
-               KernelDesc d{"getf2", KernelClass::HostPotf2,
-                            static_cast<std::int64_t>(below) * jb * jb, 0};
-               m_.host_compute(d, [this, below, jb] {
-                 blas::getf2_nopiv(h_panel_.block(0, 0, below, jb));
-               });
-             },
-             host);
-  if (ft_) {
-    g.add_task("encode_panel", {runtime::rw(htile())},
-               [this, j, below, jb](const runtime::TaskContext& c) {
-                 c.tiles.rw(htile());
-                 KernelDesc d{"encode_panel", KernelClass::HostChecksum,
-                              4LL * below * jb, 0};
-                 m_.host_compute(d, [this, j, jb] {
-                   for (int i = j; i < nb_; ++i) {
-                     encode_block(
-                         ConstMatrixView<double>(
-                             h_panel_.block(off(i) - off(j), 0, bs(i), jb)),
-                         h_panel_chk_.block(2 * i, 0, kChecksumRows, jb));
-                   }
-                 });
-               },
-               host);
-  }
-  {
-    std::vector<runtime::Footprint> fp{runtime::read(htile())};
-    for (int i = j; i < nb_; ++i) fp.push_back(runtime::write(dtile(i, j)));
-    g.add_task("h2d_panel", std::move(fp),
-               [this, j, jb, below](const runtime::TaskContext& c) {
-                 c.tiles.read(htile());
-                 for (int i = j; i < nb_; ++i) c.tiles.write(dtile(i, j));
-                 m_.memcpy_h2d_2d(
-                     d_a_, static_cast<std::int64_t>(off(j)) * n_ + off(j),
-                     n_, m_.numeric() ? h_panel_.data() : nullptr, n_, below,
-                     jb, c.stream);
-               },
-               base);
-  }
-  dag_hook(g, "hook_computing_potf2", j,
-           [this, j] { hook_computing(fault::Op::Potf2, j); });
-  if (ft_) {
-    std::vector<runtime::Footprint> fp{runtime::read(htile())};
-    for (int i = j; i < nb_; ++i) fp.push_back(runtime::write(cctile(i, j)));
-    g.add_task("h2d_panel_chk", std::move(fp),
-               [this, j, jb](const runtime::TaskContext& c) {
-                 c.tiles.read(htile());
-                 for (int i = j; i < nb_; ++i) c.tiles.write(cctile(i, j));
-                 m_.memcpy_h2d_2d(
-                     d_cchk_,
-                     static_cast<std::int64_t>(off(j)) * (2 * nb_) + 2 * j,
-                     2 * nb_,
-                     m_.numeric() ? &h_panel_chk_(2 * j, 0) : nullptr,
-                     h_panel_chk_.ld(), 2 * (nb_ - j), jb, c.stream);
-               },
-               update);
-  }
-
-  if (right <= 0) return;
-
-  // ---------------- TRSM: U row solve ---------------------------------
-  dag_hook(g, "hook_storage_trsm", j,
-           [this, j] { hook_storage(fault::Op::Trsm, j); });
-  if (ft_) {
-    dag_col_verify(g, j, j, fault::Op::Trsm, j);
-    if (verify_this_iter) {
-      for (int k = j + 1; k < nb_; ++k)
-        dag_col_verify(g, j, k, fault::Op::Trsm, j);
-    } else {
-      tel_.verify_skipped(fault::Op::Trsm,
-                          static_cast<std::size_t>(nb_ - j - 1), j);
-    }
-  }
-  {
-    std::vector<runtime::Footprint> fp{runtime::read(dtile(j, j))};
-    for (int k = j + 1; k < nb_; ++k) fp.push_back(runtime::rw(dtile(j, k)));
-    g.add_task("trsm", std::move(fp),
-               [this, j, jb, right](const runtime::TaskContext& c) {
-                 c.tiles.read(dtile(j, j));
-                 for (int k = j + 1; k < nb_; ++k) c.tiles.rw(dtile(j, k));
-                 sim::gpublas::trsm(
-                     m_, c.stream, Side::Left, Uplo::Lower, Trans::No,
-                     Diag::Unit, 1.0, data_block(j, j),
-                     data_region(off(j), off(j) + jb, jb, right));
-               },
-               base);
-  }
-  dag_hook(g, "hook_computing_trsm", j,
-           [this, j] { hook_computing(fault::Op::Trsm, j); });
-  if (ft_) {
-    // rchk(U') = L^{-1} rchk(A).
-    std::vector<runtime::Footprint> fp{runtime::read(dtile(j, j))};
-    for (int k = j + 1; k < nb_; ++k)
-      fp.push_back(runtime::rw(rctile(j, k)));
-    g.add_task("chk_trsm", std::move(fp),
-               [this, j, jb](const runtime::TaskContext& c) {
-                 c.tiles.read(dtile(j, j));
-                 for (int k = j + 1; k < nb_; ++k) c.tiles.rw(rctile(j, k));
-                 sim::gpublas::trsm(m_, c.stream, Side::Left, Uplo::Lower,
-                                    Trans::No, Diag::Unit, 1.0,
-                                    data_block(j, j),
-                                    rchk_strip(off(j), jb, j + 1, nb_),
-                                    KernelClass::Blas3Skinny);
-               },
-               update);
-  }
-
-  // ---------------- GEMM: trailing update -----------------------------
-  dag_hook(g, "hook_storage_gemm", j,
-           [this, j] { hook_storage(fault::Op::Gemm, j); });
-  if (ft_) {
-    // Multipliers (L panel, U row) are always verified; the trailing
-    // targets obey the K interval — see the bulk path's rationale.
-    if (!verify_this_iter) {
-      const std::size_t t = static_cast<std::size_t>(nb_ - j - 1);
-      tel_.verify_skipped(fault::Op::Gemm, t * t, j);
-    }
-    for (int i = j + 1; i < nb_; ++i)
-      dag_col_verify(g, i, j, fault::Op::Gemm, j);  // L panel
-    if (verify_this_iter) {
-      for (int i = j + 1; i < nb_; ++i)
+      base, s_compute_);
+  hook(fault::FaultType::Computing, fault::Op::Gemm, j);
+  if (!ft_) return;
+  // cchk(B') = cchk(B) - cchk(L) U_row  (2(nb-j-1) x right GEMM)
+  step(
+      "chk_gemm_c",
+      [&] {
+        std::vector<runtime::Footprint> fp;
+        for (int i = j + 1; i < nb_; ++i)
+          fp.push_back(runtime::read(ctile(i, j)));
         for (int k = j + 1; k < nb_; ++k)
-          dag_col_verify(g, i, k, fault::Op::Gemm, j);
-    }
-    for (int k = j + 1; k < nb_; ++k)
-      dag_row_verify(g, j, k, fault::Op::Gemm, j);  // U row
-  }
-  {
-    std::vector<runtime::Footprint> fp;
-    for (int i = j + 1; i < nb_; ++i)
-      fp.push_back(runtime::read(dtile(i, j)));
-    for (int k = j + 1; k < nb_; ++k)
-      fp.push_back(runtime::read(dtile(j, k)));
-    for (int i = j + 1; i < nb_; ++i)
-      for (int k = j + 1; k < nb_; ++k)
-        fp.push_back(runtime::rw(dtile(i, k)));
-    g.add_task("gemm", std::move(fp),
-               [this, j, jb, right](const runtime::TaskContext& c) {
-                 for (int i = j + 1; i < nb_; ++i) c.tiles.read(dtile(i, j));
-                 for (int k = j + 1; k < nb_; ++k) c.tiles.read(dtile(j, k));
-                 for (int i = j + 1; i < nb_; ++i)
-                   for (int k = j + 1; k < nb_; ++k) c.tiles.rw(dtile(i, k));
-                 sim::gpublas::gemm(
-                     m_, c.stream, Trans::No, Trans::No, -1.0,
-                     data_region(off(j) + jb, off(j), right, jb),
-                     data_region(off(j), off(j) + jb, jb, right), 1.0,
-                     data_region(off(j) + jb, off(j) + jb, right, right));
-               },
-               base);
-  }
-  dag_hook(g, "hook_computing_gemm", j,
-           [this, j] { hook_computing(fault::Op::Gemm, j); });
-  if (ft_) {
-    {
-      // cchk(B') = cchk(B) - cchk(L) U_row
-      std::vector<runtime::Footprint> fp;
-      for (int i = j + 1; i < nb_; ++i)
-        fp.push_back(runtime::read(cctile(i, j)));
-      for (int k = j + 1; k < nb_; ++k)
-        fp.push_back(runtime::read(dtile(j, k)));
-      for (int i = j + 1; i < nb_; ++i)
+          fp.push_back(runtime::read(dtile(j, k)));
+        for (int i = j + 1; i < nb_; ++i)
+          for (int k = j + 1; k < nb_; ++k)
+            fp.push_back(runtime::rw(ctile(i, k)));
+        return fp;
+      },
+      [this, j, jb, right](const runtime::TaskContext& c) {
+        if (c.tiles.armed()) {
+          for (int i = j + 1; i < nb_; ++i) c.tiles.read(ctile(i, j));
+          for (int k = j + 1; k < nb_; ++k) c.tiles.read(dtile(j, k));
+          for (int i = j + 1; i < nb_; ++i)
+            for (int k = j + 1; k < nb_; ++k) c.tiles.rw(ctile(i, k));
+        }
+        sim::gpublas::gemm(m_, c.stream, Trans::No, Trans::No, -1.0,
+                           cchk_strip(j + 1, nb_, off(j), jb),
+                           data_region(off(j), off(j) + jb, jb, right), 1.0,
+                           cchk_strip(j + 1, nb_, off(j) + jb, right),
+                           KernelClass::Blas3Skinny);
+      },
+      update, s_chk_);
+  // rchk(B') = rchk(B) - L rchk(U_row)  (right x 2(nb-j-1) GEMM)
+  step(
+      "chk_gemm_r",
+      [&] {
+        std::vector<runtime::Footprint> fp;
+        for (int i = j + 1; i < nb_; ++i)
+          fp.push_back(runtime::read(dtile(i, j)));
         for (int k = j + 1; k < nb_; ++k)
-          fp.push_back(runtime::rw(cctile(i, k)));
-      g.add_task("chk_gemm_c", std::move(fp),
-                 [this, j, jb, right](const runtime::TaskContext& c) {
-                   for (int i = j + 1; i < nb_; ++i)
-                     c.tiles.read(cctile(i, j));
-                   for (int k = j + 1; k < nb_; ++k)
-                     c.tiles.read(dtile(j, k));
-                   for (int i = j + 1; i < nb_; ++i)
-                     for (int k = j + 1; k < nb_; ++k)
-                       c.tiles.rw(cctile(i, k));
-                   sim::gpublas::gemm(
-                       m_, c.stream, Trans::No, Trans::No, -1.0,
-                       cchk_strip(j + 1, nb_, off(j), jb),
-                       data_region(off(j), off(j) + jb, jb, right), 1.0,
-                       cchk_strip(j + 1, nb_, off(j) + jb, right),
-                       KernelClass::Blas3Skinny);
-                 },
-                 update);
-    }
-    {
-      // rchk(B') = rchk(B) - L rchk(U_row)
-      std::vector<runtime::Footprint> fp;
-      for (int i = j + 1; i < nb_; ++i)
-        fp.push_back(runtime::read(dtile(i, j)));
-      for (int k = j + 1; k < nb_; ++k)
-        fp.push_back(runtime::read(rctile(j, k)));
-      for (int i = j + 1; i < nb_; ++i)
-        for (int k = j + 1; k < nb_; ++k)
-          fp.push_back(runtime::rw(rctile(i, k)));
-      g.add_task("chk_gemm_r", std::move(fp),
-                 [this, j, jb, right](const runtime::TaskContext& c) {
-                   for (int i = j + 1; i < nb_; ++i)
-                     c.tiles.read(dtile(i, j));
-                   for (int k = j + 1; k < nb_; ++k)
-                     c.tiles.read(rctile(j, k));
-                   for (int i = j + 1; i < nb_; ++i)
-                     for (int k = j + 1; k < nb_; ++k)
-                       c.tiles.rw(rctile(i, k));
-                   sim::gpublas::gemm(
-                       m_, c.stream, Trans::No, Trans::No, -1.0,
-                       data_region(off(j) + jb, off(j), right, jb),
-                       rchk_strip(off(j), jb, j + 1, nb_), 1.0,
-                       rchk_strip(off(j) + jb, right, j + 1, nb_),
-                       KernelClass::Blas3Skinny);
-                 },
-                 update);
-    }
-  }
-}
-
-void LuRun::dag_sweep(runtime::TaskGraph& g) {
-  // End sweep over the finished factor (see final_sweep). Each verify
-  // depends only on its block's last writer, so retired columns are
-  // swept while the factorization tail still runs.
-  for (int k = 0; k < nb_; ++k)
-    for (int i = k; i < nb_; ++i)
-      dag_col_verify(g, i, k, fault::Op::Potf2, -1);
-  for (int k = 0; k < nb_; ++k)
-    for (int i = 0; i < k; ++i)
-      dag_row_verify(g, i, k, fault::Op::Trsm, -1);
-}
-
-void LuRun::run_once_dag() {
-  dag_slot_ = 0;
-  runtime::TaskGraph g;
-  if (ft_) dag_encode(g);
-  for (int j = 0; j < nb_; ++j) {
-    cur_iter_ = j;
-    dag_iteration(g, j);
-  }
-  if (ft_) {
-    cur_iter_ = -1;
-    dag_sweep(g);
-  }
-  // Opt-in dynamic footprint sanitizer (docs/static-analysis.md).
-  runtime::AccessTracker tracker;
-  const bool sanitize = runtime::sanitize_env_enabled();
-  if (sanitize) g.set_access_tracker(&tracker);
-  // Same transfer-fault arming as the bulk path.
-  sim::TransferArmGuard arm(m_, /*h2d=*/true, /*d2h=*/false);
-  runtime::StreamRunOptions ropts;
-  ropts.streams = dag_streams();
-  ropts.profile = tel_.profile();
-  ropts.metrics = opt_.metrics;
-  ropts.schedule_seed = opt_.dag_schedule_seed;
-  runtime::run_on_streams(g, m_, ropts);
-  m_.sync_all();
-  if (sanitize && !tracker.clean()) {
-    throw Error("lu DAG failed footprint sanitizing\n" + tracker.report(g));
-  }
+          fp.push_back(runtime::read(rtile(j, k)));
+        for (int i = j + 1; i < nb_; ++i)
+          for (int k = j + 1; k < nb_; ++k)
+            fp.push_back(runtime::rw(rtile(i, k)));
+        return fp;
+      },
+      [this, j, jb, right](const runtime::TaskContext& c) {
+        if (c.tiles.armed()) {
+          for (int i = j + 1; i < nb_; ++i) c.tiles.read(dtile(i, j));
+          for (int k = j + 1; k < nb_; ++k) c.tiles.read(rtile(j, k));
+          for (int i = j + 1; i < nb_; ++i)
+            for (int k = j + 1; k < nb_; ++k) c.tiles.rw(rtile(i, k));
+        }
+        sim::gpublas::gemm(m_, c.stream, Trans::No, Trans::No, -1.0,
+                           data_region(off(j) + jb, off(j), right, jb),
+                           rchk_strip(off(j), jb, j + 1, nb_), 1.0,
+                           rchk_strip(off(j) + jb, right, j + 1, nb_),
+                           KernelClass::Blas3Skinny);
+      },
+      update, s_chk_);
 }
 
 }  // namespace

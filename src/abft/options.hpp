@@ -1,5 +1,5 @@
-// Public configuration and result types for the fault-tolerant Cholesky
-// drivers.
+// Public configuration and result types for the fault-tolerant
+// factorization drivers.
 #pragma once
 
 #include <cstdint>
@@ -96,7 +96,9 @@ struct PanelCheckpoint {
   }
 };
 
-struct CholeskyOptions {
+/// The options every factorization driver takes (Cholesky, LU, QR).
+struct DriverOptions {
+  /// Fault-tolerance scheme. LU and QR implement NoFt and EnhancedOnline.
   Variant variant = Variant::EnhancedOnline;
 
   /// Block size B; 0 selects the machine profile's MAGMA default.
@@ -113,9 +115,6 @@ struct CholeskyOptions {
   /// Number of recalc streams; 0 = the device concurrent-kernel limit.
   int recalc_streams = 0;
 
-  /// Opt 2: placement of checksum updating.
-  UpdatePlacement placement = UpdatePlacement::Auto;
-
   /// Detection tolerance used by every verification.
   Tolerance tolerance{};
 
@@ -131,23 +130,6 @@ struct CholeskyOptions {
   /// TaskGraph::random_schedule. The schedule-permutation fuzzer's
   /// knob — numerics are bit-identical for every seed.
   std::uint64_t dag_schedule_seed = 0;
-
-  /// Recovery strategy on unrecoverable corruption.
-  Recovery recovery = Recovery::Rerun;
-  /// Iterations between device snapshots (Recovery::Checkpoint).
-  int checkpoint_interval = 8;
-  /// Rollback budget before escalating to a full rerun.
-  int max_rollbacks = 8;
-
-  /// Transfer-fault hardening (fault campaigns; off by default so the
-  /// verification counts of the paper's Table I are unchanged). Adds
-  /// two verifications per run path that close the PCIe windows the
-  /// in-loop scheme cannot see: an arrival check of the diagonal block
-  /// (and its checksum rows) on the host after the D2H staging copy and
-  /// before POTF2 consumes it, and — on the last block column, where no
-  /// TRSM re-reads the factor block — one device-side verification
-  /// after the factor's return H2D copy.
-  bool transfer_guard = false;
 
   /// Observability hooks (optional, not owned). When set, the driver
   /// emits structured telemetry events (verifications, detections,
@@ -168,6 +150,28 @@ struct CholeskyOptions {
   /// virtual time into it (docs/observability.md, "Analytics &
   /// postmortems").
   obs::TimeSeriesStore* timeseries = nullptr;
+};
+
+struct CholeskyOptions : DriverOptions {
+  /// Opt 2: placement of checksum updating.
+  UpdatePlacement placement = UpdatePlacement::Auto;
+
+  /// Recovery strategy on unrecoverable corruption.
+  Recovery recovery = Recovery::Rerun;
+  /// Iterations between device snapshots (Recovery::Checkpoint).
+  int checkpoint_interval = 8;
+  /// Rollback budget before escalating to a full rerun.
+  int max_rollbacks = 8;
+
+  /// Transfer-fault hardening (fault campaigns; off by default so the
+  /// verification counts of the paper's Table I are unchanged). Adds
+  /// two verifications per run path that close the PCIe windows the
+  /// in-loop scheme cannot see: an arrival check of the diagonal block
+  /// (and its checksum rows) on the host after the D2H staging copy and
+  /// before POTF2 consumes it, and — on the last block column, where no
+  /// TRSM re-reads the factor block — one device-side verification
+  /// after the factor's return H2D copy.
+  bool transfer_guard = false;
 
   /// Causal-trace store + context (optional, not owned). With both set,
   /// the driver records a "factorize" span under trace_ctx.span_id,

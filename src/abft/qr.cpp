@@ -1,19 +1,12 @@
 #include "abft/qr.hpp"
 
-#include "abft/telemetry.hpp"
-
 #include <algorithm>
-#include <cmath>
-#include <functional>
-#include <utility>
 #include <vector>
 
+#include "abft/driver.hpp"
 #include "blas/qr.hpp"
 #include "blas/types.hpp"
 #include "common/error.hpp"
-#include "common/fp.hpp"
-#include "runtime/executor.hpp"
-#include "runtime/sanitizer.hpp"
 #include "sim/device_matrix.hpp"
 #include "sim/machine.hpp"
 
@@ -25,180 +18,41 @@ using sim::EventId;
 using sim::KernelClass;
 using sim::KernelDesc;
 using sim::Machine;
-using sim::StreamId;
 
 namespace {
 
-using BlockId = std::pair<int, int>;
+constexpr SumNames kQrRows{"encode_r", "recalc_r", "verify_r"};
 
-class QrRun {
+class QrRun final : public Driver {
  public:
   QrRun(Machine& m, Matrix<double>* a, std::vector<double>* tau, int n,
         const QrOptions& opt, fault::Injector* injector)
-      : m_(m), a_(a), tau_(tau), n_(n), opt_(opt), injector_(injector),
-        tel_(m, opt.event_sink, opt.metrics, injector, opt.profile,
-             opt.timeseries) {
-    FTLA_CHECK(n_ > 0);
+      : Driver(m, a, n, opt, injector, "qr", 4.0, nullptr, &kQrRows),
+        tau_(tau) {
     FTLA_CHECK_MSG(opt_.variant == Variant::NoFt ||
                        opt_.variant == Variant::EnhancedOnline,
                    "the QR extension implements NoFt and EnhancedOnline");
     if (m_.numeric()) {
-      FTLA_CHECK(a_ != nullptr && a_->rows() == n_ && a_->cols() == n_);
       FTLA_CHECK(tau_ != nullptr);
       tau_->assign(static_cast<std::size_t>(n_), 0.0);
     }
-    FTLA_CHECK(injector_ == nullptr || m_.numeric());
-    b_ = opt_.block_size > 0 ? opt_.block_size
-                             : m_.profile().magma_block_size;
-    nb_ = (n_ + b_ - 1) / b_;
-    ft_ = opt_.variant == Variant::EnhancedOnline;
   }
-
-  CholeskyResult execute();
 
  private:
-  [[nodiscard]] int bs(int i) const { return std::min(b_, n_ - i * b_); }
-  [[nodiscard]] int off(int i) const { return i * b_; }
+  void allocate() override;
+  void run_once() override;
+  void download() override;
+  [[nodiscard]] BlockId fault_target(const fault::FaultSpec& spec,
+                                     int j) const override;
+  void iteration(int j);
 
-  [[nodiscard]] DMat data_region(int row, int col, int rows, int cols) {
-    return DMat{&d_a_, static_cast<std::int64_t>(col) * n_ + row, rows, cols,
-                n_};
-  }
-  [[nodiscard]] DMat data_block(int i, int k) {
-    return data_region(off(i), off(k), bs(i), bs(k));
-  }
-  [[nodiscard]] DMat rchk_block(int i, int k) {
-    return DMat{&d_rchk_, static_cast<std::int64_t>(2 * k) * n_ + off(i),
-                bs(i), kChecksumRows, n_};
-  }
-  [[nodiscard]] DMat rchk_strip(int row, int rows, int k0, int k1) {
-    return DMat{&d_rchk_, static_cast<std::int64_t>(2 * k0) * n_ + row, rows,
-                2 * (k1 - k0), n_};
-  }
-
-  void allocate();
-  void upload();
-  void encode();
-  void run_once();
-  void iterate(int j);
-  void final_sweep();
-  void verify_row_blocks(const std::vector<BlockId>& blocks, fault::Op attr);
-  /// Recalc + compare launches for one block on one stream. Shared by
-  /// the bulk batches and the DAG verify tasks so both runtimes issue
-  /// identical kernels.
-  void issue_row_verify(StreamId s, int bi, int bk, fault::Op attr,
-                        std::int64_t pos, int iter);
-  void absorb(const VerifyOutcome& out);
-  void hook_storage(fault::Op op, int j);
-  void hook_computing(fault::Op op, int j);
-
-  // ---- task-graph (DAG) runtime path (docs/runtime.md) ----
-  [[nodiscard]] bool use_dag() const {
-    return opt_.runtime == RuntimeMode::Dag;
-  }
-  void run_once_dag();
-  void dag_encode(runtime::TaskGraph& g);
-  void dag_iteration(runtime::TaskGraph& g, int j);
-  void dag_sweep(runtime::TaskGraph& g);
-  void dag_verify(runtime::TaskGraph& g, int bi, int bk, fault::Op attr,
-                  int iter);
-  void dag_hook(runtime::TaskGraph& g, const char* name, int iter,
-                std::function<void()> fn);
-  [[nodiscard]] std::vector<StreamId> dag_streams() const;
-
-  /// Tile namespaces for dependency inference: data blocks, row
-  /// checksums, the device T factor, host staging, scratch slots.
-  enum TileSpace : int {
-    kTileData = 0,
-    kTileRchk,
-    kTileT,
-    kTileHost,
-    kTileScratch
-  };
-  [[nodiscard]] static runtime::TileKey dtile(int i, int k) {
-    return {kTileData, i, k};
-  }
-  [[nodiscard]] static runtime::TileKey rctile(int i, int k) {
-    return {kTileRchk, i, k};
-  }
-  [[nodiscard]] static runtime::TileKey ttile() { return {kTileT, 0, 0}; }
-  [[nodiscard]] static runtime::TileKey htile() { return {kTileHost, 0, 0}; }
-  [[nodiscard]] static runtime::TileKey stile(int slot) {
-    return {kTileScratch, slot, 0};
-  }
-  std::int64_t dag_slot_ = 0;  ///< round-robin scratch-slot cursor
-
-  Machine& m_;
-  Matrix<double>* a_;
   std::vector<double>* tau_;
-  int n_;
-  QrOptions opt_;
-  fault::Injector* injector_;
-  Telemetry tel_;
-  int cur_iter_ = -1;  ///< telemetry iteration; -1 outside the j-loop
-
-  int b_ = 0;
-  int nb_ = 0;
-  bool ft_ = false;
-
-  DeviceBuffer d_a_;
-  DeviceBuffer d_rchk_;  // row checksums, n x 2nb
-  DeviceBuffer d_t_;     // the block reflector factor T (b x b)
-  DeviceBuffer d_scratch_;
-  std::int64_t scratch_capacity_ = 0;
-
-  Matrix<double> pristine_;
+  DeviceBuffer d_t_;            // the block reflector factor T (b x b)
   Matrix<double> h_panel_;      // host panel (n x b)
   Matrix<double> h_t_;          // host T (b x b)
   Matrix<double> h_panel_chk_;  // re-encoded panel row checksums (n x 2)
   std::vector<double> h_tau_;
-
-  StreamId s_compute_ = 0;
-  StreamId s_chk_ = 0;
-  std::vector<StreamId> s_recalc_;
-
-  CholeskyResult result_;
 };
-
-CholeskyResult QrRun::execute() {
-  allocate();
-  upload();
-  m_.sync_all();
-  const double t0 = m_.host_now();
-
-  bool done = false;
-  while (!done) {
-    try {
-      run_once();
-      done = true;
-      result_.success = true;
-    } catch (const Error& e) {
-      if (!ft_ || result_.reruns >= opt_.max_reruns) {
-        result_.note = e.what();
-        done = true;
-      } else {
-        ++result_.reruns;
-        tel_.rerun(result_.reruns, e.what());
-        const obs::PhaseScope recover(tel_.profile(), obs::Phase::Recover);
-        upload();
-      }
-    }
-  }
-
-  m_.sync_all();
-  result_.seconds = m_.host_now() - t0;
-  // Householder QR (Q not formed): 4n^3/3 flops.
-  const double flops = 4.0 * n_ * static_cast<double>(n_) * n_ / 3.0;
-  result_.gflops =
-      result_.seconds > 0.0 ? flops / result_.seconds / 1e9 : 0.0;
-
-  if (result_.success && m_.numeric()) {
-    m_.memcpy_d2h(a_->data(), d_a_, 0, static_cast<std::int64_t>(n_) * n_,
-                  s_compute_, /*blocking=*/true);
-    *tau_ = h_tau_;
-  }
-  return result_;
-}
 
 void QrRun::allocate() {
   d_a_ = m_.alloc(static_cast<std::int64_t>(n_) * n_);
@@ -214,393 +68,60 @@ void QrRun::allocate() {
   h_t_ = Matrix<double>(b_, b_);
   h_tau_.assign(static_cast<std::size_t>(n_), 0.0);
   if (m_.numeric()) pristine_ = *a_;
-
-  s_compute_ = m_.default_stream();
-  if (ft_) {
-    s_chk_ = m_.create_stream();
-    int streams = opt_.recalc_streams > 0
-                      ? opt_.recalc_streams
-                      : m_.profile().max_concurrent_kernels;
-    if (!opt_.concurrent_recalc) streams = 1;
-    for (int i = 0; i < streams; ++i) s_recalc_.push_back(m_.create_stream());
-  }
-}
-
-void QrRun::upload() {
-  m_.memcpy_h2d(d_a_, 0, m_.numeric() ? pristine_.data() : nullptr,
-                static_cast<std::int64_t>(n_) * n_, s_compute_,
-                /*blocking=*/true);
-}
-
-void QrRun::encode() {
-  if (!ft_) return;
-  const obs::PhaseScope phase(tel_.profile(), obs::Phase::Encode);
-  const EventId e_up = m_.record_event(s_compute_);
-  for (StreamId s : s_recalc_) m_.stream_wait_event(s, e_up);
-  int q = 0;
-  for (int k = 0; k < nb_; ++k) {
-    for (int i = 0; i < nb_; ++i) {
-      const StreamId s = s_recalc_[q++ % s_recalc_.size()];
-      const DMat blk = data_block(i, k);
-      const DMat chk = rchk_block(i, k);
-      KernelDesc d{"encode_r", KernelClass::Blas2,
-                   blas::gemv_flops(blk.rows, blk.cols) * 2, 0};
-      m_.launch(s, d, [blk, chk] {
-        encode_block_rows(ConstMatrixView<double>(blk.view()), chk.view());
-      });
-    }
-  }
-  for (StreamId s : s_recalc_) {
-    const EventId e = m_.record_event(s);
-    m_.stream_wait_event(s_compute_, e);
-    m_.stream_wait_event(s_chk_, e);
-  }
+  create_streams(/*xfer=*/false);
 }
 
 void QrRun::run_once() {
-  if (use_dag()) {
-    run_once_dag();
-    return;
-  }
-  encode();
+  encode(/*lower=*/false);
   // Stochastic transfer faults cover the armed H2D copies (factored
   // panel, row checksums): V is always verified before LARFB consumes
   // it and checksum strikes surface as repairs, so nothing lands
   // silently. The T factor's copy stays excluded — T carries no
   // checksums, and a corrupted T would update data and checksum strips
   // identically, i.e. invisibly (the documented exposure above).
-  sim::TransferArmGuard arm(m_, /*h2d=*/true, /*d2h=*/false);
-  for (int j = 0; j < nb_; ++j) iterate(j);
-  if (ft_) final_sweep();
-  m_.sync_all();
+  const sim::TransferArmGuard arm(m_, /*h2d=*/true, /*d2h=*/false);
+  for (int j = 0; j < nb_; ++j) iteration(j);
+  if (ft_) {
+    // End sweep over the finished factor, blocks at rest after their
+    // last use. Under the DAG each verify depends only on its block's
+    // last writer, so retired columns are swept while the tail runs.
+    begin_iteration(-1);
+    std::vector<BlockId>& all = block_list();
+    for (int k = 0; k < nb_; ++k)
+      for (int i = 0; i < nb_; ++i) all.emplace_back(i, k);
+    verify(all, fault::Op::Trsm, Sums::Row);
+  }
+  finish_pass();
 }
 
-void QrRun::absorb(const VerifyOutcome& out) {
-  result_.errors_detected += out.errors_detected;
-  result_.errors_corrected += out.errors_corrected;
-  result_.checksum_repairs += out.checksum_repairs;
-  if (out.uncorrectable) {
-    throw UnrecoverableCorruptionError("more than one error per block row");
-  }
+void QrRun::download() {
+  Driver::download();
+  if (m_.numeric()) *tau_ = h_tau_;
 }
 
-void QrRun::verify_row_blocks(const std::vector<BlockId>& blocks,
-                              fault::Op attr) {
-  if (!ft_ || blocks.empty()) return;
-  const obs::PhaseScope phase(tel_.profile(), obs::Phase::Verify);
-  switch (attr) {
-    case fault::Op::Potf2: result_.verified.potf2_blocks += blocks.size(); break;
-    case fault::Op::Trsm: result_.verified.trsm_blocks += blocks.size(); break;
-    case fault::Op::Syrk: result_.verified.syrk_blocks += blocks.size(); break;
-    case fault::Op::Gemm: result_.verified.gemm_blocks += blocks.size(); break;
-  }
-  tel_.verify_scheduled(attr, blocks.size());
-  const EventId e_comp = m_.record_event(s_compute_);
-  const EventId e_chk = m_.record_event(s_chk_);
-  const int nstreams = std::max(
-      1, std::min(static_cast<int>(s_recalc_.size()),
-                  static_cast<int>(blocks.size())));
-  for (int i = 0; i < nstreams; ++i) {
-    m_.stream_wait_event(s_recalc_[i], e_comp);
-    m_.stream_wait_event(s_recalc_[i], e_chk);
-  }
-  std::int64_t pos = 0;
-  for (std::size_t q = 0; q < blocks.size(); ++q) {
-    const auto [bi, bk] = blocks[q];
-    issue_row_verify(s_recalc_[q % nstreams], bi, bk, attr, pos, cur_iter_);
-    pos += 2LL * bs(bi);
-  }
-  for (int i = 0; i < nstreams; ++i) {
-    const EventId e = m_.record_event(s_recalc_[i]);
-    m_.stream_wait_event(s_compute_, e);
-    m_.stream_wait_event(s_chk_, e);
-  }
+// Defaults: the row below the panel's diagonal block, in the panel
+// column (panel factorization, V/T staging) or the first trailing
+// column.
+BlockId QrRun::fault_target(const fault::FaultSpec& spec, int j) const {
+  const int next = std::min(j + 1, nb_ - 1);
+  const bool panel =
+      spec.op == fault::Op::Potf2 ||
+      (spec.op == fault::Op::Trsm && spec.type == fault::FaultType::Storage);
+  const int bi = spec.block_row >= 0 ? spec.block_row : next;
+  const int bk = spec.block_col >= 0 ? spec.block_col : panel ? j : next;
+  return {bi, bk};
 }
 
-void QrRun::issue_row_verify(StreamId s, int bi, int bk, fault::Op attr,
-                             std::int64_t pos, int iter) {
-  const DMat blk = data_block(bi, bk);
-  FTLA_CHECK(pos + 2LL * blk.rows <= scratch_capacity_);
-  const DMat scratch{&d_scratch_, pos, blk.rows, kChecksumRows, blk.rows};
-  KernelDesc rd{"recalc_r", KernelClass::Blas2,
-                blas::gemv_flops(blk.rows, blk.cols) * 2, 0};
-  m_.launch(s, rd, [blk, scratch] {
-    encode_block_rows(ConstMatrixView<double>(blk.view()), scratch.view());
-  });
-  const DMat chk = rchk_block(bi, bk);
-  const Tolerance tol = opt_.tolerance;
-  KernelDesc cd{"verify_r", KernelClass::Compare, 4LL * blk.rows, 0};
-  const std::int64_t rflops = rd.flops;
-  m_.launch(s, cd, [this, blk, chk, tol, scratch, attr, bi, bk, rflops,
-                    iter] {
-    const VerifyOutcome out =
-        verify_block_rows(blk.view(), chk.view(),
-                          ConstMatrixView<double>(scratch.view()), tol);
-    tel_.block_verified(out, attr, iter, bi, bk, rflops, off(bi), blk.rows,
-                        off(bk), blk.cols);
-    absorb(out);
-  });
-}
-
-void QrRun::hook_storage(fault::Op op, int j) {
-  if (injector_ == nullptr) return;
-  for (const auto& spec :
-       injector_->take(fault::FaultType::Storage, op, j)) {
-    if (!m_.numeric()) continue;
-    int bi = spec.block_row;
-    int bk = spec.block_col;
-    if (bi < 0) bi = std::min(j + 1, nb_ - 1);
-    if (bk < 0) bk = op == fault::Op::Potf2 || op == fault::Op::Trsm
-                         ? j
-                         : std::min(j + 1, nb_ - 1);
-    FTLA_CHECK(bi >= 0 && bi < nb_ && bk >= 0 && bk < nb_);
-    const int grow = off(bi) + std::min(spec.elem_row, bs(bi) - 1);
-    const int gcol = off(bk) + std::min(spec.elem_col, bs(bk) - 1);
-    double* p = d_a_.data() + static_cast<std::int64_t>(gcol) * n_ + grow;
-    const double old_value = *p;
-    for (int bit : spec.bits) *p = flip_bit(*p, bit);
-    injector_->record(spec, old_value, *p, grow, gcol);
-  }
-}
-
-void QrRun::hook_computing(fault::Op op, int j) {
-  if (injector_ == nullptr) return;
-  for (const auto& spec :
-       injector_->take(fault::FaultType::Computing, op, j)) {
-    if (!m_.numeric()) continue;
-    int bi = spec.block_row;
-    int bk = spec.block_col;
-    if (bi < 0) bi = std::min(j + 1, nb_ - 1);
-    if (bk < 0) bk = op == fault::Op::Potf2 ? j : std::min(j + 1, nb_ - 1);
-    FTLA_CHECK(bi >= 0 && bi < nb_ && bk >= 0 && bk < nb_);
-    const int grow = off(bi) + std::min(spec.elem_row, bs(bi) - 1);
-    const int gcol = off(bk) + std::min(spec.elem_col, bs(bk) - 1);
-    double* p = d_a_.data() + static_cast<std::int64_t>(gcol) * n_ + grow;
-    const double old_value = *p;
-    *p = old_value + spec.magnitude * std::max(1.0, std::abs(old_value));
-    injector_->record(spec, old_value, *p, grow, gcol);
-  }
-}
-
-void QrRun::iterate(int j) {
-  cur_iter_ = j;
-  tel_.begin_iteration(j);
+// One outer iteration, written once for both runtimes (see the
+// Cholesky driver). The block reflector's T factor is a real tile: the
+// LARFB steps read it, the next panel's staging copy overwrites it, and
+// under the DAG the inferred WAR edge keeps the overlap sound.
+void QrRun::iteration(int j) {
+  begin_iteration(j);
   const int jb = bs(j);
   const int mrem = n_ - off(j);
   const int right = n_ - off(j) - jb;
   const bool verify_this_iter = (j % opt_.verify_interval) == 0;
-
-  // ---------------- panel: fetch, factor + T on host, re-encode ------
-  hook_storage(fault::Op::Potf2, j);
-  if (ft_) {
-    std::vector<BlockId> in;
-    for (int i = j; i < nb_; ++i) in.emplace_back(i, j);
-    verify_row_blocks(in, fault::Op::Potf2);
-  }
-  m_.memcpy_d2h_2d(m_.numeric() ? h_panel_.data() : nullptr, n_, d_a_,
-                   static_cast<std::int64_t>(off(j)) * n_ + off(j), n_, mrem,
-                   jb, s_compute_, /*blocking=*/true);
-  {
-    // geqf2 ~ 2 m b^2 flops, larft ~ m b^2.
-    KernelDesc d{"geqf2+larft", KernelClass::HostPotf2,
-                 3LL * mrem * jb * jb, 0};
-    m_.host_compute(d, [this, j, mrem, jb] {
-      auto panel = h_panel_.block(0, 0, mrem, jb);
-      blas::geqf2(panel, h_tau_.data() + off(j));
-      blas::larft(ConstMatrixView<double>(panel), h_tau_.data() + off(j),
-                  h_t_.block(0, 0, jb, jb));
-    });
-  }
-  if (ft_) {
-    KernelDesc d{"encode_panel_r", KernelClass::HostChecksum,
-                 4LL * mrem * jb, 0};
-    m_.host_compute(d, [this, j, jb] {
-      for (int i = j; i < nb_; ++i) {
-        encode_block_rows(
-            ConstMatrixView<double>(
-                h_panel_.block(off(i) - off(j), 0, bs(i), jb)),
-            h_panel_chk_.block(off(i), 0, bs(i), kChecksumRows));
-      }
-    });
-  }
-  m_.memcpy_h2d_2d(d_a_, static_cast<std::int64_t>(off(j)) * n_ + off(j), n_,
-                   m_.numeric() ? h_panel_.data() : nullptr, n_, mrem, jb,
-                   s_compute_);
-  {
-    // T is unprotected by checksums (see the class comment's exposure
-    // note): keep its copy out of the stochastic fault surface.
-    sim::TransferArmGuard t_arm(m_, /*h2d=*/false, /*d2h=*/false);
-    m_.memcpy_h2d(d_t_, 0, m_.numeric() ? h_t_.data() : nullptr,
-                  static_cast<std::int64_t>(jb) * jb, s_compute_);
-  }
-  if (ft_) {
-    // The re-encoded panel row checksums ride back only because FT is on.
-    const obs::PhaseScope chk_phase(tel_.profile(), obs::Phase::Update);
-    m_.memcpy_h2d_2d(d_rchk_, static_cast<std::int64_t>(2 * j) * n_ + off(j),
-                     n_, m_.numeric() ? &h_panel_chk_(off(j), 0) : nullptr,
-                     h_panel_chk_.ld(), mrem, kChecksumRows, s_compute_);
-  }
-  hook_computing(fault::Op::Potf2, j);
-  const EventId e_panel = m_.record_event(s_compute_);
-
-  if (right <= 0) return;
-
-  // ---------------- trailing update: C := (I - V T V^T)^T C ----------
-  hook_storage(fault::Op::Trsm, j);  // faults on the V/T staging window
-  hook_storage(fault::Op::Gemm, j);
-  if (ft_) {
-    // V is always verified before the trailing update reads it: with
-    // row checksums alone, a corrupted reflector would produce a
-    // consistently-wrong (hence invisible) update.
-    std::vector<BlockId> v_in;
-    for (int i = j; i < nb_; ++i) v_in.emplace_back(i, j);
-    verify_row_blocks(v_in, fault::Op::Trsm);
-    if (verify_this_iter) {
-      std::vector<BlockId> c_in;
-      for (int i = j; i < nb_; ++i)
-        for (int k = j + 1; k < nb_; ++k) c_in.emplace_back(i, k);
-      verify_row_blocks(c_in, fault::Op::Gemm);
-    } else {
-      // Opt 3: trailing-block verification skipped this iteration.
-      tel_.verify_skipped(fault::Op::Gemm,
-                          static_cast<std::size_t>(nb_ - j) *
-                              static_cast<std::size_t>(nb_ - j - 1),
-                          j);
-    }
-  }
-  {
-    const DMat v = data_region(off(j), off(j), mrem, jb);
-    const DMat t = DMat{&d_t_, 0, jb, jb, b_};
-    const DMat c = data_region(off(j), off(j) + jb, mrem, right);
-    KernelDesc d{"larfb", KernelClass::Blas3,
-                 4LL * mrem * jb * right, 0};
-    m_.launch(s_compute_, d, [v, t, c] {
-      blas::larfb_left_t(ConstMatrixView<double>(v.view()),
-                         ConstMatrixView<double>(t.view()), c.view());
-    });
-  }
-  hook_computing(fault::Op::Gemm, j);
-  if (ft_) {
-    // rchk(M C) = M rchk(C): the identical reflector applies to the
-    // checksum columns.
-    m_.stream_wait_event(s_chk_, e_panel);
-    const DMat v = data_region(off(j), off(j), mrem, jb);
-    const DMat t = DMat{&d_t_, 0, jb, jb, b_};
-    const DMat strip = rchk_strip(off(j), mrem, j + 1, nb_);
-    KernelDesc d{"larfb_rchk", KernelClass::Blas3Skinny,
-                 4LL * mrem * jb * 2 * (nb_ - j - 1), 0};
-    m_.launch(s_chk_, d, [v, t, strip] {
-      blas::larfb_left_t(ConstMatrixView<double>(v.view()),
-                         ConstMatrixView<double>(t.view()), strip.view());
-    });
-  }
-}
-
-void QrRun::final_sweep() {
-  cur_iter_ = -1;  // telemetry: the sweep belongs to no outer iteration
-  tel_.begin_iteration(-1);
-  std::vector<BlockId> all;
-  for (int k = 0; k < nb_; ++k)
-    for (int i = 0; i < nb_; ++i) all.emplace_back(i, k);
-  verify_row_blocks(all, fault::Op::Trsm);
-}
-
-// ----------------------------------------------------------------------
-// Task-graph (DAG) runtime path (docs/runtime.md)
-//
-// Same construction as the Cholesky and LU drivers: the graph is built
-// in exact bulk issue order, so the deterministic schedule replays bulk
-// program order and the numerics (including tau) are bit-identical.
-// The timing win comes from dropping the bulk verify-batch barriers and
-// from the final sweep overlapping the factorization tail. The block
-// reflector's T factor is a real tile here: LARFB tasks read it, the
-// next panel's staging copy overwrites it, and the inferred WAR edge
-// keeps the overlap sound.
-// ----------------------------------------------------------------------
-
-std::vector<StreamId> QrRun::dag_streams() const {
-  std::vector<StreamId> streams{s_compute_};
-  if (ft_) {
-    streams.push_back(s_chk_);
-    streams.insert(streams.end(), s_recalc_.begin(), s_recalc_.end());
-  }
-  return streams;
-}
-
-void QrRun::dag_hook(runtime::TaskGraph& g, const char* name, int iter,
-                     std::function<void()> fn) {
-  // Fault hooks consume injector state at a fixed program point; an
-  // empty footprint keeps them out of the dependency structure while
-  // insertion order fixes *when* they fire.
-  if (injector_ == nullptr) return;
-  runtime::TaskOptions opts;
-  opts.phase = obs::Phase::Base;
-  opts.iteration = iter;
-  opts.where = runtime::Where::Inline;
-  g.add_task(name, {},
-             [fn = std::move(fn)](const runtime::TaskContext&) { fn(); },
-             opts);
-}
-
-void QrRun::dag_verify(runtime::TaskGraph& g, int bi, int bk, fault::Op attr,
-                       int iter) {
-  if (!ft_) return;
-  switch (attr) {
-    case fault::Op::Potf2: result_.verified.potf2_blocks += 1; break;
-    case fault::Op::Trsm: result_.verified.trsm_blocks += 1; break;
-    case fault::Op::Syrk: result_.verified.syrk_blocks += 1; break;
-    case fault::Op::Gemm: result_.verified.gemm_blocks += 1; break;
-  }
-  tel_.verify_scheduled(attr, 1);
-  const std::int64_t nslots = scratch_capacity_ / (2 * b_);
-  const int slot = static_cast<int>(dag_slot_++ % nslots);
-  const std::int64_t pos = static_cast<std::int64_t>(slot) * 2 * b_;
-  runtime::TaskOptions opts;
-  opts.phase = obs::Phase::Verify;
-  opts.iteration = iter;
-  g.add_task(
-      "verify_r",
-      {runtime::rw(dtile(bi, bk)), runtime::rw(rctile(bi, bk)),
-       runtime::write(stile(slot))},
-      [this, bi, bk, attr, pos, slot, iter](const runtime::TaskContext& c) {
-        c.tiles.rw(dtile(bi, bk));
-        c.tiles.rw(rctile(bi, bk));
-        c.tiles.write(stile(slot));
-        issue_row_verify(c.stream, bi, bk, attr, pos, iter);
-      },
-      opts);
-}
-
-void QrRun::dag_encode(runtime::TaskGraph& g) {
-  runtime::TaskOptions opts;
-  opts.phase = obs::Phase::Encode;
-  for (int k = 0; k < nb_; ++k) {
-    for (int i = 0; i < nb_; ++i) {
-      const DMat blk = data_block(i, k);
-      const DMat chk = rchk_block(i, k);
-      g.add_task("encode",
-                 {runtime::read(dtile(i, k)), runtime::write(rctile(i, k))},
-                 [this, blk, chk, i, k](const runtime::TaskContext& c) {
-                   c.tiles.read(dtile(i, k));
-                   c.tiles.write(rctile(i, k));
-                   KernelDesc d{"encode_r", KernelClass::Blas2,
-                                blas::gemv_flops(blk.rows, blk.cols) * 2, 0};
-                   m_.launch(c.stream, d, [blk, chk] {
-                     encode_block_rows(ConstMatrixView<double>(blk.view()),
-                                       chk.view());
-                   });
-                 },
-                 opts);
-    }
-  }
-}
-
-void QrRun::dag_iteration(runtime::TaskGraph& g, int j) {
-  const int jb = bs(j);
-  const int mrem = n_ - off(j);
-  const int right = n_ - off(j) - jb;
-  const bool verify_this_iter = (j % opt_.verify_interval) == 0;
-
   runtime::TaskOptions base;
   base.phase = obs::Phase::Base;
   base.iteration = j;
@@ -609,224 +130,213 @@ void QrRun::dag_iteration(runtime::TaskGraph& g, int j) {
   runtime::TaskOptions host = base;
   host.phase = obs::Phase::Base;
   host.where = runtime::Where::Host;
+  EventId e_panel = -1;
 
   // ---------------- panel: fetch, factor + T on host, re-encode ------
-  dag_hook(g, "hook_storage_potf2", j,
-           [this, j] { hook_storage(fault::Op::Potf2, j); });
+  hook(fault::FaultType::Storage, fault::Op::Potf2, j);
   if (ft_) {
-    for (int i = j; i < nb_; ++i) dag_verify(g, i, j, fault::Op::Potf2, j);
+    std::vector<BlockId>& in = block_list();
+    for (int i = j; i < nb_; ++i) in.emplace_back(i, j);
+    verify(in, fault::Op::Potf2, Sums::Row);
   }
-  {
-    std::vector<runtime::Footprint> fp;
-    for (int i = j; i < nb_; ++i) fp.push_back(runtime::read(dtile(i, j)));
-    fp.push_back(runtime::write(htile()));
-    g.add_task("d2h_panel", std::move(fp),
-               [this, j, jb, mrem](const runtime::TaskContext& c) {
-                 for (int i = j; i < nb_; ++i) c.tiles.read(dtile(i, j));
-                 c.tiles.write(htile());
-                 m_.memcpy_d2h_2d(
-                     m_.numeric() ? h_panel_.data() : nullptr, n_, d_a_,
-                     static_cast<std::int64_t>(off(j)) * n_ + off(j), n_,
-                     mrem, jb, c.stream);
-               },
-               base);
-  }
-  g.add_task("geqf2+larft", {runtime::rw(htile())},
-             [this, j, mrem, jb](const runtime::TaskContext& c) {
-               c.tiles.rw(htile());
-               KernelDesc d{"geqf2+larft", KernelClass::HostPotf2,
-                            3LL * mrem * jb * jb, 0};
-               m_.host_compute(d, [this, j, mrem, jb] {
-                 auto panel = h_panel_.block(0, 0, mrem, jb);
-                 blas::geqf2(panel, h_tau_.data() + off(j));
-                 blas::larft(ConstMatrixView<double>(panel),
-                             h_tau_.data() + off(j),
-                             h_t_.block(0, 0, jb, jb));
-               });
-             },
-             host);
+  step(
+      "d2h_panel",
+      [&] {
+        std::vector<runtime::Footprint> fp;
+        for (int i = j; i < nb_; ++i) fp.push_back(runtime::read(dtile(i, j)));
+        fp.push_back(runtime::write(htile()));
+        return fp;
+      },
+      [this, j, jb, mrem, blocking = bulk()](const runtime::TaskContext& c) {
+        if (c.tiles.armed()) {
+          for (int i = j; i < nb_; ++i) c.tiles.read(dtile(i, j));
+          c.tiles.write(htile());
+        }
+        m_.memcpy_d2h_2d(m_.numeric() ? h_panel_.data() : nullptr, n_, d_a_,
+                         static_cast<std::int64_t>(off(j)) * n_ + off(j), n_,
+                         mrem, jb, c.stream, blocking);
+      },
+      base, s_compute_);
+  step(
+      "geqf2+larft", [] { return std::vector{runtime::rw(htile())}; },
+      [this, j, mrem, jb](const runtime::TaskContext& c) {
+        if (c.tiles.armed()) c.tiles.rw(htile());
+        // geqf2 ~ 2 m b^2 flops, larft ~ m b^2.
+        KernelDesc d{"geqf2+larft", KernelClass::HostPotf2,
+                     3LL * mrem * jb * jb, 0};
+        m_.host_compute(d, [this, j, mrem, jb] {
+          auto panel = h_panel_.block(0, 0, mrem, jb);
+          blas::geqf2(panel, h_tau_.data() + off(j));
+          blas::larft(ConstMatrixView<double>(panel), h_tau_.data() + off(j),
+                      h_t_.block(0, 0, jb, jb));
+        });
+      },
+      host, s_compute_);
   if (ft_) {
-    g.add_task("encode_panel_r", {runtime::rw(htile())},
-               [this, j, mrem, jb](const runtime::TaskContext& c) {
-                 c.tiles.rw(htile());
-                 KernelDesc d{"encode_panel_r", KernelClass::HostChecksum,
-                              4LL * mrem * jb, 0};
-                 m_.host_compute(d, [this, j, jb] {
-                   for (int i = j; i < nb_; ++i) {
-                     encode_block_rows(
-                         ConstMatrixView<double>(
-                             h_panel_.block(off(i) - off(j), 0, bs(i), jb)),
-                         h_panel_chk_.block(off(i), 0, bs(i),
-                                            kChecksumRows));
-                   }
-                 });
-               },
-               host);
+    step(
+        "encode_panel_r", [] { return std::vector{runtime::rw(htile())}; },
+        [this, j, mrem, jb](const runtime::TaskContext& c) {
+          if (c.tiles.armed()) c.tiles.rw(htile());
+          KernelDesc d{"encode_panel_r", KernelClass::HostChecksum,
+                       4LL * mrem * jb, 0};
+          m_.host_compute(d, [this, j, jb] {
+            for (int i = j; i < nb_; ++i) {
+              encode_block_rows(
+                  ConstMatrixView<double>(
+                      h_panel_.block(off(i) - off(j), 0, bs(i), jb)),
+                  h_panel_chk_.block(off(i), 0, bs(i), kChecksumRows));
+            }
+          });
+        },
+        host, s_compute_);
   }
-  {
-    std::vector<runtime::Footprint> fp{runtime::read(htile())};
-    for (int i = j; i < nb_; ++i) fp.push_back(runtime::write(dtile(i, j)));
-    g.add_task("h2d_panel", std::move(fp),
-               [this, j, jb, mrem](const runtime::TaskContext& c) {
-                 c.tiles.read(htile());
-                 for (int i = j; i < nb_; ++i) c.tiles.write(dtile(i, j));
-                 m_.memcpy_h2d_2d(
-                     d_a_, static_cast<std::int64_t>(off(j)) * n_ + off(j),
-                     n_, m_.numeric() ? h_panel_.data() : nullptr, n_, mrem,
-                     jb, c.stream);
-               },
-               base);
-  }
-  g.add_task("h2d_t", {runtime::read(htile()), runtime::write(ttile())},
-             [this, jb](const runtime::TaskContext& c) {
-               c.tiles.read(htile());
-               c.tiles.write(ttile());
-               // T is unprotected by checksums (see the class comment's
-               // exposure note): keep its copy out of the fault surface.
-               sim::TransferArmGuard t_arm(m_, /*h2d=*/false,
-                                           /*d2h=*/false);
-               m_.memcpy_h2d(d_t_, 0, m_.numeric() ? h_t_.data() : nullptr,
-                             static_cast<std::int64_t>(jb) * jb, c.stream);
-             },
-             base);
+  step(
+      "h2d_panel",
+      [&] {
+        std::vector<runtime::Footprint> fp{runtime::read(htile())};
+        for (int i = j; i < nb_; ++i)
+          fp.push_back(runtime::write(dtile(i, j)));
+        return fp;
+      },
+      [this, j, jb, mrem](const runtime::TaskContext& c) {
+        if (c.tiles.armed()) {
+          c.tiles.read(htile());
+          for (int i = j; i < nb_; ++i) c.tiles.write(dtile(i, j));
+        }
+        m_.memcpy_h2d_2d(d_a_, static_cast<std::int64_t>(off(j)) * n_ + off(j),
+                         n_, m_.numeric() ? h_panel_.data() : nullptr, n_,
+                         mrem, jb, c.stream);
+      },
+      base, s_compute_);
+  step(
+      "h2d_t",
+      [] {
+        return std::vector{runtime::read(htile()), runtime::write(ttile())};
+      },
+      [this, jb](const runtime::TaskContext& c) {
+        if (c.tiles.armed()) {
+          c.tiles.read(htile());
+          c.tiles.write(ttile());
+        }
+        // T is unprotected by checksums (see the class comment's exposure
+        // note): keep its copy out of the stochastic fault surface.
+        const sim::TransferArmGuard t_arm(m_, /*h2d=*/false, /*d2h=*/false);
+        m_.memcpy_h2d(d_t_, 0, m_.numeric() ? h_t_.data() : nullptr,
+                      static_cast<std::int64_t>(jb) * jb, c.stream);
+      },
+      base, s_compute_);
   if (ft_) {
-    std::vector<runtime::Footprint> fp{runtime::read(htile())};
-    for (int i = j; i < nb_; ++i)
-      fp.push_back(runtime::write(rctile(i, j)));
-    g.add_task("h2d_panel_chk", std::move(fp),
-               [this, j, jb, mrem](const runtime::TaskContext& c) {
-                 c.tiles.read(htile());
-                 for (int i = j; i < nb_; ++i) c.tiles.write(rctile(i, j));
-                 m_.memcpy_h2d_2d(
-                     d_rchk_,
-                     static_cast<std::int64_t>(2 * j) * n_ + off(j), n_,
-                     m_.numeric() ? &h_panel_chk_(off(j), 0) : nullptr,
-                     h_panel_chk_.ld(), mrem, kChecksumRows, c.stream);
-               },
-               update);
+    // The re-encoded panel row checksums ride back only because FT is on.
+    step(
+        "h2d_panel_chk",
+        [&] {
+          std::vector<runtime::Footprint> fp{runtime::read(htile())};
+          for (int i = j; i < nb_; ++i)
+            fp.push_back(runtime::write(rtile(i, j)));
+          return fp;
+        },
+        [this, j, mrem](const runtime::TaskContext& c) {
+          if (c.tiles.armed()) {
+            c.tiles.read(htile());
+            for (int i = j; i < nb_; ++i) c.tiles.write(rtile(i, j));
+          }
+          m_.memcpy_h2d_2d(d_rchk_,
+                           static_cast<std::int64_t>(2 * j) * n_ + off(j), n_,
+                           m_.numeric() ? &h_panel_chk_(off(j), 0) : nullptr,
+                           h_panel_chk_.ld(), mrem, kChecksumRows, c.stream);
+        },
+        update, s_compute_);
   }
-  dag_hook(g, "hook_computing_potf2", j,
-           [this, j] { hook_computing(fault::Op::Potf2, j); });
+  hook(fault::FaultType::Computing, fault::Op::Potf2, j);
+  if (bulk()) e_panel = m_.record_event(s_compute_);
 
   if (right <= 0) return;
 
   // ---------------- trailing update: C := (I - V T V^T)^T C ----------
-  dag_hook(g, "hook_storage_trsm", j,
-           [this, j] { hook_storage(fault::Op::Trsm, j); });
-  dag_hook(g, "hook_storage_gemm", j,
-           [this, j] { hook_storage(fault::Op::Gemm, j); });
+  hook(fault::FaultType::Storage, fault::Op::Trsm, j);  // V/T staging window
+  hook(fault::FaultType::Storage, fault::Op::Gemm, j);
   if (ft_) {
-    // V is always verified before the trailing update reads it (see the
-    // bulk path); the trailing blocks obey the K interval.
-    for (int i = j; i < nb_; ++i) dag_verify(g, i, j, fault::Op::Trsm, j);
+    // V is always verified before the trailing update reads it: with
+    // row checksums alone, a corrupted reflector would produce a
+    // consistently-wrong (hence invisible) update.
+    std::vector<BlockId>& v_in = block_list();
+    for (int i = j; i < nb_; ++i) v_in.emplace_back(i, j);
+    verify(v_in, fault::Op::Trsm, Sums::Row);
     if (verify_this_iter) {
+      std::vector<BlockId>& c_in = block_list();
       for (int i = j; i < nb_; ++i)
-        for (int k = j + 1; k < nb_; ++k)
-          dag_verify(g, i, k, fault::Op::Gemm, j);
+        for (int k = j + 1; k < nb_; ++k) c_in.emplace_back(i, k);
+      verify(c_in, fault::Op::Gemm, Sums::Row);
     } else {
+      // Opt 3: trailing-block verification skipped this iteration.
       tel_.verify_skipped(fault::Op::Gemm,
                           static_cast<std::size_t>(nb_ - j) *
                               static_cast<std::size_t>(nb_ - j - 1),
                           j);
     }
   }
-  {
-    std::vector<runtime::Footprint> fp;
-    for (int i = j; i < nb_; ++i) fp.push_back(runtime::read(dtile(i, j)));
-    fp.push_back(runtime::read(ttile()));
-    for (int i = j; i < nb_; ++i)
-      for (int k = j + 1; k < nb_; ++k)
-        fp.push_back(runtime::rw(dtile(i, k)));
-    g.add_task("larfb", std::move(fp),
-               [this, j, jb, mrem, right](const runtime::TaskContext& c) {
-                 for (int i = j; i < nb_; ++i) c.tiles.read(dtile(i, j));
-                 c.tiles.read(ttile());
-                 for (int i = j; i < nb_; ++i)
-                   for (int k = j + 1; k < nb_; ++k) c.tiles.rw(dtile(i, k));
-                 const DMat v = data_region(off(j), off(j), mrem, jb);
-                 const DMat t = DMat{&d_t_, 0, jb, jb, b_};
-                 const DMat cmat =
-                     data_region(off(j), off(j) + jb, mrem, right);
-                 KernelDesc d{"larfb", KernelClass::Blas3,
-                              4LL * mrem * jb * right, 0};
-                 m_.launch(c.stream, d, [v, t, cmat] {
-                   blas::larfb_left_t(ConstMatrixView<double>(v.view()),
-                                      ConstMatrixView<double>(t.view()),
-                                      cmat.view());
-                 });
-               },
-               base);
-  }
-  dag_hook(g, "hook_computing_gemm", j,
-           [this, j] { hook_computing(fault::Op::Gemm, j); });
-  if (ft_) {
-    // rchk(M C) = M rchk(C): the identical reflector applies to the
-    // checksum columns.
-    std::vector<runtime::Footprint> fp;
-    for (int i = j; i < nb_; ++i) fp.push_back(runtime::read(dtile(i, j)));
-    fp.push_back(runtime::read(ttile()));
-    for (int i = j; i < nb_; ++i)
-      for (int k = j + 1; k < nb_; ++k)
-        fp.push_back(runtime::rw(rctile(i, k)));
-    g.add_task("larfb_rchk", std::move(fp),
-               [this, j, jb, mrem](const runtime::TaskContext& c) {
-                 for (int i = j; i < nb_; ++i) c.tiles.read(dtile(i, j));
-                 c.tiles.read(ttile());
-                 for (int i = j; i < nb_; ++i)
-                   for (int k = j + 1; k < nb_; ++k)
-                     c.tiles.rw(rctile(i, k));
-                 const DMat v = data_region(off(j), off(j), mrem, jb);
-                 const DMat t = DMat{&d_t_, 0, jb, jb, b_};
-                 const DMat strip = rchk_strip(off(j), mrem, j + 1, nb_);
-                 KernelDesc d{"larfb_rchk", KernelClass::Blas3Skinny,
-                              4LL * mrem * jb * 2 * (nb_ - j - 1), 0};
-                 m_.launch(c.stream, d, [v, t, strip] {
-                   blas::larfb_left_t(ConstMatrixView<double>(v.view()),
-                                      ConstMatrixView<double>(t.view()),
-                                      strip.view());
-                 });
-               },
-               update);
-  }
-}
-
-void QrRun::dag_sweep(runtime::TaskGraph& g) {
-  // End sweep over the finished factor (see final_sweep). Each verify
-  // depends only on its block's last writer, so retired columns are
-  // swept while the factorization tail still runs.
-  for (int k = 0; k < nb_; ++k)
-    for (int i = 0; i < nb_; ++i)
-      dag_verify(g, i, k, fault::Op::Trsm, -1);
-}
-
-void QrRun::run_once_dag() {
-  dag_slot_ = 0;
-  runtime::TaskGraph g;
-  if (ft_) dag_encode(g);
-  for (int j = 0; j < nb_; ++j) {
-    cur_iter_ = j;
-    dag_iteration(g, j);
-  }
-  if (ft_) {
-    cur_iter_ = -1;
-    dag_sweep(g);
-  }
-  // Opt-in dynamic footprint sanitizer (docs/static-analysis.md).
-  runtime::AccessTracker tracker;
-  const bool sanitize = runtime::sanitize_env_enabled();
-  if (sanitize) g.set_access_tracker(&tracker);
-  // Same transfer-fault arming as the bulk path.
-  sim::TransferArmGuard arm(m_, /*h2d=*/true, /*d2h=*/false);
-  runtime::StreamRunOptions ropts;
-  ropts.streams = dag_streams();
-  ropts.profile = tel_.profile();
-  ropts.metrics = opt_.metrics;
-  ropts.schedule_seed = opt_.dag_schedule_seed;
-  runtime::run_on_streams(g, m_, ropts);
-  m_.sync_all();
-  if (sanitize && !tracker.clean()) {
-    throw Error("qr DAG failed footprint sanitizing\n" + tracker.report(g));
-  }
+  step(
+      "larfb",
+      [&] {
+        std::vector<runtime::Footprint> fp;
+        for (int i = j; i < nb_; ++i) fp.push_back(runtime::read(dtile(i, j)));
+        fp.push_back(runtime::read(ttile()));
+        for (int i = j; i < nb_; ++i)
+          for (int k = j + 1; k < nb_; ++k)
+            fp.push_back(runtime::rw(dtile(i, k)));
+        return fp;
+      },
+      [this, j, jb, mrem, right](const runtime::TaskContext& c) {
+        if (c.tiles.armed()) {
+          for (int i = j; i < nb_; ++i) c.tiles.read(dtile(i, j));
+          c.tiles.read(ttile());
+          for (int i = j; i < nb_; ++i)
+            for (int k = j + 1; k < nb_; ++k) c.tiles.rw(dtile(i, k));
+        }
+        const DMat v = data_region(off(j), off(j), mrem, jb);
+        const DMat t = DMat{&d_t_, 0, jb, jb, b_};
+        const DMat cmat = data_region(off(j), off(j) + jb, mrem, right);
+        KernelDesc d{"larfb", KernelClass::Blas3, 4LL * mrem * jb * right, 0};
+        m_.launch(c.stream, d, [v, t, cmat] {
+          blas::larfb_left_t(ConstMatrixView<double>(v.view()),
+                             ConstMatrixView<double>(t.view()), cmat.view());
+        });
+      },
+      base, s_compute_);
+  hook(fault::FaultType::Computing, fault::Op::Gemm, j);
+  if (!ft_) return;
+  // rchk(M C) = M rchk(C): the identical reflector applies to the
+  // checksum columns.
+  if (bulk()) m_.stream_wait_event(s_chk_, e_panel);
+  step(
+      "larfb_rchk",
+      [&] {
+        std::vector<runtime::Footprint> fp;
+        for (int i = j; i < nb_; ++i) fp.push_back(runtime::read(dtile(i, j)));
+        fp.push_back(runtime::read(ttile()));
+        for (int i = j; i < nb_; ++i)
+          for (int k = j + 1; k < nb_; ++k)
+            fp.push_back(runtime::rw(rtile(i, k)));
+        return fp;
+      },
+      [this, j, jb, mrem](const runtime::TaskContext& c) {
+        if (c.tiles.armed()) {
+          for (int i = j; i < nb_; ++i) c.tiles.read(dtile(i, j));
+          c.tiles.read(ttile());
+          for (int i = j; i < nb_; ++i)
+            for (int k = j + 1; k < nb_; ++k) c.tiles.rw(rtile(i, k));
+        }
+        const DMat v = data_region(off(j), off(j), mrem, jb);
+        const DMat t = DMat{&d_t_, 0, jb, jb, b_};
+        const DMat strip = rchk_strip(off(j), mrem, j + 1, nb_);
+        KernelDesc d{"larfb_rchk", KernelClass::Blas3Skinny,
+                     4LL * mrem * jb * 2 * (nb_ - j - 1), 0};
+        m_.launch(c.stream, d, [v, t, strip] {
+          blas::larfb_left_t(ConstMatrixView<double>(v.view()),
+                             ConstMatrixView<double>(t.view()), strip.view());
+        });
+      },
+      update, s_chk_);
 }
 
 }  // namespace

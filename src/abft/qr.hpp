@@ -35,27 +35,8 @@
 
 namespace ftla::abft {
 
-struct QrOptions {
-  /// NoFt or EnhancedOnline.
-  Variant variant = Variant::EnhancedOnline;
-  int block_size = 0;
-  int verify_interval = 1;   ///< Opt 3 on the trailing blocks
-  bool concurrent_recalc = true;
-  int recalc_streams = 0;
-  Tolerance tolerance{};
-  int max_reruns = 2;
-
-  /// Execution structure — see CholeskyOptions::runtime.
-  RuntimeMode runtime = RuntimeMode::Bulk;
-  /// Seeded random DAG issue order — see CholeskyOptions.
-  std::uint64_t dag_schedule_seed = 0;
-
-  /// Observability hooks (optional, not owned) — see CholeskyOptions.
-  obs::EventSink* event_sink = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
-  obs::SpanStore* profile = nullptr;
-  obs::TimeSeriesStore* timeseries = nullptr;
-};
+/// The shared driver options; `variant` is NoFt or EnhancedOnline.
+struct QrOptions : DriverOptions {};
 
 /// Factorizes `*a` in place into the packed Householder form (V below
 /// the diagonal, R on/above); `tau` receives n reflector scalars.

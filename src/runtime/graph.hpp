@@ -105,6 +105,10 @@ struct TileAccessor {
   AccessTracker* tracker = nullptr;
   int task = -1;
 
+  /// True while a tracker records accesses. Bodies guard their
+  /// annotation walks with it, so a disarmed run walks none.
+  [[nodiscard]] bool armed() const noexcept { return tracker != nullptr; }
+
   void read(TileKey t) const;   ///< body consumed the tile's contents
   void write(TileKey t) const;  ///< body fully overwrote the tile
   void rw(TileKey t) const;     ///< body updated the tile in place

@@ -344,6 +344,29 @@ TEST(DagCaptureHygiene, SilentOnGoodFixture) {
       lint_fixture("good/dag_capture.cpp", "src/abft/fixture.cpp").empty());
 }
 
+// The drivers build tasks through step(name, footprint, body, options,
+// stream), which either runs the body at once or hands it to add_task;
+// the DAG rules must see through it.
+TEST(DagStepHelper, FiresOnBadFixture) {
+  const auto findings =
+      lint_fixture("bad/dag_step.cpp", "src/abft/fixture.cpp");
+  std::vector<int> capture;
+  std::vector<int> phase;
+  for (const Finding& f : findings) {
+    if (f.rule == "dag-capture-hygiene") capture.push_back(f.line);
+    if (f.rule == "dag-task-phase") phase.push_back(f.line);
+  }
+  EXPECT_EQ(capture, (std::vector<int>{31, 34}));
+  EXPECT_EQ(phase, (std::vector<int>{36, 39}));
+  EXPECT_EQ(findings.size(), 4u);
+}
+
+TEST(DagStepHelper, SilentOnGoodFixtureAndOutOfScope) {
+  EXPECT_TRUE(
+      lint_fixture("good/dag_step.cpp", "src/abft/fixture.cpp").empty());
+  EXPECT_TRUE(lint_fixture("bad/dag_step.cpp", "tests/fixture.cpp").empty());
+}
+
 // --------------------------- suppression ------------------------------
 
 TEST(Suppression, AllowCommentSilencesNamedRule) {

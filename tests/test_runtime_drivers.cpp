@@ -1,10 +1,14 @@
 // DAG-runtime conformance for the factorization drivers
-// (docs/runtime.md): the task-graph path must be bit-identical to the
-// bulk-synchronous oracle fault-free, produce the same verification
-// counters, survive fault injection with zero silent corruption, and
-// strictly shorten the simulated makespan at the benchmarked sizes.
+// (docs/runtime.md): the task-graph path must issue the same work as the
+// bulk-synchronous oracle and be bit-identical to it fault-free, produce
+// the same verification counters, survive fault injection with zero
+// silent corruption, and strictly shorten the simulated makespan at the
+// benchmarked sizes.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -13,6 +17,7 @@
 #include "abft/lu.hpp"
 #include "abft/qr.hpp"
 #include "blas/lapack.hpp"
+#include "obs/event_sink.hpp"
 #include "sim/profile.hpp"
 #include "test_util.hpp"
 
@@ -45,6 +50,46 @@ void expect_bit_identical(const Matrix<double>& a, const Matrix<double>& b) {
   }
 }
 
+// What one run issued, minus what the runtime may legitimately change:
+// the device stream each kernel lands on (the executor picks it) and
+// every time. Host and copy lanes stay, since they name the resource.
+struct Issued {
+  std::vector<std::tuple<std::string, sim::KernelClass, std::int64_t, int,
+                         int>>
+      ops;
+  std::map<obs::EventKind, std::vector<std::string>> events;
+};
+
+Issued issued(const Machine& m, const obs::RingBufferSink& sink) {
+  Issued out;
+  for (const sim::TraceRecord& r : m.trace()) {
+    out.ops.emplace_back(r.name, r.cls, r.flops, r.units,
+                         r.lane < 0 ? r.lane : 0);
+  }
+  for (obs::Event e : sink.events()) {
+    e.seq = -1;
+    e.time = e.end = 0.0;
+    e.lane = 0;
+    std::ostringstream os;
+    obs::event_to_json(e, os);
+    out.events[e.kind].push_back(os.str());
+  }
+  return out;
+}
+
+// Bulk and DAG issue the same machine work in the same order (kernel,
+// copy and host-task names, classes, flops and units) and the driver
+// emits the same events of every kind. A step that lands in the wrong
+// branch without changing a factor bit — a mispriced kernel, a
+// checksum copy missing in TimingOnly — fails here.
+void expect_same_work(const Issued& bulk, const Issued& dag) {
+  ASSERT_EQ(bulk.ops.size(), dag.ops.size());
+  for (std::size_t i = 0; i < bulk.ops.size(); ++i) {
+    ASSERT_EQ(bulk.ops[i], dag.ops[i]) << "first divergence at op " << i;
+  }
+  EXPECT_EQ(bulk.events, dag.events);
+}
+
 // --------------------- Cholesky: fault-free conformance ----------------
 
 class CholeskyConformance
@@ -63,27 +108,38 @@ TEST_P(CholeskyConformance, DagBitIdenticalToBulk) {
   opt.verify_interval = verify_interval;
   opt.transfer_guard = transfer_guard;
 
-  auto bulk = a0;
-  Machine mb(small_rig(), ExecutionMode::Numeric);
-  opt.runtime = RuntimeMode::Bulk;
-  const CholeskyResult rb = cholesky(mb, &bulk, n, opt);
-  ASSERT_TRUE(rb.success) << rb.note;
+  for (const ExecutionMode mode :
+       {ExecutionMode::Numeric, ExecutionMode::TimingOnly}) {
+    const bool numeric = mode == ExecutionMode::Numeric;
+    auto bulk = a0;
+    Machine mb(small_rig(), mode);
+    mb.set_trace_enabled(true);
+    obs::RingBufferSink sb;
+    opt.event_sink = &sb;
+    opt.runtime = RuntimeMode::Bulk;
+    const CholeskyResult rb = cholesky(mb, numeric ? &bulk : nullptr, n, opt);
+    ASSERT_TRUE(rb.success) << rb.note;
 
-  auto dag = a0;
-  Machine md(small_rig(), ExecutionMode::Numeric);
-  opt.runtime = RuntimeMode::Dag;
-  const CholeskyResult rd = cholesky(md, &dag, n, opt);
-  ASSERT_TRUE(rd.success) << rd.note;
+    auto dag = a0;
+    Machine md(small_rig(), mode);
+    md.set_trace_enabled(true);
+    obs::RingBufferSink sd;
+    opt.event_sink = &sd;
+    opt.runtime = RuntimeMode::Dag;
+    const CholeskyResult rd = cholesky(md, numeric ? &dag : nullptr, n, opt);
+    ASSERT_TRUE(rd.success) << rd.note;
 
-  expect_bit_identical(bulk, dag);
-  EXPECT_EQ(rd.errors_detected, 0);
-  EXPECT_EQ(rd.checksum_repairs, 0);
-  // Table-I conformance: the DAG schedules exactly the verifications the
-  // bulk path does.
-  EXPECT_EQ(rb.verified.potf2_blocks, rd.verified.potf2_blocks);
-  EXPECT_EQ(rb.verified.trsm_blocks, rd.verified.trsm_blocks);
-  EXPECT_EQ(rb.verified.syrk_blocks, rd.verified.syrk_blocks);
-  EXPECT_EQ(rb.verified.gemm_blocks, rd.verified.gemm_blocks);
+    expect_same_work(issued(mb, sb), issued(md, sd));
+    expect_bit_identical(bulk, dag);
+    EXPECT_EQ(rd.errors_detected, 0);
+    EXPECT_EQ(rd.checksum_repairs, 0);
+    // Table-I conformance: the DAG schedules exactly the verifications
+    // the bulk path does.
+    EXPECT_EQ(rb.verified.potf2_blocks, rd.verified.potf2_blocks);
+    EXPECT_EQ(rb.verified.trsm_blocks, rd.verified.trsm_blocks);
+    EXPECT_EQ(rb.verified.syrk_blocks, rd.verified.syrk_blocks);
+    EXPECT_EQ(rb.verified.gemm_blocks, rd.verified.gemm_blocks);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -247,21 +303,35 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(LuConformance, DagBitIdenticalToBulk) {
   const int n = 96;
   const auto a0 = test::random_spd(n, 555);
-  for (const Variant variant : {Variant::NoFt, Variant::EnhancedOnline}) {
-    auto bulk = a0;
-    Machine mb(small_rig(), ExecutionMode::Numeric);
+  for (const Variant variant : {Variant::NoFt, Variant::EnhancedOnline})
+  for (const int k : {1, 2})
+  for (const ExecutionMode mode :
+       {ExecutionMode::Numeric, ExecutionMode::TimingOnly}) {
+    SCOPED_TRACE(std::string(to_string(variant)) + " k=" + std::to_string(k));
+    const bool numeric = mode == ExecutionMode::Numeric;
     LuOptions opt;
     opt.variant = variant;
+    opt.verify_interval = k;
+
+    auto bulk = a0;
+    Machine mb(small_rig(), mode);
+    mb.set_trace_enabled(true);
+    obs::RingBufferSink sb;
+    opt.event_sink = &sb;
     opt.runtime = RuntimeMode::Bulk;
-    const CholeskyResult rb = lu(mb, &bulk, n, opt);
+    const CholeskyResult rb = lu(mb, numeric ? &bulk : nullptr, n, opt);
     ASSERT_TRUE(rb.success) << rb.note;
 
     auto dag = a0;
-    Machine md(small_rig(), ExecutionMode::Numeric);
+    Machine md(small_rig(), mode);
+    md.set_trace_enabled(true);
+    obs::RingBufferSink sd;
+    opt.event_sink = &sd;
     opt.runtime = RuntimeMode::Dag;
-    const CholeskyResult rd = lu(md, &dag, n, opt);
+    const CholeskyResult rd = lu(md, numeric ? &dag : nullptr, n, opt);
     ASSERT_TRUE(rd.success) << rd.note;
 
+    expect_same_work(issued(mb, sb), issued(md, sd));
     expect_bit_identical(bulk, dag);
     EXPECT_EQ(rb.verified.total(), rd.verified.total());
   }
@@ -281,23 +351,39 @@ TEST(LuConformance, DagMakespanStrictlyShorter) {
 TEST(QrConformance, DagBitIdenticalToBulk) {
   const int n = 96;
   const auto a0 = test::random_matrix(n, n, 808);
-  for (const Variant variant : {Variant::NoFt, Variant::EnhancedOnline}) {
-    auto bulk = a0;
-    std::vector<double> tau_bulk;
-    Machine mb(small_rig(), ExecutionMode::Numeric);
+  for (const Variant variant : {Variant::NoFt, Variant::EnhancedOnline})
+  for (const int k : {1, 2})
+  for (const ExecutionMode mode :
+       {ExecutionMode::Numeric, ExecutionMode::TimingOnly}) {
+    SCOPED_TRACE(std::string(to_string(variant)) + " k=" + std::to_string(k));
+    const bool numeric = mode == ExecutionMode::Numeric;
     QrOptions opt;
     opt.variant = variant;
+    opt.verify_interval = k;
+
+    auto bulk = a0;
+    std::vector<double> tau_bulk;
+    Machine mb(small_rig(), mode);
+    mb.set_trace_enabled(true);
+    obs::RingBufferSink sb;
+    opt.event_sink = &sb;
     opt.runtime = RuntimeMode::Bulk;
-    const CholeskyResult rb = qr(mb, &bulk, &tau_bulk, n, opt);
+    const CholeskyResult rb =
+        qr(mb, numeric ? &bulk : nullptr, &tau_bulk, n, opt);
     ASSERT_TRUE(rb.success) << rb.note;
 
     auto dag = a0;
     std::vector<double> tau_dag;
-    Machine md(small_rig(), ExecutionMode::Numeric);
+    Machine md(small_rig(), mode);
+    md.set_trace_enabled(true);
+    obs::RingBufferSink sd;
+    opt.event_sink = &sd;
     opt.runtime = RuntimeMode::Dag;
-    const CholeskyResult rd = qr(md, &dag, &tau_dag, n, opt);
+    const CholeskyResult rd =
+        qr(md, numeric ? &dag : nullptr, &tau_dag, n, opt);
     ASSERT_TRUE(rd.success) << rd.note;
 
+    expect_same_work(issued(mb, sb), issued(md, sd));
     expect_bit_identical(bulk, dag);
     ASSERT_EQ(tau_bulk.size(), tau_dag.size());
     for (std::size_t i = 0; i < tau_bulk.size(); ++i) {
@@ -316,6 +402,111 @@ TEST(QrConformance, DagMakespanStrictlyShorter) {
   opt.runtime = RuntimeMode::Dag;
   const double dag = qr(md, nullptr, nullptr, 2048, opt).seconds;
   EXPECT_LT(dag, bulk);
+}
+
+// --------------------- the shared retry ladder ---------------------------
+
+// Reruns are for corruption and fail-stops only. Any other error — a
+// sanitizer report, a cycle, a failing transfer — must leave every
+// driver at once instead of being retried as if it were corruption.
+TEST(RetryLadder, NonFaultErrorsPropagateFromEveryDriver) {
+  const int n = 64;
+  const auto spd = test::random_spd(n, 91);
+  for (const int algo : {0, 1, 2})
+  for (const Variant variant : {Variant::NoFt, Variant::EnhancedOnline})
+  for (const RuntimeMode runtime : {RuntimeMode::Bulk, RuntimeMode::Dag}) {
+    SCOPED_TRACE("algo=" + std::to_string(algo) + " " + to_string(variant) +
+                 " " + to_string(runtime));
+    Machine m(small_rig(), ExecutionMode::Numeric);
+    int thrown = 0;
+    m.set_transfer_hook([&thrown](const sim::TransferCtx& ctx) {
+      if (!ctx.armed) return;
+      ++thrown;
+      throw Error("transfer probe");
+    });
+    auto a = spd;
+    std::vector<double> tau;
+    if (algo == 0) {
+      CholeskyOptions opt;
+      opt.variant = variant;
+      opt.runtime = runtime;
+      EXPECT_THROW(cholesky(m, &a, n, opt), Error);
+    } else if (algo == 1) {
+      LuOptions opt;
+      opt.variant = variant;
+      opt.runtime = runtime;
+      EXPECT_THROW(lu(m, &a, n, opt), Error);
+    } else {
+      QrOptions opt;
+      opt.variant = variant;
+      opt.runtime = runtime;
+      EXPECT_THROW(qr(m, &a, &tau, n, opt), Error);
+    }
+    EXPECT_EQ(thrown, 1) << "the error was retried";
+  }
+}
+
+// LU and QR share Cholesky's ladder: an uncorrectable strike reruns
+// with the failure class as the reason, and a ladder that gives up says
+// which class stopped it.
+TEST(RetryLadder, LuAndQrReportTheFailureClass) {
+  const int n = 96;
+  for (const int algo : {1, 2}) {
+    SCOPED_TRACE(algo == 1 ? "lu" : "qr");
+    // Three strikes in one retired block, two sharing a column and two
+    // sharing a row: neither checksum side can correct them, so the end
+    // sweep escalates.
+    FaultSpec s;
+    s.type = FaultType::Storage;
+    s.op = Op::Gemm;
+    s.iteration = 3;
+    s.block_row = 4;
+    s.block_col = 1;
+    s.elem_row = 2;
+    s.elem_col = 3;
+    s.bits = {52, 40};
+    std::vector<FaultSpec> plan{s};
+    s.elem_row = 9;
+    s.elem_col = 3;
+    plan.push_back(s);
+    s.elem_row = 2;
+    s.elem_col = 11;
+    plan.push_back(s);
+    for (const int reruns : {0, 1}) {
+      Injector inj(plan);
+      Machine m(small_rig(), ExecutionMode::Numeric);
+      obs::RingBufferSink sink;
+      auto a = algo == 1 ? test::random_spd(n, 17)
+                         : test::random_matrix(n, n, 17);
+      std::vector<double> tau;
+      CholeskyResult res;
+      if (algo == 1) {
+        LuOptions opt;
+        opt.max_reruns = reruns;
+        opt.event_sink = &sink;
+        res = lu(m, &a, n, opt, &inj);
+      } else {
+        QrOptions opt;
+        opt.max_reruns = reruns;
+        opt.event_sink = &sink;
+        res = qr(m, &a, &tau, n, opt, &inj);
+      }
+      if (reruns == 0) {
+        EXPECT_FALSE(res.success);
+        EXPECT_EQ(res.note.rfind("unrecoverable: ", 0), 0u) << res.note;
+        continue;
+      }
+      ASSERT_TRUE(res.success) << res.note;
+      EXPECT_EQ(res.reruns, 1);
+      int rerun_events = 0;
+      for (const obs::Event& e : sink.events()) {
+        if (e.kind != obs::EventKind::Rerun) continue;
+        ++rerun_events;
+        EXPECT_EQ(e.detail, "unrecoverable_corruption");
+      }
+      EXPECT_EQ(rerun_events, 1);
+    }
+  }
 }
 
 }  // namespace

@@ -421,7 +421,7 @@ void rule_include_hygiene(const SourceFile& f, const RuleConfig& cfg,
   }
 }
 
-// ----- DAG rules: shared add_task call-site walker ---------------------
+// ----- DAG rules: shared task call-site walker ------------------------
 
 std::string trim_copy(const std::string& s) {
   const std::size_t b = s.find_first_not_of(" \t");
@@ -430,88 +430,136 @@ std::string trim_copy(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
-/// One `.add_task(...)` / `->add_task(...)` call site: the 0-based line
-/// of the token, the per-line argument text (inside the outer parens),
-/// and the arguments split at top-level commas. Out-of-line
-/// definitions (`TaskGraph::add_task`) are not calls and are skipped.
-struct AddTaskCall {
+bool ident_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+}
+
+/// One call site that builds a task: `.add_task(...)` / `->add_task(...)`,
+/// or the drivers' `step(name, footprint, body, options, stream)`
+/// helper, which either runs its body at once or hands it to add_task.
+/// Records the 0-based line of the token, and the arguments split at
+/// top-level commas, each with its per-line text. Definitions
+/// (`TaskGraph::add_task`, `void step(`) are not calls and are skipped.
+struct TaskCall {
+  bool step = false;
   int line = 0;
-  std::vector<std::pair<int, std::string>> extent;
   std::vector<std::string> args;
+  std::vector<std::vector<std::pair<int, std::string>>> arg_extent;
 };
 
-std::vector<AddTaskCall> add_task_calls(const SourceFile& f) {
-  static const std::string kToken = "add_task";
-  std::vector<AddTaskCall> calls;
-  for (int ln = 0; ln < static_cast<int>(f.code.size()); ++ln) {
-    const std::string& line = f.code[static_cast<std::size_t>(ln)];
-    std::size_t at = 0;
-    while ((at = line.find(kToken, at)) != std::string::npos) {
-      const std::size_t tok_end = at + kToken.size();
-      const bool member =
-          at > 0 && (line[at - 1] == '.' || line[at - 1] == '>');
-      std::size_t open = tok_end;
-      while (open < line.size() && line[open] == ' ') ++open;
-      if (!member || open >= line.size() || line[open] != '(') {
-        at = tok_end;
+/// True when `token` at `at` in `line` starts a call of that name. A
+/// member call (`.`/`->`) always does; an unqualified call (the step
+/// helper) must follow punctuation or `return`/`else`, which rules out
+/// declarations such as `void step(` and `Driver::step(`.
+bool is_call_site(const std::string& line, std::size_t at, bool member_only) {
+  if (at > 0 && ident_char(line[at - 1])) return false;
+  const bool member =
+      at > 0 && (line[at - 1] == '.' || line[at - 1] == '>');
+  if (member) return true;
+  if (member_only) return false;
+  const std::string before = trim_copy(line.substr(0, at));
+  if (before.empty()) return true;
+  const char last = before.back();
+  if (last == ':') {
+    return before.size() < 2 || before[before.size() - 2] != ':';
+  }
+  if (!ident_char(last)) return last != '*' && last != '&' && last != '>';
+  static const std::regex kKeyword(R"((^|[^A-Za-z0-9_])(return|else)$)");
+  return std::regex_search(before, kKeyword);
+}
+
+/// Splits the argument list that opens at (`ln`, `open`) at top-level
+/// commas, recording each argument's per-line text.
+TaskCall scan_call(const SourceFile& f, int ln, std::size_t open,
+                   bool step) {
+  TaskCall call;
+  call.step = step;
+  call.line = ln;
+  call.arg_extent.emplace_back();
+  int pd = 0;  // parens, 1 inside the call's own list
+  int bd = 0;  // braces (footprint / designated initializers)
+  int kd = 0;  // brackets (lambda captures, subscripts)
+  std::string cur;
+  bool done = false;
+  int l = ln;
+  std::size_t p = open;
+  while (l < static_cast<int>(f.code.size()) && !done) {
+    const std::string& s = f.code[static_cast<std::size_t>(l)];
+    std::string seg;
+    for (; p < s.size(); ++p) {
+      const char c = s[p];
+      if (c == '(' && pd == 0) {
+        pd = 1;
         continue;
       }
-
-      AddTaskCall call;
-      call.line = ln;
-      int pd = 0;  // parens, 1 inside the call's own list
-      int bd = 0;  // braces (footprint / designated initializers)
-      int kd = 0;  // brackets (lambda captures, subscripts)
-      std::string cur;
-      bool done = false;
-      int l = ln;
-      std::size_t p = open;
-      while (l < static_cast<int>(f.code.size()) && !done) {
-        const std::string& s = f.code[static_cast<std::size_t>(l)];
-        std::string seg;
-        for (; p < s.size(); ++p) {
-          const char c = s[p];
-          if (c == '(' && pd == 0) {
-            pd = 1;
-            continue;
-          }
-          if (c == '(') {
-            ++pd;
-          } else if (c == ')') {
-            --pd;
-            if (pd == 0) {
-              done = true;
-              break;
-            }
-          } else if (c == '{') {
-            ++bd;
-          } else if (c == '}') {
-            --bd;
-          } else if (c == '[') {
-            ++kd;
-          } else if (c == ']') {
-            --kd;
-          }
-          if (c == ',' && pd == 1 && bd == 0 && kd == 0) {
-            call.args.push_back(cur);
-            cur.clear();
-          } else {
-            cur += c;
-          }
-          seg += c;
+      if (c == '(') {
+        ++pd;
+      } else if (c == ')') {
+        --pd;
+        if (pd == 0) {
+          done = true;
+          break;
         }
-        if (!seg.empty()) call.extent.emplace_back(l, seg);
-        if (!done) {
-          ++l;
-          p = 0;
-          cur += ' ';
-        }
+      } else if (c == '{') {
+        ++bd;
+      } else if (c == '}') {
+        --bd;
+      } else if (c == '[') {
+        ++kd;
+      } else if (c == ']') {
+        --kd;
       }
-      if (done) call.args.push_back(cur);
-      calls.push_back(std::move(call));
-      at = tok_end;
+      if (c == ',' && pd == 1 && bd == 0 && kd == 0) {
+        call.args.push_back(cur);
+        cur.clear();
+        if (!seg.empty()) call.arg_extent.back().emplace_back(l, seg);
+        seg.clear();
+        call.arg_extent.emplace_back();
+      } else {
+        cur += c;
+        seg += c;
+      }
+    }
+    if (!seg.empty()) call.arg_extent.back().emplace_back(l, seg);
+    if (!done) {
+      ++l;
+      p = 0;
+      cur += ' ';
     }
   }
+  if (done) call.args.push_back(cur);
+  return call;
+}
+
+std::vector<TaskCall> task_calls(const SourceFile& f) {
+  struct Token {
+    std::string text;
+    bool step;
+  };
+  static const std::vector<Token> kTokens = {{"add_task", false},
+                                             {"step", true}};
+  std::vector<TaskCall> calls;
+  for (int ln = 0; ln < static_cast<int>(f.code.size()); ++ln) {
+    const std::string& line = f.code[static_cast<std::size_t>(ln)];
+    for (const Token& token : kTokens) {
+      std::size_t at = 0;
+      while ((at = line.find(token.text, at)) != std::string::npos) {
+        const std::size_t tok_end = at + token.text.size();
+        std::size_t open = tok_end;
+        while (open < line.size() && line[open] == ' ') ++open;
+        if (open < line.size() && line[open] == '(' &&
+            (tok_end >= line.size() || !ident_char(line[tok_end])) &&
+            is_call_site(line, at, /*member_only=*/!token.step)) {
+          calls.push_back(scan_call(f, ln, open, token.step));
+        }
+        at = tok_end;
+      }
+    }
+  }
+  std::stable_sort(calls.begin(), calls.end(),
+                   [](const TaskCall& a, const TaskCall& b) {
+                     return a.line < b.line;
+                   });
   return calls;
 }
 
@@ -547,14 +595,16 @@ void rule_dag_footprint_helpers(const SourceFile& f, const RuleConfig&,
 
 void rule_dag_task_phase(const SourceFile& f, const RuleConfig&,
                          std::vector<Finding>* out) {
-  const std::vector<AddTaskCall> calls = add_task_calls(f);
+  const std::vector<TaskCall> calls = task_calls(f);
   if (calls.empty()) return;
   const std::vector<Region> regions = function_regions(f);
   static const std::regex kIdentifier(R"(^[A-Za-z_][A-Za-z0-9_]*$)");
 
-  for (const AddTaskCall& call : calls) {
-    const std::string last =
-        call.args.empty() ? std::string() : trim_copy(call.args.back());
+  for (const TaskCall& call : calls) {
+    // The options are add_task's last argument and step's fourth.
+    std::string last;
+    if (!call.step && !call.args.empty()) last = trim_copy(call.args.back());
+    if (call.step && call.args.size() > 3) last = trim_copy(call.args[3]);
     if (std::regex_match(last, kIdentifier)) {
       // Named TaskOptions: `<name>.phase` must be assigned somewhere in
       // the enclosing function (the whole file when no region matches —
@@ -577,13 +627,14 @@ void rule_dag_task_phase(const SourceFile& f, const RuleConfig&,
       if (!sets_phase) {
         out->push_back({f.path, call.line + 1, "dag-task-phase",
                         "TaskOptions '" + last +
-                            "' passed to add_task never sets .phase; every "
+                            "' passed to a task call never sets .phase; "
+                            "every "
                             "DAG task names its observability phase so "
                             "telemetry and the profiler can attribute it"});
       }
     } else if (last.find(".phase") == std::string::npos) {
       out->push_back({f.path, call.line + 1, "dag-task-phase",
-                      "add_task call site without a phase-bearing "
+                      "task call site without a phase-bearing "
                       "TaskOptions argument; pass options with .phase set "
                       "so telemetry and the profiler can attribute the "
                       "task"});
@@ -596,14 +647,19 @@ void rule_dag_task_phase(const SourceFile& f, const RuleConfig&,
 void rule_dag_capture_hygiene(const SourceFile& f, const RuleConfig&,
                               std::vector<Finding>* out) {
   static const std::regex kDefaultCapture(R"(\[\s*[&=]\s*[,\]])");
-  for (const AddTaskCall& call : add_task_calls(f)) {
-    for (const auto& [ln, seg] : call.extent) {
-      if (std::regex_search(seg, kDefaultCapture)) {
-        out->push_back({f.path, ln + 1, "dag-capture-hygiene",
-                        "default lambda capture ([&] / [=]) in an add_task "
-                        "argument; capture tiles and indices explicitly so "
-                        "the body provably touches only the declared "
-                        "footprint"});
+  for (const TaskCall& call : task_calls(f)) {
+    for (std::size_t a = 0; a < call.arg_extent.size(); ++a) {
+      // step's footprint builder runs while the graph is built, so it
+      // may capture by reference; its body may run later and may not.
+      if (call.step && a == 1) continue;
+      for (const auto& [ln, seg] : call.arg_extent[a]) {
+        if (std::regex_search(seg, kDefaultCapture)) {
+          out->push_back({f.path, ln + 1, "dag-capture-hygiene",
+                          "default lambda capture ([&] / [=]) in a task "
+                          "body; capture tiles and indices explicitly so "
+                          "the body provably touches only the declared "
+                          "footprint"});
+        }
       }
     }
   }
@@ -631,9 +687,9 @@ const std::vector<RuleInfo>& rule_catalog() {
        "DAG footprints come from the read/write/rw helpers, never raw "
        "Access values"},
       {"dag-task-phase",
-       "every add_task call site names its observability phase"},
+       "every add_task / step call site names its observability phase"},
       {"dag-capture-hygiene",
-       "add_task lambdas capture explicitly — no [&] or [=] defaults"},
+       "task bodies capture explicitly — no [&] or [=] defaults"},
   };
   return kCatalog;
 }
