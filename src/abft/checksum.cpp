@@ -64,41 +64,58 @@ void potf2_update_checksum(ConstMatrixView<double> l,
   }
 }
 
-VerifyOutcome verify_block(MatrixView<double> a, MatrixView<double> chk,
+namespace {
+
+// One R = 2 decoder for both checksum sides. A *lane* is what one
+// checksum pair covers: a block column for column checksums (chk is
+// 2 x cols; element i of lane l is a(i, l)) or a block row for row
+// checksums (chk is rows x 2; element i of lane l is a(l, i)). The row
+// decoder is the column decoder on the transposed block, step for step,
+// so both sides round identically.
+template <bool kRowLanes>
+VerifyOutcome decode_lanes(MatrixView<double> a, MatrixView<double> chk,
                            ConstMatrixView<double> recalc,
                            const Tolerance& tol) {
-  const int cols = a.cols();
-  const int rows = a.rows();
-  FTLA_CHECK(chk.rows() == kChecksumRows && chk.cols() == cols);
-  FTLA_CHECK(recalc.rows() == kChecksumRows && recalc.cols() == cols);
+  const auto elem = [&a](int l, int i) -> double& {
+    return kRowLanes ? a(l, i) : a(i, l);
+  };
+  const auto stored = [&chk](int l, int k) -> double& {
+    return kRowLanes ? chk(l, k) : chk(k, l);
+  };
+  const auto fresh = [&recalc](int l, int k) {
+    return kRowLanes ? recalc(l, k) : recalc(k, l);
+  };
+  const int lanes = kRowLanes ? a.rows() : a.cols();
+  const int len = kRowLanes ? a.cols() : a.rows();
 
   VerifyOutcome out;
-  for (int c = 0; c < cols; ++c) {
-    const double d1 = recalc(0, c) - chk(0, c);
-    const double d2 = recalc(1, c) - chk(1, c);
-    // Per-row thresholds: judging both rows against one shared scale
-    // lets a huge corrupted checksum inflate the threshold until the
-    // other row's deviation reads as "clean" — a coincident data error
-    // then classifies as checksum damage and the repair re-encodes the
-    // checksum from the corrupted data (unbounded laundering). With
-    // per-row scales the worst a threshold-band straddle can launder is
-    // an error below that row's own detection floor.
+  for (int l = 0; l < lanes; ++l) {
+    const double d1 = fresh(l, 0) - stored(l, 0);
+    const double d2 = fresh(l, 1) - stored(l, 1);
+    // Per-checksum thresholds: judging both checksums against one
+    // shared scale lets a huge corrupted checksum inflate the threshold
+    // until the other one's deviation reads as "clean" — a coincident
+    // data error then classifies as checksum damage and the repair
+    // re-encodes the checksum from the corrupted data (unbounded
+    // laundering). With per-checksum scales the worst a threshold-band
+    // straddle can launder is an error below that checksum's own
+    // detection floor.
     const double t1 = tol.threshold(
-        std::max(std::abs(chk(0, c)), std::abs(recalc(0, c))));
+        std::max(std::abs(stored(l, 0)), std::abs(fresh(l, 0))));
     const double t2w = tol.threshold(
-        std::max(std::abs(chk(1, c)), std::abs(recalc(1, c))));
+        std::max(std::abs(stored(l, 1)), std::abs(fresh(l, 1))));
     const bool e1 = std::abs(d1) > t1;
     const bool e2 = std::abs(d2) > t2w;
     if (!e1 && !e2) continue;
 
     if (e1 && e2) {
-      // Single-data-error hypothesis: d2/d1 must be an integral row.
-      const double r = d2 / d1;
-      const int row1 = static_cast<int>(std::lround(r));
-      if (row1 >= 1 && row1 <= rows &&
-          std::abs(r - row1) <= 0.01 * std::max(1.0, std::abs(r))) {
+      // Single-data-error hypothesis: d2/d1 must be an integral position.
+      const double q = d2 / d1;
+      const int pos1 = static_cast<int>(std::lround(q));
+      if (pos1 >= 1 && pos1 <= len &&
+          std::abs(q - pos1) <= 0.01 * std::max(1.0, std::abs(q))) {
         ++out.errors_detected;
-        const double old_value = a(row1 - 1, c);
+        const double old_value = elem(l, pos1 - 1);
         double corrected = old_value - d1;
         // Size the syndrome against the *clean* scale (the stored
         // checksums) — the detection threshold t is inflated by the
@@ -107,15 +124,15 @@ VerifyOutcome verify_block(MatrixView<double> a, MatrixView<double> chk,
         // residue alone is a visible error, so re-solve the checksum
         // equation from the clean neighbors in that regime.
         const double t_clean = tol.threshold(
-            std::max(std::abs(chk(0, c)), std::abs(chk(1, c))));
+            std::max(std::abs(stored(l, 0)), std::abs(stored(l, 1))));
         if (std::abs(d1) * 1e-13 > t_clean) {
           double rest = 0.0;
-          for (int i = 0; i < rows; ++i) {
-            if (i != row1 - 1) rest += a(i, c);
+          for (int i = 0; i < len; ++i) {
+            if (i != pos1 - 1) rest += elem(l, i);
           }
-          corrected = chk(0, c) - rest;
+          corrected = stored(l, 0) - rest;
         }
-        a(row1 - 1, c) = corrected;
+        elem(l, pos1 - 1) = corrected;
         // Re-encode and recheck: a correlated double error can alias
         // to a valid single-error syndrome, and the miscorrection
         // leaves a sum-consistent error pair that the next
@@ -125,35 +142,46 @@ VerifyOutcome verify_block(MatrixView<double> a, MatrixView<double> chk,
         // recheck; 2x tolerates drift plus correction rounding.
         double s1 = 0.0;
         double s2 = 0.0;
-        for (int i = 0; i < rows; ++i) {
-          s1 += a(i, c);
-          s2 += (i + 1.0) * a(i, c);
+        for (int i = 0; i < len; ++i) {
+          s1 += elem(l, i);
+          s2 += (i + 1.0) * elem(l, i);
         }
         const double t2 = tol.threshold(
-            std::max({std::abs(chk(0, c)), std::abs(chk(1, c)),
+            std::max({std::abs(stored(l, 0)), std::abs(stored(l, 1)),
                       std::abs(s1), std::abs(s2)}));
-        if (std::abs(s1 - chk(0, c)) > 2.0 * t2 ||
-            std::abs(s2 - chk(1, c)) > 2.0 * t2) {
+        if (std::abs(s1 - stored(l, 0)) > 2.0 * t2 ||
+            std::abs(s2 - stored(l, 1)) > 2.0 * t2) {
           out.uncorrectable = true;
         } else {
           ++out.errors_corrected;
           out.corrections.push_back(
-              Correction{row1 - 1, c, old_value, corrected});
+              kRowLanes ? Correction{l, pos1 - 1, old_value, corrected}
+                        : Correction{pos1 - 1, l, old_value, corrected});
         }
       } else {
         ++out.errors_detected;
         out.uncorrectable = true;
       }
     } else if (e1) {
-      // d2 clean: no data error can do this — chk row 1 is corrupted.
-      chk(0, c) = recalc(0, c);
+      // d2 clean: no data error can do this — checksum 1 is corrupted.
+      stored(l, 0) = fresh(l, 0);
       ++out.checksum_repairs;
     } else {
-      chk(1, c) = recalc(1, c);
+      stored(l, 1) = fresh(l, 1);
       ++out.checksum_repairs;
     }
   }
   return out;
+}
+
+}  // namespace
+
+VerifyOutcome verify_block(MatrixView<double> a, MatrixView<double> chk,
+                           ConstMatrixView<double> recalc,
+                           const Tolerance& tol) {
+  FTLA_CHECK(chk.rows() == kChecksumRows && chk.cols() == a.cols());
+  FTLA_CHECK(recalc.rows() == kChecksumRows && recalc.cols() == a.cols());
+  return decode_lanes<false>(a, chk, recalc, tol);
 }
 
 VerifyOutcome verify_block_host(MatrixView<double> a, MatrixView<double> chk,
@@ -194,79 +222,9 @@ void encode_block_rows(ConstMatrixView<double> a, MatrixView<double> chk) {
 VerifyOutcome verify_block_rows(MatrixView<double> a, MatrixView<double> chk,
                                 ConstMatrixView<double> recalc,
                                 const Tolerance& tol) {
-  const int rows = a.rows();
-  const int cols = a.cols();
-  FTLA_CHECK(chk.cols() == kChecksumRows && chk.rows() == rows);
-  FTLA_CHECK(recalc.cols() == kChecksumRows && recalc.rows() == rows);
-
-  VerifyOutcome out;
-  for (int r = 0; r < rows; ++r) {
-    const double d1 = recalc(r, 0) - chk(r, 0);
-    const double d2 = recalc(r, 1) - chk(r, 1);
-    // Per-column thresholds; see verify_block for why a shared scale
-    // would let a corrupted checksum mask a coincident data error.
-    const double t1 = tol.threshold(
-        std::max(std::abs(chk(r, 0)), std::abs(recalc(r, 0))));
-    const double t2w = tol.threshold(
-        std::max(std::abs(chk(r, 1)), std::abs(recalc(r, 1))));
-    const bool e1 = std::abs(d1) > t1;
-    const bool e2 = std::abs(d2) > t2w;
-    if (!e1 && !e2) continue;
-
-    if (e1 && e2) {
-      const double q = d2 / d1;
-      const int col1 = static_cast<int>(std::lround(q));
-      if (col1 >= 1 && col1 <= cols &&
-          std::abs(q - col1) <= 0.01 * std::max(1.0, std::abs(q))) {
-        ++out.errors_detected;
-        const double old_value = a(r, col1 - 1);
-        double corrected = old_value - d1;
-        // See verify_block: exponent-scale syndromes (sized against
-        // the clean stored-checksum scale) must be corrected via the
-        // checksum equation, not subtraction.
-        const double t_clean = tol.threshold(
-            std::max(std::abs(chk(r, 0)), std::abs(chk(r, 1))));
-        if (std::abs(d1) * 1e-13 > t_clean) {
-          double rest = 0.0;
-          for (int cc = 0; cc < cols; ++cc) {
-            if (cc != col1 - 1) rest += a(r, cc);
-          }
-          corrected = chk(r, 0) - rest;
-        }
-        a(r, col1 - 1) = corrected;
-        // See verify_block: recheck at the post-correction scale so an
-        // aliased double error escalates instead of laundering into a
-        // checksum repair.
-        double s1 = 0.0;
-        double s2 = 0.0;
-        for (int cc = 0; cc < cols; ++cc) {
-          s1 += a(r, cc);
-          s2 += (cc + 1.0) * a(r, cc);
-        }
-        const double t2 = tol.threshold(
-            std::max({std::abs(chk(r, 0)), std::abs(chk(r, 1)),
-                      std::abs(s1), std::abs(s2)}));
-        if (std::abs(s1 - chk(r, 0)) > 2.0 * t2 ||
-            std::abs(s2 - chk(r, 1)) > 2.0 * t2) {
-          out.uncorrectable = true;
-        } else {
-          ++out.errors_corrected;
-          out.corrections.push_back(
-              Correction{r, col1 - 1, old_value, corrected});
-        }
-      } else {
-        ++out.errors_detected;
-        out.uncorrectable = true;
-      }
-    } else if (e1) {
-      chk(r, 0) = recalc(r, 0);
-      ++out.checksum_repairs;
-    } else {
-      chk(r, 1) = recalc(r, 1);
-      ++out.checksum_repairs;
-    }
-  }
-  return out;
+  FTLA_CHECK(chk.cols() == kChecksumRows && chk.rows() == a.rows());
+  FTLA_CHECK(recalc.cols() == kChecksumRows && recalc.rows() == a.rows());
+  return decode_lanes<true>(a, chk, recalc, tol);
 }
 
 VerifyOutcome verify_block_rows_host(MatrixView<double> a,

@@ -547,8 +547,8 @@ void Run::poll_window_faults(fault::Op op, int j) {
 // that waits only on its true dependencies, so iteration j's trailing
 // update overlaps iteration j+1's panel work and verify tasks hide in
 // compute/transfer slack. Steps are issued in the same order either
-// way, and the executor's deterministic schedule is insertion order, so
-// numerics and fault-hook firing points are bit-identical.
+// way, and the executor issues in insertion order, so numerics and
+// fault-hook firing points are bit-identical.
 // ----------------------------------------------------------------------
 
 void Run::iteration(int j) {

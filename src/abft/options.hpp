@@ -125,7 +125,7 @@ struct DriverOptions {
   /// Execution structure: bulk-synchronous (the oracle) or the
   /// dependency-driven task-graph runtime.
   RuntimeMode runtime = RuntimeMode::Bulk;
-  /// RuntimeMode::Dag only: 0 = the deterministic schedule; nonzero =
+  /// RuntimeMode::Dag only: 0 = insertion order; nonzero =
   /// issue the DAG in the seeded random topological order drawn by
   /// TaskGraph::random_schedule. The schedule-permutation fuzzer's
   /// knob — numerics are bit-identical for every seed.

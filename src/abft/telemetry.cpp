@@ -26,7 +26,9 @@ Telemetry::Telemetry(sim::Machine& m, obs::EventSink* sink,
                      obs::TimeSeriesStore* timeseries)
     : m_(m), sink_(sink), metrics_(metrics), injector_(injector),
       profile_(profile), timeseries_(timeseries) {
-  if (injector_ != nullptr && active()) {
+  // Injection stamps and detection matching are fault accounting, not
+  // observation: wire them whenever an injector is passed.
+  if (injector_ != nullptr) {
     injector_->set_event_sink(sink_);
     injector_->set_clock([&machine = m_] { return machine.host_now(); });
   }
@@ -84,7 +86,7 @@ void Telemetry::block_verified(const VerifyOutcome& out, fault::Op attr,
                                int iteration, int block_row, int block_col,
                                std::int64_t recalc_flops, int row0, int rows,
                                int col0, int cols, int chk_row0) {
-  if (!active()) return;
+  if (!active() && injector_ == nullptr) return;
   common::MutexLock lk(mu_);
   const double now = m_.host_now();
   const bool clean = out.clean();

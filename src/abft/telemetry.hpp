@@ -4,8 +4,11 @@
 //
 // The recorder is deliberately passive — constructed with whatever the
 // caller wired into the options (event sink, metrics registry, both or
-// neither) and a no-op when nothing is attached, so the drivers carry
-// zero overhead in the common un-instrumented path.
+// neither) and a no-op when nothing is attached and no injector is
+// passed, so the drivers carry zero overhead in the common
+// un-instrumented path. An injector alone still gets its clock and its
+// detections matched: that is fault accounting, which must not depend
+// on whether anyone watches.
 //
 // Responsibilities:
 //   * mirror the Table-I verification counters into the metrics
@@ -49,10 +52,12 @@ inline constexpr const char* kDetectionLatencyMetric =
 
 class Telemetry {
  public:
-  /// All pointers optional and not owned. When `injector` is non-null
-  /// and a sink is attached, the injector is wired to the machine's
-  /// virtual clock so injection records carry timestamps. `profile` is
-  /// the profiler span store the driver tags phases/iterations on.
+  /// All pointers optional and not owned. A non-null `injector` is
+  /// wired to the machine's virtual clock (and to `sink`, if any), so
+  /// injection records carry timestamps and dirty verifications are
+  /// matched to them whether or not anything observes the run.
+  /// `profile` is the profiler span store the driver tags
+  /// phases/iterations on.
   Telemetry(sim::Machine& m, obs::EventSink* sink,
             obs::MetricsRegistry* metrics, fault::Injector* injector,
             obs::SpanStore* profile = nullptr,

@@ -153,10 +153,6 @@ ScenarioResult run_scenario(const Scenario& sc) {
     }
   });
 
-  // A scratch registry activates the drivers' telemetry layer, which is
-  // what correlates corrections back to injections (mark_detected) —
-  // without it every campaign run would report zero detections.
-  obs::MetricsRegistry scratch_metrics;
   // FTLA_CAMPAIGN_DEBUG=1 streams the full event log to stderr — the
   // fastest way to triage a replayed failure plan.
   std::unique_ptr<obs::JsonlStreamSink> dbg_sink;
@@ -177,7 +173,6 @@ ScenarioResult run_scenario(const Scenario& sc) {
       o.recovery = sc.recovery;
       o.checkpoint_interval = sc.checkpoint_interval;
       o.transfer_guard = sc.transfer_guard;
-      o.metrics = &scratch_metrics;
       o.event_sink = dbg_sink.get();
       res = abft::cholesky(m, &a, n, o, &inj);
       break;
@@ -188,7 +183,6 @@ ScenarioResult run_scenario(const Scenario& sc) {
       o.block_size = sc.block;
       o.runtime = sc.runtime;
       o.verify_interval = sc.verify_interval;
-      o.metrics = &scratch_metrics;
       o.event_sink = dbg_sink.get();
       res = abft::lu(m, &a, n, o, &inj);
       break;
@@ -199,7 +193,6 @@ ScenarioResult run_scenario(const Scenario& sc) {
       o.block_size = sc.block;
       o.runtime = sc.runtime;
       o.verify_interval = sc.verify_interval;
-      o.metrics = &scratch_metrics;
       o.event_sink = dbg_sink.get();
       res = abft::qr(m, &a, &tau, n, o, &inj);
       break;

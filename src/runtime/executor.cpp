@@ -1,82 +1,17 @@
 #include "runtime/executor.hpp"
 
 #include <cstddef>
-#include <exception>
 
-#include "common/thread_annotations.hpp"
 #include "runtime/sanitizer.hpp"
 
 namespace ftla::runtime {
 
-void run_on_host(const TaskGraph& graph, const HostRunOptions& opts) {
-  const auto waves = graph.waves();  // throws CycleError up front
-  common::ThreadPool* pool =
-      opts.pool != nullptr ? opts.pool : &common::global_pool();
-  AccessTracker* tracker = graph.access_tracker();
-  if (tracker != nullptr) tracker->begin_run(graph);
-
-  // First-failure capture for wave-parallel bodies: workers publish the
-  // first exception here under the mutex; once a failure is recorded
-  // the remaining tasks are skipped (their inputs may be garbage) and
-  // the exception is rethrown after the in-flight wave drains.
-  struct Failure {
-    common::Mutex mu;
-    bool failed FTLA_GUARDED_BY(mu) = false;
-    std::exception_ptr first FTLA_GUARDED_BY(mu);
-  } failure;
-
-  for (const std::vector<int>& wave : waves) {
-    pool->parallel_for(0, static_cast<std::int64_t>(wave.size()),
-                       [&](std::int64_t i) {
-                         {
-                           common::MutexLock lk(failure.mu);
-                           if (failure.failed) return;
-                         }
-                         const int id = wave[static_cast<std::size_t>(i)];
-                         if (tracker != nullptr) tracker->begin_task(id);
-                         TaskContext ctx;
-                         ctx.task = id;
-                         ctx.tiles = TileAccessor{tracker, id};
-                         try {
-                           graph.node(id).body(ctx);
-                         } catch (...) {
-                           common::MutexLock lk(failure.mu);
-                           failure.failed = true;
-                           if (failure.first == nullptr) {
-                             failure.first = std::current_exception();
-                           }
-                         }
-                       });
-    common::MutexLock lk(failure.mu);
-    if (failure.failed) break;
-  }
-
-  if (opts.metrics != nullptr) {
-    opts.metrics->add_counter("runtime.host.tasks", graph.size());
-    opts.metrics->add_counter("runtime.host.waves",
-                              static_cast<long long>(waves.size()));
-    if (tracker != nullptr) {
-      opts.metrics->add_counter("runtime.sanitize.accesses",
-                                tracker->accesses());
-      opts.metrics->add_counter(
-          "runtime.sanitize.violations",
-          static_cast<long long>(tracker->violations().size()));
-    }
-  }
-
-  std::exception_ptr first;
-  {
-    common::MutexLock lk(failure.mu);
-    first = failure.first;
-  }
-  if (first != nullptr) std::rethrow_exception(first);
-}
-
 StreamRunStats run_on_streams(const TaskGraph& graph, sim::Machine& machine,
                               const StreamRunOptions& opts) {
+  // Empty = insertion order, which needs no table.
   const std::vector<int> order =
       opts.schedule_seed != 0 ? graph.random_schedule(opts.schedule_seed)
-                              : graph.schedule();  // throws CycleError
+                              : std::vector<int>{};
   std::vector<sim::StreamId> pool = opts.streams;
   if (pool.empty()) pool.push_back(machine.default_stream());
 
@@ -105,7 +40,8 @@ StreamRunStats run_on_streams(const TaskGraph& graph, sim::Machine& machine,
 
   const bool tracing = opts.trace != nullptr && opts.trace_ctx.valid();
 
-  for (const int id : order) {
+  for (int i = 0; i < graph.size(); ++i) {
+    const int id = order.empty() ? i : order[static_cast<std::size_t>(i)];
     const TaskNode& node = graph.node(id);
     if (opts.profile != nullptr) opts.profile->set_iteration(node.opts.iteration);
     obs::TaskScope task_scope(opts.profile, id);

@@ -1,34 +1,24 @@
-// Executors: two ways of running the same TaskGraph.
+// Executor: issues a TaskGraph onto the simulator's streams.
 //
-// run_on_host — real execution on the shared ThreadPool. Waves of
-// mutually independent tasks (TaskGraph::waves) run concurrently via
-// parallel_for; because tasks in one wave touch disjoint writable
-// tiles, the result is bit-identical at any thread count, including
-// serial. Bodies may throw: the first exception observed is captured
-// under a mutex, remaining tasks are skipped, and it is rethrown once
-// the in-flight wave drains (which of several same-wave exceptions is
-// "first" follows thread interleaving).
-//
-// run_on_streams — issue onto the simulator's streams. Issue order is
-// the graph's deterministic schedule(); each Device task runs on the
-// least-loaded stream of the pool (tie: pool order) with
-// stream_wait_event fences on its cross-stream predecessors, each Host
-// task syncs its device predecessors' events before running, and
-// Inline tasks run with no machine interaction. Same-stream program
-// order and the monotonic host clock make the remaining fences
-// implicit — see docs/runtime.md ("Executor contracts") for the
-// ordering proof. Bodies run eagerly at issue time (that is how the
-// simulator executes numerics), so any topological issue order
-// produces bit-identical numerics; the schedule only shapes virtual
-// time. StreamRunOptions::schedule_seed draws a seeded random valid
-// topological order instead of the deterministic one — the
+// run_on_streams walks the tasks in insertion order, which is a
+// topological order because every edge is inferred and points forward
+// (graph.hpp). Each Device task runs on the least-loaded stream of the
+// pool (tie: pool order) with stream_wait_event fences on its
+// cross-stream predecessors, each Host task syncs its device
+// predecessors' events before running, and Inline tasks run with no
+// machine interaction. Same-stream program order and the monotonic host
+// clock make the remaining fences implicit. Bodies run eagerly at
+// issue time (that is how the simulator executes numerics), so any
+// topological issue order produces bit-identical numerics; the order
+// only shapes virtual time. StreamRunOptions::schedule_seed draws a
+// seeded random valid topological order instead — the
 // schedule-permutation fuzzer's lever for testing exactly that
 // equivalence-class property. Bodies may throw (verification tasks do
 // on unrecoverable corruption); the exception unwinds out of the
 // executor with span scopes restored.
 //
-// Both executors honor an armed sanitizer (TaskGraph::
-// set_access_tracker): they call begin_run/begin_task and hand every
+// The executor honors an armed sanitizer (TaskGraph::
+// set_access_tracker): it calls begin_run/begin_task and hands every
 // body a recording TileAccessor via TaskContext::tiles — see
 // sanitizer.hpp.
 #pragma once
@@ -36,7 +26,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
@@ -44,17 +33,6 @@
 #include "sim/machine.hpp"
 
 namespace ftla::runtime {
-
-struct HostRunOptions {
-  /// Pool to run on; nullptr = the process-global pool (FTLA_THREADS).
-  common::ThreadPool* pool = nullptr;
-  /// Optional `runtime.host.*` counters.
-  obs::MetricsRegistry* metrics = nullptr;
-};
-
-/// Executes every task (wave-parallel). Throws CycleError on a cyclic
-/// graph before running anything.
-void run_on_host(const TaskGraph& graph, const HostRunOptions& opts = {});
 
 struct StreamRunOptions {
   /// Stream pool for Device tasks; empty = {machine.default_stream()}.
@@ -64,8 +42,8 @@ struct StreamRunOptions {
   obs::SpanStore* profile = nullptr;
   /// Optional `runtime.*` counters.
   obs::MetricsRegistry* metrics = nullptr;
-  /// 0 = the deterministic schedule(). Nonzero = issue in the seeded
-  /// random topological order TaskGraph::random_schedule(seed) draws;
+  /// 0 = insertion order. Nonzero = issue in the seeded random
+  /// topological order TaskGraph::random_schedule(seed) draws;
   /// numerics stay bit-identical (eager-at-issue bodies), only the
   /// virtual-time shape and fence counts may change.
   std::uint64_t schedule_seed = 0;
@@ -98,8 +76,7 @@ struct StreamRunStats {
   std::int64_t syncs_elided = 0;
 };
 
-/// Issues every task onto `machine`. Throws CycleError on a cyclic
-/// graph before issuing anything; rethrows task-body exceptions.
+/// Issues every task onto `machine`; rethrows task-body exceptions.
 StreamRunStats run_on_streams(const TaskGraph& graph, sim::Machine& machine,
                               const StreamRunOptions& opts = {});
 

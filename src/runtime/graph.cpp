@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <queue>
 #include <utility>
 
 #include "common/rng.hpp"
@@ -11,16 +10,6 @@
 namespace ftla::runtime {
 
 namespace {
-
-// Min-heap entry for the ready set: (priority, seq), lowest first.
-struct Ready {
-  int priority;
-  int seq;
-  friend bool operator>(const Ready& a, const Ready& b) noexcept {
-    if (a.priority != b.priority) return a.priority > b.priority;
-    return a.seq > b.seq;
-  }
-};
 
 /// splitmix64 finalizer over the packed key: spreads the small, dense
 /// coordinates drivers use across the whole word.
@@ -68,17 +57,13 @@ TaskGraph::TileState& TaskGraph::tile_state(const TileKey& key) {
   return tiles_.back().second;
 }
 
-void TaskGraph::link_new(int from, int to) {
-  nodes_[static_cast<std::size_t>(to)].preds.push_back(from);
-  nodes_[static_cast<std::size_t>(from)].succs.push_back(to);
-  ++edges_;
-}
-
 void TaskGraph::infer(int from, int to) {
   int& stamp = linked_into_[static_cast<std::size_t>(from)];
   if (from == to || stamp == to) return;
   stamp = to;
-  link_new(from, to);
+  nodes_[static_cast<std::size_t>(to)].preds.push_back(from);
+  nodes_[static_cast<std::size_t>(from)].succs.push_back(to);
+  ++edges_;
 }
 
 int TaskGraph::add_task(std::string name, std::vector<Footprint> footprint,
@@ -111,59 +96,18 @@ int TaskGraph::add_task(std::string name, std::vector<Footprint> footprint,
   return id;
 }
 
-void TaskGraph::add_edge(int from, int to) {
-  FTLA_CHECK_MSG(from >= 0 && from < size(), "add_edge: from out of range");
-  FTLA_CHECK_MSG(to >= 0 && to < size(), "add_edge: to out of range");
-  FTLA_CHECK_MSG(from != to, "add_edge: self-edge");
-  const auto& preds = nodes_[static_cast<std::size_t>(to)].preds;
-  if (std::find(preds.begin(), preds.end(), from) != preds.end()) return;
-  link_new(from, to);
-}
-
-std::vector<int> TaskGraph::schedule() const {
-  const int n = size();
-  std::vector<int> indegree(static_cast<std::size_t>(n), 0);
-  for (int id = 0; id < n; ++id) {
-    indegree[static_cast<std::size_t>(id)] =
-        static_cast<int>(nodes_[static_cast<std::size_t>(id)].preds.size());
-  }
-  std::priority_queue<Ready, std::vector<Ready>, std::greater<Ready>> ready;
-  for (int id = 0; id < n; ++id) {
-    if (indegree[static_cast<std::size_t>(id)] == 0) {
-      ready.push({nodes_[static_cast<std::size_t>(id)].opts.priority, id});
-    }
-  }
-  std::vector<int> order;
-  order.reserve(static_cast<std::size_t>(n));
-  while (!ready.empty()) {
-    const int id = ready.top().seq;
-    ready.pop();
-    order.push_back(id);
-    for (int s : nodes_[static_cast<std::size_t>(id)].succs) {
-      if (--indegree[static_cast<std::size_t>(s)] == 0) {
-        ready.push({nodes_[static_cast<std::size_t>(s)].opts.priority, s});
-      }
-    }
-  }
-  if (static_cast<int>(order.size()) != n) {
-    throw CycleError(n - static_cast<int>(order.size()));
-  }
-  return order;
-}
-
 std::vector<int> TaskGraph::random_schedule(std::uint64_t seed) const {
-  // Start from the deterministic order (throws on cycle) and split it
-  // at the sequence points (empty-footprint tasks). Each segment is
-  // then re-drawn as a random topological order of its own tasks: every
-  // edge between two segment members is respected, every edge across a
-  // fence keeps its direction because segments run in order, so the
-  // result is a valid topological order of the whole graph with each
-  // sequence point preceded by exactly the task set that precedes it
-  // deterministically.
-  const std::vector<int> det = schedule();
+  // Split insertion order (a topological order: every edge points
+  // forward) at the sequence points (empty-footprint tasks). Each
+  // segment is then re-drawn as a random topological order of its own
+  // tasks: every edge between two segment members is respected, every
+  // edge across a fence keeps its direction because segments run in
+  // order, so the result is a valid topological order of the whole
+  // graph with each sequence point preceded by exactly the task set
+  // that precedes it in insertion order.
   Rng rng(seed);
   std::vector<int> order;
-  order.reserve(det.size());
+  order.reserve(nodes_.size());
 
   std::vector<int> segment;
   std::vector<int> pending;  // scratch for the per-segment ready draw
@@ -202,38 +146,16 @@ std::vector<int> TaskGraph::random_schedule(std::uint64_t seed) const {
     segment.clear();
   };
 
-  for (const int id : det) {
+  for (int id = 0; id < size(); ++id) {
     if (nodes_[static_cast<std::size_t>(id)].footprint.empty()) {
       flush();
-      order.push_back(id);  // sequence point: keep its deterministic slot
+      order.push_back(id);  // sequence point: keep its insertion slot
     } else {
       segment.push_back(id);
     }
   }
   flush();
   return order;
-}
-
-std::vector<std::vector<int>> TaskGraph::waves() const {
-  if (size() == 0) return {};
-  const std::vector<int> order = schedule();  // throws on cycle
-  std::vector<int> depth(static_cast<std::size_t>(size()), 0);
-  int max_depth = 0;
-  for (int id : order) {
-    int d = 0;
-    for (int p : nodes_[static_cast<std::size_t>(id)].preds) {
-      d = std::max(d, depth[static_cast<std::size_t>(p)] + 1);
-    }
-    depth[static_cast<std::size_t>(id)] = d;
-    max_depth = std::max(max_depth, d);
-  }
-  std::vector<std::vector<int>> waves(static_cast<std::size_t>(max_depth + 1));
-  for (int id = 0; id < size(); ++id) {
-    waves[static_cast<std::size_t>(depth[static_cast<std::size_t>(id)])]
-        .push_back(id);
-  }
-  // Node ids are scanned in insertion order, so each wave already is.
-  return waves;
 }
 
 }  // namespace ftla::runtime

@@ -9,17 +9,13 @@
 //   * WAW: a Write of T depends on T's last writer;
 //   * WAR: a Write of T depends on every reader of T since that writer.
 //
-// Inference edges always point from an earlier-inserted task to a
-// later-inserted one, so inference alone can never create a cycle;
-// only explicit add_edge can, and schedule() rejects it.
-//
-// Determinism contract: schedule() runs Kahn's algorithm with a fixed
-// (priority, insertion-sequence) tie-break over the ready set, so the
-// issue order is a pure function of the graph — no pointer values, no
-// hash iteration order, no wall clock. waves() groups tasks by
-// longest-path depth; tasks in one wave are mutually independent, which
-// is what lets the host executor run a wave's tasks concurrently and
-// still produce bit-identical results at any thread count.
+// Every edge is inferred and points from an earlier-inserted task into
+// the one being added, so insertion order (node ids 0..n-1) is a
+// topological order by construction: the graph cannot be cyclic, and
+// executors issue in id order with no scheduler. That order is a pure
+// function of the build sequence — no pointer values, no hash
+// iteration order, no wall clock — which is what makes the DAG drivers
+// issue exactly the bulk program order (docs/runtime.md).
 //
 // The graph itself is execution-agnostic: bodies are opaque callables
 // and `Where` only tells an executor which issue protocol a task needs
@@ -32,26 +28,11 @@
 #include <utility>
 #include <vector>
 
-#include "common/error.hpp"
 #include "obs/span.hpp"
 
 namespace ftla::runtime {
 
 class AccessTracker;  // sanitizer.hpp — opt-in dynamic footprint checker
-
-/// Thrown by schedule()/waves() when explicit edges made the graph
-/// cyclic. Carries the number of tasks left unordered.
-class CycleError : public Error {
- public:
-  explicit CycleError(int unordered)
-      : Error("task graph contains a cycle (" + std::to_string(unordered) +
-              " tasks unorderable)"),
-        unordered_(unordered) {}
-  [[nodiscard]] int unordered() const noexcept { return unordered_; }
-
- private:
-  int unordered_;
-};
 
 /// A tile is any unit of data a task can depend on: a block of the
 /// factor matrix, a checksum strip, a host staging buffer, a scratch
@@ -118,7 +99,6 @@ struct TileAccessor {
 struct TaskContext {
   int task = -1;    ///< node id in the graph
   int stream = -1;  ///< chosen sim stream (Where::Device only)
-  int worker = 0;   ///< host-executor worker index
   /// Dynamic-footprint recording handle (inert unless a sanitizer
   /// tracker is armed on the graph).
   TileAccessor tiles;
@@ -130,8 +110,6 @@ struct TaskOptions {
   obs::Phase phase = obs::Phase::Base;
   int iteration = -1;
   Where where = Where::Device;
-  /// Ready-queue rank: lower runs first; ties break on insertion order.
-  int priority = 0;
 };
 
 struct TaskNode {
@@ -139,7 +117,7 @@ struct TaskNode {
   std::vector<Footprint> footprint;
   TaskBody body;
   TaskOptions opts;
-  std::vector<int> preds;  ///< deduplicated, insertion order
+  std::vector<int> preds;  ///< deduplicated, first-seen; all below the id
   std::vector<int> succs;
 };
 
@@ -150,34 +128,21 @@ class TaskGraph {
   int add_task(std::string name, std::vector<Footprint> footprint,
                TaskBody body, TaskOptions opts = {});
 
-  /// Explicit ordering edge (`from` before `to`), for constraints the
-  /// footprints cannot express. Self-edges are rejected.
-  void add_edge(int from, int to);
-
   [[nodiscard]] int size() const noexcept {
     return static_cast<int>(nodes_.size());
   }
   [[nodiscard]] const TaskNode& node(int id) const { return nodes_.at(id); }
   [[nodiscard]] std::int64_t edge_count() const noexcept { return edges_; }
 
-  /// Deterministic topological order: Kahn's algorithm, ready set
-  /// ordered by (priority, insertion sequence). Throws CycleError.
-  [[nodiscard]] std::vector<int> schedule() const;
-
-  /// Tasks grouped by longest-path depth (wave 0 has no predecessors).
-  /// Tasks within a wave are pairwise independent; each wave is sorted
-  /// by insertion sequence. Throws CycleError.
-  [[nodiscard]] std::vector<std::vector<int>> waves() const;
-
   /// A seeded random valid topological order, for the schedule-
   /// permutation fuzzer. Tasks with an *empty* footprint are treated as
   /// sequence points and keep exactly the position (same preceding task
-  /// set) they have in the deterministic schedule(): an empty footprint
-  /// opted out of dependency inference (the fault hooks use it to pin a
-  /// program point), so no reordering across one can be proven safe.
-  /// All other tasks are permuted freely within those fences, subject
-  /// to the graph's edges. seed selects the permutation; the result is
-  /// a pure function of (graph, seed). Throws CycleError.
+  /// set) they have in insertion order: an empty footprint opted out of
+  /// dependency inference (the fault hooks use it to pin a program
+  /// point), so no reordering across one can be proven safe. All other
+  /// tasks are permuted freely within those fences, subject to the
+  /// graph's edges. seed selects the permutation; the result is a pure
+  /// function of (graph, seed).
   [[nodiscard]] std::vector<int> random_schedule(std::uint64_t seed) const;
 
   /// Arms (or disarms, with nullptr) the dynamic footprint sanitizer.
@@ -196,10 +161,8 @@ class TaskGraph {
     std::vector<int> readers_since_write;
   };
 
-  /// Appends the edge; the caller has ruled out a duplicate.
-  void link_new(int from, int to);
-  /// Inference path: every edge it adds points into the task being
-  /// added, so `linked_into_[from] == to` marks a duplicate in O(1).
+  /// Adds edge from -> to, the task being added: `linked_into_[from] ==
+  /// to` marks a duplicate in O(1), and a self-edge is skipped.
   void infer(int from, int to);
   /// The state of tile `key`, created empty on first use.
   TileState& tile_state(const TileKey& key);

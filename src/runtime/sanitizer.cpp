@@ -65,9 +65,6 @@ std::string tile_name(TileKey t) {
 }
 
 void AccessTracker::begin_run(const TaskGraph& graph) {
-  // Computed before taking the lock: schedule() walks the graph, and
-  // begin_run is a single-threaded setup step by contract.
-  const std::vector<int> order = graph.schedule();  // throws on cycle
   const int n = graph.size();
   const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
 
@@ -82,13 +79,14 @@ void AccessTracker::begin_run(const TaskGraph& graph) {
                 return a.tile < b.tile;
               });
   }
-  // Happens-before as ancestor bitsets: walking a topological order,
-  // every task's set is the union of each predecessor's set plus the
-  // predecessor itself, so bit a in ancestors_[b] iff a precedes b
-  // along some edge path.
+  // Happens-before as ancestor bitsets: walking ids in order (every
+  // pred is below its task, so id order is topological), every task's
+  // set is the union of each predecessor's set plus the predecessor
+  // itself, so bit a in ancestors_[b] iff a precedes b along some edge
+  // path.
   ancestors_.assign(static_cast<std::size_t>(n),
                     std::vector<std::uint64_t>(words, 0));
-  for (const int id : order) {
+  for (int id = 0; id < n; ++id) {
     auto& mine = ancestors_[static_cast<std::size_t>(id)];
     for (const int p : graph.node(id).preds) {
       const auto& theirs = ancestors_[static_cast<std::size_t>(p)];
@@ -245,9 +243,8 @@ std::string AccessTracker::report(const TaskGraph& graph) const {
     executed = executed_;
   }
   if (sorted.empty()) return {};
-  // Sorted, not detection-ordered: under the wave-parallel host
-  // executor the detection order depends on thread interleaving; the
-  // report must not.
+  // Sorted, not detection-ordered: detection follows the issue order,
+  // which a seeded random schedule permutes; the report must not.
   std::sort(sorted.begin(), sorted.end(),
             [](const Violation& a, const Violation& b) {
               return std::tuple(a.task, violation_rank(a.kind), a.tile,

@@ -21,9 +21,9 @@
 //
 // Violations carry task names, tile keys, and the executed schedule
 // prefix at detection time, and report() renders them as one
-// deterministic, actionable block of text. Recording is thread-safe so
-// the wave-parallel host executor can run sanitized. See
-// docs/static-analysis.md ("Dynamic DAG sanitizer").
+// deterministic, actionable block of text. Recording takes a mutex, so
+// a body may record from any thread. See docs/static-analysis.md
+// ("Dynamic footprint sanitizer").
 #pragma once
 
 #include <cstdint>

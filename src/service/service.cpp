@@ -394,10 +394,6 @@ JobResult FactorizationService::run_job(const JobSpec& spec,
       });
     }
 
-    // A scratch registry activates the driver's telemetry layer, which
-    // is what correlates corrections back to injections.
-    obs::MetricsRegistry scratch_metrics;
-
     abft::CholeskyOptions o;
     o.variant = spec.variant;
     o.block_size = spec.block;
@@ -406,7 +402,6 @@ JobResult FactorizationService::run_job(const JobSpec& spec,
     o.recovery = spec.recovery;
     o.checkpoint_interval = opt_.checkpoint_interval;
     o.transfer_guard = spec.transfer_guard;
-    o.metrics = &scratch_metrics;
     if (numeric && opt_.checkpoint_resume) o.panel_checkpoint = &ck;
     if (tracing) {
       o.trace = opt_.trace;

@@ -1,12 +1,18 @@
 // Checksum codec tests: the mathematical heart of the ABFT scheme.
 //
 // Covers encoding, detection/location/correction of single errors,
-// checksum self-repair, uncorrectable patterns, and — crucially — the
-// invariance of the checksum relation under each of the four update
-// rules the paper derives (SYRK, GEMM, POTF2/Algorithm 2, TRSM).
+// checksum self-repair, uncorrectable patterns, the row decoder as the
+// column decoder's exact transpose, and — crucially — the invariance of
+// the checksum relation under each of the four update rules the paper
+// derives (SYRK, GEMM, POTF2/Algorithm 2, TRSM).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "abft/checksum.hpp"
 #include "blas/lapack.hpp"
@@ -63,6 +69,11 @@ TEST(Verify, CleanBlockHasNoFindings) {
   EXPECT_EQ(out.errors_detected, 0);
 }
 
+// (block size, row, col) of the corrupted element.
+constexpr std::tuple<int, int, int> kSingleErrorPositions[] = {
+    {8, 0, 0},   {8, 7, 7},   {8, 0, 7}, {8, 7, 0},
+    {16, 5, 11}, {32, 31, 0}, {1, 0, 0}, {3, 1, 2}};
+
 class SingleErrorParam
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
@@ -82,12 +93,8 @@ TEST_P(SingleErrorParam, LocatedAndCorrected) {
   EXPECT_FALSE(out.uncorrectable);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Positions, SingleErrorParam,
-    ::testing::Values(std::tuple{8, 0, 0}, std::tuple{8, 7, 7},
-                      std::tuple{8, 0, 7}, std::tuple{8, 7, 0},
-                      std::tuple{16, 5, 11}, std::tuple{32, 31, 0},
-                      std::tuple{1, 0, 0}, std::tuple{3, 1, 2}));
+INSTANTIATE_TEST_SUITE_P(Positions, SingleErrorParam,
+                         ::testing::ValuesIn(kSingleErrorPositions));
 
 TEST(Verify, BitFlipStorageErrorCorrected) {
   auto a = random_matrix(12, 12, 9);
@@ -165,6 +172,20 @@ TEST(Verify, RectangularBlock) {
   EXPECT_NEAR(a(11, 4), original, 1e-10);
 }
 
+TEST(Verify, ExponentScaleErrorResolvedFromChecksum) {
+  // An error far above the clean checksum scale: subtracting the
+  // syndrome would leave |d1|*eps of residue, so the decoder re-solves
+  // the element from the checksum and its clean neighbors instead.
+  auto a = random_matrix(16, 16, 25);
+  auto chk = encode(a);
+  const double original = a(9, 3);
+  a(9, 3) *= 0x1p60;
+  auto out = verify_block_host(a.view(), chk.view(), Tolerance{});
+  EXPECT_EQ(out.errors_corrected, 1);
+  EXPECT_FALSE(out.uncorrectable);
+  EXPECT_NEAR(a(9, 3), original, 1e-12);
+}
+
 TEST(Verify, ToleranceRejectsRoundoffNoise) {
   // Accumulate legitimate rounding by updating both data and checksums
   // through a long chain of consistent operations.
@@ -183,6 +204,117 @@ TEST(Verify, ToleranceRejectsRoundoffNoise) {
   }
   auto out = verify_block_host(a.view(), chk.view(), Tolerance{});
   EXPECT_TRUE(out.clean());
+}
+
+// ---------------------------------------------------------------------
+// The row decoder is the column decoder transposed
+// ---------------------------------------------------------------------
+
+Matrix<double> transposed(const Matrix<double>& m) {
+  Matrix<double> t(m.cols(), m.rows());
+  for (int j = 0; j < m.cols(); ++j)
+    for (int i = 0; i < m.rows(); ++i) t(j, i) = m(i, j);
+  return t;
+}
+
+void expect_same_bits(const Matrix<double>& x, const Matrix<double>& y) {
+  ASSERT_EQ(x.rows(), y.rows());
+  ASSERT_EQ(x.cols(), y.cols());
+  for (int j = 0; j < x.cols(); ++j)
+    for (int i = 0; i < x.rows(); ++i)
+      ASSERT_EQ(x(i, j), y(i, j)) << "at (" << i << ", " << j << ")";
+}
+
+/// One column-decoder setup: a random rows x cols block (seed) and its
+/// column checksums, then `corrupt` damages the data and/or checksums.
+struct DecoderCase {
+  std::string name;
+  int rows;
+  int cols;
+  std::uint64_t seed;
+  std::function<void(Matrix<double>&, Matrix<double>&)> corrupt;
+};
+
+// The column-decoder cases of this file, each with its damage.
+std::vector<DecoderCase> column_decoder_cases() {
+  using M = Matrix<double>;
+  std::vector<DecoderCase> cases = {
+      {"clean", 16, 16, 1, [](M&, M&) {}},
+      {"bit_flip", 12, 12, 9,
+       [](M& a, M&) { a(4, 6) = flip_bit(flip_bit(a(4, 6), 20), 54); }},
+      {"distinct_columns", 10, 10, 11,
+       [](M& a, M&) {
+         a(2, 1) += 100.0;
+         a(7, 4) -= 55.0;
+         a(9, 9) += 3e4;
+       }},
+      {"two_in_one_column", 10, 10, 13,
+       [](M& a, M&) {
+         a(2, 5) += 100.0;
+         a(8, 5) += 77.0;
+       }},
+      {"checksum_1_damage", 8, 8, 15, [](M&, M& chk) { chk(0, 3) += 500.0; }},
+      {"checksum_2_damage", 8, 8, 17,
+       [](M&, M& chk) { chk(1, 6) = flip_bit(chk(1, 6), 55); }},
+      {"first_row_error", 8, 8, 19, [](M& a, M&) { a(0, 2) += 250.0; }},
+      {"rectangular", 12, 5, 21, [](M& a, M&) { a(11, 4) -= 42.0; }},
+      {"exponent_scale", 16, 16, 25, [](M& a, M&) { a(9, 3) *= 0x1p60; }},
+      {"roundoff_noise", 24, 24, 23,
+       [](M& a, M& chk) {
+         const auto u = random_matrix(24, 24, 24);
+         const auto chk_u = encode(u);
+         for (int rep = 0; rep < 20; ++rep) {
+           for (int j = 0; j < 24; ++j) {
+             for (int i = 0; i < 24; ++i) a(i, j) += 0.01 * u(i, j);
+             chk(0, j) += 0.01 * chk_u(0, j);
+             chk(1, j) += 0.01 * chk_u(1, j);
+           }
+         }
+       }},
+  };
+  for (const auto& [size, row, col] : kSingleErrorPositions) {
+    cases.push_back({"single_" + std::to_string(size) + "_" +
+                         std::to_string(row) + "_" + std::to_string(col),
+                     size, size, 7,
+                     [row = row, col = col](M& a, M&) {
+                       a(row, col) += 1234.5;
+                     }});
+  }
+  return cases;
+}
+
+TEST(RowDecoder, MirrorsColumnDecoderBitForBit) {
+  for (const DecoderCase& dc : column_decoder_cases()) {
+    SCOPED_TRACE(dc.name);
+    auto a = random_matrix(dc.rows, dc.cols, dc.seed);
+    auto chk = encode(a);
+    dc.corrupt(a, chk);
+    auto at = transposed(a);
+    auto chk_t = transposed(chk);
+
+    const auto recalc = encode(a);
+    Matrix<double> recalc_t(at.rows(), kChecksumRows);
+    encode_block_rows(at.view(), recalc_t.view());
+    expect_same_bits(recalc_t, transposed(recalc));
+
+    const VerifyOutcome col =
+        verify_block(a.view(), chk.view(), recalc.view(), Tolerance{});
+    const VerifyOutcome row = verify_block_rows(at.view(), chk_t.view(),
+                                                recalc_t.view(), Tolerance{});
+    EXPECT_EQ(row.errors_detected, col.errors_detected);
+    EXPECT_EQ(row.errors_corrected, col.errors_corrected);
+    EXPECT_EQ(row.checksum_repairs, col.checksum_repairs);
+    EXPECT_EQ(row.uncorrectable, col.uncorrectable);
+    ASSERT_EQ(row.corrections.size(), col.corrections.size());
+    for (std::size_t k = 0; k < col.corrections.size(); ++k) {
+      EXPECT_EQ(row.corrections[k].row, col.corrections[k].col);
+      EXPECT_EQ(row.corrections[k].col, col.corrections[k].row);
+      EXPECT_EQ(row.corrections[k].old_value, col.corrections[k].old_value);
+      EXPECT_EQ(row.corrections[k].new_value, col.corrections[k].new_value);
+    }
+    expect_same_bits(at, transposed(a));
+    expect_same_bits(chk_t, transposed(chk));
+  }
 }
 
 // ---------------------------------------------------------------------

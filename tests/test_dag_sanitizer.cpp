@@ -1,18 +1,21 @@
 // Tests for the dynamic footprint sanitizer (src/runtime/sanitizer.*):
 // containment and ordering checks on hand-built graphs, the scratch
-// read-back idiom, deterministic actionable reports, thread-safe
-// recording under the wave-parallel host executor, and the drivers'
-// FTLA_DAG_SANITIZE opt-in staying clean with faults armed.
+// read-back idiom, deterministic actionable reports, recording from
+// thread-pool workers, and the drivers' FTLA_DAG_SANITIZE opt-in
+// staying clean with faults armed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "abft/cholesky.hpp"
 #include "abft/lu.hpp"
 #include "abft/qr.hpp"
+#include "common/thread_pool.hpp"
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/executor.hpp"
@@ -265,33 +268,53 @@ TEST(DagSanitizer, DeclaredConflictsAreOrderedAndClean) {
   EXPECT_EQ(t.accesses(), 5);
 }
 
-// --------------------- host executor integration -----------------------
+// ---------------------- cross-thread recording -------------------------
 
-TEST(DagSanitizer, HostExecutorRecordsAcrossWorkers) {
-  // 16 mutually independent tasks run wave-parallel on the pool; each
-  // under-declares the same read. Recording must be thread-safe and the
-  // violation set exact regardless of interleaving.
-  TaskGraph g;
+TEST(DagSanitizer, RecordsFromPoolWorkersExactly) {
+  // Recording takes a mutex, so a body may record from any thread. 16
+  // independent tasks each fan 8 accesses out over a 4-lane pool: 4
+  // declared writes of their own tiles and 4 undeclared reads of one
+  // shared tile (read/read: no race). The violation set and the report
+  // must be exact whichever lane recorded what.
+  common::ThreadPool pool(4);
   const TileKey hidden{9, 0, 0};
-  for (int i = 0; i < 16; ++i) {
-    const TileKey own{0, i, 0};
-    g.add_task("w" + std::to_string(i), {write(own)},
-               [own, hidden](const TaskContext& c) {
-                 c.tiles.write(own);
-                 c.tiles.read(hidden);  // undeclared (read/read: no race)
-               });
-  }
-  AccessTracker t;
-  g.set_access_tracker(&t);
-  run_on_host(g);
-  const std::vector<Violation> vs = t.violations();
-  EXPECT_EQ(vs.size(), 16u);
-  for (const Violation& v : vs) {
-    EXPECT_EQ(v.kind, ViolationKind::UndeclaredRead);
-    EXPECT_TRUE(v.tile == hidden);
-  }
-  EXPECT_EQ(t.accesses(), 32);
-  EXPECT_EQ(t.schedule_prefix().size(), 16u);
+  const auto run = [&](std::string* report) {
+    TaskGraph g;
+    for (int i = 0; i < 16; ++i) {
+      std::vector<Footprint> fp;
+      for (int k = 0; k < 4; ++k) fp.push_back(write(TileKey{0, i, k}));
+      g.add_task("w" + std::to_string(i), std::move(fp),
+                 [&pool, hidden, i](const TaskContext& c) {
+                   pool.parallel_for(0, 8, [&](std::int64_t k) {
+                     if (k < 4) {
+                       c.tiles.write(TileKey{0, i, static_cast<int>(k)});
+                     } else {
+                       c.tiles.read(hidden);
+                     }
+                   });
+                 },
+                 inline_task());
+    }
+    AccessTracker t;
+    g.set_access_tracker(&t);
+    Machine m(small_rig(), ExecutionMode::TimingOnly);
+    run_on_streams(g, m);
+    *report = t.report(g);
+    const std::vector<Violation> vs = t.violations();
+    EXPECT_EQ(vs.size(), 64u);
+    for (const Violation& v : vs) {
+      EXPECT_EQ(v.kind, ViolationKind::UndeclaredRead);
+      EXPECT_TRUE(v.tile == hidden);
+    }
+    EXPECT_EQ(t.accesses(), 128);
+    EXPECT_EQ(t.schedule_prefix().size(), 16u);
+  };
+  std::string first;
+  std::string second;
+  run(&first);
+  run(&second);
+  EXPECT_FALSE(first.empty());
+  EXPECT_EQ(first, second);
 }
 
 TEST(DagSanitizer, BeginRunResetsStateBetweenExecutions) {

@@ -19,6 +19,7 @@
 #include "obs/event_sink.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
+#include "obs/timeseries.hpp"
 #include "sim/machine.hpp"
 #include "sim/profile.hpp"
 #include "sim/trace_export.hpp"
@@ -347,6 +348,88 @@ TEST(ObservabilityEndToEnd, FaultyCholeskyTraceAndMetricsReconcile) {
     if (e.kind == EventKind::Kernel) saw_kernel_event = true;
   }
   EXPECT_TRUE(saw_kernel_event);
+}
+
+TEST(ObservabilityEndToEnd, ObserversDoNotChangeFaultAccounting) {
+  // The injector's clock and the matching of dirty verifications to
+  // injections are fault accounting, not observation: a run with no
+  // observer must compute, detect and stamp exactly what a run with a
+  // sink, a metrics registry and a time-series store does.
+  struct Run {
+    Matrix<double> a;
+    abft::CholeskyResult res;
+    std::vector<fault::InjectionRecord> records;
+  };
+  const auto run = [](bool observed) {
+    const int n = 96;
+    auto profile = sim::test_rig();
+    profile.magma_block_size = 16;
+    Run out;
+    out.a = test::random_spd(n, 91);
+    sim::Machine m(profile, sim::ExecutionMode::Numeric);
+    fault::FaultSpec storage;
+    storage.type = fault::FaultType::Storage;
+    storage.op = fault::Op::Syrk;
+    storage.iteration = 2;
+    storage.block_row = 2;
+    storage.block_col = 1;
+    storage.elem_row = 2;
+    storage.elem_col = 7;
+    storage.bits = {20, 44, 54};
+    fault::FaultSpec computing;
+    computing.type = fault::FaultType::Computing;
+    computing.op = fault::Op::Gemm;
+    computing.iteration = 3;
+    computing.elem_row = 3;
+    computing.elem_col = 5;
+    computing.magnitude = 1e6;
+    fault::Injector inj({storage, computing});
+    RingBufferSink sink;
+    MetricsRegistry metrics;
+    TimeSeriesStore series;
+    abft::CholeskyOptions opt;
+    opt.variant = abft::Variant::EnhancedOnline;
+    if (observed) {
+      opt.event_sink = &sink;
+      opt.metrics = &metrics;
+      opt.timeseries = &series;
+    }
+    out.res = abft::cholesky(m, &out.a, n, opt, &inj);
+    out.records = inj.records();
+    return out;
+  };
+  const Run quiet = run(false);
+  const Run watched = run(true);
+
+  ASSERT_TRUE(watched.res.success) << watched.res.note;
+  ASSERT_EQ(watched.records.size(), 2u);
+  EXPECT_TRUE(quiet.res.success);
+  EXPECT_EQ(quiet.res.seconds, watched.res.seconds);
+  EXPECT_EQ(quiet.res.errors_detected, watched.res.errors_detected);
+  EXPECT_EQ(quiet.res.errors_corrected, watched.res.errors_corrected);
+  EXPECT_EQ(quiet.res.checksum_repairs, watched.res.checksum_repairs);
+  EXPECT_EQ(quiet.res.reruns, watched.res.reruns);
+  EXPECT_EQ(quiet.res.verified.gemm_blocks, watched.res.verified.gemm_blocks);
+  for (int j = 0; j < quiet.a.cols(); ++j)
+    for (int i = 0; i < quiet.a.rows(); ++i)
+      ASSERT_EQ(quiet.a(i, j), watched.a(i, j));
+
+  ASSERT_EQ(quiet.records.size(), watched.records.size());
+  for (std::size_t k = 0; k < watched.records.size(); ++k) {
+    const fault::InjectionRecord& q = quiet.records[k];
+    const fault::InjectionRecord& w = watched.records[k];
+    EXPECT_TRUE(w.detected()) << "injection " << k;
+    EXPECT_EQ(q.id, w.id);
+    EXPECT_EQ(q.global_row, w.global_row);
+    EXPECT_EQ(q.global_col, w.global_col);
+    EXPECT_EQ(q.old_value, w.old_value);
+    EXPECT_EQ(q.new_value, w.new_value);
+    EXPECT_EQ(q.inject_time, w.inject_time) << "injection " << k;
+    EXPECT_EQ(q.detect_time, w.detect_time) << "injection " << k;
+  }
+  // The computing fault is injected after t = 0 and caught later.
+  EXPECT_GT(quiet.records[1].inject_time, 0.0);
+  EXPECT_GT(quiet.records[1].detection_latency(), 0.0);
 }
 
 TEST(ObservabilityEndToEnd, CleanRunHasNoDetectionAndNoFlows) {

@@ -1,19 +1,23 @@
-// Task-graph core (src/runtime): dependency inference, deterministic
-// scheduling, cycle rejection, wave construction, and executor
-// semantics on both backends (docs/runtime.md).
+// Task-graph core (src/runtime): dependency inference, the invariant
+// that every inferred edge points backward (so insertion order is the
+// schedule), and the stream executor's semantics (docs/runtime.md).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
+#include <numeric>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "blas/lapack.hpp"
 #include "blas/level3.hpp"
-#include "common/thread_pool.hpp"
+#include "common/error.hpp"
+#include "common/rng.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/graph.hpp"
+#include "runtime/sanitizer.hpp"
 #include "sim/machine.hpp"
 #include "sim/profile.hpp"
 #include "test_util.hpp"
@@ -129,23 +133,14 @@ TEST(GraphInference, ManyReadersThenWriterKeepPredsOrderAndDedup) {
   edges += static_cast<std::int64_t>(expect.size());
   EXPECT_EQ(g.edge_count(), edges);
 
-  // A duplicate explicit edge changes nothing; a new one appends.
-  g.add_edge(readers[2], w);
-  EXPECT_EQ(g.node(w).preds, expect);
-  EXPECT_EQ(g.edge_count(), edges);
-  g.add_edge(readers[0], readers[1]);
-  g.add_edge(readers[0], readers[1]);
-  EXPECT_EQ(g.node(readers[1]).preds, (std::vector<int>{w1, readers[0]}));
-  EXPECT_EQ(g.edge_count(), edges + 1);
-
-  // After the explicit edges, inference still dedups and skips the
-  // task's own read when it then writes the same tile.
+  // Inference dedups and skips the task's own read when it then writes
+  // the same tile.
   const int x = g.add_task("x", {read(t(0, 0, 0))}, noop());
   const int y =
       g.add_task("y", {read(t(0, 0, 0)), write(t(0, 0, 0))}, noop());
   EXPECT_EQ(g.node(x).preds, std::vector<int>{w});
   EXPECT_EQ(g.node(y).preds, (std::vector<int>{w, x}));
-  EXPECT_EQ(g.edge_count(), edges + 4);
+  EXPECT_EQ(g.edge_count(), edges + 3);
 }
 
 TEST(GraphInference, TileTableKeepsEveryTileAcrossGrowth) {
@@ -170,153 +165,50 @@ TEST(GraphInference, TileTableKeepsEveryTileAcrossGrowth) {
   EXPECT_EQ(g.edge_count(), static_cast<std::int64_t>(keys.size()));
 }
 
-// --------------------------- scheduling --------------------------------
-
-TEST(GraphSchedule, InsertionOrderWhenPrioritiesEqual) {
-  // The driver-conformance cornerstone: uniform priorities + forward
-  // edges => schedule order == insertion order.
-  TaskGraph g;
-  for (int i = 0; i < 32; ++i) {
-    g.add_task("n", {rw(t(0, i % 3, 0))}, noop());
-  }
-  const auto order = g.schedule();
-  ASSERT_EQ(order.size(), 32u);
-  for (int i = 0; i < 32; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
-}
-
-TEST(GraphSchedule, PriorityBreaksTiesDeterministically) {
-  TaskGraph g;
-  const int a = g.add_task("a", {}, noop());           // priority 0
-  TaskOptions hot;
-  hot.priority = -1;                                   // lower = earlier
-  const int b = g.add_task("b", {}, noop(), hot);
-  const int c = g.add_task("c", {}, noop());
-  const auto order = g.schedule();
-  EXPECT_EQ(order, (std::vector<int>{b, a, c}));
-}
-
-TEST(GraphSchedule, CycleRejected) {
-  TaskGraph g;
-  const int a = g.add_task("a", {}, noop());
-  const int b = g.add_task("b", {}, noop());
-  g.add_edge(a, b);
-  g.add_edge(b, a);
-  EXPECT_THROW(g.schedule(), CycleError);
-  EXPECT_THROW(g.waves(), CycleError);
-}
-
-TEST(GraphSchedule, WavesGroupByDepth) {
-  TaskGraph g;
-  const int w = g.add_task("w", {write(t(0, 0, 0))}, noop());
-  const int r0 = g.add_task("r0", {read(t(0, 0, 0))}, noop());
-  const int r1 = g.add_task("r1", {read(t(0, 0, 0))}, noop());
-  const int f = g.add_task("f", {rw(t(0, 0, 0))}, noop());
-  const auto waves = g.waves();
-  ASSERT_EQ(waves.size(), 3u);
-  EXPECT_EQ(waves[0], std::vector<int>{w});
-  EXPECT_EQ(waves[1], (std::vector<int>{r0, r1}));
-  EXPECT_EQ(waves[2], std::vector<int>{f});
-}
-
-TEST(GraphSchedule, EmptyGraph) {
-  TaskGraph g;
-  EXPECT_EQ(g.schedule(), std::vector<int>{});
-  EXPECT_TRUE(g.waves().empty());
-}
-
-// --------------------------- host executor -----------------------------
-
-// Build a tile-Cholesky task graph over a host matrix with real BLAS
-// bodies. Same-wave tasks write disjoint tiles, so any thread count
-// must produce bit-identical factors.
-Matrix<double> host_dag_cholesky(const Matrix<double>& a0, int b,
-                                 common::ThreadPool* pool) {
-  Matrix<double> a = a0;
-  const int n = a.rows();
-  const int nb = (n + b - 1) / b;
-  auto bs = [&](int i) { return std::min(b, n - i * b); };
-  auto blk = [&](int i, int k) {
-    return a.block(i * b, k * b, bs(i), bs(k));
-  };
-
-  TaskGraph g;
-  for (int j = 0; j < nb; ++j) {
-    for (int k = 0; k < j; ++k) {
-      g.add_task("syrk",
-                 {read(t(0, j, k)), rw(t(0, j, j))},
-                 [blk, j, k](const TaskContext&) {
-                   auto c = blk(j, j);
-                   blas::gemm(Trans::No, Trans::Yes, -1.0,
-                              ConstMatrixView<double>(blk(j, k)),
-                              ConstMatrixView<double>(blk(j, k)), 1.0, c);
-                 });
-    }
-    g.add_task("potf2", {rw(t(0, j, j))}, [blk, j](const TaskContext&) {
-      auto d = blk(j, j);
-      blas::potf2(d);
-      for (int c = 1; c < d.cols(); ++c)
-        for (int r = 0; r < c; ++r) d(r, c) = 0.0;
-    });
-    for (int i = j + 1; i < nb; ++i) {
-      for (int k = 0; k < j; ++k) {
-        g.add_task("gemm",
-                   {read(t(0, i, k)), read(t(0, j, k)), rw(t(0, i, j))},
-                   [blk, i, j, k](const TaskContext&) {
-                     auto c = blk(i, j);
-                     blas::gemm(Trans::No, Trans::Yes, -1.0,
-                                ConstMatrixView<double>(blk(i, k)),
-                                ConstMatrixView<double>(blk(j, k)), 1.0, c);
-                   });
+TEST(GraphInference, EdgesPointBackwardAndNeverRepeat) {
+  // The property insertion-order issue rests on: every inferred edge
+  // points from an earlier task into a later one, so ids 0..n-1 are a
+  // topological order. Seeded random footprints over a small tile space
+  // (two matrices, all three access kinds, repeated tiles inside one
+  // footprint, empty footprints) must never produce a forward or
+  // repeated predecessor, and the edge count must match both adjacency
+  // lists.
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    Rng rng(seed);
+    TaskGraph g;
+    for (int task = 0; task < 200; ++task) {
+      std::vector<Footprint> fp;
+      const int entries = rng.uniform_int(0, 5);
+      for (int e = 0; e < entries; ++e) {
+        const TileKey k =
+            t(rng.uniform_int(0, 1), rng.uniform_int(0, 2),
+              rng.uniform_int(0, 2));
+        switch (rng.uniform_int(0, 2)) {
+          case 0: fp.push_back(read(k)); break;
+          case 1: fp.push_back(write(k)); break;
+          default: fp.push_back(rw(k)); break;
+        }
+        if (rng.uniform_int(0, 3) == 0) fp.push_back(read(k));
       }
-      g.add_task("trsm", {read(t(0, j, j)), rw(t(0, i, j))},
-                 [blk, i, j](const TaskContext&) {
-                   auto p = blk(i, j);
-                   blas::trsm(Side::Right, Uplo::Lower, Trans::Yes,
-                              Diag::NonUnit, 1.0,
-                              ConstMatrixView<double>(blk(j, j)), p);
-                 });
+      g.add_task("n", std::move(fp), noop());
     }
+    std::int64_t preds = 0;
+    std::int64_t succs = 0;
+    for (int id = 0; id < g.size(); ++id) {
+      const TaskNode& node = g.node(id);
+      std::vector<int> seen = node.preds;
+      std::sort(seen.begin(), seen.end());
+      EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end())
+          << "seed " << seed << ": task " << id << " repeats a pred";
+      for (const int p : node.preds) {
+        EXPECT_LT(p, id) << "seed " << seed << ": task " << id;
+      }
+      preds += static_cast<std::int64_t>(node.preds.size());
+      succs += static_cast<std::int64_t>(node.succs.size());
+    }
+    EXPECT_EQ(g.edge_count(), preds) << "seed " << seed;
+    EXPECT_EQ(g.edge_count(), succs) << "seed " << seed;
   }
-  HostRunOptions opts;
-  opts.pool = pool;
-  run_on_host(g, opts);
-  return a;
-}
-
-TEST(HostExecutor, TileCholeskyBitIdenticalAcrossThreadCounts) {
-  const int n = 96;
-  const auto a0 = test::random_spd(n, 1234);
-
-  common::ThreadPool serial(1);
-  common::ThreadPool wide(4);
-  const auto f1 = host_dag_cholesky(a0, 16, &serial);
-  const auto f4 = host_dag_cholesky(a0, 16, &wide);
-
-  for (int j = 0; j < n; ++j)
-    for (int i = 0; i < n; ++i)
-      ASSERT_EQ(f1(i, j), f4(i, j)) << "thread-count divergence at (" << i
-                                    << ", " << j << ")";
-
-  auto ref = a0;
-  blas::potrf(ref.view(), 16);
-  EXPECT_LE(test::lower_max_diff(f1, ref), 1e-9);
-}
-
-TEST(HostExecutor, RunsEveryTaskOnce) {
-  TaskGraph g;
-  std::atomic<int> hits{0};
-  for (int i = 0; i < 64; ++i) {
-    g.add_task("n", {rw(t(0, i % 5, 0))},
-               [&hits](const TaskContext&) { ++hits; });
-  }
-  common::ThreadPool pool(4);
-  obs::MetricsRegistry metrics;
-  HostRunOptions opts;
-  opts.pool = &pool;
-  opts.metrics = &metrics;
-  run_on_host(g, opts);
-  EXPECT_EQ(hits.load(), 64);
-  EXPECT_EQ(metrics.counter("runtime.host.tasks"), 64);
 }
 
 // --------------------------- stream executor ---------------------------
@@ -399,6 +291,184 @@ TEST(StreamExecutor, BodyExceptionPropagates) {
   g.add_task("boom", {},
              [](const TaskContext&) { throw UnrecoverableCorruptionError("x"); });
   EXPECT_THROW(run_on_streams(g, m, {}), UnrecoverableCorruptionError);
+}
+
+// 32 tasks that append their node id to `issued`: a read-modify-write
+// chain over three tiles, with every fourth task on a fresh tile of its
+// own, so a later id is often ready long before the chain ahead of it.
+TaskGraph chain_with_free_tasks(std::vector<int>* issued) {
+  TaskGraph g;
+  for (int i = 0; i < 32; ++i) {
+    const TileKey k = i % 4 == 3 ? t(1, i, 0) : t(0, i % 3, 0);
+    g.add_task("n", {rw(k)},
+               [issued](const TaskContext& c) { issued->push_back(c.task); });
+  }
+  return g;
+}
+
+TEST(StreamExecutor, IssuesInsertionOrderWhenLaterTasksAreReadyFirst) {
+  // The driver-conformance cornerstone: with no schedule seed the
+  // executor issues ids 0..n-1 whatever is ready first, and runs every
+  // task exactly once.
+  sim::Machine m(sim::test_rig(), sim::ExecutionMode::TimingOnly);
+  std::vector<int> issued;
+  const TaskGraph g = chain_with_free_tasks(&issued);
+  obs::MetricsRegistry metrics;
+  StreamRunOptions opts;
+  opts.metrics = &metrics;
+  const StreamRunStats stats = run_on_streams(g, m, opts);
+
+  std::vector<int> ids(32);
+  std::iota(ids.begin(), ids.end(), 0);
+  EXPECT_EQ(issued, ids);
+  EXPECT_EQ(stats.tasks, 32);
+  EXPECT_EQ(stats.device_tasks, 32);
+  EXPECT_EQ(stats.edges, g.edge_count());
+  EXPECT_EQ(metrics.counter("runtime.tasks"), 32);
+}
+
+TEST(StreamExecutor, SeededRunIssuesTheRandomScheduleOrder) {
+  // schedule_seed swaps insertion order for random_schedule(seed), and
+  // an armed tracker's executed prefix records that same order.
+  std::set<std::vector<int>> orders;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    sim::Machine m(sim::test_rig(), sim::ExecutionMode::TimingOnly);
+    std::vector<int> issued;
+    TaskGraph g = chain_with_free_tasks(&issued);
+    AccessTracker tracker;
+    g.set_access_tracker(&tracker);
+    StreamRunOptions opts;
+    opts.schedule_seed = seed;
+    run_on_streams(g, m, opts);
+    EXPECT_EQ(issued, g.random_schedule(seed)) << "seed " << seed;
+    EXPECT_EQ(tracker.schedule_prefix(), issued) << "seed " << seed;
+    orders.insert(issued);
+  }
+  // The free tasks give the seeds room: they must not all agree.
+  EXPECT_GT(orders.size(), 1u);
+}
+
+TEST(StreamExecutor, EmptyGraphIssuesNothing) {
+  sim::Machine m(sim::test_rig(), sim::ExecutionMode::TimingOnly);
+  const double host0 = m.host_now();
+  const double stream0 = m.stream_end(m.default_stream());
+  TaskGraph g;
+  EXPECT_EQ(g.random_schedule(3), std::vector<int>{});
+  AccessTracker tracker;
+  g.set_access_tracker(&tracker);
+  obs::MetricsRegistry metrics;
+  for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{3}}) {
+    StreamRunOptions opts;
+    opts.schedule_seed = seed;
+    opts.metrics = &metrics;
+    const StreamRunStats stats = run_on_streams(g, m, opts);
+    EXPECT_EQ(stats.tasks, 0) << "seed " << seed;
+    EXPECT_EQ(stats.edges, 0) << "seed " << seed;
+    EXPECT_EQ(stats.stream_waits, 0) << "seed " << seed;
+    EXPECT_EQ(stats.host_syncs, 0) << "seed " << seed;
+  }
+  EXPECT_EQ(m.host_now(), host0);
+  EXPECT_EQ(m.stream_end(m.default_stream()), stream0);
+  EXPECT_TRUE(tracker.clean());
+  EXPECT_TRUE(tracker.schedule_prefix().empty());
+  EXPECT_EQ(tracker.accesses(), 0);
+  EXPECT_EQ(metrics.counter("runtime.tasks"), 0);
+}
+
+// Tile Cholesky over a host matrix with real BLAS bodies that record
+// their tile accesses, issued on streams in the order `seed` selects
+// (0 = insertion order).
+Matrix<double> stream_dag_cholesky(const Matrix<double>& a0, int b,
+                                   std::uint64_t seed,
+                                   AccessTracker* tracker) {
+  Matrix<double> a = a0;
+  const int n = a.rows();
+  const int nb = (n + b - 1) / b;
+  auto bs = [&](int i) { return std::min(b, n - i * b); };
+  auto blk = [&](int i, int k) {
+    return a.block(i * b, k * b, bs(i), bs(k));
+  };
+
+  TaskGraph g;
+  for (int j = 0; j < nb; ++j) {
+    for (int k = 0; k < j; ++k) {
+      g.add_task("syrk", {read(t(0, j, k)), rw(t(0, j, j))},
+                 [blk, j, k](const TaskContext& c) {
+                   c.tiles.read(t(0, j, k));
+                   c.tiles.rw(t(0, j, j));
+                   auto d = blk(j, j);
+                   blas::gemm(Trans::No, Trans::Yes, -1.0,
+                              ConstMatrixView<double>(blk(j, k)),
+                              ConstMatrixView<double>(blk(j, k)), 1.0, d);
+                 });
+    }
+    g.add_task("potf2", {rw(t(0, j, j))}, [blk, j](const TaskContext& c) {
+      c.tiles.rw(t(0, j, j));
+      auto d = blk(j, j);
+      blas::potf2(d);
+      for (int col = 1; col < d.cols(); ++col)
+        for (int row = 0; row < col; ++row) d(row, col) = 0.0;
+    });
+    for (int i = j + 1; i < nb; ++i) {
+      for (int k = 0; k < j; ++k) {
+        g.add_task("gemm",
+                   {read(t(0, i, k)), read(t(0, j, k)), rw(t(0, i, j))},
+                   [blk, i, j, k](const TaskContext& c) {
+                     c.tiles.read(t(0, i, k));
+                     c.tiles.read(t(0, j, k));
+                     c.tiles.rw(t(0, i, j));
+                     auto d = blk(i, j);
+                     blas::gemm(Trans::No, Trans::Yes, -1.0,
+                                ConstMatrixView<double>(blk(i, k)),
+                                ConstMatrixView<double>(blk(j, k)), 1.0, d);
+                   });
+      }
+      g.add_task("trsm", {read(t(0, j, j)), rw(t(0, i, j))},
+                 [blk, i, j](const TaskContext& c) {
+                   c.tiles.read(t(0, j, j));
+                   c.tiles.rw(t(0, i, j));
+                   auto p = blk(i, j);
+                   blas::trsm(Side::Right, Uplo::Lower, Trans::Yes,
+                              Diag::NonUnit, 1.0,
+                              ConstMatrixView<double>(blk(j, j)), p);
+                 });
+    }
+  }
+  g.set_access_tracker(tracker);
+  sim::Machine m(sim::test_rig(), sim::ExecutionMode::TimingOnly);
+  StreamRunOptions opts;
+  opts.schedule_seed = seed;
+  run_on_streams(g, m, opts);
+  return a;
+}
+
+TEST(StreamExecutor, TileCholeskyBitIdenticalAcrossSchedules) {
+  // Bodies run eagerly at issue, so every topological issue order must
+  // give the same factor to the last bit; and the sanitizer, whose
+  // happens-before relation begin_run builds in id order, must find
+  // each permuted run clean.
+  const int n = 96;
+  const auto a0 = test::random_spd(n, 1234);
+  AccessTracker tracker;
+  const auto f0 = stream_dag_cholesky(a0, 16, 0, &tracker);
+  EXPECT_TRUE(tracker.clean());
+
+  std::set<std::vector<int>> orders;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const auto f = stream_dag_cholesky(a0, 16, seed, &tracker);
+    EXPECT_TRUE(tracker.clean()) << "seed " << seed;
+    orders.insert(tracker.schedule_prefix());
+    for (int j = 0; j < n; ++j)
+      for (int i = 0; i < n; ++i)
+        ASSERT_EQ(f(i, j), f0(i, j)) << "seed " << seed
+                                     << ": divergence at (" << i << ", "
+                                     << j << ")";
+  }
+  EXPECT_GT(orders.size(), 1u);
+
+  auto ref = a0;
+  blas::potrf(ref.view(), 16);
+  EXPECT_LE(test::lower_max_diff(f0, ref), 1e-9);
 }
 
 }  // namespace

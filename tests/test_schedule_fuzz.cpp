@@ -6,7 +6,7 @@
 // fuzz tests then execute the cholesky/lu/qr DAGs — with faults armed
 // and the footprint sanitizer recording — under 32 random schedules
 // each and certify bit-identical factors, tau vectors, verification
-// counters, and error counters against the deterministic schedule.
+// counters, and error counters against insertion order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -120,14 +120,16 @@ TEST(RandomSchedule, DeterministicPerSeedAndDiverseAcrossSeeds) {
   }
   // 16 tasks with lots of slack: seeds must actually explore.
   EXPECT_GT(orders.size(), 4u);
-  // And at least one differs from the deterministic schedule.
-  EXPECT_TRUE(orders.size() > 1u || *orders.begin() != g.schedule());
+  // And at least one differs from insertion order.
+  std::vector<int> insertion(static_cast<std::size_t>(g.size()));
+  std::iota(insertion.begin(), insertion.end(), 0);
+  EXPECT_TRUE(orders.size() > 1u || *orders.begin() != insertion);
 }
 
 TEST(RandomSchedule, EmptyFootprintTasksStaySequencePoints) {
   // Empty-footprint tasks (the fault-injection hooks) must keep their
-  // deterministic-schedule position as a barrier: the *set* of tasks
-  // issued before them is identical in every random schedule.
+  // insertion-order position as a barrier: the *set* of tasks issued
+  // before them is identical in every random schedule.
   runtime::TaskGraph g;
   const runtime::TileKey ta{0, 0, 0};
   const runtime::TileKey tb{0, 0, 1};
@@ -139,10 +141,8 @@ TEST(RandomSchedule, EmptyFootprintTasksStaySequencePoints) {
   g.add_task("c", {runtime::write(tc)}, nop());
   g.add_task("d", {runtime::write(td)}, nop());
 
-  const std::vector<int> det = g.schedule();
-  const auto det_pos = std::find(det.begin(), det.end(), hook);
-  ASSERT_NE(det_pos, det.end());
-  const std::set<int> det_before(det.begin(), det_pos);
+  std::set<int> det_before;
+  for (int id = 0; id < hook; ++id) det_before.insert(id);
 
   std::set<std::vector<int>> orders;
   for (std::uint64_t seed = 1; seed <= kFuzzSeeds; ++seed) {
@@ -159,8 +159,8 @@ TEST(RandomSchedule, EmptyFootprintTasksStaySequencePoints) {
 
 // ------------------------- driver fuzzing ------------------------------
 //
-// Seed 0 is the deterministic schedule; every other seed permutes the
-// issue order. Because work is dispatched eagerly at issue and the
+// Seed 0 is insertion order; every other seed permutes the issue
+// order. Because work is dispatched eagerly at issue and the
 // numeric kernels are sequential per task, any valid topological order
 // must produce bit-identical results — factors, tau, verification
 // verdicts, and correction counters alike.
