@@ -10,7 +10,7 @@
 #include <algorithm>
 #include <iostream>
 
-#include "abft/wcodec.hpp"
+#include "abft/checksum.hpp"
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "common/spd.hpp"
@@ -30,9 +30,7 @@ int main() {
   Table t({"redundancy R", "capacity", "1 error", "2 errors", "3 errors",
            "4 errors", "space ovh (B=256)", "recalc flops x"});
   for (int r : {2, 3, 4, 6, 8}) {
-    abft::WeightedCodec codec(r);
-    std::vector<std::string> row{std::to_string(r),
-                                 std::to_string(codec.max_correctable())};
+    std::vector<std::string> row{std::to_string(r), std::to_string(r / 2)};
     Rng rng(1000 + r);
     for (int nerr = 1; nerr <= 4; ++nerr) {
       int ok = 0;
@@ -41,7 +39,7 @@ int main() {
         make_uniform(a, 10'000 + r * 100 + nerr * 10 + trial);
         const Matrix<double> orig = a;
         Matrix<double> chk(r, 4);
-        codec.encode(a.view(), chk.view());
+        abft::encode_block(a.view(), chk.view());
         std::vector<int> rows;
         while (static_cast<int>(rows.size()) < nerr) {
           const int candidate = rng.uniform_int(0, block - 1);
@@ -52,7 +50,8 @@ int main() {
           a(er, 1) += rng.uniform(1e2, 1e5) *
                       (rng.next_double() < 0.5 ? -1.0 : 1.0);
         }
-        auto out = codec.verify_host(a.view(), chk.view(), abft::Tolerance{});
+        auto out =
+            abft::verify_block_host(a.view(), chk.view(), abft::Tolerance{});
         bool good = !out.uncorrectable && out.errors_corrected == nerr;
         if (good) {
           for (int i = 0; i < block; ++i) {

@@ -1,7 +1,11 @@
 #include "abft/checksum.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <type_traits>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
@@ -20,59 +24,142 @@ bool use_pool_for(long long elems) {
   return common::global_pool().threads() > 1;
 }
 
-}  // namespace
+/// Calls f(std::integral_constant<int, R>{}) for redundancy R = r. Each
+/// R gets its own instantiation, so the loops over the R checksums
+/// unroll and R = 2 compiles to the paper's two running sums.
+template <class F>
+decltype(auto) with_redundancy(int r, F&& f) {
+  static_assert(kMaxChecksumRows == 8);
+  FTLA_CHECK_MSG(r >= 2 && r <= kMaxChecksumRows,
+                 "checksum redundancy must be in [2, 8]");
+  switch (r) {
+    case 2: return f(std::integral_constant<int, 2>{});
+    case 3: return f(std::integral_constant<int, 3>{});
+    case 4: return f(std::integral_constant<int, 4>{});
+    case 5: return f(std::integral_constant<int, 5>{});
+    case 6: return f(std::integral_constant<int, 6>{});
+    case 7: return f(std::integral_constant<int, 7>{});
+    default: return f(std::integral_constant<int, 8>{});
+  }
+}
 
-void encode_block(ConstMatrixView<double> a, MatrixView<double> chk) {
-  FTLA_CHECK(chk.rows() == kChecksumRows && chk.cols() == a.cols());
-  // Each column's sums are computed start-to-finish by one lane, so the
-  // result is bit-identical for every thread count / partition.
-  const auto encode_cols = [&](std::int64_t c0, std::int64_t c1) {
-    for (int c = static_cast<int>(c0); c < c1; ++c) {
-      const double* col = &a(0, c);
-      double s1 = 0.0;
-      double s2 = 0.0;
-      for (int i = 0; i < a.rows(); ++i) {
-        s1 += col[i];
-        s2 += (i + 1.0) * col[i];
+/// The R weighted sums of one lane of `len` elements x(0..len): sum k
+/// weighs element i by (i+1)^k. Every sum accumulates in element order,
+/// so encoding and the decoder's recheck round alike.
+template <int R, class X>
+std::array<double, R> lane_sums(int len, const X& x) {
+  std::array<double, R> s{};
+  for (int i = 0; i < len; ++i) {
+    const double v = x(i);
+    const double r = i + 1.0;
+    double w = r;
+    s[0] += v;
+    for (int k = 1; k < R; ++k) {
+      s[k] += w * v;
+      w *= r;
+    }
+  }
+  return s;
+}
+
+// Solves the k x k system M x = b by Gaussian elimination with partial
+// pivoting. k <= 4. Returns false when M is numerically singular.
+bool solve_small(int k, double* m, double* b, double* x) {
+  int piv[4] = {0, 1, 2, 3};
+  for (int col = 0; col < k; ++col) {
+    int best = col;
+    for (int r = col + 1; r < k; ++r) {
+      if (std::abs(m[piv[r] * k + col]) > std::abs(m[piv[best] * k + col]))
+        best = r;
+    }
+    std::swap(piv[col], piv[best]);
+    const double p = m[piv[col] * k + col];
+    if (std::abs(p) < 1e-300) return false;
+    for (int r = col + 1; r < k; ++r) {
+      const double f = m[piv[r] * k + col] / p;
+      if (f == 0.0) continue;
+      for (int c = col; c < k; ++c) {
+        m[piv[r] * k + c] -= f * m[piv[col] * k + c];
       }
-      chk(0, c) = s1;
-      chk(1, c) = s2;
-    }
-  };
-  if (use_pool_for(static_cast<long long>(a.rows()) * a.cols())) {
-    common::global_pool().parallel_for_chunks(0, a.cols(), encode_cols);
-  } else {
-    encode_cols(0, a.cols());
-  }
-}
-
-void potf2_update_checksum(ConstMatrixView<double> l,
-                           MatrixView<double> chk) {
-  const int n = l.rows();
-  FTLA_CHECK(l.cols() == n && chk.rows() == kChecksumRows &&
-             chk.cols() == n);
-  // The checksum rows transform exactly like extra rows appended below
-  // the block: scale by the pivot, then eliminate along the column.
-  for (int j = 0; j < n; ++j) {
-    const double d = l(j, j);
-    chk(0, j) /= d;
-    chk(1, j) /= d;
-    for (int k = j + 1; k < n; ++k) {
-      chk(0, k) -= chk(0, j) * l(k, j);
-      chk(1, k) -= chk(1, j) * l(k, j);
+      b[piv[r]] -= f * b[piv[col]];
     }
   }
+  for (int row = k - 1; row >= 0; --row) {
+    double s = b[piv[row]];
+    for (int c = row + 1; c < k; ++c) s -= m[piv[row] * k + c] * x[c];
+    x[row] = s / m[piv[row] * k + row];
+  }
+  return true;
 }
 
-namespace {
+double ipow(double base, int e) {
+  double r = 1.0;
+  for (int i = 0; i < e; ++i) r *= base;
+  return r;
+}
 
-// One R = 2 decoder for both checksum sides. A *lane* is what one
-// checksum pair covers: a block column for column checksums (chk is
-// 2 x cols; element i of lane l is a(i, l)) or a block row for row
-// checksums (chk is rows x 2; element i of lane l is a(l, i)). The row
+/// Prony's method for nu data errors in a lane of `len` elements
+/// (2 <= nu <= r/2): from the syndromes s[0..r) with thresholds t[0..r),
+/// finds the 1-based rows (ascending) and values e of a nu-error pattern
+/// that reproduces every syndrome. False when none does.
+bool locate_errors(const double* s, const double* t, int r, int len, int nu,
+                   int* rows, double* e) {
+  if (len < nu) return false;
+  // Error locator x^nu + c_{nu-1} x^{nu-1} + ... + c_0 from the Hankel
+  // system sum_i c_i S_{k+i} = -S_{k+nu}, k = 0..nu-1.
+  double m[16] = {};
+  double b[4] = {};
+  double c[4] = {};
+  for (int k = 0; k < nu; ++k) {
+    for (int i = 0; i < nu; ++i) m[k * nu + i] = s[k + i];
+    b[k] = -s[k + nu];
+  }
+  if (!solve_small(nu, m, b, c)) return false;
+  // Its roots must be integer rows in [1, len]: keep the nu rows where
+  // the locator, scaled by its magnitude there, is smallest (ties to the
+  // lower row).
+  double best[4] = {};
+  int found = 0;
+  for (int row = 1; row <= len; ++row) {
+    double p = ipow(row, nu);
+    for (int i = 0; i < nu; ++i) p += c[i] * ipow(row, i);
+    const double v = std::abs(p) / (ipow(row, nu) + 1.0);
+    if (found == nu && !(v < best[nu - 1])) continue;
+    int j = found < nu ? found++ : nu - 1;
+    for (; j > 0 && v < best[j - 1]; --j) {
+      best[j] = best[j - 1];
+      rows[j] = rows[j - 1];
+    }
+    best[j] = v;
+    rows[j] = row;
+  }
+  for (int i = 0; i < nu; ++i) {
+    if (!(best[i] <= 1e-3)) return false;
+  }
+  std::sort(rows, rows + nu);
+  // Values from the Vandermonde system S_k = sum_t e_t r_t^k.
+  for (int k = 0; k < nu; ++k) {
+    for (int i = 0; i < nu; ++i) m[k * nu + i] = ipow(rows[i], k);
+    b[k] = s[k];
+  }
+  if (!solve_small(nu, m, b, e)) return false;
+  // Accept only a pattern that reproduces every syndrome.
+  for (int k = 0; k < r; ++k) {
+    double fit = 0.0;
+    for (int i = 0; i < nu; ++i) fit += e[i] * ipow(rows[i], k);
+    const double scale = std::max(std::abs(s[k]), std::abs(fit));
+    if (std::abs(s[k] - fit) > std::max(t[k], 1e-6 * scale)) return false;
+  }
+  return true;
+}
+
+// One decoder for both checksum sides and every R. A *lane* is what one
+// set of R checksums covers: a block column for column checksums (chk
+// is R x cols; element i of lane l is a(i, l)) or a block row for row
+// checksums (chk is rows x R; element i of lane l is a(l, i)). The row
 // decoder is the column decoder on the transposed block, step for step,
 // so both sides round identically.
-template <bool kRowLanes>
+template <int R, bool kRowLanes>
 VerifyOutcome decode_lanes(MatrixView<double> a, MatrixView<double> chk,
                            ConstMatrixView<double> recalc,
                            const Tolerance& tol) {
@@ -89,86 +176,122 @@ VerifyOutcome decode_lanes(MatrixView<double> a, MatrixView<double> chk,
   const int len = kRowLanes ? a.cols() : a.rows();
 
   VerifyOutcome out;
+  const auto record = [&](int l, int i, double old_value, double new_value) {
+    ++out.errors_corrected;
+    out.corrections.push_back(
+        kRowLanes ? Correction{l, i, old_value, new_value}
+                  : Correction{i, l, old_value, new_value});
+  };
+  // One data error in lane l from its syndromes d; false (element
+  // restored) when they do not fit one.
+  const auto correct_one = [&](int l, const double* d) {
+    // Single-data-error hypothesis: d1/d0 must be an integral position.
+    const double q = d[1] / d[0];
+    const int pos1 = static_cast<int>(std::lround(q));
+    if (!(pos1 >= 1 && pos1 <= len &&
+          std::abs(q - pos1) <= 0.01 * std::max(1.0, std::abs(q)))) {
+      return false;
+    }
+    const double old_value = elem(l, pos1 - 1);
+    double corrected = old_value - d[0];
+    // Size the syndrome against the *clean* scale (the stored
+    // checksums) — the detection threshold t is inflated by the
+    // corrupted recalc. Syndrome subtraction is only exact to
+    // |d0|*eps; for exponent-scale corruption that rounding residue
+    // alone is a visible error, so re-solve the checksum equation from
+    // the clean neighbors in that regime.
+    const double t_clean = tol.threshold(
+        std::max(std::abs(stored(l, 0)), std::abs(stored(l, 1))));
+    if (std::abs(d[0]) * 1e-13 > t_clean) {
+      double rest = 0.0;
+      for (int i = 0; i < len; ++i) {
+        if (i != pos1 - 1) rest += elem(l, i);
+      }
+      corrected = stored(l, 0) - rest;
+    }
+    elem(l, pos1 - 1) = corrected;
+    // Re-encode and recheck all R sums: a correlated double error can
+    // alias to a valid single-error syndrome, and the miscorrection
+    // leaves a sum-consistent error pair that the next verification
+    // would misread as checksum damage and "repair" — silent
+    // corruption. Escalate here instead. Post-correction scale, so a
+    // huge pre-correction value cannot blunt the recheck; 2x tolerates
+    // drift plus correction rounding.
+    const auto s = lane_sums<R>(len, [&](int i) { return elem(l, i); });
+    double scale = std::abs(stored(l, 0));
+    for (int k = 1; k < R; ++k) {
+      scale = std::max(scale, std::abs(stored(l, k)));
+    }
+    for (int k = 0; k < R; ++k) scale = std::max(scale, std::abs(s[k]));
+    const double t2 = tol.threshold(scale);
+    for (int k = 0; k < R; ++k) {
+      if (std::abs(s[k] - stored(l, k)) > 2.0 * t2) {
+        elem(l, pos1 - 1) = old_value;
+        return false;
+      }
+    }
+    record(l, pos1 - 1, old_value, corrected);
+    return true;
+  };
+  // Several data errors (R >= 4): Prony's method for nu = 2..R/2.
+  const auto correct_many = [&](int l, const double* d, const double* t) {
+    for (int nu = 2; nu <= R / 2; ++nu) {
+      int rows[kMaxChecksumRows / 2] = {};
+      double e[kMaxChecksumRows / 2] = {};
+      if (!locate_errors(d, t, R, len, nu, rows, e)) continue;
+      for (int j = 0; j < nu; ++j) {
+        double& x = elem(l, rows[j] - 1);
+        const double old_value = x;
+        x -= e[j];
+        record(l, rows[j] - 1, old_value, x);
+      }
+      return true;
+    }
+    return false;
+  };
+
   for (int l = 0; l < lanes; ++l) {
-    const double d1 = fresh(l, 0) - stored(l, 0);
-    const double d2 = fresh(l, 1) - stored(l, 1);
-    // Per-checksum thresholds: judging both checksums against one
-    // shared scale lets a huge corrupted checksum inflate the threshold
-    // until the other one's deviation reads as "clean" — a coincident
-    // data error then classifies as checksum damage and the repair
+    // Per-checksum thresholds: judging the checksums against one shared
+    // scale lets a huge corrupted checksum inflate the threshold until
+    // another one's deviation reads as "clean" — a coincident data
+    // error then classifies as checksum damage and the repair
     // re-encodes the checksum from the corrupted data (unbounded
     // laundering). With per-checksum scales the worst a threshold-band
     // straddle can launder is an error below that checksum's own
     // detection floor.
-    const double t1 = tol.threshold(
-        std::max(std::abs(stored(l, 0)), std::abs(fresh(l, 0))));
-    const double t2w = tol.threshold(
-        std::max(std::abs(stored(l, 1)), std::abs(fresh(l, 1))));
-    const bool e1 = std::abs(d1) > t1;
-    const bool e2 = std::abs(d2) > t2w;
-    if (!e1 && !e2) continue;
+    double d[R] = {};
+    double t[R] = {};
+    bool bad[R] = {};
+    int flagged = 0;
+    for (int k = 0; k < R; ++k) {
+      d[k] = fresh(l, k) - stored(l, k);
+      t[k] = tol.threshold(
+          std::max(std::abs(stored(l, k)), std::abs(fresh(l, k))));
+      bad[k] = std::abs(d[k]) > t[k];
+      flagged += bad[k];
+    }
+    if (flagged == 0) continue;
 
-    if (e1 && e2) {
-      // Single-data-error hypothesis: d2/d1 must be an integral position.
-      const double q = d2 / d1;
-      const int pos1 = static_cast<int>(std::lround(q));
-      if (pos1 >= 1 && pos1 <= len &&
-          std::abs(q - pos1) <= 0.01 * std::max(1.0, std::abs(q))) {
-        ++out.errors_detected;
-        const double old_value = elem(l, pos1 - 1);
-        double corrected = old_value - d1;
-        // Size the syndrome against the *clean* scale (the stored
-        // checksums) — the detection threshold t is inflated by the
-        // corrupted recalc. Syndrome subtraction is only exact to
-        // |d1|*eps; for exponent-scale corruption that rounding
-        // residue alone is a visible error, so re-solve the checksum
-        // equation from the clean neighbors in that regime.
-        const double t_clean = tol.threshold(
-            std::max(std::abs(stored(l, 0)), std::abs(stored(l, 1))));
-        if (std::abs(d1) * 1e-13 > t_clean) {
-          double rest = 0.0;
-          for (int i = 0; i < len; ++i) {
-            if (i != pos1 - 1) rest += elem(l, i);
-          }
-          corrected = stored(l, 0) - rest;
-        }
-        elem(l, pos1 - 1) = corrected;
-        // Re-encode and recheck: a correlated double error can alias
-        // to a valid single-error syndrome, and the miscorrection
-        // leaves a sum-consistent error pair that the next
-        // verification would misread as checksum damage and "repair"
-        // — silent corruption. Escalate here instead. Post-correction
-        // scale, so a huge pre-correction value cannot blunt the
-        // recheck; 2x tolerates drift plus correction rounding.
-        double s1 = 0.0;
-        double s2 = 0.0;
-        for (int i = 0; i < len; ++i) {
-          s1 += elem(l, i);
-          s2 += (i + 1.0) * elem(l, i);
-        }
-        const double t2 = tol.threshold(
-            std::max({std::abs(stored(l, 0)), std::abs(stored(l, 1)),
-                      std::abs(s1), std::abs(s2)}));
-        if (std::abs(s1 - stored(l, 0)) > 2.0 * t2 ||
-            std::abs(s2 - stored(l, 1)) > 2.0 * t2) {
-          out.uncorrectable = true;
-        } else {
-          ++out.errors_corrected;
-          out.corrections.push_back(
-              kRowLanes ? Correction{l, pos1 - 1, old_value, corrected}
-                        : Correction{pos1 - 1, l, old_value, corrected});
-        }
-      } else {
+    if (flagged < R) {
+      // A data error moves every syndrome, so a partial pattern is
+      // checksum damage — repairable while at most R/2 rows are hit
+      // (at R = 2: one checksum is corrupted). More is beyond capacity.
+      if (flagged > R / 2) {
         ++out.errors_detected;
         out.uncorrectable = true;
+        continue;
       }
-    } else if (e1) {
-      // d2 clean: no data error can do this — checksum 1 is corrupted.
-      stored(l, 0) = fresh(l, 0);
-      ++out.checksum_repairs;
-    } else {
-      stored(l, 1) = fresh(l, 1);
-      ++out.checksum_repairs;
+      for (int k = 0; k < R; ++k) {
+        if (!bad[k]) continue;
+        stored(l, k) = fresh(l, k);
+        ++out.checksum_repairs;
+      }
+      continue;
+    }
+
+    ++out.errors_detected;
+    if (!correct_one(l, d) && !correct_many(l, d, t)) {
+      out.uncorrectable = true;
     }
   }
   return out;
@@ -176,61 +299,108 @@ VerifyOutcome decode_lanes(MatrixView<double> a, MatrixView<double> chk,
 
 }  // namespace
 
+void encode_block(ConstMatrixView<double> a, MatrixView<double> chk) {
+  FTLA_CHECK(chk.cols() == a.cols());
+  with_redundancy(chk.rows(), [&](auto r) {
+    constexpr int R = decltype(r)::value;
+    // Each column's sums are computed start-to-finish by one lane, so
+    // the result is bit-identical for every thread count / partition.
+    const auto encode_cols = [&](std::int64_t c0, std::int64_t c1) {
+      for (int c = static_cast<int>(c0); c < c1; ++c) {
+        const double* col = &a(0, c);
+        const auto s = lane_sums<R>(a.rows(), [col](int i) { return col[i]; });
+        for (int k = 0; k < R; ++k) chk(k, c) = s[k];
+      }
+    };
+    if (use_pool_for(static_cast<long long>(a.rows()) * a.cols())) {
+      common::global_pool().parallel_for_chunks(0, a.cols(), encode_cols);
+    } else {
+      encode_cols(0, a.cols());
+    }
+  });
+}
+
+void potf2_update_checksum(ConstMatrixView<double> l,
+                           MatrixView<double> chk) {
+  const int n = l.rows();
+  FTLA_CHECK(l.cols() == n && chk.cols() == n);
+  with_redundancy(chk.rows(), [&](auto r) {
+    constexpr int R = decltype(r)::value;
+    // The checksum rows transform exactly like extra rows appended below
+    // the block: scale by the pivot, then eliminate along the column.
+    for (int j = 0; j < n; ++j) {
+      const double d = l(j, j);
+      for (int k = 0; k < R; ++k) chk(k, j) /= d;
+      for (int c = j + 1; c < n; ++c) {
+        for (int k = 0; k < R; ++k) chk(k, c) -= chk(k, j) * l(c, j);
+      }
+    }
+  });
+}
+
 VerifyOutcome verify_block(MatrixView<double> a, MatrixView<double> chk,
                            ConstMatrixView<double> recalc,
                            const Tolerance& tol) {
-  FTLA_CHECK(chk.rows() == kChecksumRows && chk.cols() == a.cols());
-  FTLA_CHECK(recalc.rows() == kChecksumRows && recalc.cols() == a.cols());
-  return decode_lanes<false>(a, chk, recalc, tol);
+  FTLA_CHECK(chk.cols() == a.cols() && recalc.rows() == chk.rows() &&
+             recalc.cols() == a.cols());
+  return with_redundancy(chk.rows(), [&](auto r) {
+    return decode_lanes<decltype(r)::value, false>(a, chk, recalc, tol);
+  });
 }
 
 VerifyOutcome verify_block_host(MatrixView<double> a, MatrixView<double> chk,
                                 const Tolerance& tol) {
-  Matrix<double> recalc(kChecksumRows, a.cols());
+  Matrix<double> recalc(chk.rows(), a.cols());
   encode_block(a, recalc.view());
   return verify_block(a, chk, recalc.view(), tol);
 }
 
 void encode_block_rows(ConstMatrixView<double> a, MatrixView<double> chk) {
-  FTLA_CHECK(chk.cols() == kChecksumRows && chk.rows() == a.rows());
-  // Partitioned over row ranges: every row's accumulators sweep the
-  // columns in the same order on one lane, so partitioning never
-  // changes the floating-point result.
-  const auto encode_rows = [&](std::int64_t r0, std::int64_t r1) {
-    const int lo = static_cast<int>(r0);
-    const int hi = static_cast<int>(r1);
-    for (int i = lo; i < hi; ++i) {
-      chk(i, 0) = 0.0;
-      chk(i, 1) = 0.0;
-    }
-    for (int c = 0; c < a.cols(); ++c) {
-      const double* col = &a(0, c);
-      const double w = c + 1.0;
+  FTLA_CHECK(chk.rows() == a.rows());
+  with_redundancy(chk.cols(), [&](auto r) {
+    constexpr int R = decltype(r)::value;
+    // Partitioned over row ranges: every row's accumulators sweep the
+    // columns in the same order on one lane, so partitioning never
+    // changes the floating-point result.
+    const auto encode_rows = [&](std::int64_t r0, std::int64_t r1) {
+      const int lo = static_cast<int>(r0);
+      const int hi = static_cast<int>(r1);
       for (int i = lo; i < hi; ++i) {
-        chk(i, 0) += col[i];
-        chk(i, 1) += w * col[i];
+        for (int k = 0; k < R; ++k) chk(i, k) = 0.0;
       }
+      for (int c = 0; c < a.cols(); ++c) {
+        const double* col = &a(0, c);
+        // The weights (c+1)^k, formed as lane_sums forms them.
+        double w[R] = {1.0, c + 1.0};
+        for (int k = 2; k < R; ++k) w[k] = w[k - 1] * w[1];
+        for (int i = lo; i < hi; ++i) {
+          chk(i, 0) += col[i];
+          for (int k = 1; k < R; ++k) chk(i, k) += w[k] * col[i];
+        }
+      }
+    };
+    if (use_pool_for(static_cast<long long>(a.rows()) * a.cols())) {
+      common::global_pool().parallel_for_chunks(0, a.rows(), encode_rows);
+    } else {
+      encode_rows(0, a.rows());
     }
-  };
-  if (use_pool_for(static_cast<long long>(a.rows()) * a.cols())) {
-    common::global_pool().parallel_for_chunks(0, a.rows(), encode_rows);
-  } else {
-    encode_rows(0, a.rows());
-  }
+  });
 }
 
 VerifyOutcome verify_block_rows(MatrixView<double> a, MatrixView<double> chk,
                                 ConstMatrixView<double> recalc,
                                 const Tolerance& tol) {
-  FTLA_CHECK(chk.cols() == kChecksumRows && chk.rows() == a.rows());
-  FTLA_CHECK(recalc.cols() == kChecksumRows && recalc.rows() == a.rows());
-  return decode_lanes<true>(a, chk, recalc, tol);
+  FTLA_CHECK(chk.rows() == a.rows() && recalc.cols() == chk.cols() &&
+             recalc.rows() == a.rows());
+  return with_redundancy(chk.cols(), [&](auto r) {
+    return decode_lanes<decltype(r)::value, true>(a, chk, recalc, tol);
+  });
 }
 
 VerifyOutcome verify_block_rows_host(MatrixView<double> a,
                                      MatrixView<double> chk,
                                      const Tolerance& tol) {
-  Matrix<double> recalc(a.rows(), kChecksumRows);
+  Matrix<double> recalc(a.rows(), chk.cols());
   encode_block_rows(a, recalc.view());
   return verify_block_rows(a, chk, recalc.view(), tol);
 }

@@ -1,14 +1,21 @@
 // Checksum codec for block-level ABFT (paper §IV).
 //
-// Every B x B matrix block carries two weighted column checksums
-//   chk1 = v1^T A with v1 = [1, 1, ..., 1]
-//   chk2 = v2^T A with v2 = [1, 2, ..., B]
-// stored as a 2 x B row pair. Together they detect, locate and correct
-// one erroneous element per block column:
-//   delta1 = chk1' - chk1 = e        (the error value)
-//   delta2 = chk2' - chk2 = r * e    (r = 1-based row of the error)
-// A corrupted checksum row itself is recognizable (delta pattern cannot
-// come from a single data error) and is repaired by re-encoding.
+// A block of B rows carries R weighted column checksums, stored as an
+// R x B matrix whose row k holds
+//   chk_k = w_k^T A,   w_k(i) = i^k   (i = 1..B, the 1-based row),
+// so row 0 is the paper's v1 = [1, ..., 1] and row 1 its v2 = [1..B].
+// R is read from the checksum matrix's shape (2 <= R <= kMaxChecksumRows
+// = 8); the drivers use the paper's R = kChecksumRows = 2. Errors e_t at
+// rows r_t of one block column give the syndromes (recalculated - stored)
+//   d_k = sum_t e_t * r_t^k,
+// a real-field Reed-Solomon code that locates and corrects floor(R/2)
+// errors per column (one at R = 2: d1 / d0 = r, d0 = e). A damaged
+// checksum row moves only its own syndrome, so a lane where every
+// syndrome flags is decoded as data errors, while a lane where only
+// some flag has those checksum rows re-encoded if there are at most
+// floor(R/2) of them and is uncorrectable otherwise. Odd R thereby also
+// detects one error beyond floor(R/2): R = 3 corrects one and detects
+// two (docs/abft.md §5).
 #pragma once
 
 #include <string>
@@ -18,16 +25,20 @@
 
 namespace ftla::abft {
 
-/// Number of checksum rows per block row (two weight vectors).
+/// Checksum rows per block row in the drivers (the paper's two weight
+/// vectors).
 inline constexpr int kChecksumRows = 2;
 
-/// chk(2 x cols) := [v1^T; v2^T] * a. Weights depend on a.rows().
+/// Largest redundancy R the codec takes.
+inline constexpr int kMaxChecksumRows = 8;
+
+/// chk (R x cols) := [w_0^T; ...; w_{R-1}^T] * a, R = chk.rows().
 void encode_block(ConstMatrixView<double> a, MatrixView<double> chk);
 
 /// Applies the POTF2 checksum transform (paper Algorithm 2): given the
-/// factor L of a diagonal block and the checksums of the *pre-factor*
-/// block, rewrites chk in place into the checksums of L (lower triangle,
-/// zeros above the diagonal).
+/// factor L of a diagonal block and the R checksum rows of the
+/// *pre-factor* block, rewrites chk in place into the checksums of L
+/// (lower triangle, zeros above the diagonal).
 void potf2_update_checksum(ConstMatrixView<double> l, MatrixView<double> chk);
 
 /// Location of one corrected element.
@@ -40,10 +51,10 @@ struct Correction {
 
 /// Outcome of verifying one block.
 struct VerifyOutcome {
-  int errors_detected = 0;     ///< block-columns with a mismatch
+  int errors_detected = 0;     ///< lanes with data damage or past capacity
   int errors_corrected = 0;    ///< data elements repaired
-  int checksum_repairs = 0;    ///< corrupted checksum columns re-encoded
-  bool uncorrectable = false;  ///< >1 error in a column / inconsistent
+  int checksum_repairs = 0;    ///< corrupted checksum elements re-encoded
+  bool uncorrectable = false;  ///< a lane beyond the code's capacity
   std::vector<Correction> corrections;
 
   [[nodiscard]] bool clean() const noexcept {
@@ -63,7 +74,7 @@ struct Tolerance {
 };
 
 /// Compares the stored checksums `chk` against freshly recalculated
-/// checksums `recalc` (both 2 x cols) and repairs `a` / `chk` in place.
+/// checksums `recalc` (both R x cols) and repairs `a` / `chk` in place.
 /// Pure logic, no allocation beyond the corrections list: usable from
 /// both host code and simulated-device kernel bodies.
 VerifyOutcome verify_block(MatrixView<double> a, MatrixView<double> chk,
@@ -77,18 +88,18 @@ VerifyOutcome verify_block_host(MatrixView<double> a,
 
 // --- Row-checksum variants ---------------------------------------------
 //
-// The paper (§IV-A) notes that two *row* checksums work symmetrically to
-// two column checksums. Row checksums are what protects the U factor in
+// The paper (§IV-A) notes that *row* checksums work symmetrically to
+// column checksums. Row checksums are what protects the U factor in
 // the LU extension: a row checksum column transforms like an extra
 // matrix column under left-multiplication (U' = L^{-1} A implies
 // rchk(U') = L^{-1} rchk(A)), which column checksums cannot do.
 
-/// chk (rows x 2) := a * [w1 w2] with w1 = [1..1]^T, w2 = [1..cols]^T.
+/// chk (rows x R) := a * [w_0 ... w_{R-1}] with w_k(j) = j^k over the
+/// 1-based columns j, R = chk.cols().
 void encode_block_rows(ConstMatrixView<double> a, MatrixView<double> chk);
 
-/// Row-checksum verification: detects, locates (column = delta2/delta1)
-/// and corrects one error per block row; repairs corrupted checksum
-/// columns. Mirror image of verify_block.
+/// Row-checksum verification: the column decoder on the transposed
+/// block, step for step (one lane per block row, located by column).
 VerifyOutcome verify_block_rows(MatrixView<double> a,
                                 MatrixView<double> chk,
                                 ConstMatrixView<double> recalc,

@@ -139,9 +139,11 @@ class Run final : public Driver {
   // The graph covers the device-resident checksum placements and Rerun
   // recovery; the CPU checksum mirror, checkpoint recovery and fleet
   // panel checkpoints run bulk.
-  [[nodiscard]] bool graph_models() const override {
-    return placement_ != UpdatePlacement::Cpu && !checkpointing_ &&
-           ck_ == nullptr;
+  [[nodiscard]] const char* dag_fallback_reason() const override {
+    if (placement_ == UpdatePlacement::Cpu) return "cpu_checksum_mirror";
+    if (checkpointing_) return "checkpoint_recovery";
+    if (ck_ != nullptr) return "panel_checkpoint";
+    return nullptr;
   }
   [[nodiscard]] BlockId fault_target(const fault::FaultSpec& spec,
                                      int j) const override;
@@ -220,8 +222,7 @@ void Run::allocate() {
 
   // NoFt under the DAG still gets the transfer lane: the graph overlaps
   // the diagonal staging copies with the previous trailing update.
-  create_streams(ft_ ||
-                 (opt_.runtime == RuntimeMode::Dag && graph_models()));
+  create_streams(ft_ || runs_dag());
   if (placement_ != UpdatePlacement::Gpu) s_update_ = s_compute_;
 }
 

@@ -29,16 +29,11 @@
 namespace ftla::fault {
 namespace {
 
-/// The oracle's pass/fail line. Injected magnitudes are macroscopic
-/// (>= 1e3, or bit flips anchored in the high mantissa / exponent), so
-/// any uncorrected corruption lands orders of magnitude above this.
-constexpr double kResidualThreshold = 1.0e-6;
-
 Verdict classify(const abft::CholeskyResult& res, double residual) {
   if (!res.success) return Verdict::FailStop;
   // NaN-safe: a NaN/Inf residual must read as corrupt, and NaN fails
   // every comparison, so test "residual < threshold" and invert.
-  if (!(residual < kResidualThreshold)) return Verdict::Sdc;
+  if (!(residual < kSdcResidualThreshold)) return Verdict::Sdc;
   if (res.reruns > 0) return Verdict::Rerun;
   if (res.rollbacks > 0) return Verdict::RolledBack;
   return Verdict::Corrected;
@@ -79,10 +74,6 @@ ScenarioResult run_scenario(const Scenario& sc) {
   const Matrix<double> pristine = a;
 
   Injector inj(sc.plan, EccModel{sc.ecc});
-  // Attach the clock here rather than relying on the driver's telemetry
-  // layer (which only wires it when an event sink / metrics registry is
-  // present): the arrival process below is driven by virtual time.
-  inj.set_clock([&m] { return m.host_now(); });
 
   FaultProcess* proc = nullptr;
   std::unique_ptr<FaultProcess> proc_storage;

@@ -33,6 +33,14 @@
 
 namespace ftla::fault {
 
+/// The SDC oracle's pass/fail line on a factorization's relative
+/// residual against the pristine input: a run that claims success
+/// above it is silent data corruption. Injected magnitudes are
+/// macroscopic (>= 1e3, or bit flips anchored in the high mantissa /
+/// exponent), so any uncorrected corruption lands orders of magnitude
+/// above this.
+inline constexpr double kSdcResidualThreshold = 1.0e-6;
+
 enum class FaultType { Computing, Storage, Transfer };
 
 /// The four operations of one outer iteration of blocked Cholesky.

@@ -21,10 +21,6 @@
 namespace ftla::service {
 namespace {
 
-/// Same oracle line as the fault campaign: injected corruption is
-/// macroscopic, so anything uncorrected lands far above this.
-constexpr double kResidualThreshold = 1.0e-6;
-
 // Child-index layout of a job's trace (docs/observability.md). Root
 // children: fixed slots for the markers, then attempts from
 // kAttemptChildBase and re-placement / migration markers in their own
@@ -347,7 +343,6 @@ JobResult FactorizationService::run_job(const JobSpec& spec,
     if (numeric) a = pristine;
 
     fault::Injector inj({}, fault::EccModel{spec.ecc});
-    inj.set_clock([&m] { return m.host_now(); });
     if (proc != nullptr) {
       proc->set_active_device(dev);
       inj.attach_process(proc.get());
@@ -484,7 +479,7 @@ JobResult FactorizationService::run_job(const JobSpec& spec,
       if (numeric) {
         r.residual = blas::cholesky_residual(pristine.view(), a.view());
         // NaN-safe: a NaN residual must read as corrupt.
-        r.sdc = !(r.residual < kResidualThreshold);
+        r.sdc = !(r.residual < fault::kSdcResidualThreshold);
       }
       r.outcome = r.migrations > 0      ? JobOutcome::Migrated
                   : admitted_degraded   ? JobOutcome::Degraded

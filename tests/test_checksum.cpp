@@ -29,8 +29,9 @@ using blas::Trans;
 using blas::Uplo;
 using test::random_matrix;
 
-Matrix<double> encode(const Matrix<double>& a) {
-  Matrix<double> chk(kChecksumRows, a.cols());
+Matrix<double> encode(const Matrix<double>& a,
+                      int redundancy = kChecksumRows) {
+  Matrix<double> chk(redundancy, a.cols());
   encode_block(a.view(), chk.view());
   return chk;
 }
@@ -226,7 +227,7 @@ void expect_same_bits(const Matrix<double>& x, const Matrix<double>& y) {
 }
 
 /// One column-decoder setup: a random rows x cols block (seed) and its
-/// column checksums, then `corrupt` damages the data and/or checksums.
+/// R column checksums, then `corrupt` damages the data and/or checksums.
 struct DecoderCase {
   std::string name;
   int rows;
@@ -256,18 +257,24 @@ std::vector<DecoderCase> column_decoder_cases() {
       {"checksum_1_damage", 8, 8, 15, [](M&, M& chk) { chk(0, 3) += 500.0; }},
       {"checksum_2_damage", 8, 8, 17,
        [](M&, M& chk) { chk(1, 6) = flip_bit(chk(1, 6), 55); }},
+      {"two_checksum_rows_damage", 8, 8, 27,
+       [](M&, M& chk) {
+         chk(0, 4) += 500.0;
+         chk(1, 4) -= 300.0;
+       }},
       {"first_row_error", 8, 8, 19, [](M& a, M&) { a(0, 2) += 250.0; }},
       {"rectangular", 12, 5, 21, [](M& a, M&) { a(11, 4) -= 42.0; }},
       {"exponent_scale", 16, 16, 25, [](M& a, M&) { a(9, 3) *= 0x1p60; }},
       {"roundoff_noise", 24, 24, 23,
        [](M& a, M& chk) {
          const auto u = random_matrix(24, 24, 24);
-         const auto chk_u = encode(u);
+         const auto chk_u = encode(u, chk.rows());
          for (int rep = 0; rep < 20; ++rep) {
            for (int j = 0; j < 24; ++j) {
              for (int i = 0; i < 24; ++i) a(i, j) += 0.01 * u(i, j);
-             chk(0, j) += 0.01 * chk_u(0, j);
-             chk(1, j) += 0.01 * chk_u(1, j);
+             for (int k = 0; k < chk.rows(); ++k) {
+               chk(k, j) += 0.01 * chk_u(k, j);
+             }
            }
          }
        }},
@@ -283,37 +290,41 @@ std::vector<DecoderCase> column_decoder_cases() {
   return cases;
 }
 
+// Above R = 2 the row view also covers the subset-flagged rule and
+// Prony decoding (the two-error column at R = 4).
 TEST(RowDecoder, MirrorsColumnDecoderBitForBit) {
-  for (const DecoderCase& dc : column_decoder_cases()) {
-    SCOPED_TRACE(dc.name);
-    auto a = random_matrix(dc.rows, dc.cols, dc.seed);
-    auto chk = encode(a);
-    dc.corrupt(a, chk);
-    auto at = transposed(a);
-    auto chk_t = transposed(chk);
+  for (int r : {2, 3, 4}) {
+    for (const DecoderCase& dc : column_decoder_cases()) {
+      SCOPED_TRACE(dc.name + " R=" + std::to_string(r));
+      auto a = random_matrix(dc.rows, dc.cols, dc.seed);
+      auto chk = encode(a, r);
+      dc.corrupt(a, chk);
+      auto at = transposed(a);
+      auto chk_t = transposed(chk);
 
-    const auto recalc = encode(a);
-    Matrix<double> recalc_t(at.rows(), kChecksumRows);
-    encode_block_rows(at.view(), recalc_t.view());
-    expect_same_bits(recalc_t, transposed(recalc));
+      const auto recalc = encode(a, r);
+      Matrix<double> recalc_t(at.rows(), r);
+      encode_block_rows(at.view(), recalc_t.view());
+      expect_same_bits(recalc_t, transposed(recalc));
 
-    const VerifyOutcome col =
-        verify_block(a.view(), chk.view(), recalc.view(), Tolerance{});
-    const VerifyOutcome row = verify_block_rows(at.view(), chk_t.view(),
-                                                recalc_t.view(), Tolerance{});
-    EXPECT_EQ(row.errors_detected, col.errors_detected);
-    EXPECT_EQ(row.errors_corrected, col.errors_corrected);
-    EXPECT_EQ(row.checksum_repairs, col.checksum_repairs);
-    EXPECT_EQ(row.uncorrectable, col.uncorrectable);
-    ASSERT_EQ(row.corrections.size(), col.corrections.size());
-    for (std::size_t k = 0; k < col.corrections.size(); ++k) {
-      EXPECT_EQ(row.corrections[k].row, col.corrections[k].col);
-      EXPECT_EQ(row.corrections[k].col, col.corrections[k].row);
-      EXPECT_EQ(row.corrections[k].old_value, col.corrections[k].old_value);
-      EXPECT_EQ(row.corrections[k].new_value, col.corrections[k].new_value);
+      const VerifyOutcome col =
+          verify_block(a.view(), chk.view(), recalc.view(), Tolerance{});
+      const VerifyOutcome row = verify_block_rows(at.view(), chk_t.view(),
+                                                  recalc_t.view(), Tolerance{});
+      EXPECT_EQ(row.errors_detected, col.errors_detected);
+      EXPECT_EQ(row.errors_corrected, col.errors_corrected);
+      EXPECT_EQ(row.checksum_repairs, col.checksum_repairs);
+      EXPECT_EQ(row.uncorrectable, col.uncorrectable);
+      ASSERT_EQ(row.corrections.size(), col.corrections.size());
+      for (std::size_t k = 0; k < col.corrections.size(); ++k) {
+        EXPECT_EQ(row.corrections[k].row, col.corrections[k].col);
+        EXPECT_EQ(row.corrections[k].col, col.corrections[k].row);
+        EXPECT_EQ(row.corrections[k].old_value, col.corrections[k].old_value);
+        EXPECT_EQ(row.corrections[k].new_value, col.corrections[k].new_value);
+      }
+      expect_same_bits(at, transposed(a));
+      expect_same_bits(chk_t, transposed(chk));
     }
-    expect_same_bits(at, transposed(a));
-    expect_same_bits(chk_t, transposed(chk));
   }
 }
 

@@ -18,6 +18,7 @@
 #include "abft/qr.hpp"
 #include "blas/lapack.hpp"
 #include "obs/event_sink.hpp"
+#include "obs/metrics.hpp"
 #include "sim/profile.hpp"
 #include "test_util.hpp"
 
@@ -152,7 +153,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(CholeskyConformance, CpuPlacementFallsBackToBulk) {
   // The graph does not model the host checksum mirror; the driver must
-  // silently run the bulk path and still be correct.
+  // run the bulk path and still be correct.
   const int n = 64;
   const auto a0 = test::random_spd(n, 77);
   auto a = a0;
@@ -178,6 +179,38 @@ TEST(CholeskyConformance, CheckpointRecoveryFallsBackToBulk) {
   const CholeskyResult res = cholesky(m, &a, n, opt);
   ASSERT_TRUE(res.success) << res.note;
   EXPECT_LT(blas::cholesky_residual(a0.view(), a.view()), 1e-12);
+}
+
+TEST(CholeskyConformance, DagFallbackIsReported) {
+  // A Dag request that runs bulk says so once per driver call — one
+  // "dag_fallback" note with the reason and one runtime.dag_fallbacks
+  // count — and nothing else does.
+  const auto fallback_notes = [](RuntimeMode runtime,
+                                 UpdatePlacement placement) {
+    Machine m(small_rig(), ExecutionMode::TimingOnly);
+    obs::RingBufferSink sink;
+    obs::MetricsRegistry metrics;
+    CholeskyOptions opt;
+    opt.variant = Variant::EnhancedOnline;
+    opt.placement = placement;
+    opt.runtime = runtime;
+    opt.event_sink = &sink;
+    opt.metrics = &metrics;
+    EXPECT_TRUE(cholesky(m, nullptr, 64, opt).success);
+    std::vector<std::string> notes;
+    for (const obs::Event& e : sink.events()) {
+      if (e.kind == obs::EventKind::Note && e.name == "dag_fallback") {
+        notes.push_back(e.detail);
+      }
+    }
+    EXPECT_EQ(metrics.counter("runtime.dag_fallbacks"),
+              static_cast<long long>(notes.size()));
+    return notes;
+  };
+  EXPECT_EQ(fallback_notes(RuntimeMode::Dag, UpdatePlacement::Cpu),
+            std::vector<std::string>{"reason=cpu_checksum_mirror"});
+  EXPECT_TRUE(fallback_notes(RuntimeMode::Dag, UpdatePlacement::Gpu).empty());
+  EXPECT_TRUE(fallback_notes(RuntimeMode::Bulk, UpdatePlacement::Cpu).empty());
 }
 
 // --------------------- Cholesky: faults under the DAG ------------------

@@ -432,7 +432,7 @@ int main(int argc, char** argv) {
     std::printf("residual          : %.3e %s\n", resid,
                 resid < 1e-8 ? "(clean)" : "(CORRUPTED)");
     // NaN-safe: a NaN residual must classify as corrupt.
-    if (!(resid < 1e-6)) exit_code = fault::kExitSdc;
+    if (!(resid < fault::kSdcResidualThreshold)) exit_code = fault::kExitSdc;
   }
   if (args.summary) sim::print_trace_summary(machine, std::cout);
   if (!args.trace_path.empty()) {
