@@ -71,6 +71,10 @@ namespace {
 // the pinned profile baselines record.
 constexpr SumNames kCholeskySums{"encode", "recalc", "verify"};
 
+// Checkpoint rollbacks allowed per run before unrecoverable corruption
+// escalates to a full rerun (Recovery::Checkpoint).
+constexpr int kMaxRollbacks = 8;
+
 class Run final : public Driver {
  public:
   Run(Machine& m, Matrix<double>* a, int n, const CholeskyOptions& opt,
@@ -79,7 +83,6 @@ class Run final : public Driver {
                nullptr),
         copt_(opt) {
     FTLA_CHECK(copt_.checkpoint_interval >= 1);
-    FTLA_CHECK(copt_.max_rollbacks >= 0);
     chk_strikes_ = true;
     placement_ = copt_.placement;
     if (!ft_) placement_ = UpdatePlacement::Gpu;  // no checksums to place
@@ -263,7 +266,7 @@ void Run::run_once() {
   // resumed iteration needs its decomposed row panel on the host (a
   // no-op for cold starts and for the other placements).
   fetch_panel_for_cpu_update(resume_from_);
-  int rollbacks_left = copt_.max_rollbacks;
+  int rollbacks_left = kMaxRollbacks;
   int j = resume_from_;
   while (j < nb_) {
     if (checkpointing_ && rollbacks_left > 0) {
@@ -445,16 +448,15 @@ void Run::compare_on_host(const std::vector<BlockId>& blocks, fault::Op attr,
   m_.memcpy_d2h_2d(m_.numeric() ? h_scratch_.data() : nullptr, 2, d_scratch_,
                    0, 2, 2, static_cast<int>(cols), s_compute_,
                    /*blocking=*/true);
-  const Tolerance tol = opt_.tolerance;
   KernelDesc hd{"verify_host", KernelClass::HostChecksum, 4 * cols, 0};
-  m_.host_compute(hd, [this, &blocks, tol, attr] {
+  m_.host_compute(hd, [this, &blocks, attr] {
     int col = 0;
     for (const auto& [bi, bk] : blocks) {
       const DMat blk = data_block(bi, bk);
       auto out = verify_block(
           blk.view(), h_chk_block(bi, bk),
           ConstMatrixView<double>(h_scratch_.block(0, col, 2, blk.cols)),
-          tol);
+          Tolerance{});
       // Repairs computed on the host must cross back over PCIe.
       for (std::size_t c = 0; c < out.corrections.size(); ++c) {
         m_.memcpy_h2d(d_a_, 0, nullptr, 0, s_compute_);
@@ -815,12 +817,11 @@ void Run::iteration(int j) {
         "verify_arrival", [] { return std::vector{runtime::rw(htile())}; },
         [this, j, jb](const runtime::TaskContext& c) {
           if (c.tiles.armed()) c.tiles.rw(htile());
-          const Tolerance tol = opt_.tolerance;
           KernelDesc vd{"verify_arrival", KernelClass::HostChecksum,
                         blas::gemv_flops(jb, jb) * 2, 0};
-          m_.host_compute(vd, [this, j, jb, tol] {
+          m_.host_compute(vd, [this, j, jb] {
             const VerifyOutcome out = verify_block_host(
-                h_diag_.block(0, 0, jb, jb), h_diag_chk(j), tol);
+                h_diag_.block(0, 0, jb, jb), h_diag_chk(j), Tolerance{});
             if (std::getenv("FTLA_CAMPAIGN_DEBUG") != nullptr) {
               std::fprintf(stderr,
                            "arrival-verify j=%d det=%lld corr=%lld rep=%lld "
@@ -874,12 +875,11 @@ void Run::iteration(int j) {
           "verify_potf2", [] { return std::vector{runtime::rw(htile())}; },
           [this, j, jb](const runtime::TaskContext& c) {
             if (c.tiles.armed()) c.tiles.rw(htile());
-            const Tolerance tol = opt_.tolerance;
             KernelDesc vd{"verify_potf2", KernelClass::HostChecksum,
                           blas::gemv_flops(jb, jb) * 2, 0};
-            m_.host_compute(vd, [this, j, jb, tol] {
+            m_.host_compute(vd, [this, j, jb] {
               const VerifyOutcome out = verify_block_host(
-                  h_diag_.block(0, 0, jb, jb), h_diag_chk(j), tol);
+                  h_diag_.block(0, 0, jb, jb), h_diag_chk(j), Tolerance{});
               tel_.block_verified(out, fault::Op::Potf2, j, j, j,
                                   blas::gemv_flops(jb, jb) * 2, off(j), jb,
                                   off(j), jb, 2 * j);

@@ -46,8 +46,12 @@ Driver::Driver(sim::Machine& m, Matrix<double>* a, int n,
 CholeskyResult Driver::execute() {
   allocate();
   if (opt_.runtime == RuntimeMode::Dag) {
-    if (const char* reason = dag_fallback_reason()) tel_.dag_fallback(reason);
+    if (const char* reason = dag_fallback_reason()) {
+      result_.dag_fallback = reason;
+      tel_.dag_fallback(reason);
+    }
   }
+  if (runs_dag()) result_.runtime = RuntimeMode::Dag;
   upload();
   m_.sync_all();
   const double t0 = m_.host_now();
@@ -198,9 +202,8 @@ void Driver::create_streams(bool xfer) {
   if (xfer) s_xfer_ = m_.create_stream();
   xfer_ = xfer;
   if (!ft_) return;
-  int streams = opt_.recalc_streams > 0 ? opt_.recalc_streams
-                                        : m_.profile().max_concurrent_kernels;
-  if (!opt_.concurrent_recalc) streams = 1;
+  const int streams =
+      opt_.concurrent_recalc ? m_.profile().max_concurrent_kernels : 1;
   for (int i = 0; i < streams; ++i) s_recalc_.push_back(m_.create_stream());
 }
 
@@ -445,18 +448,18 @@ void Driver::issue_verify(StreamId s, int bi, int bk, fault::Op attr,
   const bool both = col_ != nullptr && row_ != nullptr;
   const DMat other = !both ? DMat{} : col ? rchk_block(bi, bk)
                                           : cchk_block(bi, bk);
-  const Tolerance tol = opt_.tolerance;
   const int chk_row0 = chk_strikes_ ? 2 * bi : -1;
   m_.launch(s,
             KernelDesc{names.verify, KernelClass::Compare,
                        4LL * (col ? blk.cols : blk.rows), 0},
-            [this, blk, chk, other, scratch, tol, col, both, attr, bi, bk,
+            [this, blk, chk, other, scratch, col, both, attr, bi, bk,
              rflops, chk_row0, iter] {
               const ConstMatrixView<double> sums_view(scratch.view());
               const VerifyOutcome out =
-                  col ? verify_block(blk.view(), chk.view(), sums_view, tol)
+                  col ? verify_block(blk.view(), chk.view(), sums_view,
+                                     Tolerance{})
                       : verify_block_rows(blk.view(), chk.view(), sums_view,
-                                          tol);
+                                          Tolerance{});
               if (both && !out.corrections.empty()) {
                 const ConstMatrixView<double> data(blk.view());
                 if (col) {

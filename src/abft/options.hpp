@@ -109,14 +109,10 @@ struct DriverOptions {
   /// are unrecoverable). K = 1 verifies everything every iteration.
   int verify_interval = 1;
 
-  /// Opt 1: run checksum-recalculation kernels concurrently on multiple
-  /// streams. When false, they serialize on the compute stream.
+  /// Opt 1: run checksum-recalculation kernels concurrently on the
+  /// device's concurrent-kernel limit of streams. When false, they
+  /// serialize on the compute stream.
   bool concurrent_recalc = true;
-  /// Number of recalc streams; 0 = the device concurrent-kernel limit.
-  int recalc_streams = 0;
-
-  /// Detection tolerance used by every verification.
-  Tolerance tolerance{};
 
   /// How many times an unrecoverable corruption may trigger a full
   /// restart before the driver gives up.
@@ -160,8 +156,6 @@ struct CholeskyOptions : DriverOptions {
   Recovery recovery = Recovery::Rerun;
   /// Iterations between device snapshots (Recovery::Checkpoint).
   int checkpoint_interval = 8;
-  /// Rollback budget before escalating to a full rerun.
-  int max_rollbacks = 8;
 
   /// Transfer-fault hardening (fault campaigns; off by default so the
   /// verification counts of the paper's Table I are unchanged). Adds
@@ -229,6 +223,10 @@ struct CholeskyResult {
 
   VerificationCounters verified;
   UpdatePlacement chosen_placement = UpdatePlacement::Gpu;
+  /// The execution structure that actually ran, and why a
+  /// RuntimeMode::Dag request ran bulk (nullptr when it did not).
+  RuntimeMode runtime = RuntimeMode::Bulk;
+  const char* dag_fallback = nullptr;
   std::string note;
 };
 

@@ -1,6 +1,7 @@
 // Streaming statistics accumulator (Welford) used by benches and the
-// simulator's per-resource utilization reports, plus a fixed-bucket
-// histogram with percentile estimation for the observability layer.
+// simulator's per-resource utilization reports, plus the nearest-rank
+// percentile of raw samples and a fixed-bucket histogram with the same
+// percentile rule for the observability layer.
 #pragma once
 
 #include <algorithm>
@@ -57,6 +58,20 @@ class Stats {
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
+
+/// Nearest-rank percentile of an ascending-sorted sample vector: the
+/// value at rank max(1, ceil(p/100 * n)) for p clamped to [0, 100]; 0
+/// when empty. Histogram::percentile follows the same rank rule over its
+/// buckets; this one is exact because the raw samples are kept.
+inline double nearest_rank(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) return 0.0;
+  const double clamped = std::min(100.0, std::max(0.0, p));
+  auto rank = static_cast<std::size_t>(
+      std::ceil(clamped / 100.0 * static_cast<double>(sorted.size())));
+  if (rank < 1) rank = 1;
+  if (rank > sorted.size()) rank = sorted.size();
+  return sorted[rank - 1];
+}
 
 /// Fixed-bucket histogram: bucket boundaries are chosen at construction
 /// and never move, so two histograms with identical edges merge exactly

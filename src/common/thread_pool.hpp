@@ -1,10 +1,11 @@
-// Shared host thread pool: parallel-for over index ranges.
+// Shared host thread pool: parallel-for over index ranges, and the
+// draw-ordered runner both fault campaigns execute their scenarios on.
 //
 // One pool serves every parallel host path in ftla — the blocked level-3
 // BLAS (parallel over MC row panels), checksum block recalculation (the
 // host-side analogue of the paper's Opt-1 concurrent-recalc streams),
-// and the fault-campaign scenario executor. Usage rules (enforced, see
-// docs/performance.md):
+// and the campaign runner (run_draw_ordered below). Usage rules
+// (enforced, see docs/performance.md):
 //
 //   * Only non-pool threads may submit work. A parallel_for issued from
 //     inside a pool body (any pool's body) runs INLINE on the calling
@@ -24,8 +25,11 @@
 // publish protocol at the one place the analysis is waived.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <type_traits>
+#include <vector>
 
 namespace ftla::common {
 
@@ -82,5 +86,44 @@ ThreadPool& global_pool();
 /// Rebuilds the global pool with `threads` lanes (0 = hardware). Must
 /// not be called while any pool work is in flight.
 void set_global_threads(int threads);
+
+/// Runs `count` independent items of a seeded campaign in draw order.
+/// Items are drawn serially (`draw()`, item after item, so every thread
+/// count sees the same draws), executed with `run(item)` on a pool of
+/// `threads` lanes (0 = hardware_threads(); 1 runs inline) one item per
+/// claim so uneven items load-balance, and folded back with
+/// `merge(index, item, result)` in draw order on the calling thread.
+/// The campaign advances in windows of `window` items (all of them when
+/// `window` <= 0), each drawn, run and merged before the next is drawn,
+/// so whatever merge() prints after item `index` reads the same at
+/// every thread count. `run` executes concurrently and must touch no
+/// state shared with other items; draw() and merge() never overlap it.
+template <typename Draw, typename Run, typename Merge>
+void run_draw_ordered(int count, int threads, int window, Draw&& draw,
+                      Run&& run, Merge&& merge) {
+  using Item = std::decay_t<std::invoke_result_t<Draw&>>;
+  using Result = std::decay_t<std::invoke_result_t<Run&, const Item&>>;
+  if (count <= 0) return;
+  if (window <= 0 || window > count) window = count;
+  ThreadPool pool(
+      std::min(threads > 0 ? threads : hardware_threads(), window));
+  std::vector<Item> items;
+  std::vector<Result> results;
+  for (int lo = 0; lo < count; lo += window) {
+    const int size = std::min(window, count - lo);
+    items.clear();
+    for (int i = 0; i < size; ++i) items.push_back(draw());
+    results.clear();
+    results.resize(static_cast<std::size_t>(size));
+    pool.parallel_for(0, size, [&](std::int64_t i) {
+      const auto u = static_cast<std::size_t>(i);
+      results[u] = run(items[u]);
+    });
+    for (int i = 0; i < size; ++i) {
+      const auto u = static_cast<std::size_t>(i);
+      merge(lo + i, items[u], results[u]);
+    }
+  }
+}
 
 }  // namespace ftla::common

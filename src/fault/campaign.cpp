@@ -17,9 +17,7 @@
 #include "abft/qr.hpp"
 #include "blas/lapack.hpp"
 #include "blas/qr.hpp"
-#include "common/fp.hpp"
 #include "common/spd.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/thread_pool.hpp"
 #include "fault/process.hpp"
 #include "obs/event_sink.hpp"
@@ -75,8 +73,7 @@ ScenarioResult run_scenario(const Scenario& sc) {
 
   Injector inj(sc.plan, EccModel{sc.ecc});
 
-  FaultProcess* proc = nullptr;
-  std::unique_ptr<FaultProcess> proc_storage;
+  std::unique_ptr<FaultProcess> proc;
   if (sc.mtbf_s > 0.0) {
     ProcessConfig pc;
     pc.mtbf_s = sc.mtbf_s;
@@ -85,20 +82,18 @@ ScenarioResult run_scenario(const Scenario& sc) {
     // LU/QR geometry differs from blocked Cholesky's lower triangle;
     // let those drivers' own default-target logic place the strike.
     pc.explicit_blocks = (sc.algo == Algo::Cholesky);
-    proc_storage = std::make_unique<FaultProcess>(pc, sc.nblocks());
-    proc = proc_storage.get();
-    inj.attach_process(proc);
+    proc = std::make_unique<FaultProcess>(pc, sc.nblocks());
+    inj.attach_process(proc.get());
   }
 
-  // Transfer-corruption hook: planned specs replay by copy ordinal;
-  // process arrivals come back as skeletons (elem_row < 0) that we
-  // concretize from the in-flight copy's shape. The hook runs after the
-  // numeric copy, so flipping destination bits IS mid-PCIe corruption:
+  // Transfer-corruption hook: planned specs replay by copy ordinal and
+  // process arrivals strike an element of the landed copy. The hook
+  // runs after the numeric copy, so the strike IS mid-PCIe corruption:
   // the source stays intact and no source-side verification saw it.
   int transfer_faults = 0;
   Rng xfer_rng(sc.fault_seed ^ 0x7f4a7c15ULL);
   m.set_transfer_hook([&](const sim::TransferCtx& ctx) {
-    auto specs = inj.take_transfer(ctx.seq, ctx.end, ctx.armed);
+    const auto specs = inj.take_transfer(ctx.seq, ctx.end, ctx.armed);
     if (std::getenv("FTLA_CAMPAIGN_DEBUG") != nullptr) {
       std::fprintf(stderr,
                    "xfer name=%s seq=%lld h2d=%d %dx%d ld=%d off=%lld "
@@ -108,40 +103,9 @@ ScenarioResult run_scenario(const Scenario& sc) {
                    static_cast<long long>(ctx.dev_off),
                    ctx.armed ? 1 : 0, specs.size(), ctx.end);
     }
-    if (specs.empty() || ctx.data == nullptr || ctx.rows <= 0 ||
-        ctx.cols <= 0) {
-      return;
-    }
-    for (FaultSpec spec : specs) {
-      int r = 0;
-      int c = 0;
-      if (spec.elem_row >= 0) {  // planned replay: clamp to this copy
-        r = std::min(spec.elem_row, ctx.rows - 1);
-        c = std::min(spec.elem_col, ctx.cols - 1);
-      } else {  // fresh arrival: pick the struck element now
-        r = xfer_rng.uniform_int(0, ctx.rows - 1);
-        c = xfer_rng.uniform_int(0, ctx.cols - 1);
-        spec.elem_row = r;
-        spec.elem_col = c;
-        spec.bits = proc != nullptr ? proc->sample_bits()
-                                    : std::vector<int>{47, 52};
-      }
-      double* p = ctx.data + static_cast<std::int64_t>(c) * ctx.ld + r;
-      const double old_value = *p;
-      double v = old_value;
-      for (int b : spec.bits) v = flip_bit(v, b);
-      *p = v;
-      // Global coordinates are only meaningful for full-matrix device
-      // copies (ld == n); checksum-strip and scratch copies record -1.
-      int grow = -1;
-      int gcol = -1;
-      if (ctx.dev_off >= 0 && ctx.ld == n) {
-        grow = static_cast<int>(ctx.dev_off % n) + r;
-        gcol = static_cast<int>(ctx.dev_off / n) + c;
-      }
-      inj.record(spec, old_value, v, grow, gcol);
-      ++transfer_faults;
-    }
+    transfer_faults += inj.strike_transfer(
+        specs, {ctx.data, ctx.rows, ctx.cols, ctx.ld, ctx.dev_off}, n,
+        xfer_rng);
   });
 
   // FTLA_CAMPAIGN_DEBUG=1 streams the full event log to stderr — the
@@ -299,10 +263,9 @@ Scenario random_scenario(Rng& rng, const CampaignOptions& opt) {
 namespace {
 
 /// Folds one finished scenario into the summary; the unexpected-verdict
-/// handling (deterministic twin + shrinking) re-runs scenarios, so with
-/// a parallel campaign this only ever executes in the serial merge
-/// phase, in draw order — making the whole summary order-independent of
-/// the worker schedule.
+/// handling (deterministic twin + shrinking) re-runs scenarios, so this
+/// only ever executes in the runner's merge, in draw order — making the
+/// whole summary independent of the worker schedule.
 void merge_one(CampaignSummary& sum, const Scenario& sc,
                const ScenarioResult& res, const CampaignOptions& opt) {
   ++sum.scenarios_run;
@@ -375,61 +338,29 @@ CampaignSummary run_campaign(const CampaignOptions& opt,
   Rng rng(opt.seed != 0 ? opt.seed : 1);
 
   // abort_after truncates the campaign after a prefix of the draw
-  // order. Both execution paths honor the same limit, and the rng draws
-  // are identical to the full campaign's prefix, so an aborted run's
-  // summary is exactly the full run's state after `limit` scenarios.
+  // order, so an aborted run's summary is exactly the full run's state
+  // after `limit` scenarios.
   const int limit = opt.abort_after > 0
                         ? std::min(opt.scenarios, opt.abort_after)
                         : opt.scenarios;
   sum.aborted = limit < opt.scenarios;
 
-  if (opt.threads == 1 || limit <= 1) {
-    for (int i = 0; i < limit; ++i) {
-      const Scenario sc = random_scenario(rng, opt);
-      const ScenarioResult res = run_scenario(sc);
-      merge_one(sum, sc, res, opt);
-      if (progress != nullptr && progress_every > 0 &&
-          (i + 1) % progress_every == 0) {
-        *progress << "[campaign] " << (i + 1) << "/" << limit
-                  << " scenarios, " << sum.faults_fired << " faults fired, "
-                  << sum.failures.size() << " failures\n";
-      }
-    }
-  } else {
-    // Parallel executor. Scenarios are pre-drawn serially (identical rng
-    // draw order to the serial path), executed with a grain of 1 so
-    // expensive scenarios load-balance, then merged in draw order. Each
-    // run_scenario is self-contained (own machine, matrices, injector),
-    // and BLAS nested inside a pool worker runs inline, so per-scenario
-    // results are bit-identical to the serial campaign.
-    std::vector<Scenario> scenarios;
-    scenarios.reserve(static_cast<std::size_t>(limit));
-    for (int i = 0; i < limit; ++i) {
-      scenarios.push_back(random_scenario(rng, opt));
-    }
-    std::vector<ScenarioResult> results(scenarios.size());
-    common::ThreadPool pool(opt.threads);
-    common::Mutex progress_mu;
-    int completed = 0;
-    pool.parallel_for(0, limit, [&](std::int64_t i) {
-      results[static_cast<std::size_t>(i)] =
-          run_scenario(scenarios[static_cast<std::size_t>(i)]);
-      if (progress != nullptr && progress_every > 0) {
-        common::MutexLock lk(progress_mu);
-        ++completed;
-        if (completed % progress_every == 0) {
-          // Completion-order progress: counts only — the aggregate
-          // numbers of the serial path are not known until the merge.
-          *progress << "[campaign] " << completed << "/" << limit
-                    << " scenarios completed\n";
+  // Each run_scenario is self-contained (own machine, matrices,
+  // injector), and BLAS nested inside a pool lane runs inline, so the
+  // summary and the progress lines are identical at every thread count.
+  const bool show = progress != nullptr && progress_every > 0;
+  common::run_draw_ordered(
+      limit, opt.threads, show ? progress_every : 0,
+      [&] { return random_scenario(rng, opt); }, run_scenario,
+      [&](int i, const Scenario& sc, const ScenarioResult& res) {
+        merge_one(sum, sc, res, opt);
+        if (show && (i + 1) % progress_every == 0) {
+          *progress << "[campaign] " << (i + 1) << "/" << limit
+                    << " scenarios, " << sum.faults_fired
+                    << " faults fired, " << sum.failures.size()
+                    << " failures\n";
         }
-      }
-    });
-    for (int i = 0; i < limit; ++i) {
-      merge_one(sum, scenarios[static_cast<std::size_t>(i)],
-                results[static_cast<std::size_t>(i)], opt);
-    }
-  }
+      });
 
   if (metrics != nullptr) {
     metrics->add_counter("campaign.scenarios", sum.scenarios_run);
@@ -579,15 +510,6 @@ std::string join_bits(const std::vector<int>& bits) {
     os << bits[i];
   }
   return os.str();
-}
-
-/// Splits "key=value"; returns false when '=' is missing.
-bool split_kv(const std::string& tok, std::string* key, std::string* val) {
-  const auto eq = tok.find('=');
-  if (eq == std::string::npos || eq == 0) return false;
-  *key = tok.substr(0, eq);
-  *val = tok.substr(eq + 1);
-  return true;
 }
 
 }  // namespace

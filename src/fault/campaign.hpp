@@ -134,11 +134,11 @@ struct CampaignOptions {
   bool shrink_failures = true;
   int max_shrink_runs = 64;
   /// Scenario-level parallelism (0 = all hardware threads). Scenarios
-  /// are pre-drawn serially from the campaign seed, executed on a local
-  /// thread pool, and merged in draw order, so every per-scenario
-  /// verdict, fired plan and the whole summary (including shrinking,
-  /// which runs in the serial merge phase) is bit-identical to a
-  /// single-threaded campaign.
+  /// run on common::run_draw_ordered: drawn serially from the campaign
+  /// seed, executed on `threads` pool lanes and merged in draw order, so
+  /// every per-scenario verdict, fired plan and the whole summary
+  /// (including shrinking, which runs in the merge) is bit-identical at
+  /// every thread count.
   int threads = 1;
   /// Retain one ScenarioObservation per scenario for cross-scenario
   /// analytics (analytics.hpp). Off by default: a large campaign's
@@ -210,7 +210,8 @@ struct CampaignSummary {
 /// Runs the campaign. When `metrics` is given, verdict counters and
 /// totals are exported under "campaign.*" (see docs/fault-model.md for
 /// the report schema). `progress`, when non-null, receives one status
-/// line every `progress_every` scenarios.
+/// line every `progress_every` scenarios, printed from the draw-order
+/// merge, so the lines are the same at every thread count.
 CampaignSummary run_campaign(const CampaignOptions& opt,
                              obs::MetricsRegistry* metrics = nullptr,
                              std::ostream* progress = nullptr,

@@ -5,6 +5,7 @@
 #include <tuple>
 
 #include "common/error.hpp"
+#include "common/fp.hpp"
 #include "fault/process.hpp"
 
 namespace ftla::fault {
@@ -82,8 +83,7 @@ std::vector<FaultSpec> Injector::take_transfer(std::int64_t seq, double now,
       FaultSpec s;
       s.type = FaultType::Transfer;
       s.transfer_index = seq;
-      // Element and bits are chosen by the caller, which knows the
-      // shape of the in-flight copy.
+      // strike_transfer picks element and bits from the landed copy.
       s.elem_row = -1;
       s.elem_col = -1;
       s.bits.clear();
@@ -91,6 +91,42 @@ std::vector<FaultSpec> Injector::take_transfer(std::int64_t seq, double now,
     }
   }
   return fired;
+}
+
+int Injector::strike_transfer(const std::vector<FaultSpec>& due,
+                              const LandedCopy& copy, int n, Rng& rng) {
+  if (due.empty() || copy.data == nullptr || copy.rows <= 0 ||
+      copy.cols <= 0) {
+    return 0;
+  }
+  for (FaultSpec spec : due) {
+    int r = 0;
+    int c = 0;
+    if (spec.elem_row >= 0) {  // planned replay: clamp to this copy
+      r = std::min(spec.elem_row, copy.rows - 1);
+      c = std::min(spec.elem_col, copy.cols - 1);
+    } else {  // process arrival: pick the struck element now
+      r = rng.uniform_int(0, copy.rows - 1);
+      c = rng.uniform_int(0, copy.cols - 1);
+      spec.elem_row = r;
+      spec.elem_col = c;
+      spec.bits = process_ != nullptr ? process_->sample_bits()
+                                      : std::vector<int>{47, 52};
+    }
+    double* p = copy.data + static_cast<std::int64_t>(c) * copy.ld + r;
+    const double old_value = *p;
+    double v = old_value;
+    for (int b : spec.bits) v = flip_bit(v, b);
+    *p = v;
+    int grow = -1;
+    int gcol = -1;
+    if (copy.dev_off >= 0 && copy.ld == n) {
+      grow = static_cast<int>(copy.dev_off % n) + r;
+      gcol = static_cast<int>(copy.dev_off / n) + c;
+    }
+    record(spec, old_value, v, grow, gcol);
+  }
+  return static_cast<int>(due.size());
 }
 
 std::vector<FaultSpec> Injector::poll_window(Op op, int iteration) {
@@ -220,6 +256,14 @@ std::vector<FaultSpec> random_plan(int count, int nblocks,
            std::tie(b.iteration, b.op, b.type, b.block_row, b.block_col);
   });
   return plan;
+}
+
+bool split_kv(const std::string& tok, std::string* key, std::string* val) {
+  const auto eq = tok.find('=');
+  if (eq == std::string::npos || eq == 0) return false;
+  *key = tok.substr(0, eq);
+  *val = tok.substr(eq + 1);
+  return true;
 }
 
 const char* to_string(DeviceFaultKind k) {

@@ -116,6 +116,18 @@ struct EccModel {
 
 class FaultProcess;
 
+/// The landed data of one H2D/D2H copy, as sim::Machine's transfer hook
+/// describes it (sim::TransferCtx).
+struct LandedCopy {
+  double* data = nullptr;  ///< destination region, column-major
+  int rows = 0;
+  int cols = 0;
+  int ld = 0;
+  /// Offset into the destination device buffer; -1 for a host
+  /// destination.
+  std::int64_t dev_off = -1;
+};
+
 /// Hands out planned faults to the driver's injection hooks and records
 /// what fired so tests can assert every fault was detected/corrected.
 class Injector {
@@ -136,10 +148,22 @@ class Injector {
   /// transfer_index matches `seq`; when `process_eligible` (the driver
   /// armed this copy for stochastic faults), due Transfer arrivals from
   /// the attached process are also converted, stamped with
-  /// transfer_index = seq. Element/bit choice for process arrivals is
-  /// left to the caller (it knows the copy's shape).
+  /// transfer_index = seq, as skeletons (elem_row = -1, no bits) that
+  /// strike_transfer fits to the landed copy.
   std::vector<FaultSpec> take_transfer(std::int64_t seq, double now,
                                        bool process_eligible);
+
+  /// Strikes the specs take_transfer returned into the landed `copy` of
+  /// an n x n problem, so the source stays intact and only the data that
+  /// arrived is wrong. A planned spec is clamped to the copy; a process
+  /// arrival (elem_row < 0) strikes an element drawn from `rng`, with the
+  /// attached process's sample_bits() ({47, 52} without a process). Each
+  /// strike is recorded, with global coordinates only for a full-matrix
+  /// device copy (dev_off >= 0 && ld == n) and -1 for checksum strips,
+  /// scratch and host destinations. Returns the number of strikes: 0
+  /// when the copy is empty.
+  int strike_transfer(const std::vector<FaultSpec>& due,
+                      const LandedCopy& copy, int n, Rng& rng);
 
   /// Called by the drivers inside checkpoint/rollback windows, where no
   /// kernel hook runs but resident data is still exposed. Converts due
@@ -216,6 +240,11 @@ FaultSpec storage_error_at(int iter, int nblocks, Rng& rng);
 std::vector<FaultSpec> random_plan(int count, int nblocks,
                                    std::uint64_t seed,
                                    std::optional<FaultType> only_type = {});
+
+/// Splits one `key=value` token of a replay line (the campaigns'
+/// format_scenario / format_fleet_scenario text); false when the '=' is
+/// missing or leads the token.
+bool split_kv(const std::string& tok, std::string* key, std::string* val);
 
 // ----- device-level faults (fleet model, docs/fleet.md) --------------
 

@@ -1,9 +1,11 @@
 #include "obs/flight_recorder.hpp"
 
+#include <cstdlib>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 
+#include "common/exit_codes.hpp"
 #include "obs/event_sink.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -99,6 +101,16 @@ bool FlightRecorder::dump_file(const std::string& path, int exit_code,
   if (!os) return false;
   write_bundle(os, exit_code, reason);
   return static_cast<bool>(os);
+}
+
+int FlightRecorder::finish(int exit_code, const std::string& reason) const {
+  if (!postmortem_path_.empty()) {
+    dump_file(postmortem_path_, exit_code, reason);
+  } else if (const char* env = std::getenv("FTLA_POSTMORTEM");
+             env != nullptr && exit_code != common::kExitSuccess) {
+    dump_file(env, exit_code, reason);
+  }
+  return exit_code;
 }
 
 bool read_flight_bundle(std::istream& is, FlightBundle* out) {

@@ -23,6 +23,7 @@
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ftla::obs {
@@ -69,10 +70,25 @@ class FlightRecorder {
   bool dump_file(const std::string& path, int exit_code,
                  const std::string& reason) const;
 
+  /// Where finish() dumps on every exit (a CLI's --postmortem-out).
+  void set_postmortem_path(std::string path) {
+    postmortem_path_ = std::move(path);
+  }
+  [[nodiscard]] const std::string& postmortem_path() const noexcept {
+    return postmortem_path_;
+  }
+
+  /// The CLIs' single exit gate: dumps the bundle to the postmortem
+  /// path (always) or to $FTLA_POSTMORTEM (nonzero exits only), then
+  /// hands `exit_code` back. Best-effort: a failed dump never changes
+  /// the exit code.
+  int finish(int exit_code, const std::string& reason) const;
+
  private:
   const RingBufferSink* events_ = nullptr;
   const MetricsRegistry* metrics_ = nullptr;
   const SpanStore* spans_ = nullptr;
+  std::string postmortem_path_;
   std::map<std::string, std::string> meta_;
   std::vector<std::string> breadcrumbs_;
   std::size_t event_tail_ = kDefaultEventTail;

@@ -1,8 +1,8 @@
 #include "obs/slo.hpp"
 
 #include <algorithm>
-#include <cmath>
 
+#include "common/stats.hpp"
 #include "obs/event_sink.hpp"
 #include "obs/metrics.hpp"
 
@@ -106,13 +106,9 @@ std::vector<SloState> SloEngine::states() const {
 
 double SloEngine::latency_p99() const {
   common::MutexLock lk(mu_);
-  if (latencies_.empty()) return 0.0;
   std::vector<double> sorted = latencies_;
   std::sort(sorted.begin(), sorted.end());
-  // Nearest-rank: ceil(0.99 * N), 1-based.
-  const std::size_t rank = static_cast<std::size_t>(
-      std::ceil(0.99 * static_cast<double>(sorted.size())));
-  return sorted[std::min(rank, sorted.size()) - 1];
+  return nearest_rank(sorted, 99.0);
 }
 
 void SloEngine::export_metrics(MetricsRegistry* metrics) const {

@@ -6,6 +6,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/stats.hpp"
 #include "obs/json.hpp"
 
 namespace ftla::obs {
@@ -51,20 +52,6 @@ std::size_t TimeSeriesStore::dropped() const {
 }
 
 namespace {
-
-// Nearest-rank percentile over an ascending-sorted vector: the value at
-// rank max(1, ceil(p/100 * n)). Matches the Histogram contract in
-// common/stats.hpp, but exact here because the window keeps its raw
-// samples.
-double nearest_rank(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const double clamped = std::min(100.0, std::max(0.0, p));
-  auto rank = static_cast<std::size_t>(
-      std::ceil(clamped / 100.0 * static_cast<double>(sorted.size())));
-  if (rank < 1) rank = 1;
-  if (rank > sorted.size()) rank = sorted.size();
-  return sorted[rank - 1];
-}
 
 TimeSeriesWindow fold_window(double start, double end,
                              const std::vector<double>& sorted_values) {

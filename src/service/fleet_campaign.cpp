@@ -196,9 +196,9 @@ FleetScenario random_fleet_scenario(Rng& rng,
 
 namespace {
 
-/// Folds one finished scenario into the summary, in draw order — with a
-/// parallel campaign this runs only in the serial merge phase, so the
-/// summary is independent of the worker schedule.
+/// Folds one finished scenario into the summary, in draw order — it
+/// runs only in the runner's merge, so the summary is independent of the
+/// worker schedule.
 void merge_one(FleetCampaignSummary& sum, const FleetScenario& sc,
                const FleetScenarioResult& res, obs::TraceStore* trace,
                obs::SloEngine* slo) {
@@ -258,49 +258,25 @@ FleetCampaignSummary run_fleet_campaign(const FleetCampaignOptions& opt,
                         : opt.scenarios;
   sum.aborted = limit < opt.scenarios;
 
-  if (opt.threads == 1 || limit <= 1) {
-    for (int i = 0; i < limit; ++i) {
-      const FleetScenario sc = random_fleet_scenario(rng, opt);
-      const FleetScenarioResult res = run_fleet_scenario(sc, collect_trace);
-      merge_one(sum, sc, res, trace, slo);
-      if (progress != nullptr && progress_every > 0 &&
-          (i + 1) % progress_every == 0) {
-        *progress << "[fleet] " << (i + 1) << "/" << limit << " scenarios, "
-                  << sum.device_losses << " losses, " << sum.migrations
-                  << " migrations, " << sum.failures.size() << " failures\n";
-      }
-    }
-  } else {
-    // Identical pre-draw / grain-1 pool / draw-order merge as
-    // fault::run_campaign: per-scenario results are self-contained
-    // (own fleets, matrices, injectors), so the parallel campaign's
-    // summary is bit-identical to the serial one.
-    std::vector<FleetScenario> scenarios;
-    scenarios.reserve(static_cast<std::size_t>(limit));
-    for (int i = 0; i < limit; ++i) {
-      scenarios.push_back(random_fleet_scenario(rng, opt));
-    }
-    std::vector<FleetScenarioResult> results(scenarios.size());
-    common::ThreadPool pool(opt.threads);
-    common::Mutex progress_mu;
-    int completed = 0;
-    pool.parallel_for(0, limit, [&](std::int64_t i) {
-      results[static_cast<std::size_t>(i)] = run_fleet_scenario(
-          scenarios[static_cast<std::size_t>(i)], collect_trace);
-      if (progress != nullptr && progress_every > 0) {
-        common::MutexLock lk(progress_mu);
-        ++completed;
-        if (completed % progress_every == 0) {
-          *progress << "[fleet] " << completed << "/" << limit
-                    << " scenarios completed\n";
+  // The same draw-ordered runner as fault::run_campaign: per-scenario
+  // results are self-contained (own fleets, matrices, injectors), so the
+  // summary and the progress lines are identical at every thread count.
+  const bool show = progress != nullptr && progress_every > 0;
+  common::run_draw_ordered(
+      limit, opt.threads, show ? progress_every : 0,
+      [&] { return random_fleet_scenario(rng, opt); },
+      [&](const FleetScenario& sc) {
+        return run_fleet_scenario(sc, collect_trace);
+      },
+      [&](int i, const FleetScenario& sc, const FleetScenarioResult& res) {
+        merge_one(sum, sc, res, trace, slo);
+        if (show && (i + 1) % progress_every == 0) {
+          *progress << "[fleet] " << (i + 1) << "/" << limit
+                    << " scenarios, " << sum.device_losses << " losses, "
+                    << sum.migrations << " migrations, "
+                    << sum.failures.size() << " failures\n";
         }
-      }
-    });
-    for (int i = 0; i < limit; ++i) {
-      merge_one(sum, scenarios[static_cast<std::size_t>(i)],
-                results[static_cast<std::size_t>(i)], trace, slo);
-    }
-  }
+      });
 
   if (metrics != nullptr) {
     metrics->add_counter("fleet.scenarios", sum.scenarios_run);
@@ -333,19 +309,6 @@ FleetCampaignSummary run_fleet_campaign(const FleetCampaignOptions& opt,
   }
   return sum;
 }
-
-namespace {
-
-/// Splits "key=value"; returns false when '=' is missing.
-bool split_kv(const std::string& tok, std::string* key, std::string* val) {
-  const auto eq = tok.find('=');
-  if (eq == std::string::npos || eq == 0) return false;
-  *key = tok.substr(0, eq);
-  *val = tok.substr(eq + 1);
-  return true;
-}
-
-}  // namespace
 
 std::string format_fleet_scenario(const FleetScenario& sc) {
   std::ostringstream os;
@@ -392,7 +355,7 @@ bool parse_fleet_scenario(const std::string& text, FleetScenario* out,
     while (toks >> tok) {
       std::string key;
       std::string val;
-      if (!split_kv(tok, &key, &val)) {
+      if (!fault::split_kv(tok, &key, &val)) {
         return fail(where() + "expected key=value, got '" + tok + "'");
       }
       if (key == "devices") {

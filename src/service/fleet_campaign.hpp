@@ -142,7 +142,7 @@ struct FleetCampaignOptions {
   int max_blocks = 5;
   int max_retries = 3;
   /// Scenario-level parallelism (see fault::CampaignOptions::threads);
-  /// the summary is bit-identical to the serial campaign.
+  /// the summary is bit-identical at every thread count.
   int threads = 1;
   /// Stop after this many scenarios (0 = run all); the completed prefix
   /// equals the same-seed full campaign's.
@@ -181,7 +181,8 @@ struct FleetCampaignSummary {
 /// Runs the fleet campaign. When `metrics` is given, totals, verdict
 /// counters and per-tenant rollups are exported under "fleet.*" /
 /// "tenant.*" (docs/fleet.md). `progress`, when non-null, receives one
-/// line every `progress_every` scenarios. When `trace` is given, every
+/// line every `progress_every` scenarios from the draw-order merge, the
+/// same at every thread count. When `trace` is given, every
 /// scenario's numeric run records causal-trace spans, merged in draw
 /// order — the merged trace is byte-identical at any thread count. When
 /// `slo` is given, every drained job feeds it in draw order (virtual

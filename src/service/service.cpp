@@ -8,7 +8,6 @@
 #include "abft/cholesky.hpp"
 #include "blas/lapack.hpp"
 #include "common/error.hpp"
-#include "common/fp.hpp"
 #include "common/spd.hpp"
 #include "fault/process.hpp"
 #include "obs/event_sink.hpp"
@@ -35,6 +34,11 @@ constexpr std::uint64_t kMigrateChildBase = 8192;
 // its factorize span at obs::kTraceDriverChild.
 constexpr std::uint64_t kPlaceChild = 1;
 constexpr std::uint64_t kLossChild = 3;
+
+/// Backoff before a retry: the migrated attempt starts no earlier than
+/// loss_time + kBackoffBaseS * 2^(attempts-1). Virtual seconds, so
+/// backoff is deterministic and shows up in job latency.
+constexpr double kBackoffBaseS = 1.0e-5;
 
 /// Clears the per-attempt transfer hook even when the attempt unwinds
 /// via DeviceLostError — the machine outlives the job.
@@ -63,7 +67,6 @@ FactorizationService::FactorizationService(sim::Fleet& fleet,
                                            ServiceOptions options)
     : fleet_(fleet), opt_(std::move(options)) {
   FTLA_CHECK(opt_.max_retries >= 0);
-  FTLA_CHECK(opt_.backoff_base_s >= 0.0);
   FTLA_CHECK(opt_.checkpoint_interval >= 1);
 }
 
@@ -348,44 +351,17 @@ JobResult FactorizationService::run_job(const JobSpec& spec,
       inj.attach_process(proc.get());
     }
 
-    // Transfer-corruption hook, campaign-style: process arrivals come
-    // back as skeletons concretized from the in-flight copy's shape.
+    // Transfer-corruption hook, campaign-style: process arrivals strike
+    // the landed copy, from a per-attempt element stream.
     Rng xfer_rng(spec.fault_seed ^ 0x7f4a7c15ULL ^
                  static_cast<std::uint64_t>(r.attempts));
     TransferHookGuard hook_guard(m);
     if (proc != nullptr) {
       m.set_transfer_hook([&](const sim::TransferCtx& ctx) {
-        auto specs = inj.take_transfer(ctx.seq, ctx.end, ctx.armed);
-        if (specs.empty() || ctx.data == nullptr || ctx.rows <= 0 ||
-            ctx.cols <= 0) {
-          return;
-        }
-        for (fault::FaultSpec fs : specs) {
-          int fr = 0;
-          int fc = 0;
-          if (fs.elem_row >= 0) {
-            fr = std::min(fs.elem_row, ctx.rows - 1);
-            fc = std::min(fs.elem_col, ctx.cols - 1);
-          } else {
-            fr = xfer_rng.uniform_int(0, ctx.rows - 1);
-            fc = xfer_rng.uniform_int(0, ctx.cols - 1);
-            fs.elem_row = fr;
-            fs.elem_col = fc;
-            fs.bits = proc->sample_bits();
-          }
-          double* p = ctx.data + static_cast<std::int64_t>(fc) * ctx.ld + fr;
-          const double old_value = *p;
-          double v = old_value;
-          for (int b : fs.bits) v = flip_bit(v, b);
-          *p = v;
-          int grow = -1;
-          int gcol = -1;
-          if (ctx.dev_off >= 0 && ctx.ld == n) {
-            grow = static_cast<int>(ctx.dev_off % n) + fr;
-            gcol = static_cast<int>(ctx.dev_off / n) + fc;
-          }
-          inj.record(fs, old_value, v, grow, gcol);
-        }
+        inj.strike_transfer(
+            inj.take_transfer(ctx.seq, ctx.end, ctx.armed),
+            {ctx.data, ctx.rows, ctx.cols, ctx.ld, ctx.dev_off}, n,
+            xfer_rng);
       });
     }
 
@@ -437,8 +413,7 @@ JobResult FactorizationService::run_job(const JobSpec& spec,
       }
       counter("service.retries", 1);
       // Deterministic exponential backoff on the virtual clock.
-      earliest =
-          e.at() + opt_.backoff_base_s * std::ldexp(1.0, r.attempts - 1);
+      earliest = e.at() + kBackoffBaseS * std::ldexp(1.0, r.attempts - 1);
       if (tracing) {
         span(r.trace_id,
              obs::derive_span_id(

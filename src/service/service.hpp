@@ -140,10 +140,6 @@ struct ServiceOptions {
   /// Re-placements allowed after mid-run device losses; attempt count
   /// is bounded by 1 + max_retries.
   int max_retries = 3;
-  /// Backoff before a retry: the migrated attempt starts no earlier
-  /// than loss_time + backoff_base_s * 2^(attempts-1). Virtual seconds,
-  /// so backoff is deterministic and shows up in job latency.
-  double backoff_base_s = 1.0e-5;
   /// Panel-checkpoint cadence in outer iterations (also the driver's
   /// device-snapshot cadence for Recovery::Checkpoint).
   int checkpoint_interval = 2;

@@ -13,7 +13,6 @@
 
 #include "abft/cholesky.hpp"
 #include "blas/lapack.hpp"
-#include "common/fp.hpp"
 #include "common/thread_pool.hpp"
 #include "fault/campaign.hpp"
 #include "obs/event_sink.hpp"
@@ -83,18 +82,26 @@ TEST(Campaign, DeterministicForSeed) {
 }
 
 TEST(Campaign, ParallelCampaignBitIdenticalToSerial) {
-  // The parallel executor pre-draws scenarios in the serial draw order
-  // and merges in draw order, so the whole summary — aggregates,
-  // verdict histogram, and every shrunk failure plan — must match a
-  // single-threaded campaign exactly, not statistically.
+  // The runner draws scenarios serially and merges in draw order, so
+  // the whole summary — aggregates, verdict histogram, every shrunk
+  // failure plan, and the progress lines printed during the merge —
+  // must match a single-threaded campaign exactly, not statistically.
   CampaignOptions opt;
   opt.scenarios = 24;
   opt.seed = 7;
-  const CampaignSummary serial = run_campaign(opt);
+  std::ostringstream serial_progress;
+  const CampaignSummary serial =
+      run_campaign(opt, nullptr, &serial_progress, 5);
 
   CampaignOptions par = opt;
   par.threads = 4;
-  const CampaignSummary parallel = run_campaign(par);
+  std::ostringstream parallel_progress;
+  const CampaignSummary parallel =
+      run_campaign(par, nullptr, &parallel_progress, 5);
+
+  EXPECT_EQ(serial_progress.str(), parallel_progress.str());
+  EXPECT_NE(serial_progress.str().find("[campaign] 20/24 scenarios, "),
+            std::string::npos);
 
   EXPECT_EQ(serial.scenarios_run, parallel.scenarios_run);
   EXPECT_EQ(serial.faults_fired, parallel.faults_fired);
@@ -334,17 +341,11 @@ TEST(TransferFault, MidH2dCaughtByNextPreReferenceVerification) {
   m.set_trace_enabled(true);
   Injector inj({spec});
   obs::RingBufferSink sink;
+  Rng xfer_rng(1);
   m.set_transfer_hook([&](const sim::TransferCtx& ctx) {
-    for (FaultSpec s : inj.take_transfer(ctx.seq, ctx.end, ctx.armed)) {
-      const int r = std::min(s.elem_row, ctx.rows - 1);
-      const int c = std::min(s.elem_col, ctx.cols - 1);
-      double* p = ctx.data + static_cast<std::int64_t>(c) * ctx.ld + r;
-      const double old_value = *p;
-      for (int b : s.bits) *p = flip_bit(*p, b);
-      const int grow = static_cast<int>(ctx.dev_off % n) + r;
-      const int gcol = static_cast<int>(ctx.dev_off / n) + c;
-      inj.record(s, old_value, *p, grow, gcol);
-    }
+    inj.strike_transfer(inj.take_transfer(ctx.seq, ctx.end, ctx.armed),
+                        {ctx.data, ctx.rows, ctx.cols, ctx.ld, ctx.dev_off},
+                        n, xfer_rng);
   });
   abft::CholeskyOptions opt;
   opt.variant = abft::Variant::EnhancedOnline;

@@ -1,11 +1,13 @@
 // Fault-injection bookkeeping tests: plan matching, ECC absorption,
-// scenario builders and randomized plan hygiene.
+// the transfer striker, scenario builders and randomized plan hygiene.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <set>
 #include <tuple>
 
+#include "common/fp.hpp"
 #include "fault/fault.hpp"
 #include "fault/process.hpp"
 
@@ -347,6 +349,118 @@ TEST(FaultProcess, StorageBitsNeverManufactureNanInf) {
       EXPECT_LE(b, 61);
     }
   }
+}
+
+// The transfer striker on hand-made landed copies. The device buffer is
+// an n x n matrix of ones; a copy landing at global (row0, col0) starts
+// at dev_off = col0 * n + row0.
+constexpr int kStrikeN = 32;
+
+struct DeviceMemory {
+  std::vector<double> mem = std::vector<double>(kStrikeN * kStrikeN, 1.0);
+
+  /// A rows x cols copy with leading dimension `ld` landing at dev_off.
+  LandedCopy land(std::int64_t dev_off, int rows, int cols, int ld) {
+    return {mem.data() + dev_off, rows, cols, ld, dev_off};
+  }
+  [[nodiscard]] double at(int row, int col) const {
+    return mem[static_cast<std::size_t>(col * kStrikeN + row)];
+  }
+  /// Elements the striker changed.
+  [[nodiscard]] std::ptrdiff_t changed() const {
+    return std::count_if(mem.begin(), mem.end(),
+                         [](double v) { return v != 1.0; });
+  }
+};
+
+FaultSpec arrival() {
+  // What take_transfer hands out for a process arrival.
+  FaultSpec s;
+  s.type = FaultType::Transfer;
+  s.transfer_index = 5;
+  s.elem_row = -1;
+  s.elem_col = -1;
+  s.bits.clear();
+  return s;
+}
+
+double flipped(double v, const std::vector<int>& bits) {
+  for (int b : bits) v = flip_bit(v, b);
+  return v;
+}
+
+TEST(StrikeTransfer, ArrivalOnFullMatrixCopyUsesProcessBitsAndGlobalCoords) {
+  ProcessConfig cfg;
+  cfg.seed = 19;
+  FaultProcess proc(cfg, 4);
+  FaultProcess twin(cfg, 4);
+  Injector inj;
+  inj.attach_process(&proc);
+  DeviceMemory dev;
+  const std::int64_t off = 16LL * kStrikeN + 8;  // global (8, 16)
+  Rng rng(23);
+  Rng twin_rng(23);
+
+  ASSERT_EQ(inj.strike_transfer({arrival()}, dev.land(off, 6, 5, kStrikeN),
+                                kStrikeN, rng),
+            1);
+  const int r = twin_rng.uniform_int(0, 5);
+  const int c = twin_rng.uniform_int(0, 4);
+  const std::vector<int> bits = twin.sample_bits();
+  ASSERT_EQ(inj.fired_count(), 1);
+  const InjectionRecord& rec = inj.records()[0];
+  EXPECT_EQ(rec.spec.elem_row, r);
+  EXPECT_EQ(rec.spec.elem_col, c);
+  EXPECT_EQ(rec.spec.bits, bits);
+  EXPECT_EQ(rec.global_row, 8 + r);
+  EXPECT_EQ(rec.global_col, 16 + c);
+  EXPECT_EQ(rec.old_value, 1.0);
+  EXPECT_EQ(rec.new_value, flipped(1.0, bits));
+  EXPECT_EQ(dev.at(8 + r, 16 + c), rec.new_value);
+  EXPECT_EQ(dev.changed(), 1);
+}
+
+TEST(StrikeTransfer, ChecksumStripCopyRecordsNoCoordinates) {
+  // A 2-row checksum strip (ld != n) on the device: the strike lands,
+  // but its coordinates are not matrix coordinates. Without an attached
+  // process the arrival flips bits {47, 52}.
+  Injector inj;
+  DeviceMemory dev;
+  Rng rng(3);
+  ASSERT_EQ(inj.strike_transfer({arrival()}, dev.land(40, 2, 7, 2),
+                                kStrikeN, rng),
+            1);
+  const InjectionRecord& rec = inj.records()[0];
+  EXPECT_EQ(rec.global_row, -1);
+  EXPECT_EQ(rec.global_col, -1);
+  EXPECT_EQ(rec.spec.bits, (std::vector<int>{47, 52}));
+  EXPECT_EQ(rec.new_value, flipped(1.0, {47, 52}));
+  EXPECT_EQ(dev.changed(), 1);
+}
+
+TEST(StrikeTransfer, PlannedSpecPastTheCopyEdgeIsClamped) {
+  FaultSpec planned;
+  planned.type = FaultType::Transfer;
+  planned.transfer_index = 2;
+  planned.elem_row = 10;
+  planned.elem_col = 9;
+  planned.bits = {52};
+  Injector inj;
+  DeviceMemory dev;
+  Rng rng(1);
+  EXPECT_EQ(inj.strike_transfer({planned}, LandedCopy{}, kStrikeN, rng), 0);
+  ASSERT_EQ(inj.strike_transfer({planned}, dev.land(4, 6, 5, kStrikeN),
+                                kStrikeN, rng),
+            1);
+  // Clamped to the copy's last row and column: global (4 + 5, 0 + 4).
+  const InjectionRecord& rec = inj.records()[0];
+  EXPECT_EQ(rec.global_row, 9);
+  EXPECT_EQ(rec.global_col, 4);
+  EXPECT_EQ(dev.at(9, 4), flipped(1.0, {52}));
+  EXPECT_EQ(dev.changed(), 1);
+  // A replay keeps the planned element as written.
+  EXPECT_EQ(rec.spec.elem_row, 10);
+  EXPECT_EQ(rec.spec.elem_col, 9);
 }
 
 TEST(DeviceFaultPlan, LossesLandMidRunOnDistinctDevices) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -102,18 +103,25 @@ TEST(FleetCampaign, FiveHundredScenariosCertifyTheInvariants) {
 }
 
 TEST(FleetCampaign, ParallelSummaryIsBitIdenticalToSerial) {
-  // Satellite 3 (ISSUE 7): the deterministic twin. Same seed, serial vs
-  // four worker threads — the campaign summary (and any failure dump)
-  // must match field for field.
+  // The deterministic twin. Same seed, serial vs four worker threads —
+  // the campaign summary (and any failure dump) must match field for
+  // field, and so must the progress lines the draw-order merge prints.
   FleetCampaignOptions opt;
   opt.scenarios = 60;
   opt.seed = 424242;
 
   opt.threads = 1;
-  const FleetCampaignSummary serial = run_fleet_campaign(opt);
+  std::ostringstream serial_progress;
+  const FleetCampaignSummary serial =
+      run_fleet_campaign(opt, nullptr, &serial_progress, 7);
   opt.threads = 4;
-  const FleetCampaignSummary parallel = run_fleet_campaign(opt);
+  std::ostringstream parallel_progress;
+  const FleetCampaignSummary parallel =
+      run_fleet_campaign(opt, nullptr, &parallel_progress, 7);
   expect_identical(serial, parallel);
+  EXPECT_EQ(serial_progress.str(), parallel_progress.str());
+  EXPECT_NE(serial_progress.str().find("[fleet] 56/60 scenarios, "),
+            std::string::npos);
 }
 
 TEST(FleetCampaign, AbortAfterTruncatesDeterministically) {

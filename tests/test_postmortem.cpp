@@ -3,7 +3,8 @@
 // each nonzero contract code (1 I/O, 2 usage, 3 fail-stop, 4 SDC)
 // leave behind a parseable postmortem bundle that reconciles with the
 // metrics report. The exit-3 case kills a campaign mid-flight with
-// --abort-after, the "run died partway" acceptance scenario.
+// --abort-after, the "run died partway" acceptance scenario. The same
+// spawned-binary harness checks ftla_cli's runtime label.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -238,6 +239,35 @@ TEST(CliPostmortem, SuccessfulRunWritesBundleOnlyWhenAsked) {
   EXPECT_EQ(code, common::kExitSuccess);
   std::ifstream probe(env_only);
   EXPECT_FALSE(probe.good());
+}
+
+// ------------------------------ CLI labels ----------------------------
+
+/// stdout of a successful ftla_cli run.
+std::string cli_stdout(const std::string& args) {
+  const std::string out = tmp_path("stdout.txt");
+  EXPECT_EQ(run_cmd(std::string(FTLA_CLI_BIN) + " " + args + " > " + out),
+            common::kExitSuccess)
+      << args;
+  std::ifstream in(out);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(CliRuntimeLabel, NamesTheRuntimeThatRanAndWhyDagFellBack) {
+  // The task graph does not model the CPU checksum mirror, so a
+  // --runtime dag request with --placement cpu runs bulk, and the label
+  // must say so; with --placement gpu the graph runs.
+  const std::string run =
+      "--machine tardis --n 1024 --mode timing --runtime dag --placement ";
+  const std::string cpu = cli_stdout(run + "cpu");
+  EXPECT_NE(cpu.find("runtime = bulk (dag fallback: cpu_checksum_mirror)\n"),
+            std::string::npos)
+      << cpu;
+  const std::string gpu = cli_stdout(run + "gpu");
+  EXPECT_NE(gpu.find("runtime = dag\n"), std::string::npos) << gpu;
+  EXPECT_EQ(gpu.find("fallback"), std::string::npos) << gpu;
 }
 
 }  // namespace

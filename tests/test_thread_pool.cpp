@@ -1,6 +1,8 @@
-// ThreadPool: partitioning, nesting ban, determinism, global pool.
+// ThreadPool: partitioning, nesting ban, determinism, global pool, and
+// the draw-ordered campaign runner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <numeric>
@@ -93,6 +95,37 @@ TEST(ThreadPool, ChunkResultsAreIdenticalAcrossThreadCounts) {
     });
     EXPECT_EQ(out, base);
   }
+}
+
+TEST(RunDrawOrdered, MergesInDrawOrderOneWindowAtATime) {
+  // Draws run serially on the caller, every result comes back to
+  // merge() in draw order, and no item of a window is drawn before the
+  // previous window merged — at every lane count and window size.
+  constexpr int kCount = 10;
+  for (const int threads : {1, 4}) {
+    for (const int window : {0, 3, kCount}) {
+      int drawn = 0;
+      std::vector<int> merged;
+      run_draw_ordered(
+          kCount, threads, window, [&] { return drawn++; },
+          [](const int& item) { return item * item; },
+          [&](int index, const int& item, const int& result) {
+            EXPECT_EQ(item, index);
+            EXPECT_EQ(result, index * index);
+            const int w = window > 0 ? window : kCount;
+            EXPECT_EQ(drawn, std::min(kCount, (index / w + 1) * w));
+            merged.push_back(index);
+          });
+      std::vector<int> expected(kCount);
+      std::iota(expected.begin(), expected.end(), 0);
+      EXPECT_EQ(merged, expected) << threads << " lanes, window " << window;
+    }
+  }
+  int calls = 0;
+  run_draw_ordered(
+      0, 4, 0, [&] { return ++calls; }, [](const int& i) { return i; },
+      [&](int, const int&, const int&) { ++calls; });
+  EXPECT_EQ(calls, 0);
 }
 
 TEST(ThreadPoolGlobal, SetGlobalThreadsReconfigures) {

@@ -34,21 +34,6 @@ using namespace ftla;
 // Flight recorder shared with usage(): whatever was attached by the
 // time the tool exits is what the postmortem bundle shows.
 obs::FlightRecorder g_recorder;
-std::string g_postmortem_path;
-
-/// The single exit gate: dumps the flight-recorder bundle to
-/// --postmortem-out (always) or $FTLA_POSTMORTEM (nonzero exits only),
-/// then hands the code back. Best-effort — a failed dump never changes
-/// the exit code.
-int finish(int code, const std::string& reason) {
-  if (!g_postmortem_path.empty()) {
-    g_recorder.dump_file(g_postmortem_path, code, reason);
-  } else if (const char* env = std::getenv("FTLA_POSTMORTEM");
-             env != nullptr && code != fault::kExitSuccess) {
-    g_recorder.dump_file(env, code, reason);
-  }
-  return code;
-}
 
 [[noreturn]] void usage(const char* msg = nullptr) {
   if (msg) std::fprintf(stderr, "error: %s\n", msg);
@@ -85,9 +70,9 @@ int finish(int code, const std::string& reason) {
       "     campaign short)\n"
       "  4  silent data corruption (replay: corrupt result claimed as\n"
       "     success; campaign: any sdc verdict for the guarded variant)\n");
-  std::exit(finish(fault::kExitUsage,
-                   msg != nullptr ? std::string("usage error: ") + msg
-                                  : std::string("usage error")));
+  std::exit(g_recorder.finish(
+      fault::kExitUsage,
+      msg != nullptr ? std::string("usage error: ") + msg : "usage error"));
 }
 
 int replay_exit_code(fault::Verdict v) {
@@ -126,7 +111,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--report") report_path = need(i);
     else if (arg == "--analytics-out") analytics_path = need(i);
     else if (arg == "--abort-after") opt.abort_after = std::atoi(need(i));
-    else if (arg == "--postmortem-out") g_postmortem_path = need(i);
+    else if (arg == "--postmortem-out")
+      g_recorder.set_postmortem_path(need(i));
     else if (arg == "--failures-out") failures_path = need(i);
     else if (arg == "--replay") replay_path = need(i);
     else if (arg == "--no-shrink") opt.shrink_failures = false;
@@ -155,7 +141,7 @@ int main(int argc, char** argv) {
     std::ifstream in(replay_path);
     if (!in) {
       std::fprintf(stderr, "cannot read %s\n", replay_path.c_str());
-      return finish(fault::kExitIoError, "cannot read replay file");
+      return g_recorder.finish(fault::kExitIoError, "cannot read replay file");
     }
     std::ostringstream text;
     text << in.rdbuf();
@@ -163,7 +149,8 @@ int main(int argc, char** argv) {
     std::string err;
     if (!fault::parse_scenario(text.str(), &sc, &err)) {
       std::fprintf(stderr, "%s: %s\n", replay_path.c_str(), err.c_str());
-      return finish(fault::kExitUsage, "unparsable replay scenario");
+      return g_recorder.finish(fault::kExitUsage,
+                               "unparsable replay scenario");
     }
     const fault::ScenarioResult res = fault::run_scenario(sc);
     std::printf("verdict   : %s\n", fault::to_string(res.verdict));
@@ -191,7 +178,7 @@ int main(int argc, char** argv) {
       std::printf("\n");
     }
     const int code = replay_exit_code(res.verdict);
-    return finish(code, std::string("replay verdict: ") +
+    return g_recorder.finish(code, std::string("replay verdict: ") +
                             fault::to_string(res.verdict));
   }
 
@@ -235,7 +222,8 @@ int main(int argc, char** argv) {
     std::ofstream out(failures_path);
     if (!out) {
       std::fprintf(stderr, "cannot write %s\n", failures_path.c_str());
-      return finish(fault::kExitIoError, "cannot write failures file");
+      return g_recorder.finish(fault::kExitIoError,
+                               "cannot write failures file");
     }
     for (const auto& f : sum.failures) {
       out << "# verdict=" << fault::to_string(f.result.verdict)
@@ -254,7 +242,7 @@ int main(int argc, char** argv) {
     report.metrics = metrics;
     if (!obs::write_metrics_json_file(report, report_path)) {
       std::fprintf(stderr, "failed to write %s\n", report_path.c_str());
-      return finish(fault::kExitIoError, "failed to write report");
+      return g_recorder.finish(fault::kExitIoError, "failed to write report");
     }
     std::printf("report    : %s\n", report_path.c_str());
   }
@@ -268,7 +256,8 @@ int main(int argc, char** argv) {
     analytics.meta["guarded_variant"] = abft::to_string(opt.guarded);
     if (!fault::write_analytics_json_file(analytics, analytics_path)) {
       std::fprintf(stderr, "failed to write %s\n", analytics_path.c_str());
-      return finish(fault::kExitIoError, "failed to write analytics");
+      return g_recorder.finish(fault::kExitIoError,
+                               "failed to write analytics");
     }
     std::printf("analytics : %s (render with ftla_report_cli)\n",
                 analytics_path.c_str());
@@ -278,13 +267,14 @@ int main(int argc, char** argv) {
   // did not finish, and scripts must not read a clean verdict into a
   // partial run.
   if (sum.guarded_sdc > 0) {
-    return finish(fault::kExitSdc, "guarded variant saw sdc");
+    return g_recorder.finish(fault::kExitSdc, "guarded variant saw sdc");
   }
   if (sum.unexpected_fail_stop > 0) {
-    return finish(fault::kExitFailStop, "unexpected fail-stop");
+    return g_recorder.finish(fault::kExitFailStop, "unexpected fail-stop");
   }
   if (sum.aborted) {
-    return finish(fault::kExitFailStop, "campaign aborted by --abort-after");
+    return g_recorder.finish(fault::kExitFailStop,
+                             "campaign aborted by --abort-after");
   }
-  return finish(fault::kExitSuccess, "campaign clean");
+  return g_recorder.finish(fault::kExitSuccess, "campaign clean");
 }

@@ -77,21 +77,6 @@ using namespace ftla;
 // Flight recorder shared with usage(): whatever was attached by the
 // time the tool exits is what the postmortem bundle shows.
 obs::FlightRecorder g_recorder;
-std::string g_postmortem_path;
-
-/// The single exit gate: dumps the flight-recorder bundle to
-/// --postmortem-out (always) or $FTLA_POSTMORTEM (nonzero exits only),
-/// then hands the code back. Best-effort — a failed dump never changes
-/// the exit code.
-int finish(int code, const std::string& reason) {
-  if (!g_postmortem_path.empty()) {
-    g_recorder.dump_file(g_postmortem_path, code, reason);
-  } else if (const char* env = std::getenv("FTLA_POSTMORTEM");
-             env != nullptr && code != fault::kExitSuccess) {
-    g_recorder.dump_file(env, code, reason);
-  }
-  return code;
-}
 
 [[noreturn]] void usage(const char* msg = nullptr) {
   if (msg) std::fprintf(stderr, "error: %s\n", msg);
@@ -137,9 +122,9 @@ int finish(int code, const std::string& reason) {
                "  3  fail-stop (run gave up; the honest failure mode)\n"
                "  4  silent data corruption (claimed success, residual "
                "corrupt)\n");
-  std::exit(finish(ftla::fault::kExitUsage,
-                   msg != nullptr ? std::string("usage error: ") + msg
-                                  : std::string("usage error")));
+  std::exit(g_recorder.finish(
+      ftla::fault::kExitUsage,
+      msg != nullptr ? std::string("usage error: ") + msg : "usage error"));
 }
 
 struct Args {
@@ -197,7 +182,8 @@ Args parse(int argc, char** argv) {
     else if (opt == "--timeseries-out") a.timeseries_path = need(i);
     else if (opt == "--timeseries-window")
       a.timeseries_window = std::atof(need(i));
-    else if (opt == "--postmortem-out") g_postmortem_path = need(i);
+    else if (opt == "--postmortem-out")
+      g_recorder.set_postmortem_path(need(i));
     else if (opt == "--summary") a.summary = true;
     else if (opt == "--help" || opt == "-h") usage();
     else usage(("unknown option " + opt).c_str());
@@ -217,7 +203,7 @@ int main(int argc, char** argv) {
   // Postmortem capture is active when explicitly requested or armed via
   // the environment; it implies event + metrics recording so a failing
   // run always has a tail to dump.
-  const bool want_postmortem = !g_postmortem_path.empty() ||
+  const bool want_postmortem = !g_recorder.postmortem_path().empty() ||
                                std::getenv("FTLA_POSTMORTEM") != nullptr;
   g_recorder.set_meta("tool", "ftla_cli");
   g_recorder.set_meta("machine", args.machine);
@@ -395,9 +381,13 @@ int main(int argc, char** argv) {
   std::printf("machine           : %s (%s mode)\n", profile.name.c_str(),
               numeric ? "numeric" : "timing-only");
   std::printf("problem           : n = %d, block = %d, variant = %s, K = %d, "
-              "runtime = %s\n",
+              "runtime = %s",
               args.n, block, args.variant.c_str(), args.k,
-              args.runtime.c_str());
+              abft::to_string(res.runtime));
+  if (res.dag_fallback != nullptr) {
+    std::printf(" (dag fallback: %s)", res.dag_fallback);
+  }
+  std::printf("\n");
   std::printf("success           : %s%s%s\n", res.success ? "yes" : "no",
               res.note.empty() ? "" : " — ", res.note.c_str());
   std::printf("virtual time      : %.6f s (%.2f GFLOP/s)\n", res.seconds,
@@ -443,7 +433,7 @@ int main(int argc, char** argv) {
                   args.trace_path.c_str());
     } else {
       std::fprintf(stderr, "failed to write %s\n", args.trace_path.c_str());
-      return finish(fault::kExitIoError, "failed to write trace");
+      return g_recorder.finish(fault::kExitIoError, "failed to write trace");
     }
   }
   if (want_timeseries) {
@@ -465,7 +455,8 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr, "failed to write %s\n",
                    args.timeseries_path.c_str());
-      return finish(fault::kExitIoError, "failed to write timeseries");
+      return g_recorder.finish(fault::kExitIoError,
+                               "failed to write timeseries");
     }
   }
   obs::ProfileReport prof;
@@ -483,7 +474,7 @@ int main(int argc, char** argv) {
                   args.profile_path.c_str());
     } else {
       std::fprintf(stderr, "failed to write %s\n", args.profile_path.c_str());
-      return finish(fault::kExitIoError, "failed to write profile");
+      return g_recorder.finish(fault::kExitIoError, "failed to write profile");
     }
   }
   if (want_obs) {
@@ -543,10 +534,11 @@ int main(int argc, char** argv) {
       std::printf("metrics report    : %s\n", args.metrics_path.c_str());
     } else {
       std::fprintf(stderr, "failed to write %s\n", args.metrics_path.c_str());
-      return finish(fault::kExitIoError, "failed to write metrics");
+      return g_recorder.finish(fault::kExitIoError, "failed to write metrics");
     }
   }
-  return finish(exit_code, exit_code == fault::kExitSuccess ? "success"
+  return g_recorder.finish(exit_code,
+                           exit_code == fault::kExitSuccess ? "success"
                            : exit_code == fault::kExitSdc
                                ? "silent data corruption"
                                : "fail-stop");

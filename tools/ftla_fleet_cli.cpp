@@ -41,21 +41,6 @@ namespace {
 using namespace ftla;
 
 obs::FlightRecorder g_recorder;
-std::string g_postmortem_path;
-
-/// The single exit gate: dumps the flight-recorder bundle to
-/// --postmortem-out (always) or $FTLA_POSTMORTEM (nonzero exits only),
-/// then hands the code back. Best-effort — a failed dump never changes
-/// the exit code.
-int finish(int code, const std::string& reason) {
-  if (!g_postmortem_path.empty()) {
-    g_recorder.dump_file(g_postmortem_path, code, reason);
-  } else if (const char* env = std::getenv("FTLA_POSTMORTEM");
-             env != nullptr && code != common::kExitSuccess) {
-    g_recorder.dump_file(env, code, reason);
-  }
-  return code;
-}
 
 [[noreturn]] void usage(const char* msg = nullptr) {
   if (msg) std::fprintf(stderr, "error: %s\n", msg);
@@ -94,9 +79,9 @@ int finish(int code, const std::string& reason) {
       "     short)\n"
       "  4  silent data corruption (any job whose claimed success fails\n"
       "     the independent residual oracle)\n");
-  std::exit(finish(common::kExitUsage,
-                   msg != nullptr ? std::string("usage error: ") + msg
-                                  : std::string("usage error")));
+  std::exit(g_recorder.finish(
+      common::kExitUsage,
+      msg != nullptr ? std::string("usage error: ") + msg : "usage error"));
 }
 
 void print_result(const service::FleetScenarioResult& res) {
@@ -155,7 +140,8 @@ int main(int argc, char** argv) {
     else if (arg == "--trace-out") trace_path = need(i);
     else if (arg == "--slo-latency") slo_latency_s = std::atof(need(i));
     else if (arg == "--abort-after") opt.abort_after = std::atoi(need(i));
-    else if (arg == "--postmortem-out") g_postmortem_path = need(i);
+    else if (arg == "--postmortem-out")
+      g_recorder.set_postmortem_path(need(i));
     else if (arg == "--failures-out") failures_path = need(i);
     else if (arg == "--replay") replay_path = need(i);
     else if (arg == "--quiet") quiet = true;
@@ -187,7 +173,8 @@ int main(int argc, char** argv) {
     std::ifstream in(replay_path);
     if (!in) {
       std::fprintf(stderr, "cannot read %s\n", replay_path.c_str());
-      return finish(common::kExitIoError, "cannot read replay file");
+      return g_recorder.finish(common::kExitIoError,
+                               "cannot read replay file");
     }
     std::ostringstream text;
     text << in.rdbuf();
@@ -195,17 +182,19 @@ int main(int argc, char** argv) {
     std::string err;
     if (!service::parse_fleet_scenario(text.str(), &sc, &err)) {
       std::fprintf(stderr, "%s: %s\n", replay_path.c_str(), err.c_str());
-      return finish(common::kExitUsage, "unparsable replay scenario");
+      return g_recorder.finish(common::kExitUsage,
+                               "unparsable replay scenario");
     }
     const service::FleetScenarioResult res = service::run_fleet_scenario(sc);
     print_result(res);
     if (res.sdc_jobs > 0) {
-      return finish(common::kExitSdc, "replayed scenario saw sdc");
+      return g_recorder.finish(common::kExitSdc, "replayed scenario saw sdc");
     }
     if (res.dropped != 0) {
-      return finish(common::kExitFailStop, "replayed scenario dropped jobs");
+      return g_recorder.finish(common::kExitFailStop,
+                               "replayed scenario dropped jobs");
     }
-    return finish(common::kExitSuccess, "replayed scenario clean");
+    return g_recorder.finish(common::kExitSuccess, "replayed scenario clean");
   }
 
   obs::MetricsRegistry metrics;
@@ -273,7 +262,8 @@ int main(int argc, char** argv) {
     std::ofstream out(failures_path);
     if (!out) {
       std::fprintf(stderr, "cannot write %s\n", failures_path.c_str());
-      return finish(common::kExitIoError, "cannot write failures file");
+      return g_recorder.finish(common::kExitIoError,
+                               "cannot write failures file");
     }
     for (const auto& f : sum.failures) {
       out << "# reason=" << f.reason << "\n"
@@ -285,7 +275,8 @@ int main(int argc, char** argv) {
     const obs::TraceReport tr = obs::TraceReport::build(trace);
     if (!tr.write_file(trace_path)) {
       std::fprintf(stderr, "failed to write %s\n", trace_path.c_str());
-      return finish(common::kExitIoError, "failed to write trace file");
+      return g_recorder.finish(common::kExitIoError,
+                               "failed to write trace file");
     }
     std::printf("trace     : %s (%zu spans)\n", trace_path.c_str(),
                 tr.spans.size());
@@ -301,20 +292,20 @@ int main(int argc, char** argv) {
     report.metrics = metrics;
     if (!obs::write_metrics_json_file(report, report_path)) {
       std::fprintf(stderr, "failed to write %s\n", report_path.c_str());
-      return finish(common::kExitIoError, "failed to write report");
+      return g_recorder.finish(common::kExitIoError, "failed to write report");
     }
     std::printf("report    : %s\n", report_path.c_str());
   }
 
   if (sum.sdc_jobs > 0) {
-    return finish(common::kExitSdc, "campaign saw sdc jobs");
+    return g_recorder.finish(common::kExitSdc, "campaign saw sdc jobs");
   }
   if (sum.dropped_jobs != 0) {
-    return finish(common::kExitFailStop, "campaign dropped jobs");
+    return g_recorder.finish(common::kExitFailStop, "campaign dropped jobs");
   }
   if (sum.aborted) {
-    return finish(common::kExitFailStop,
-                  "campaign aborted by --abort-after");
+    return g_recorder.finish(common::kExitFailStop,
+                             "campaign aborted by --abort-after");
   }
-  return finish(common::kExitSuccess, "campaign clean");
+  return g_recorder.finish(common::kExitSuccess, "campaign clean");
 }

@@ -64,21 +64,6 @@ using namespace ftla;
 // Flight recorder shared with usage(): whatever was attached by the
 // time the tool exits is what the postmortem bundle shows.
 obs::FlightRecorder g_recorder;
-std::string g_postmortem_path;
-
-/// The single exit gate: dumps the flight-recorder bundle to
-/// --postmortem-out (always) or $FTLA_POSTMORTEM (nonzero exits only),
-/// then hands the code back. Best-effort — a failed dump never changes
-/// the exit code.
-int finish(int code, const std::string& reason) {
-  if (!g_postmortem_path.empty()) {
-    g_recorder.dump_file(g_postmortem_path, code, reason);
-  } else if (const char* env = std::getenv("FTLA_POSTMORTEM");
-             env != nullptr && code != common::kExitSuccess) {
-    g_recorder.dump_file(env, code, reason);
-  }
-  return code;
-}
 
 [[noreturn]] void usage(const char* msg = nullptr) {
   if (msg) std::fprintf(stderr, "error: %s\n", msg);
@@ -102,9 +87,9 @@ int finish(int code, const std::string& reason) {
       "  1  I/O error (unreadable or unwritable profile file)\n"
       "  2  usage error\n"
       "  3  drift beyond tolerance (findings reported)\n");
-  std::exit(finish(common::kExitUsage,
-                   msg != nullptr ? std::string("usage error: ") + msg
-                                  : std::string("usage error")));
+  std::exit(g_recorder.finish(
+      common::kExitUsage,
+      msg != nullptr ? std::string("usage error: ") + msg : "usage error"));
 }
 
 struct Args {
@@ -146,7 +131,8 @@ Args parse(int argc, char** argv) {
     else if (opt == "--top") a.top = std::atoi(need(i));
     else if (opt == "--seed") a.seed = std::strtoull(need(i), nullptr, 10);
     else if (opt == "--json-out") a.json_path = need(i);
-    else if (opt == "--postmortem-out") g_postmortem_path = need(i);
+    else if (opt == "--postmortem-out")
+      g_recorder.set_postmortem_path(need(i));
     else if (opt == "--check-against") a.baseline_path = need(i);
     else if (opt == "--tolerance") a.tolerance = std::atof(need(i));
     else if (opt == "--help" || opt == "-h") usage();
@@ -253,7 +239,7 @@ int main(int argc, char** argv) {
   if (!args.from_path.empty()) {
     if (!obs::read_profile_json_file(args.from_path, &report)) {
       std::fprintf(stderr, "cannot read profile %s\n", args.from_path.c_str());
-      return finish(common::kExitIoError, "cannot read profile");
+      return g_recorder.finish(common::kExitIoError, "cannot read profile");
     }
   } else {
     report = run_and_profile(args);
@@ -263,7 +249,8 @@ int main(int argc, char** argv) {
   if (!args.json_path.empty()) {
     if (!obs::write_profile_json_file(report, args.json_path)) {
       std::fprintf(stderr, "failed to write %s\n", args.json_path.c_str());
-      return finish(common::kExitIoError, "failed to write profile");
+      return g_recorder.finish(common::kExitIoError,
+                               "failed to write profile");
     }
     std::printf("profile report    : %s\n", args.json_path.c_str());
   }
@@ -273,14 +260,14 @@ int main(int argc, char** argv) {
     if (!obs::read_profile_json_file(args.baseline_path, &baseline)) {
       std::fprintf(stderr, "cannot read baseline %s\n",
                    args.baseline_path.c_str());
-      return finish(common::kExitIoError, "cannot read baseline");
+      return g_recorder.finish(common::kExitIoError, "cannot read baseline");
     }
     const std::vector<std::string> findings =
         obs::compare_profiles(baseline, report, args.tolerance);
     if (findings.empty()) {
       std::printf("perf gate: within tolerance %g of %s\n", args.tolerance,
                   args.baseline_path.c_str());
-      return finish(common::kExitSuccess, "within tolerance");
+      return g_recorder.finish(common::kExitSuccess, "within tolerance");
     }
     std::printf("perf gate: %zu finding(s) against %s (tolerance %g)\n",
                 findings.size(), args.baseline_path.c_str(), args.tolerance);
@@ -288,9 +275,9 @@ int main(int argc, char** argv) {
       g_recorder.note(f);
       std::printf("  %s\n", f.c_str());
     }
-    return finish(common::kExitFailStop, "drift beyond tolerance");
+    return g_recorder.finish(common::kExitFailStop, "drift beyond tolerance");
   }
 
   obs::write_profile_text(report, std::cout);
-  return finish(common::kExitSuccess, "success");
+  return g_recorder.finish(common::kExitSuccess, "success");
 }
