@@ -592,11 +592,9 @@ void Run::iteration(int j) {
     // column checksums remain meaningful for every column.
     step(
         "syrk",
-        [&] {
-          std::vector<runtime::Footprint> fp;
+        [&](Footprints& fp) {
           for (int k = 0; k < j; ++k) fp.push_back(runtime::read(dtile(j, k)));
           fp.push_back(runtime::rw(dtile(j, j)));
-          return fp;
         },
         [this, j, jb, w](const runtime::TaskContext& c) {
           if (c.tiles.armed()) {
@@ -620,14 +618,12 @@ void Run::iteration(int j) {
     // gpublas name; the step's Update phase tags it as checksum upkeep.
     step(
         "chk_syrk",
-        [&] {
-          std::vector<runtime::Footprint> fp;
+        [&](Footprints& fp) {
           for (int k = 0; k < j; ++k) {
             fp.push_back(runtime::read(ctile(j, k)));
             fp.push_back(runtime::read(dtile(j, k)));
           }
           fp.push_back(runtime::rw(ctile(j, j)));
-          return fp;
         },
         [this, j, jb, w](const runtime::TaskContext& c) {
           if (c.tiles.armed()) {
@@ -669,11 +665,10 @@ void Run::iteration(int j) {
   hook(fault::FaultType::Storage, fault::Op::Potf2, j);
   step(
       "d2h_diag",
-      [&] {
-        std::vector<runtime::Footprint> fp{runtime::read(dtile(j, j)),
-                                           runtime::write(htile())};
+      [&](Footprints& fp) {
+        fp.push_back(runtime::read(dtile(j, j)));
+        fp.push_back(runtime::write(htile()));
         if (ft_) fp.push_back(runtime::read(ctile(j, j)));
-        return fp;
       },
       [this, j, jb](const runtime::TaskContext& c) {
         if (c.tiles.armed()) {
@@ -727,15 +722,13 @@ void Run::iteration(int j) {
     }
     step(
         "gemm",
-        [&] {
-          std::vector<runtime::Footprint> fp;
+        [&](Footprints& fp) {
           for (int i = j + 1; i < nb_; ++i)
             for (int k = 0; k < j; ++k)
               fp.push_back(runtime::read(dtile(i, k)));
           for (int k = 0; k < j; ++k) fp.push_back(runtime::read(dtile(j, k)));
           for (int i = j + 1; i < nb_; ++i)
             fp.push_back(runtime::rw(dtile(i, j)));
-          return fp;
         },
         [this, j, jb, w, below](const runtime::TaskContext& c) {
           if (c.tiles.armed()) {
@@ -756,8 +749,7 @@ void Run::iteration(int j) {
       // block column.
       step(
           "chk_gemm",
-          [&] {
-            std::vector<runtime::Footprint> fp;
+          [&](Footprints& fp) {
             for (int i = j + 1; i < nb_; ++i)
               for (int k = 0; k < j; ++k)
                 fp.push_back(runtime::read(ctile(i, k)));
@@ -765,7 +757,6 @@ void Run::iteration(int j) {
               fp.push_back(runtime::read(dtile(j, k)));
             for (int i = j + 1; i < nb_; ++i)
               fp.push_back(runtime::rw(ctile(i, j)));
-            return fp;
           },
           [this, j, jb, w](const runtime::TaskContext& c) {
             if (c.tiles.armed()) {
@@ -814,7 +805,8 @@ void Run::iteration(int j) {
     // device copy is overwritten by the factor's return trip either way.
     count_verified(fault::Op::Potf2, 1);
     step(
-        "verify_arrival", [] { return std::vector{runtime::rw(htile())}; },
+        "verify_arrival",
+        [](Footprints& fp) { fp.push_back(runtime::rw(htile())); },
         [this, j, jb](const runtime::TaskContext& c) {
           if (c.tiles.armed()) c.tiles.rw(htile());
           KernelDesc vd{"verify_arrival", KernelClass::HostChecksum,
@@ -840,7 +832,7 @@ void Run::iteration(int j) {
         host, s_compute_);
   }
   step(
-      "potf2", [] { return std::vector{runtime::rw(htile())}; },
+      "potf2", [](Footprints& fp) { fp.push_back(runtime::rw(htile())); },
       [this, jb](const runtime::TaskContext& tc) {
         if (tc.tiles.armed()) tc.tiles.rw(htile());
         KernelDesc d{"potf2", KernelClass::HostPotf2, blas::potf2_flops(jb),
@@ -857,7 +849,7 @@ void Run::iteration(int j) {
       host, s_compute_);
   if (ft_) {
     step(
-        "chk_potf2", [] { return std::vector{runtime::rw(htile())}; },
+        "chk_potf2", [](Footprints& fp) { fp.push_back(runtime::rw(htile())); },
         [this, j, jb](const runtime::TaskContext& c) {
           if (c.tiles.armed()) c.tiles.rw(htile());
           KernelDesc d{"chk_potf2", KernelClass::HostChecksum,
@@ -872,7 +864,8 @@ void Run::iteration(int j) {
     if (online) {
       count_verified(fault::Op::Potf2, 1);
       step(
-          "verify_potf2", [] { return std::vector{runtime::rw(htile())}; },
+          "verify_potf2",
+          [](Footprints& fp) { fp.push_back(runtime::rw(htile())); },
           [this, j, jb](const runtime::TaskContext& c) {
             if (c.tiles.armed()) c.tiles.rw(htile());
             KernelDesc vd{"verify_potf2", KernelClass::HostChecksum,
@@ -893,11 +886,10 @@ void Run::iteration(int j) {
   // ---------------- factor block (and checksums) back to the GPU ------
   step(
       "h2d_factor",
-      [&] {
-        std::vector<runtime::Footprint> fp{runtime::read(htile()),
-                                           runtime::write(dtile(j, j))};
+      [&](Footprints& fp) {
+        fp.push_back(runtime::read(htile()));
+        fp.push_back(runtime::write(dtile(j, j)));
         if (ft_) fp.push_back(runtime::write(ctile(j, j)));
-        return fp;
       },
       [this, j, jb](const runtime::TaskContext& c) {
         if (c.tiles.armed()) {
@@ -939,11 +931,10 @@ void Run::iteration(int j) {
     }
     step(
         "trsm",
-        [&] {
-          std::vector<runtime::Footprint> fp{runtime::read(dtile(j, j))};
+        [&](Footprints& fp) {
+          fp.push_back(runtime::read(dtile(j, j)));
           for (int i = j + 1; i < nb_; ++i)
             fp.push_back(runtime::rw(dtile(i, j)));
-          return fp;
         },
         [this, j, jb, below](const runtime::TaskContext& c) {
           if (c.tiles.armed()) {
@@ -964,11 +955,10 @@ void Run::iteration(int j) {
       }
       step(
           "chk_trsm",
-          [&] {
-            std::vector<runtime::Footprint> fp{runtime::read(dtile(j, j))};
+          [&](Footprints& fp) {
+            fp.push_back(runtime::read(dtile(j, j)));
             for (int i = j + 1; i < nb_; ++i)
               fp.push_back(runtime::rw(ctile(i, j)));
-            return fp;
           },
           [this, j, jb](const runtime::TaskContext& c) {
             if (c.tiles.armed()) {

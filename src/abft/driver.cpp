@@ -234,13 +234,10 @@ void Driver::encode(bool lower) {
     for (int i = lower ? k : 0; i < nb_; ++i) {
       step(
           "encode",
-          [&] {
-            std::vector<runtime::Footprint> fp;
-            fp.reserve(1 + (col_ != nullptr) + (row_ != nullptr));
+          [&](Footprints& fp) {
             fp.push_back(runtime::read(dtile(i, k)));
             if (col_ != nullptr) fp.push_back(runtime::write(ctile(i, k)));
             if (row_ != nullptr) fp.push_back(runtime::write(rtile(i, k)));
-            return fp;
           },
           [this, i, k](const runtime::TaskContext& c) {
             if (c.tiles.armed()) {
@@ -367,14 +364,13 @@ void Driver::verify(const std::vector<BlockId>& blocks, fault::Op attr,
     for (const auto& [bi, bk] : blocks) {
       const int slot = static_cast<int>(slot_++ % nslots);
       const std::int64_t pos = 2LL * slot * b_;
-      std::vector<runtime::Footprint> fp;
-      fp.reserve(2 + (col_ != nullptr) + (row_ != nullptr));
-      fp.push_back(runtime::rw(dtile(bi, bk)));
-      if (col_ != nullptr) fp.push_back(runtime::rw(ctile(bi, bk)));
-      if (row_ != nullptr) fp.push_back(runtime::rw(rtile(bi, bk)));
-      fp.push_back(runtime::write(stile(slot)));
+      fp_.clear();
+      fp_.push_back(runtime::rw(dtile(bi, bk)));
+      if (col_ != nullptr) fp_.push_back(runtime::rw(ctile(bi, bk)));
+      if (row_ != nullptr) fp_.push_back(runtime::rw(rtile(bi, bk)));
+      fp_.push_back(runtime::write(stile(slot)));
       g_->add_task(
-          (sums == Sums::Col ? col_ : row_)->verify, std::move(fp),
+          (sums == Sums::Col ? col_ : row_)->verify, fp_,
           [this, bi, bk, attr, sums, pos, slot,
            iter = cur_iter_](const runtime::TaskContext& c) {
             if (c.tiles.armed()) {

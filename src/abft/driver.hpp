@@ -152,16 +152,22 @@ class Driver {
   // ---- passes and steps ----------------------------------------------
   [[nodiscard]] bool bulk() const { return g_ == nullptr; }
 
+  /// The footprint buffer a step's builder appends to.
+  using Footprints = std::vector<runtime::Footprint>;
+
   /// One step of an iteration, written once for both runtimes. Bulk: the
   /// body runs now on `stream` under `opts.phase`. DAG: it becomes a
-  /// task with the footprint `fp()` returns. `fp` runs only while a
-  /// graph is built, so it may capture by reference; `body` must
-  /// capture by value, because the graph runs it later.
+  /// task with the footprint `fp(Footprints&)` appends to an emptied,
+  /// reused buffer. `fp` runs only while a graph is built, so it may
+  /// capture by reference; `body` must capture by value, because the
+  /// graph runs it later. `name` must have static storage (graph.hpp).
   template <class Fp, class Body>
   void step(const char* name, Fp&& fp, Body&& body,
             const runtime::TaskOptions& opts, sim::StreamId stream) {
     if (g_ != nullptr) {
-      g_->add_task(name, fp(), std::forward<Body>(body), opts);
+      fp_.clear();
+      fp(fp_);
+      g_->add_task(name, fp_, std::forward<Body>(body), opts);
       return;
     }
     const obs::PhaseScope phase(tel_.profile(), opts.phase);
@@ -287,6 +293,7 @@ class Driver {
   int trace_pass_count_ = 0;
 
   std::vector<BlockId> blocks_;  ///< see block_list()
+  Footprints fp_;  ///< the footprint of the task being added, reused
   runtime::TaskGraph* g_ = nullptr;  ///< the pass's graph; null = bulk
   /// Round-robin scratch-slot cursor for DAG verify tasks (each slot is
   /// 2·b doubles; slot reuse serializes through the slot tile).

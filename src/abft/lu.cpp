@@ -137,11 +137,9 @@ void LuRun::iteration(int j) {
   }
   step(
       "d2h_panel",
-      [&] {
-        std::vector<runtime::Footprint> fp;
+      [&](Footprints& fp) {
         for (int i = j; i < nb_; ++i) fp.push_back(runtime::read(dtile(i, j)));
         fp.push_back(runtime::write(htile()));
-        return fp;
       },
       [this, j, jb, below, blocking = bulk()](const runtime::TaskContext& c) {
         if (c.tiles.armed()) {
@@ -154,7 +152,7 @@ void LuRun::iteration(int j) {
       },
       base, s_compute_);
   step(
-      "getf2", [] { return std::vector{runtime::rw(htile())}; },
+      "getf2", [](Footprints& fp) { fp.push_back(runtime::rw(htile())); },
       [this, below, jb](const runtime::TaskContext& c) {
         if (c.tiles.armed()) c.tiles.rw(htile());
         KernelDesc d{"getf2", KernelClass::HostPotf2,
@@ -167,7 +165,8 @@ void LuRun::iteration(int j) {
       host, s_compute_);
   if (ft_) {
     step(
-        "encode_panel", [] { return std::vector{runtime::rw(htile())}; },
+        "encode_panel",
+        [](Footprints& fp) { fp.push_back(runtime::rw(htile())); },
         [this, j, below, jb](const runtime::TaskContext& c) {
           if (c.tiles.armed()) c.tiles.rw(htile());
           KernelDesc d{"encode_panel", KernelClass::HostChecksum,
@@ -187,11 +186,10 @@ void LuRun::iteration(int j) {
   }
   step(
       "h2d_panel",
-      [&] {
-        std::vector<runtime::Footprint> fp{runtime::read(htile())};
+      [&](Footprints& fp) {
+        fp.push_back(runtime::read(htile()));
         for (int i = j; i < nb_; ++i)
           fp.push_back(runtime::write(dtile(i, j)));
-        return fp;
       },
       [this, j, jb, below](const runtime::TaskContext& c) {
         if (c.tiles.armed()) {
@@ -210,11 +208,10 @@ void LuRun::iteration(int j) {
     // The re-encoded panel checksums ride back only because FT is on.
     step(
         "h2d_panel_chk",
-        [&] {
-          std::vector<runtime::Footprint> fp{runtime::read(htile())};
+        [&](Footprints& fp) {
+          fp.push_back(runtime::read(htile()));
           for (int i = j; i < nb_; ++i)
             fp.push_back(runtime::write(ctile(i, j)));
-          return fp;
         },
         [this, j, jb](const runtime::TaskContext& c) {
           if (c.tiles.armed()) {
@@ -248,11 +245,10 @@ void LuRun::iteration(int j) {
   }
   step(
       "trsm",
-      [&] {
-        std::vector<runtime::Footprint> fp{runtime::read(dtile(j, j))};
+      [&](Footprints& fp) {
+        fp.push_back(runtime::read(dtile(j, j)));
         for (int k = j + 1; k < nb_; ++k)
           fp.push_back(runtime::rw(dtile(j, k)));
-        return fp;
       },
       [this, j, jb, right](const runtime::TaskContext& c) {
         if (c.tiles.armed()) {
@@ -271,11 +267,10 @@ void LuRun::iteration(int j) {
     if (bulk()) m_.stream_wait_event(s_chk_, e_panel);
     step(
         "chk_trsm",
-        [&] {
-          std::vector<runtime::Footprint> fp{runtime::read(dtile(j, j))};
+        [&](Footprints& fp) {
+          fp.push_back(runtime::read(dtile(j, j)));
           for (int k = j + 1; k < nb_; ++k)
             fp.push_back(runtime::rw(rtile(j, k)));
-          return fp;
         },
         [this, j, jb](const runtime::TaskContext& c) {
           if (c.tiles.armed()) {
@@ -318,8 +313,7 @@ void LuRun::iteration(int j) {
   }
   step(
       "gemm",
-      [&] {
-        std::vector<runtime::Footprint> fp;
+      [&](Footprints& fp) {
         for (int i = j + 1; i < nb_; ++i)
           fp.push_back(runtime::read(dtile(i, j)));
         for (int k = j + 1; k < nb_; ++k)
@@ -327,7 +321,6 @@ void LuRun::iteration(int j) {
         for (int i = j + 1; i < nb_; ++i)
           for (int k = j + 1; k < nb_; ++k)
             fp.push_back(runtime::rw(dtile(i, k)));
-        return fp;
       },
       [this, j, jb, right](const runtime::TaskContext& c) {
         if (c.tiles.armed()) {
@@ -348,8 +341,7 @@ void LuRun::iteration(int j) {
   // cchk(B') = cchk(B) - cchk(L) U_row  (2(nb-j-1) x right GEMM)
   step(
       "chk_gemm_c",
-      [&] {
-        std::vector<runtime::Footprint> fp;
+      [&](Footprints& fp) {
         for (int i = j + 1; i < nb_; ++i)
           fp.push_back(runtime::read(ctile(i, j)));
         for (int k = j + 1; k < nb_; ++k)
@@ -357,7 +349,6 @@ void LuRun::iteration(int j) {
         for (int i = j + 1; i < nb_; ++i)
           for (int k = j + 1; k < nb_; ++k)
             fp.push_back(runtime::rw(ctile(i, k)));
-        return fp;
       },
       [this, j, jb, right](const runtime::TaskContext& c) {
         if (c.tiles.armed()) {
@@ -376,8 +367,7 @@ void LuRun::iteration(int j) {
   // rchk(B') = rchk(B) - L rchk(U_row)  (right x 2(nb-j-1) GEMM)
   step(
       "chk_gemm_r",
-      [&] {
-        std::vector<runtime::Footprint> fp;
+      [&](Footprints& fp) {
         for (int i = j + 1; i < nb_; ++i)
           fp.push_back(runtime::read(dtile(i, j)));
         for (int k = j + 1; k < nb_; ++k)
@@ -385,7 +375,6 @@ void LuRun::iteration(int j) {
         for (int i = j + 1; i < nb_; ++i)
           for (int k = j + 1; k < nb_; ++k)
             fp.push_back(runtime::rw(rtile(i, k)));
-        return fp;
       },
       [this, j, jb, right](const runtime::TaskContext& c) {
         if (c.tiles.armed()) {

@@ -141,11 +141,9 @@ void QrRun::iteration(int j) {
   }
   step(
       "d2h_panel",
-      [&] {
-        std::vector<runtime::Footprint> fp;
+      [&](Footprints& fp) {
         for (int i = j; i < nb_; ++i) fp.push_back(runtime::read(dtile(i, j)));
         fp.push_back(runtime::write(htile()));
-        return fp;
       },
       [this, j, jb, mrem, blocking = bulk()](const runtime::TaskContext& c) {
         if (c.tiles.armed()) {
@@ -158,7 +156,7 @@ void QrRun::iteration(int j) {
       },
       base, s_compute_);
   step(
-      "geqf2+larft", [] { return std::vector{runtime::rw(htile())}; },
+      "geqf2+larft", [](Footprints& fp) { fp.push_back(runtime::rw(htile())); },
       [this, j, mrem, jb](const runtime::TaskContext& c) {
         if (c.tiles.armed()) c.tiles.rw(htile());
         // geqf2 ~ 2 m b^2 flops, larft ~ m b^2.
@@ -174,7 +172,8 @@ void QrRun::iteration(int j) {
       host, s_compute_);
   if (ft_) {
     step(
-        "encode_panel_r", [] { return std::vector{runtime::rw(htile())}; },
+        "encode_panel_r",
+        [](Footprints& fp) { fp.push_back(runtime::rw(htile())); },
         [this, j, mrem, jb](const runtime::TaskContext& c) {
           if (c.tiles.armed()) c.tiles.rw(htile());
           KernelDesc d{"encode_panel_r", KernelClass::HostChecksum,
@@ -192,11 +191,10 @@ void QrRun::iteration(int j) {
   }
   step(
       "h2d_panel",
-      [&] {
-        std::vector<runtime::Footprint> fp{runtime::read(htile())};
+      [&](Footprints& fp) {
+        fp.push_back(runtime::read(htile()));
         for (int i = j; i < nb_; ++i)
           fp.push_back(runtime::write(dtile(i, j)));
-        return fp;
       },
       [this, j, jb, mrem](const runtime::TaskContext& c) {
         if (c.tiles.armed()) {
@@ -210,8 +208,9 @@ void QrRun::iteration(int j) {
       base, s_compute_);
   step(
       "h2d_t",
-      [] {
-        return std::vector{runtime::read(htile()), runtime::write(ttile())};
+      [](Footprints& fp) {
+        fp.push_back(runtime::read(htile()));
+        fp.push_back(runtime::write(ttile()));
       },
       [this, jb](const runtime::TaskContext& c) {
         if (c.tiles.armed()) {
@@ -229,11 +228,10 @@ void QrRun::iteration(int j) {
     // The re-encoded panel row checksums ride back only because FT is on.
     step(
         "h2d_panel_chk",
-        [&] {
-          std::vector<runtime::Footprint> fp{runtime::read(htile())};
+        [&](Footprints& fp) {
+          fp.push_back(runtime::read(htile()));
           for (int i = j; i < nb_; ++i)
             fp.push_back(runtime::write(rtile(i, j)));
-          return fp;
         },
         [this, j, mrem](const runtime::TaskContext& c) {
           if (c.tiles.armed()) {
@@ -277,14 +275,12 @@ void QrRun::iteration(int j) {
   }
   step(
       "larfb",
-      [&] {
-        std::vector<runtime::Footprint> fp;
+      [&](Footprints& fp) {
         for (int i = j; i < nb_; ++i) fp.push_back(runtime::read(dtile(i, j)));
         fp.push_back(runtime::read(ttile()));
         for (int i = j; i < nb_; ++i)
           for (int k = j + 1; k < nb_; ++k)
             fp.push_back(runtime::rw(dtile(i, k)));
-        return fp;
       },
       [this, j, jb, mrem, right](const runtime::TaskContext& c) {
         if (c.tiles.armed()) {
@@ -310,14 +306,12 @@ void QrRun::iteration(int j) {
   if (bulk()) m_.stream_wait_event(s_chk_, e_panel);
   step(
       "larfb_rchk",
-      [&] {
-        std::vector<runtime::Footprint> fp;
+      [&](Footprints& fp) {
         for (int i = j; i < nb_; ++i) fp.push_back(runtime::read(dtile(i, j)));
         fp.push_back(runtime::read(ttile()));
         for (int i = j; i < nb_; ++i)
           for (int k = j + 1; k < nb_; ++k)
             fp.push_back(runtime::rw(rtile(i, k)));
-        return fp;
       },
       [this, j, jb, mrem](const runtime::TaskContext& c) {
         if (c.tiles.armed()) {

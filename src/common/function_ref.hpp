@@ -2,7 +2,8 @@
 // idiom). It binds to a lambda, function object or std::function without
 // copying or allocating, and is valid only while that callable lives:
 // take it as a parameter of a function that calls it before returning,
-// never store it.
+// and store it only beside the owner of the callable (a task graph keeps
+// one per task, bound to the body its arena holds).
 #pragma once
 
 #include <functional>

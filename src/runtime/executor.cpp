@@ -22,9 +22,9 @@ StreamRunStats run_on_streams(const TaskGraph& graph, sim::Machine& machine,
   stats.tasks = graph.size();
   stats.edges = graph.edge_count();
 
-  // Per-node completion event, the stream it was recorded on, and the
-  // producer stream's end time at issue (-1 event = no event: Host and
-  // Inline tasks order via the host clock, and terminal Device tasks
+  // Per node: its completion event, the stream it was recorded on, and
+  // the producer stream's end time at issue (-1 event = no event: Host
+  // and Inline tasks order via the host clock, and terminal Device tasks
   // skip the record — the caller's final sync covers them).
   //
   // Wait elision: every stream_wait_event / record_event costs one host
@@ -34,18 +34,21 @@ StreamRunStats run_on_streams(const TaskGraph& graph, sim::Machine& machine,
   // the consumer stream's current end — the event's host-clock
   // component is always dominated by the consumer's own (monotonically
   // later) issue time — so those waits are skipped instead of issued.
-  std::vector<sim::EventId> events(static_cast<std::size_t>(graph.size()), -1);
-  std::vector<sim::StreamId> on(static_cast<std::size_t>(graph.size()), -1);
-  std::vector<double> ends(static_cast<std::size_t>(graph.size()), 0.0);
+  struct Issued {
+    sim::EventId event = -1;
+    sim::StreamId stream = -1;
+    double end = 0.0;
+  };
+  std::vector<Issued> issued(static_cast<std::size_t>(graph.size()));
 
   const bool tracing = opts.trace != nullptr && opts.trace_ctx.valid();
 
   for (int i = 0; i < graph.size(); ++i) {
     const int id = order.empty() ? i : order[static_cast<std::size_t>(i)];
-    const TaskNode& node = graph.node(id);
-    if (opts.profile != nullptr) opts.profile->set_iteration(node.opts.iteration);
+    const TaskOptions& task = graph.options(id);
+    if (opts.profile != nullptr) opts.profile->set_iteration(task.iteration);
     obs::TaskScope task_scope(opts.profile, id);
-    obs::PhaseScope phase_scope(opts.profile, node.opts.phase);
+    obs::PhaseScope phase_scope(opts.profile, task.phase);
 
     if (tracker != nullptr) tracker->begin_task(id);
     TaskContext ctx;
@@ -53,56 +56,63 @@ StreamRunStats run_on_streams(const TaskGraph& graph, sim::Machine& machine,
     ctx.tiles = TileAccessor{tracker, id};
     double span_begin = 0.0;
     double span_end = 0.0;
-    switch (node.opts.where) {
+    switch (task.where) {
       case Where::Inline:
         ++stats.inline_tasks;
         span_begin = machine.host_now();
-        node.body(ctx);
+        graph.run(id, ctx);
         span_end = span_begin;
         break;
       case Where::Host: {
         ++stats.host_tasks;
-        for (const int p : node.preds) {
-          const sim::EventId e = events[static_cast<std::size_t>(p)];
-          if (e < 0) continue;  // host/inline pred: host clock orders us
-          if (ends[static_cast<std::size_t>(p)] <= machine.host_now()) {
+        for (const int p : graph.preds(id)) {
+          const Issued& pred = issued[static_cast<std::size_t>(p)];
+          // A host/inline pred has no event: the host clock orders us.
+          if (pred.event < 0) continue;
+          if (pred.end <= machine.host_now()) {
             ++stats.syncs_elided;
             continue;
           }
-          machine.sync_event(e);
+          machine.sync_event(pred.event);
           ++stats.host_syncs;
         }
         span_begin = machine.host_now();
-        node.body(ctx);
+        graph.run(id, ctx);
         span_end = machine.host_now();
         break;
       }
       case Where::Device: {
         ++stats.device_tasks;
         sim::StreamId s = pool.front();
-        for (const sim::StreamId cand : pool) {
-          if (machine.stream_end(cand) < machine.stream_end(s)) s = cand;
+        double s_end = machine.stream_end(s);
+        for (std::size_t q = 1; q < pool.size(); ++q) {
+          const double end = machine.stream_end(pool[q]);
+          if (end < s_end) {
+            s = pool[q];
+            s_end = end;
+          }
         }
-        for (const int p : node.preds) {
-          const sim::EventId e = events[static_cast<std::size_t>(p)];
-          if (e < 0) continue;  // host/inline pred: host clock orders us
-          if (on[static_cast<std::size_t>(p)] == s) continue;  // FIFO order
-          if (ends[static_cast<std::size_t>(p)] <= machine.stream_end(s)) {
+        for (const int p : graph.preds(id)) {
+          const Issued& pred = issued[static_cast<std::size_t>(p)];
+          // A host/inline pred has no event: the host clock orders us.
+          if (pred.event < 0) continue;
+          if (pred.stream == s) continue;  // FIFO order
+          if (pred.end <= s_end) {
             ++stats.waits_elided;
             continue;
           }
-          machine.stream_wait_event(s, e);
+          machine.stream_wait_event(s, pred.event);
+          s_end = machine.stream_end(s);
           ++stats.stream_waits;
         }
         ctx.stream = s;
-        span_begin = machine.stream_end(s);
-        node.body(ctx);
+        span_begin = s_end;
+        graph.run(id, ctx);
         span_end = machine.stream_end(s);
-        if (!node.succs.empty()) {
-          events[static_cast<std::size_t>(id)] = machine.record_event(s);
-        }
-        on[static_cast<std::size_t>(id)] = s;
-        ends[static_cast<std::size_t>(id)] = machine.stream_end(s);
+        Issued& mine = issued[static_cast<std::size_t>(id)];
+        if (graph.has_successor(id)) mine.event = machine.record_event(s);
+        mine.stream = s;
+        mine.end = span_end;
         break;
       }
     }
@@ -113,7 +123,7 @@ StreamRunStats run_on_streams(const TaskGraph& graph, sim::Machine& machine,
           opts.trace_ctx.span_id,
           obs::kTraceTaskChildBase + static_cast<std::uint64_t>(id));
       ts.parent_span = opts.trace_ctx.span_id;
-      ts.name = node.name;
+      ts.name = graph.name(id);
       ts.kind = "task";
       ts.device = opts.trace_ctx.device;
       ts.tenant = opts.trace_ctx.tenant;

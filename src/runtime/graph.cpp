@@ -58,26 +58,31 @@ TaskGraph::TileState& TaskGraph::tile_state(const TileKey& key) {
 }
 
 void TaskGraph::infer(int from, int to) {
-  int& stamp = linked_into_[static_cast<std::size_t>(from)];
-  if (from == to || stamp == to) return;
-  stamp = to;
-  nodes_[static_cast<std::size_t>(to)].preds.push_back(from);
-  nodes_[static_cast<std::size_t>(from)].succs.push_back(to);
+  if (from == to) return;
+  Node& src = node(from);
+  if (src.linked_into == to) return;
+  src.linked_into = to;
+  src.has_successor = true;
+  preds_.push_back(from);
   ++edges_;
 }
 
-int TaskGraph::add_task(std::string name, std::vector<Footprint> footprint,
-                        TaskBody body, TaskOptions opts) {
-  const int id = static_cast<int>(nodes_.size());
-  TaskNode node;
-  node.name = std::move(name);
-  node.footprint = std::move(footprint);
-  node.body = std::move(body);
-  node.opts = opts;
-  nodes_.push_back(std::move(node));
-  linked_into_.push_back(-1);
+int TaskGraph::add(const char* name, std::span<const Footprint> footprint,
+                   TaskFn body, TaskOptions opts) {
+  const int id = size_;
+  constexpr std::size_t kChunkNodes = std::size_t{1} << kNodeShift;
+  if (static_cast<std::size_t>(id) == node_chunks_.size() * kChunkNodes) {
+    node_chunks_.push_back(std::make_unique<Node[]>(kChunkNodes));
+  }
+  Node& task = node(id);
+  task.body = body;
+  task.footprint = arena_.copy(footprint);
+  task.name = name;
+  task.opts = opts;
+  ++size_;
 
-  for (const Footprint& f : nodes_.back().footprint) {
+  preds_.clear();
+  for (const Footprint& f : task.footprint) {
     TileState& state = tile_state(f.tile);
     switch (f.access) {
       case Access::Read:
@@ -93,6 +98,7 @@ int TaskGraph::add_task(std::string name, std::vector<Footprint> footprint,
         break;
     }
   }
+  task.preds = arena_.copy(std::span<const int>(preds_));
   return id;
 }
 
@@ -105,9 +111,28 @@ std::vector<int> TaskGraph::random_schedule(std::uint64_t seed) const {
   // order, so the result is a valid topological order of the whole
   // graph with each sequence point preceded by exactly the task set
   // that precedes it in insertion order.
+  const auto n = static_cast<std::size_t>(size());
+  // The graph keeps preds only; successor lists are derived here, in
+  // compressed rows: task id's successors are succs[first[id] ..
+  // first[id + 1]), in increasing id, the order inference found them.
+  std::vector<std::size_t> first(n + 1, 0);
+  for (int id = 0; id < size(); ++id) {
+    for (const int p : preds(id)) ++first[static_cast<std::size_t>(p) + 1];
+  }
+  for (std::size_t i = 0; i < n; ++i) first[i + 1] += first[i];
+  std::vector<int> succs(first[n]);
+  {
+    std::vector<std::size_t> next(first.begin(), first.end() - 1);
+    for (int id = 0; id < size(); ++id) {
+      for (const int p : preds(id)) {
+        succs[next[static_cast<std::size_t>(p)]++] = id;
+      }
+    }
+  }
+
   Rng rng(seed);
   std::vector<int> order;
-  order.reserve(nodes_.size());
+  order.reserve(n);
 
   std::vector<int> segment;
   std::vector<int> pending;  // scratch for the per-segment ready draw
@@ -115,12 +140,12 @@ std::vector<int> TaskGraph::random_schedule(std::uint64_t seed) const {
     if (segment.empty()) return;
     // indexed by position in `segment`
     std::vector<int> indegree(segment.size(), 0);
-    std::vector<int> pos_of(static_cast<std::size_t>(size()), -1);
+    std::vector<int> pos_of(n, -1);
     for (std::size_t i = 0; i < segment.size(); ++i) {
       pos_of[static_cast<std::size_t>(segment[i])] = static_cast<int>(i);
     }
     for (std::size_t i = 0; i < segment.size(); ++i) {
-      for (const int p : nodes_[static_cast<std::size_t>(segment[i])].preds) {
+      for (const int p : preds(segment[i])) {
         if (pos_of[static_cast<std::size_t>(p)] >= 0) ++indegree[i];
       }
     }
@@ -134,10 +159,11 @@ std::vector<int> TaskGraph::random_schedule(std::uint64_t seed) const {
       const int at = pending[pick];
       pending[pick] = pending.back();
       pending.pop_back();
-      const int id = segment[static_cast<std::size_t>(at)];
-      order.push_back(id);
-      for (const int s : nodes_[static_cast<std::size_t>(id)].succs) {
-        const int sp = pos_of[static_cast<std::size_t>(s)];
+      const auto id = static_cast<std::size_t>(
+          segment[static_cast<std::size_t>(at)]);
+      order.push_back(static_cast<int>(id));
+      for (std::size_t e = first[id]; e < first[id + 1]; ++e) {
+        const int sp = pos_of[static_cast<std::size_t>(succs[e])];
         if (sp >= 0 && --indegree[static_cast<std::size_t>(sp)] == 0) {
           pending.push_back(sp);
         }
@@ -147,7 +173,7 @@ std::vector<int> TaskGraph::random_schedule(std::uint64_t seed) const {
   };
 
   for (int id = 0; id < size(); ++id) {
-    if (nodes_[static_cast<std::size_t>(id)].footprint.empty()) {
+    if (footprint(id).empty()) {
       flush();
       order.push_back(id);  // sequence point: keep its insertion slot
     } else {
@@ -156,6 +182,50 @@ std::vector<int> TaskGraph::random_schedule(std::uint64_t seed) const {
   }
   flush();
   return order;
+}
+
+// ----------------------------------------------------------------------
+// The arena
+// ----------------------------------------------------------------------
+
+TaskGraph::Arena::Arena(Arena&& other) noexcept
+    : chunks_(std::move(other.chunks_)),
+      cur_(std::exchange(other.cur_, nullptr)),
+      left_(std::exchange(other.left_, 0)),
+      dtors_(std::exchange(other.dtors_, nullptr)) {}
+
+TaskGraph::Arena& TaskGraph::Arena::operator=(Arena&& other) noexcept {
+  if (this != &other) {
+    destroy();
+    chunks_ = std::move(other.chunks_);
+    cur_ = std::exchange(other.cur_, nullptr);
+    left_ = std::exchange(other.left_, 0);
+    dtors_ = std::exchange(other.dtors_, nullptr);
+  }
+  return *this;
+}
+
+void* TaskGraph::Arena::allocate_slow(std::size_t bytes, std::size_t align) {
+  const std::size_t need = bytes + align - 1;  // room to align inside
+  if (need > kChunkBytes / 4) {
+    // Its own block; the current chunk keeps its room for small
+    // requests.
+    chunks_.push_back(std::make_unique_for_overwrite<std::byte[]>(need));
+    auto* p = chunks_.back().get();
+    return p + (-reinterpret_cast<std::uintptr_t>(p) & (align - 1));
+  }
+  chunks_.push_back(std::make_unique_for_overwrite<std::byte[]>(kChunkBytes));
+  cur_ = chunks_.back().get();
+  left_ = kChunkBytes;
+  return allocate(bytes, align);
+}
+
+void TaskGraph::Arena::destroy() noexcept {
+  for (Dtor* d = dtors_; d != nullptr; d = d->next) d->destroy(d->obj);
+  dtors_ = nullptr;
+  chunks_.clear();
+  cur_ = nullptr;
+  left_ = 0;
 }
 
 }  // namespace ftla::runtime

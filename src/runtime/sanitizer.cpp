@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <span>
 #include <tuple>
 #include <utility>
 
@@ -73,7 +74,8 @@ void AccessTracker::begin_run(const TaskGraph& graph) {
   declared_.assign(static_cast<std::size_t>(n), {});
   for (int id = 0; id < n; ++id) {
     auto& fp = declared_[static_cast<std::size_t>(id)];
-    fp = graph.node(id).footprint;
+    const std::span<const Footprint> mine = graph.footprint(id);
+    fp.assign(mine.begin(), mine.end());
     std::sort(fp.begin(), fp.end(),
               [](const Footprint& a, const Footprint& b) {
                 return a.tile < b.tile;
@@ -88,7 +90,7 @@ void AccessTracker::begin_run(const TaskGraph& graph) {
                     std::vector<std::uint64_t>(words, 0));
   for (int id = 0; id < n; ++id) {
     auto& mine = ancestors_[static_cast<std::size_t>(id)];
-    for (const int p : graph.node(id).preds) {
+    for (const int p : graph.preds(id)) {
       const auto& theirs = ancestors_[static_cast<std::size_t>(p)];
       for (std::size_t w = 0; w < words; ++w) mine[w] |= theirs[w];
       mine[static_cast<std::size_t>(p) / 64] |=
@@ -254,13 +256,13 @@ std::string AccessTracker::report(const TaskGraph& graph) const {
             });
 
   const auto task_label = [&](int id) {
-    return "task " + std::to_string(id) + " '" + graph.node(id).name + "'";
+    return "task " + std::to_string(id) + " '" + graph.name(id) + "'";
   };
   const auto declared_line = [&](int id) {
-    const TaskNode& node = graph.node(id);
-    if (node.footprint.empty()) return std::string("(empty footprint)");
+    const std::span<const Footprint> footprint = graph.footprint(id);
+    if (footprint.empty()) return std::string("(empty footprint)");
     std::string s;
-    for (const Footprint& f : node.footprint) {
+    for (const Footprint& f : footprint) {
       if (!s.empty()) s += ", ";
       s += std::string(access_name(f.access)) + " " + tile_name(f.tile);
     }
@@ -293,7 +295,7 @@ std::string AccessTracker::report(const TaskGraph& graph) const {
       if (shown < plen) out += "... ";
       for (int i = plen - shown; i < plen; ++i) {
         if (i > plen - shown) out += " -> ";
-        out += graph.node(executed[static_cast<std::size_t>(i)]).name;
+        out += graph.name(executed[static_cast<std::size_t>(i)]);
       }
     }
     out += "\n";

@@ -1,7 +1,8 @@
 // Fixture: step() call sites — the drivers' helper that runs a body at
 // once (bulk) or hands it to add_task (DAG). Default captures in the
 // body and options without a phase must fire under src/abft; the
-// by-reference footprint builders must not.
+// by-reference footprint builders, which append to the reused buffer,
+// must not.
 #include <vector>
 
 namespace runtime {
@@ -17,6 +18,7 @@ struct TaskOptions {
 }  // namespace runtime
 
 struct Driver {
+  using Footprints = std::vector<runtime::Footprint>;
   template <class Fp, class Body>
   void step(const char* name, Fp&& fp, Body&& body,
             const runtime::TaskOptions& opts, int stream);
@@ -27,15 +29,22 @@ void Driver::iteration(runtime::TileKey t, int j) {
   runtime::TaskOptions base;
   base.phase = 1;
   runtime::TaskOptions bare;
-  step("body_by_ref", [&] { return std::vector{runtime::read(t)}; },
-       [&](const runtime::TaskContext&) { (void)j; },  // line 31
-       base, 0);
-  step("body_by_value", [&] { return std::vector{runtime::read(t)}; },
-       [=](const runtime::TaskContext&) { (void)j; },  // line 34
-       base, 0);
-  step("phaseless_options",  // line 36
-       [&] { return std::vector{runtime::read(t)}; },
-       [t](const runtime::TaskContext&) { (void)t; }, bare, 0);
-  if (j > 0) step("no_options", [&] { return std::vector<int>{}; },  // 39
+  step(
+      "body_by_ref",
+      [&](Footprints& fp) {
+        for (int k = 0; k < j; ++k) fp.push_back(runtime::read(t));
+      },
+      [&](const runtime::TaskContext&) { (void)j; },  // line 37
+      base, 0);
+  step(
+      "body_by_value",
+      [&](Footprints& fp) { fp.push_back(runtime::read(t)); },
+      [=](const runtime::TaskContext&) { (void)j; },  // line 42
+      base, 0);
+  step(  // line 44
+      "phaseless_options",
+      [&](Footprints& fp) { fp.push_back(runtime::read(t)); },
+      [t](const runtime::TaskContext&) { (void)t; }, bare, 0);
+  if (j > 0) step("no_options", [&](Footprints&) {},  // line 48
                   [t](const runtime::TaskContext&) { (void)t; });
 }

@@ -1,8 +1,7 @@
 // Fixture: add_task call sites that never name an observability
 // phase — all three must fire dag-task-phase under src/abft.
-#include <functional>
-#include <string>
-#include <vector>
+#include <initializer_list>
+#include <span>
 
 namespace runtime {
 struct TileKey {
@@ -17,21 +16,24 @@ struct TaskOptions {
   int iteration = 0;
 };
 struct TaskGraph {
-  int add_task(std::string name, std::vector<Footprint> footprint,
-               std::function<void(const TaskContext&)> body,
-               TaskOptions opts = {});
+  template <class Body>
+  int add_task(const char* name, std::span<const Footprint> footprint,
+               Body&& body, TaskOptions opts = {});
+  template <class Body>
+  int add_task(const char* name, std::initializer_list<Footprint> footprint,
+               Body&& body, TaskOptions opts = {});
 };
 }  // namespace runtime
 
 void build(runtime::TaskGraph& g, runtime::TileKey t) {
-  g.add_task("lambda_last", {runtime::read(t)},  // line 27: no options
+  g.add_task("lambda_last", {runtime::read(t)},  // line 29: no options
              [t](const runtime::TaskContext&) { (void)t; });
 
   runtime::TaskOptions opts;
   opts.iteration = 3;
-  g.add_task("phaseless_options", {runtime::write(t)},  // line 32
+  g.add_task("phaseless_options", {runtime::write(t)},  // line 34
              [t](const runtime::TaskContext&) { (void)t; }, opts);
 
-  g.add_task("default_options", {runtime::read(t)},  // line 35
+  g.add_task("default_options", {runtime::read(t)},  // line 37
              [t](const runtime::TaskContext&) { (void)t; }, {});
 }

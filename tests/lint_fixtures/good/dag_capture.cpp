@@ -1,8 +1,7 @@
 // Fixture: explicit captures (including named by-reference ones) and
 // array subscripts inside add_task bodies — must stay silent.
-#include <functional>
-#include <string>
-#include <vector>
+#include <initializer_list>
+#include <span>
 
 namespace runtime {
 struct TileKey {
@@ -16,9 +15,12 @@ struct TaskOptions {
   int phase = 0;
 };
 struct TaskGraph {
-  int add_task(std::string name, std::vector<Footprint> footprint,
-               std::function<void(const TaskContext&)> body,
-               TaskOptions opts = {});
+  template <class Body>
+  int add_task(const char* name, std::span<const Footprint> footprint,
+               Body&& body, TaskOptions opts = {});
+  template <class Body>
+  int add_task(const char* name, std::initializer_list<Footprint> footprint,
+               Body&& body, TaskOptions opts = {});
 };
 }  // namespace runtime
 

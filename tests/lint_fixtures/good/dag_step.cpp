@@ -1,7 +1,8 @@
 // Fixture: well-formed step() call sites — by-reference footprint
-// builders, explicitly captured bodies, phase-bearing options — plus a
-// declaration and an out-of-line definition of step itself, which are
-// not calls. All must stay silent.
+// builders appending to the reused buffer, explicitly captured bodies,
+// phase-bearing options, literal names — plus a declaration and an
+// out-of-line definition of step itself, which are not calls. All must
+// stay silent.
 #include <vector>
 
 namespace runtime {
@@ -18,18 +19,22 @@ struct TaskOptions {
 }  // namespace runtime
 
 struct Driver {
+  using Footprints = std::vector<runtime::Footprint>;
   template <class Fp, class Body>
   void step(const char* name, Fp&& fp, Body&& body,
             const runtime::TaskOptions& opts, int stream);
   void iteration(const std::vector<runtime::TileKey>& tiles, int j);
   void finish();
+
+  Footprints fp_;
 };
 
 template <class Fp, class Body>
 void Driver::step(const char* name, Fp&& fp, Body&& body,
                   const runtime::TaskOptions& opts, int stream) {
   (void)name;
-  (void)fp;
+  fp_.clear();
+  fp(fp_);
   (void)opts;
   body(runtime::TaskContext{});
   (void)stream;
@@ -40,16 +45,16 @@ void Driver::iteration(const std::vector<runtime::TileKey>& tiles, int j) {
   update.phase = 2;
   step(
       "footprint_by_ref",
-      [&] {
-        std::vector<runtime::Footprint> fp;
+      [&](Footprints& fp) {
         for (const runtime::TileKey& t : tiles) fp.push_back(runtime::rw(t));
-        return fp;
       },
       [this, j](const runtime::TaskContext&) { (void)j; }, update, 0);
   if (j > 0) {
-    step("inline_phase", [&] { return std::vector{runtime::read(tiles[0])}; },
-         [j](const runtime::TaskContext&) { (void)j; },
-         runtime::TaskOptions{.phase = 3}, 1);
-  } else step("after_else", [&] { return std::vector<int>{}; },
+    step(
+        "inline_phase",
+        [&](Footprints& fp) { fp.push_back(runtime::read(tiles[0])); },
+        [j](const runtime::TaskContext&) { (void)j; },
+        runtime::TaskOptions{.phase = 3}, 1);
+  } else step("after_else", [](Footprints&) {},
               [j](const runtime::TaskContext&) { (void)j; }, update, 1);
 }

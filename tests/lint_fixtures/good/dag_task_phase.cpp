@@ -1,9 +1,8 @@
 // Fixture: every add_task call names its phase (a named TaskOptions
 // assigned in the enclosing function, a copied one, or a designated
 // initializer) — must stay silent.
-#include <functional>
-#include <string>
-#include <vector>
+#include <initializer_list>
+#include <span>
 
 namespace runtime {
 struct TileKey {
@@ -18,9 +17,12 @@ struct TaskOptions {
   int iteration = 0;
 };
 struct TaskGraph {
-  int add_task(std::string name, std::vector<Footprint> footprint,
-               std::function<void(const TaskContext&)> body,
-               TaskOptions opts = {});
+  template <class Body>
+  int add_task(const char* name, std::span<const Footprint> footprint,
+               Body&& body, TaskOptions opts = {});
+  template <class Body>
+  int add_task(const char* name, std::initializer_list<Footprint> footprint,
+               Body&& body, TaskOptions opts = {});
 };
 }  // namespace runtime
 

@@ -256,7 +256,7 @@ TEST(DagSanitizer, DeclaredConflictsAreOrderedAndClean) {
   TaskGraph g;
   const TileKey acc{0, 0, 0};
   for (int i = 0; i < 5; ++i) {
-    g.add_task("step" + std::to_string(i), {rw(acc)},
+    g.add_task("step", {rw(acc)},
                [acc](const TaskContext& c) { c.tiles.rw(acc); },
                inline_task());
   }
@@ -283,7 +283,7 @@ TEST(DagSanitizer, RecordsFromPoolWorkersExactly) {
     for (int i = 0; i < 16; ++i) {
       std::vector<Footprint> fp;
       for (int k = 0; k < 4; ++k) fp.push_back(write(TileKey{0, i, k}));
-      g.add_task("w" + std::to_string(i), std::move(fp),
+      g.add_task("w", fp,
                  [&pool, hidden, i](const TaskContext& c) {
                    pool.parallel_for(0, 8, [&](std::int64_t k) {
                      if (k < 4) {

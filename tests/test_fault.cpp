@@ -463,6 +463,41 @@ TEST(StrikeTransfer, PlannedSpecPastTheCopyEdgeIsClamped) {
   EXPECT_EQ(rec.spec.elem_col, 9);
 }
 
+TEST(StrikeTransfer, EccAbsorbsSingleBitFlipsAtRestButNotInTransit) {
+  // EccModel covers DRAM at rest: with ECC on, a planned single-bit
+  // transfer flip still lands, while the same flip as a storage fault
+  // is absorbed.
+  FaultSpec transfer;
+  transfer.type = FaultType::Transfer;
+  transfer.transfer_index = 2;
+  transfer.elem_row = 1;
+  transfer.elem_col = 3;
+  transfer.bits = {52};
+  FaultSpec storage;
+  storage.type = FaultType::Storage;
+  storage.op = Op::Gemm;
+  storage.iteration = 1;
+  storage.bits = {52};
+  Injector inj({transfer, storage}, EccModel{true});
+  DeviceMemory dev;
+  Rng rng(1);
+
+  const std::vector<FaultSpec> due = inj.take_transfer(2, 0.0, false);
+  ASSERT_EQ(due.size(), 1u);
+  ASSERT_EQ(inj.strike_transfer(due, dev.land(0, 6, 5, kStrikeN), kStrikeN,
+                                rng),
+            1);
+  EXPECT_EQ(dev.at(1, 3), flipped(1.0, {52}));
+  EXPECT_EQ(dev.changed(), 1);
+  EXPECT_EQ(inj.fired_count(), 1);
+  EXPECT_EQ(inj.ecc_absorbed_count(), 0);
+
+  EXPECT_TRUE(inj.take(FaultType::Storage, Op::Gemm, 1).empty());
+  EXPECT_EQ(inj.ecc_absorbed_count(), 1);
+  EXPECT_EQ(inj.fired_count(), 1);
+  EXPECT_EQ(inj.pending_count(), 0);
+}
+
 TEST(DeviceFaultPlan, LossesLandMidRunOnDistinctDevices) {
   DeviceFaultPlanConfig cfg;
   cfg.devices = 4;

@@ -270,5 +270,20 @@ TEST(CliRuntimeLabel, NamesTheRuntimeThatRanAndWhyDagFellBack) {
   EXPECT_EQ(gpu.find("fallback"), std::string::npos) << gpu;
 }
 
+TEST(CliRuntimeLabel, RejectsDagForVariantsWithNoGraphDriver) {
+  // cula, dmr and tmr have no task-graph driver, so --runtime dag with
+  // one of them is a usage error rather than a bulk run; the same flags
+  // without it still run.
+  const std::string run = "--machine tardis --n 1024 --mode timing --variant ";
+  for (const std::string variant : {"cula", "dmr", "tmr"}) {
+    EXPECT_EQ(run_cmd(std::string(FTLA_CLI_BIN) + " " + run + variant +
+                      " --runtime dag > /dev/null 2>&1"),
+              common::kExitUsage)
+        << variant;
+    const std::string bulk = cli_stdout(run + variant);
+    EXPECT_NE(bulk.find("runtime = bulk\n"), std::string::npos) << bulk;
+  }
+}
+
 }  // namespace
 }  // namespace ftla::obs

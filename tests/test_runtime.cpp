@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <set>
+#include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -32,8 +36,13 @@ using blas::Uplo;
 
 TileKey t(int m, int r, int c) { return TileKey{m, r, c}; }
 
-TaskBody noop() {
+auto noop() {
   return [](const TaskContext&) {};
+}
+
+std::vector<int> preds_of(const TaskGraph& g, int id) {
+  const std::span<const int> preds = g.preds(id);
+  return {preds.begin(), preds.end()};
 }
 
 // --------------------------- inference ---------------------------------
@@ -42,8 +51,8 @@ TEST(GraphInference, RawEdgeFromWriterToReader) {
   TaskGraph g;
   const int w = g.add_task("w", {write(t(0, 0, 0))}, noop());
   const int r = g.add_task("r", {read(t(0, 0, 0))}, noop());
-  ASSERT_EQ(g.node(r).preds.size(), 1u);
-  EXPECT_EQ(g.node(r).preds[0], w);
+  ASSERT_EQ(g.preds(r).size(), 1u);
+  EXPECT_EQ(g.preds(r)[0], w);
   EXPECT_EQ(g.edge_count(), 1);
 }
 
@@ -53,7 +62,7 @@ TEST(GraphInference, WarEdgeFromReaderToWriter) {
   const int r = g.add_task("r", {read(t(0, 0, 0))}, noop());
   const int w1 = g.add_task("w1", {write(t(0, 0, 0))}, noop());
   // w1 must wait for the reader (WAR) and the previous writer (WAW).
-  auto preds = g.node(w1).preds;
+  auto preds = preds_of(g, w1);
   std::sort(preds.begin(), preds.end());
   EXPECT_EQ(preds, (std::vector<int>{w0, r}));
 }
@@ -63,8 +72,8 @@ TEST(GraphInference, WawChainsWriters) {
   const int w0 = g.add_task("w0", {write(t(0, 0, 0))}, noop());
   const int w1 = g.add_task("w1", {write(t(0, 0, 0))}, noop());
   const int w2 = g.add_task("w2", {write(t(0, 0, 0))}, noop());
-  EXPECT_EQ(g.node(w1).preds, std::vector<int>{w0});
-  EXPECT_EQ(g.node(w2).preds, std::vector<int>{w1});
+  EXPECT_EQ(preds_of(g, w1), std::vector<int>{w0});
+  EXPECT_EQ(preds_of(g, w2), std::vector<int>{w1});
 }
 
 TEST(GraphInference, IndependentReadersShareNoEdge) {
@@ -72,8 +81,8 @@ TEST(GraphInference, IndependentReadersShareNoEdge) {
   g.add_task("w", {write(t(0, 0, 0))}, noop());
   const int r0 = g.add_task("r0", {read(t(0, 0, 0))}, noop());
   const int r1 = g.add_task("r1", {read(t(0, 0, 0))}, noop());
-  EXPECT_EQ(g.node(r1).preds, g.node(r0).preds);  // both depend on w only
-  EXPECT_EQ(g.node(r0).succs, std::vector<int>{});
+  EXPECT_EQ(preds_of(g, r1), preds_of(g, r0));  // both depend on w only
+  EXPECT_FALSE(g.has_successor(r0));
 }
 
 TEST(GraphInference, ReadWriteActsAsBoth) {
@@ -81,8 +90,8 @@ TEST(GraphInference, ReadWriteActsAsBoth) {
   const int w = g.add_task("w", {write(t(0, 0, 0))}, noop());
   const int u = g.add_task("u", {rw(t(0, 0, 0))}, noop());
   const int r = g.add_task("r", {read(t(0, 0, 0))}, noop());
-  EXPECT_EQ(g.node(u).preds, std::vector<int>{w});
-  EXPECT_EQ(g.node(r).preds, std::vector<int>{u});
+  EXPECT_EQ(preds_of(g, u), std::vector<int>{w});
+  EXPECT_EQ(preds_of(g, r), std::vector<int>{u});
 }
 
 TEST(GraphInference, DisjointTilesNoEdges) {
@@ -98,8 +107,8 @@ TEST(GraphInference, DuplicateEdgesCollapse) {
       "w", {write(t(0, 0, 0)), write(t(0, 1, 0))}, noop());
   const int r = g.add_task(
       "r", {read(t(0, 0, 0)), read(t(0, 1, 0))}, noop());
-  ASSERT_EQ(g.node(r).preds.size(), 1u);
-  EXPECT_EQ(g.node(r).preds[0], w);
+  ASSERT_EQ(g.preds(r).size(), 1u);
+  EXPECT_EQ(g.preds(r)[0], w);
   EXPECT_EQ(g.edge_count(), 1);
 }
 
@@ -129,7 +138,7 @@ TEST(GraphInference, ManyReadersThenWriterKeepPredsOrderAndDedup) {
   for (int i = 0; i < 60; ++i) {
     if (i % 3 == 1) expect.push_back(readers[static_cast<std::size_t>(i)]);
   }
-  EXPECT_EQ(g.node(w).preds, expect);
+  EXPECT_EQ(preds_of(g, w), expect);
   edges += static_cast<std::int64_t>(expect.size());
   EXPECT_EQ(g.edge_count(), edges);
 
@@ -138,8 +147,8 @@ TEST(GraphInference, ManyReadersThenWriterKeepPredsOrderAndDedup) {
   const int x = g.add_task("x", {read(t(0, 0, 0))}, noop());
   const int y =
       g.add_task("y", {read(t(0, 0, 0)), write(t(0, 0, 0))}, noop());
-  EXPECT_EQ(g.node(x).preds, std::vector<int>{w});
-  EXPECT_EQ(g.node(y).preds, (std::vector<int>{w, x}));
+  EXPECT_EQ(preds_of(g, x), std::vector<int>{w});
+  EXPECT_EQ(preds_of(g, y), (std::vector<int>{w, x}));
   EXPECT_EQ(g.edge_count(), edges + 3);
 }
 
@@ -160,7 +169,7 @@ TEST(GraphInference, TileTableKeepsEveryTileAcrossGrowth) {
   }
   for (std::size_t i = keys.size(); i-- > 0;) {
     const int r = g.add_task("r", {read(keys[i])}, noop());
-    EXPECT_EQ(g.node(r).preds, std::vector<int>{writer[i]});
+    EXPECT_EQ(preds_of(g, r), std::vector<int>{writer[i]});
   }
   EXPECT_EQ(g.edge_count(), static_cast<std::int64_t>(keys.size()));
 }
@@ -171,8 +180,8 @@ TEST(GraphInference, EdgesPointBackwardAndNeverRepeat) {
   // topological order. Seeded random footprints over a small tile space
   // (two matrices, all three access kinds, repeated tiles inside one
   // footprint, empty footprints) must never produce a forward or
-  // repeated predecessor, and the edge count must match both adjacency
-  // lists.
+  // repeated predecessor, and a task's successor flag must be set
+  // exactly when some later task lists it among its preds.
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
     Rng rng(seed);
     TaskGraph g;
@@ -190,24 +199,26 @@ TEST(GraphInference, EdgesPointBackwardAndNeverRepeat) {
         }
         if (rng.uniform_int(0, 3) == 0) fp.push_back(read(k));
       }
-      g.add_task("n", std::move(fp), noop());
+      g.add_task("n", fp, noop());
     }
     std::int64_t preds = 0;
-    std::int64_t succs = 0;
+    std::vector<bool> listed(static_cast<std::size_t>(g.size()), false);
     for (int id = 0; id < g.size(); ++id) {
-      const TaskNode& node = g.node(id);
-      std::vector<int> seen = node.preds;
+      std::vector<int> seen = preds_of(g, id);
       std::sort(seen.begin(), seen.end());
       EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end())
           << "seed " << seed << ": task " << id << " repeats a pred";
-      for (const int p : node.preds) {
+      for (const int p : g.preds(id)) {
         EXPECT_LT(p, id) << "seed " << seed << ": task " << id;
+        listed[static_cast<std::size_t>(p)] = true;
       }
-      preds += static_cast<std::int64_t>(node.preds.size());
-      succs += static_cast<std::int64_t>(node.succs.size());
+      preds += static_cast<std::int64_t>(g.preds(id).size());
     }
     EXPECT_EQ(g.edge_count(), preds) << "seed " << seed;
-    EXPECT_EQ(g.edge_count(), succs) << "seed " << seed;
+    for (int id = 0; id < g.size(); ++id) {
+      EXPECT_EQ(g.has_successor(id), listed[static_cast<std::size_t>(id)])
+          << "seed " << seed << ": task " << id;
+    }
   }
 }
 
@@ -296,12 +307,15 @@ TEST(StreamExecutor, BodyExceptionPropagates) {
 // 32 tasks that append their node id to `issued`: a read-modify-write
 // chain over three tiles, with every fourth task on a fresh tile of its
 // own, so a later id is often ready long before the chain ahead of it.
-TaskGraph chain_with_free_tasks(std::vector<int>* issued) {
+// Every body holds a copy of `token`.
+TaskGraph chain_with_free_tasks(std::vector<int>* issued,
+                                std::shared_ptr<int> token = nullptr) {
   TaskGraph g;
   for (int i = 0; i < 32; ++i) {
     const TileKey k = i % 4 == 3 ? t(1, i, 0) : t(0, i % 3, 0);
-    g.add_task("n", {rw(k)},
-               [issued](const TaskContext& c) { issued->push_back(c.task); });
+    g.add_task("n", {rw(k)}, [issued, token](const TaskContext& c) {
+      issued->push_back(c.task);
+    });
   }
   return g;
 }
@@ -373,6 +387,100 @@ TEST(StreamExecutor, EmptyGraphIssuesNothing) {
   EXPECT_TRUE(tracker.schedule_prefix().empty());
   EXPECT_EQ(tracker.accesses(), 0);
   EXPECT_EQ(metrics.counter("runtime.tasks"), 0);
+}
+
+// --------------------------- task storage ------------------------------
+
+static_assert(!std::is_copy_constructible_v<TaskGraph> &&
+                  std::is_nothrow_move_constructible_v<TaskGraph> &&
+                  std::is_nothrow_move_assignable_v<TaskGraph>,
+              "a graph is move-only: its nodes point into its own arena");
+
+TEST(TaskStorage, BodiesAreDestroyedOnceWithTheGraphThatOwnsThem) {
+  // The arena runs a body's destructor once, when the graph holding it
+  // dies: a move hands the bodies over, and a move-assignment first
+  // destroys the target's own.
+  auto token = std::make_shared<int>(0);
+  std::vector<int> issued;
+  {
+    TaskGraph built = chain_with_free_tasks(&issued, token);
+    EXPECT_EQ(token.use_count(), 33);
+    TaskGraph target;
+    target.add_task("own", {}, [token](const TaskContext&) {});
+    EXPECT_EQ(token.use_count(), 34);
+    {
+      TaskGraph moved = std::move(built);
+      EXPECT_EQ(token.use_count(), 34);
+      target = std::move(moved);
+      EXPECT_EQ(token.use_count(), 33);
+    }
+    EXPECT_EQ(token.use_count(), 33);  // the moved-from graphs own nothing
+    sim::Machine m(sim::test_rig(), sim::ExecutionMode::TimingOnly);
+    run_on_streams(target, m);
+    EXPECT_EQ(issued.size(), 32u);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(TaskStorage, FootprintLargerThanAnArenaChunkRunsIntact) {
+  // 20000 entries (320 KB) exceed one 256 KiB arena chunk. The stored
+  // footprint must equal the declared one, infer each tile's writer, and
+  // cover every access the body records.
+  TaskGraph g;
+  std::vector<Footprint> fp;
+  for (int i = 0; i < 20000; ++i) {
+    const TileKey k = t(0, i / 100, i % 100);
+    g.add_task("w", {write(k)}, noop());
+    fp.push_back(read(k));
+  }
+  fp.push_back(write(t(1, 0, 0)));
+  const int big = g.add_task("big", fp, [fp](const TaskContext& c) {
+    for (const Footprint& f : fp) {
+      if (f.access == Access::Read) c.tiles.read(f.tile);
+      if (f.access == Access::Write) c.tiles.write(f.tile);
+    }
+  });
+  const int after = g.add_task("after", {read(t(1, 0, 0))}, noop());
+
+  const std::span<const Footprint> stored = g.footprint(big);
+  ASSERT_EQ(stored.size(), fp.size());
+  for (std::size_t i = 0; i < fp.size(); ++i) {
+    EXPECT_TRUE(stored[i].tile == fp[i].tile) << "entry " << i;
+    EXPECT_EQ(stored[i].access, fp[i].access) << "entry " << i;
+  }
+  std::vector<int> writers(20000);
+  std::iota(writers.begin(), writers.end(), 0);
+  EXPECT_EQ(preds_of(g, big), writers);
+  EXPECT_EQ(preds_of(g, after), std::vector<int>{big});
+
+  AccessTracker tracker;
+  g.set_access_tracker(&tracker);
+  sim::Machine m(sim::test_rig(), sim::ExecutionMode::TimingOnly);
+  run_on_streams(g, m);
+  EXPECT_TRUE(tracker.clean()) << tracker.report(g);
+  EXPECT_EQ(tracker.accesses(), 20001);
+}
+
+TEST(TaskStorage, BodyLargerThanAnArenaChunkRunsIntact) {
+  // A 300 KB capture sits between small tasks; each body must see its
+  // own captures unchanged.
+  std::array<std::uint8_t, 300000> bytes{};
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  }
+  const std::uint64_t expect =
+      std::accumulate(bytes.begin(), bytes.end(), std::uint64_t{0});
+  std::vector<std::uint64_t> seen;
+  TaskGraph g;
+  g.add_task("before", {}, [&seen](const TaskContext&) { seen.push_back(1); });
+  g.add_task("big", {}, [&seen, bytes](const TaskContext&) {
+    seen.push_back(
+        std::accumulate(bytes.begin(), bytes.end(), std::uint64_t{0}));
+  });
+  g.add_task("after", {}, [&seen](const TaskContext&) { seen.push_back(2); });
+  sim::Machine m(sim::test_rig(), sim::ExecutionMode::TimingOnly);
+  run_on_streams(g, m);
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, expect, 2}));
 }
 
 // Tile Cholesky over a host matrix with real BLAS bodies that record

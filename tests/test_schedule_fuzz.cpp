@@ -60,7 +60,7 @@ class SanitizeEnvGuard {
   ~SanitizeEnvGuard() { ::unsetenv("FTLA_DAG_SANITIZE"); }
 };
 
-runtime::TaskBody nop() {
+auto nop() {
   return [](const runtime::TaskContext&) {};
 }
 
@@ -73,12 +73,10 @@ runtime::TaskGraph pipeline_graph(int cols) {
     const runtime::TileKey u{1, 0, k};
     const runtime::TileKey v{2, 0, k};
     const runtime::TileKey r{3, 0, k};
-    g.add_task("produce" + std::to_string(k), {runtime::write(t)}, nop());
-    g.add_task("left" + std::to_string(k),
-               {runtime::read(t), runtime::write(u)}, nop());
-    g.add_task("right" + std::to_string(k),
-               {runtime::read(t), runtime::write(v)}, nop());
-    g.add_task("reduce" + std::to_string(k),
+    g.add_task("produce", {runtime::write(t)}, nop());
+    g.add_task("left", {runtime::read(t), runtime::write(u)}, nop());
+    g.add_task("right", {runtime::read(t), runtime::write(v)}, nop());
+    g.add_task("reduce",
                {runtime::read(u), runtime::read(v), runtime::write(r)},
                nop());
   }
@@ -101,7 +99,7 @@ TEST(RandomSchedule, IsAValidTopologicalOrder) {
     std::vector<int> pos(n);
     for (int i = 0; i < n; ++i) pos[order[i]] = i;
     for (int task = 0; task < n; ++task) {
-      for (int pred : g.node(task).preds) {
+      for (int pred : g.preds(task)) {
         ASSERT_LT(pos[pred], pos[task])
             << "seed " << seed << ": task " << task << " ran before its "
             << "predecessor " << pred;

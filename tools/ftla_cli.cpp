@@ -97,7 +97,8 @@ obs::FlightRecorder g_recorder;
                "  --runtime bulk|dag  execution structure: bulk-synchronous\n"
                "                      phases (the conformance oracle) or the\n"
                "                      dependency-driven task graph\n"
-               "                      (docs/runtime.md)\n"
+               "                      (docs/runtime.md); dag needs --variant\n"
+               "                      enhanced|online|offline|noft\n"
                "  --trace-out FILE    Chrome trace with fault annotations\n"
                "                      (instant events + injection->detection\n"
                "                      flow arrows); --trace is an alias\n"
@@ -363,6 +364,12 @@ int main(int argc, char** argv) {
   } else if (args.variant == "noft") {
     opt.variant = abft::Variant::NoFt;
     res = abft::cholesky(machine, ap, args.n, opt, inj);
+  } else if (runtime_mode == abft::RuntimeMode::Dag &&
+             (args.variant == "cula" || args.variant == "dmr" ||
+              args.variant == "tmr")) {
+    // These baselines have no task-graph driver: refuse rather than run
+    // bulk under a dag label.
+    usage("--runtime dag supports --variant enhanced|online|offline|noft");
   } else if (args.variant == "cula") {
     res = abft::cula_like_cholesky(machine, ap, args.n, args.block);
   } else if (args.variant == "dmr") {
