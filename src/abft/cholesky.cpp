@@ -385,13 +385,14 @@ void Run::save_panels(int upto) {
   const std::int64_t bytes =
       static_cast<std::int64_t>(cols) * n_ * static_cast<int>(sizeof(double));
   result_.checkpoint_bytes += bytes;
-  trace_span(obs::derive_span_id(trace_pass_,
-                                 obs::kTraceCheckpointChildBase +
-                                     static_cast<std::uint64_t>(upto)),
-             trace_pass_, "checkpoint", "checkpoint", ck_t0, m_.host_now(),
-             "ok",
-             "iterations=" + std::to_string(upto) +
-                 " bytes=" + std::to_string(bytes));
+  obs::record_span(trace_, trace_ctx_,
+                   obs::derive_span_id(trace_pass_,
+                                       obs::kTraceCheckpointChildBase +
+                                           static_cast<std::uint64_t>(upto)),
+                   trace_pass_, "checkpoint", "checkpoint", ck_t0,
+                   m_.host_now(), "ok",
+                   "iterations=" + std::to_string(upto) +
+                       " bytes=" + std::to_string(bytes));
   tel_.checkpoint_taken(upto);
 }
 

@@ -57,9 +57,10 @@ CholeskyResult Driver::execute() {
   const double t0 = m_.host_now();
 
   if (trace_ != nullptr && resume_from_ > 0) {
-    trace_span(obs::derive_span_id(trace_factorize_, 1), trace_factorize_,
-               "resume", "marker", t0, t0, "ok",
-               "iterations=" + std::to_string(resume_from_));
+    obs::record_span(trace_, trace_ctx_,
+                     obs::derive_span_id(trace_factorize_, 1),
+                     trace_factorize_, "resume", "marker", t0, t0, "ok",
+                     "iterations=" + std::to_string(resume_from_));
   }
 
   bool done = false;
@@ -75,8 +76,9 @@ CholeskyResult Driver::execute() {
         run_pass();
         done = true;
         result_.success = true;
-        trace_span(trace_pass_, trace_factorize_, "pass", "pass",
-                   trace_pass_start_, m_.host_now(), "ok");
+        obs::record_span(trace_, trace_ctx_, trace_pass_, trace_factorize_,
+                         "pass", "pass", trace_pass_start_, m_.host_now(),
+                         "ok");
       } catch (const NotPositiveDefiniteError& e) {
         result_.fail_stop_observed = true;
         done = retry(e, "fail-stop: ", "not_positive_definite");
@@ -90,10 +92,10 @@ CholeskyResult Driver::execute() {
     // factorize spans first so the trace keeps its parentage intact —
     // the service's attempt span records the loss itself.
     const double at = m_.host_now();
-    trace_span(trace_pass_, trace_factorize_, "pass", "pass",
-               trace_pass_start_, at, "loss");
-    trace_span(trace_factorize_, trace_ctx_.span_id, "factorize", "driver",
-               t0, at, "loss");
+    obs::record_span(trace_, trace_ctx_, trace_pass_, trace_factorize_,
+                     "pass", "pass", trace_pass_start_, at, "loss");
+    obs::record_span(trace_, trace_ctx_, trace_factorize_, trace_ctx_.span_id,
+                     "factorize", "driver", t0, at, "loss");
     throw;
   }
 
@@ -103,16 +105,17 @@ CholeskyResult Driver::execute() {
   result_.gflops =
       result_.seconds > 0.0 ? flops / result_.seconds / 1e9 : 0.0;
 
-  trace_span(trace_factorize_, trace_ctx_.span_id, "factorize", "driver", t0,
-             t0 + result_.seconds, result_.success ? "ok" : "error");
+  obs::record_span(trace_, trace_ctx_, trace_factorize_, trace_ctx_.span_id,
+                   "factorize", "driver", t0, t0 + result_.seconds,
+                   result_.success ? "ok" : "error");
 
   if (result_.success) download();
   return result_;
 }
 
 bool Driver::retry(const Error& e, const char* prefix, const char* reason) {
-  trace_span(trace_pass_, trace_factorize_, "pass", "pass", trace_pass_start_,
-             m_.host_now(), "error", reason);
+  obs::record_span(trace_, trace_ctx_, trace_pass_, trace_factorize_, "pass",
+                   "pass", trace_pass_start_, m_.host_now(), "error", reason);
   if (opt_.variant == Variant::NoFt || result_.reruns >= opt_.max_reruns) {
     result_.note = std::string(prefix) + e.what();
     return true;
@@ -170,25 +173,6 @@ void Driver::enable_tracing(obs::TraceStore* store,
   trace_ = store;
   trace_ctx_ = ctx;
   trace_factorize_ = obs::derive_span_id(ctx.span_id, obs::kTraceDriverChild);
-}
-
-void Driver::trace_span(obs::SpanId id, obs::SpanId parent, const char* name,
-                        const char* kind, double start, double end,
-                        const char* status, std::string detail) {
-  if (trace_ == nullptr) return;
-  obs::TraceSpan s;
-  s.trace_id = trace_ctx_.trace_id;
-  s.span_id = id;
-  s.parent_span = parent;
-  s.name = name;
-  s.kind = kind;
-  s.device = trace_ctx_.device;
-  s.tenant = trace_ctx_.tenant;
-  s.start = start;
-  s.end = end;
-  s.status = status;
-  s.detail = std::move(detail);
-  trace_->record(s);
 }
 
 // ----------------------------------------------------------------------

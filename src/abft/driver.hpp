@@ -229,10 +229,6 @@ class Driver {
   /// Turns on causal tracing: a "factorize" span under `ctx`, one
   /// "pass" span per attempt, and one span per DAG task.
   void enable_tracing(obs::TraceStore* store, const obs::TraceContext& ctx);
-  /// Records one span under the job's causal trace (no-op when off).
-  void trace_span(obs::SpanId id, obs::SpanId parent, const char* name,
-                  const char* kind, double start, double end,
-                  const char* status, std::string detail = {});
 
   sim::Machine& m_;
   Matrix<double>* a_;

@@ -206,13 +206,15 @@ ScenarioResult run_scenario(const Scenario& sc) {
 }
 
 Scenario random_scenario(Rng& rng, const CampaignOptions& opt) {
+  constexpr int kBlock = 16;
+  constexpr double kLuQrShare = 0.25;
   Scenario sc;
-  sc.block = opt.block;
-  sc.n = opt.block * rng.uniform_int(opt.min_blocks, opt.max_blocks);
+  sc.block = kBlock;
+  sc.n = kBlock * rng.uniform_int(opt.min_blocks, opt.max_blocks);
   sc.matrix_seed = rng.next_u64() | 1ULL;
   sc.fault_seed = rng.next_u64() | 1ULL;
 
-  if (rng.uniform(0.0, 1.0) < opt.lu_qr_share) {
+  if (rng.uniform(0.0, 1.0) < kLuQrShare) {
     sc.algo = rng.uniform_int(0, 1) == 0 ? Algo::Lu : Algo::Qr;
     sc.variant = rng.uniform_int(0, 2) == 0 ? abft::Variant::NoFt
                                             : abft::Variant::EnhancedOnline;
@@ -251,7 +253,7 @@ Scenario random_scenario(Rng& rng, const CampaignOptions& opt) {
   // The zero-SDC invariant holds for the guarded variant only with the
   // PCIe windows closed; everything else runs unguarded so the campaign
   // demonstrates the paper's point (NoFt/Offline do produce sdc).
-  sc.transfer_guard = (sc.variant == opt.guarded);
+  sc.transfer_guard = (sc.variant == kGuardedVariant);
   sc.ecc = rng.uniform_int(0, 3) == 0;
   // Calibrated against test_rig makespans (~1e-4 virtual seconds at
   // these sizes): log-uniform MTBF giving roughly 1..8 arrivals a run.
@@ -296,7 +298,7 @@ void merge_one(CampaignSummary& sum, const Scenario& sc,
   }
 
   bool unexpected = false;
-  if (res.verdict == Verdict::Sdc && sc.variant == opt.guarded) {
+  if (res.verdict == Verdict::Sdc && sc.variant == kGuardedVariant) {
     ++sum.guarded_sdc;
     unexpected = true;
   }
@@ -318,8 +320,7 @@ void merge_one(CampaignSummary& sum, const Scenario& sc,
     const ScenarioResult twin = run_scenario(twin_sc);
     f.reproduced = twin.verdict == res.verdict;
     if (f.reproduced && opt.shrink_failures) {
-      ShrinkOutcome so = shrink_scenario(twin_sc, res.verdict,
-                                         opt.max_shrink_runs);
+      ShrinkOutcome so = shrink_scenario(twin_sc, res.verdict);
       f.shrunk = std::move(so.scenario);
       f.shrink_runs = so.runs;
     } else {
@@ -459,50 +460,6 @@ bool enum_from_string(const std::string& s, Enum* out, int count) {
   return false;
 }
 
-bool variant_from_string(const std::string& s, abft::Variant* out) {
-  for (int i = 0; i <= static_cast<int>(abft::Variant::EnhancedOnline);
-       ++i) {
-    const auto v = static_cast<abft::Variant>(i);
-    if (s == abft::to_string(v)) {
-      *out = v;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool recovery_from_string(const std::string& s, abft::Recovery* out) {
-  for (const auto r : {abft::Recovery::Rerun, abft::Recovery::Checkpoint}) {
-    if (s == abft::to_string(r)) {
-      *out = r;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool runtime_from_string(const std::string& s, abft::RuntimeMode* out) {
-  for (const auto m : {abft::RuntimeMode::Bulk, abft::RuntimeMode::Dag}) {
-    if (s == abft::to_string(m)) {
-      *out = m;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool placement_from_string(const std::string& s,
-                           abft::UpdatePlacement* out) {
-  for (int i = 0; i <= static_cast<int>(abft::UpdatePlacement::Auto); ++i) {
-    const auto p = static_cast<abft::UpdatePlacement>(i);
-    if (s == abft::to_string(p)) {
-      *out = p;
-      return true;
-    }
-  }
-  return false;
-}
-
 std::string join_bits(const std::vector<int>& bits) {
   std::ostringstream os;
   for (std::size_t i = 0; i < bits.size(); ++i) {
@@ -579,14 +536,14 @@ bool parse_scenario(const std::string& text, Scenario* out,
         if (key == "algo") {
           ok = enum_from_string(val, &sc.algo, 3);
         } else if (key == "variant") {
-          ok = variant_from_string(val, &sc.variant);
+          ok = enum_from_string(val, &sc.variant, 4);
         } else if (key == "recovery") {
-          ok = recovery_from_string(val, &sc.recovery);
+          ok = enum_from_string(val, &sc.recovery, 2);
         } else if (key == "placement") {
-          ok = placement_from_string(val, &sc.placement);
+          ok = enum_from_string(val, &sc.placement, 4);
         } else if (key == "runtime") {
           // Absent in pre-runtime plans: the Bulk default applies.
-          ok = runtime_from_string(val, &sc.runtime);
+          ok = enum_from_string(val, &sc.runtime, 2);
         } else if (key == "n") {
           sc.n = std::atoi(val.c_str());
         } else if (key == "block") {
@@ -615,8 +572,20 @@ bool parse_scenario(const std::string& text, Scenario* out,
                       "'");
         }
       }
+      // Range checks for every field a driver checks, so a bad replay
+      // line is a parse error instead of an abort mid-run.
       if (sc.n <= 0 || sc.block <= 0) {
         return fail(where() + "n and block must be positive");
+      }
+      if (sc.verify_interval < 1 || sc.checkpoint_interval < 1) {
+        return fail(where() + "k and ckpt must be >= 1");
+      }
+      if (sc.max_arrivals < 0) {
+        return fail(where() + "max_arrivals must be >= 0");
+      }
+      if (sc.algo != Algo::Cholesky && sc.variant != abft::Variant::NoFt &&
+          sc.variant != abft::Variant::EnhancedOnline) {
+        return fail(where() + "lu and qr run no-ft or enhanced-online-abft");
       }
     } else if (head == "fault") {
       FaultSpec f;
@@ -647,7 +616,9 @@ bool parse_scenario(const std::string& text, Scenario* out,
           while (std::getline(bs, b, ',')) {
             if (!b.empty()) f.bits.push_back(std::atoi(b.c_str()));
           }
-          ok = !f.bits.empty();
+          ok = !f.bits.empty() &&
+               std::all_of(f.bits.begin(), f.bits.end(),
+                           [](int bit) { return bit >= 0 && bit < 64; });
         } else if (key == "mag") {
           f.magnitude = std::atof(val.c_str());
         } else if (key == "chk") {

@@ -58,6 +58,11 @@ inline constexpr int kVerdictCount = 5;
 [[nodiscard]] const char* to_string(Algo a);
 [[nodiscard]] const char* to_string(Verdict v);
 
+/// The variant carrying the zero-SDC invariant: any sdc verdict for it
+/// is a campaign failure (and gets shrunk).
+inline constexpr abft::Variant kGuardedVariant =
+    abft::Variant::EnhancedOnline;
+
 /// One fault-campaign run, fully self-describing and replayable.
 struct Scenario {
   Algo algo = Algo::Cholesky;
@@ -116,23 +121,18 @@ ScenarioResult run_scenario(const Scenario& sc);
 struct CampaignOptions {
   int scenarios = 200;
   std::uint64_t seed = 1;
-  /// Matrix sizes are block multiples drawn from [min_blocks, max_blocks].
+  /// Matrix sizes are multiples of the 16-wide block drawn from
+  /// [min_blocks, max_blocks]; a quarter of the scenarios run the LU/QR
+  /// extensions (NoFt/EnhancedOnline, rerun recovery only).
   int min_blocks = 3;
   int max_blocks = 7;
-  int block = 16;
-  /// Share of scenarios exercising the LU/QR extensions (their fault
-  /// surface is smaller: NoFt/EnhancedOnline, rerun recovery only).
-  double lu_qr_share = 0.25;
   /// Share of scenarios running the task-graph runtime instead of the
   /// bulk oracle (docs/runtime.md). Cholesky dag draws pin placement to
   /// Gpu and recovery to rerun — the combinations the graph models — so
   /// every dag scenario genuinely exercises the graph path.
   double dag_share = 0.25;
-  /// The variant carrying the zero-SDC invariant: any sdc verdict for
-  /// it is a campaign failure (and gets shrunk).
-  abft::Variant guarded = abft::Variant::EnhancedOnline;
+  /// Shrink each failure (at most 64 scenario runs apiece).
   bool shrink_failures = true;
-  int max_shrink_runs = 64;
   /// Scenario-level parallelism (0 = all hardware threads). Scenarios
   /// run on common::run_draw_ordered: drawn serially from the campaign
   /// seed, executed on `threads` pool lanes and merged in draw order, so

@@ -12,6 +12,8 @@
 //   * the driver's outer iteration (-1 outside the factorization loop).
 //
 // The store is fed by sim::Machine (see Machine::set_span_store) and is
+// the machine's one record of what ran: profiles, the Chrome trace, the
+// trace summary and the occupancy series all read it. It is
 // deliberately sim-agnostic: the kernel class arrives as its string
 // name so obs keeps no dependency on sim headers. Everything is virtual
 // time; nothing here reads a wall clock, so identical runs produce
@@ -72,8 +74,9 @@ struct Span {
 
 class SpanStore {
  public:
-  /// Default cap on retained spans, mirroring Machine::kDefaultTraceLimit
-  /// (long TimingOnly sweeps would otherwise hold millions of spans).
+  /// Default cap on retained spans: long TimingOnly sweeps issue
+  /// millions of operations, so recording stops at the cap and further
+  /// spans are only counted.
   static constexpr std::size_t kDefaultLimit = 1u << 20;
 
   explicit SpanStore(std::size_t limit = kDefaultLimit) : limit_(limit) {}
@@ -100,6 +103,7 @@ class SpanStore {
   [[nodiscard]] std::size_t size() const;
   /// Spans discarded because the store was at its cap.
   [[nodiscard]] std::size_t dropped() const;
+  [[nodiscard]] std::size_t limit() const noexcept { return limit_; }
 
  private:
   mutable common::Mutex mu_;

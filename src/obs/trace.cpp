@@ -6,6 +6,7 @@
 #include <map>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "obs/json.hpp"
 
@@ -98,6 +99,15 @@ void TraceStore::clear() {
   common::MutexLock lk(mu_);
   spans_.clear();
   dropped_ = 0;
+}
+
+void record_span(TraceStore* store, const TraceContext& ctx, SpanId id,
+                 SpanId parent, const char* name, const char* kind,
+                 double start, double end, const char* status,
+                 std::string detail) {
+  if (store == nullptr || !ctx.valid()) return;
+  store->record(TraceSpan{ctx.trace_id, id, parent, name, kind, ctx.device,
+                          ctx.tenant, start, end, status, std::move(detail)});
 }
 
 namespace {

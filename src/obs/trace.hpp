@@ -84,6 +84,12 @@ struct TraceContext {
     c.span_id = derive_span_id(span_id, child_index);
     return c;
   }
+  /// The same context attributed to `dev` (-1 = host/service).
+  [[nodiscard]] TraceContext on(int dev) const {
+    TraceContext c = *this;
+    c.device = dev;
+    return c;
+  }
 };
 
 /// One recorded causal step. `end == start` marks an instantaneous
@@ -125,6 +131,14 @@ class TraceStore {
   std::size_t capacity_;
   std::size_t dropped_ FTLA_GUARDED_BY(mu_) = 0;
 };
+
+/// Records one span of `ctx`'s trace, on its device and for its tenant.
+/// The service, the ABFT driver and the task executor all record their
+/// spans through it. A no-op without a store or a valid context.
+void record_span(TraceStore* store, const TraceContext& ctx, SpanId id,
+                 SpanId parent, const char* name, const char* kind,
+                 double start, double end, const char* status,
+                 std::string detail = {});
 
 /// A complete trace file: spans in canonical order (trace_id, start,
 /// end, span_id) plus the count of spans the store had to drop.

@@ -117,20 +117,13 @@ StreamRunStats run_on_streams(const TaskGraph& graph, sim::Machine& machine,
       }
     }
     if (tracing) {
-      obs::TraceSpan ts;
-      ts.trace_id = opts.trace_ctx.trace_id;
-      ts.span_id = obs::derive_span_id(
-          opts.trace_ctx.span_id,
-          obs::kTraceTaskChildBase + static_cast<std::uint64_t>(id));
-      ts.parent_span = opts.trace_ctx.span_id;
-      ts.name = graph.name(id);
-      ts.kind = "task";
-      ts.device = opts.trace_ctx.device;
-      ts.tenant = opts.trace_ctx.tenant;
-      ts.start = span_begin;
-      ts.end = span_end;
-      ts.status = "ok";
-      opts.trace->record(ts);
+      obs::record_span(
+          opts.trace, opts.trace_ctx,
+          obs::derive_span_id(
+              opts.trace_ctx.span_id,
+              obs::kTraceTaskChildBase + static_cast<std::uint64_t>(id)),
+          opts.trace_ctx.span_id, graph.name(id), "task", span_begin,
+          span_end, "ok");
     }
   }
   if (opts.profile != nullptr) opts.profile->set_iteration(-1);

@@ -89,7 +89,6 @@ double run_fleet_once(const FleetScenario& sc,
   obs::TraceStore trace;
   ServiceOptions so;
   so.max_retries = sc.max_retries;
-  so.checkpoint_interval = 2;
   if (collect_trace) {
     so.trace = &trace;
     so.trace_seed = sc.seed;
@@ -175,21 +174,24 @@ FleetScenario random_fleet_scenario(Rng& rng,
   sc.devices = rng.uniform_int(opt.min_devices, opt.max_devices);
   sc.link_capacity = rng.uniform_int(0, 2) == 0 ? 2 : 1;
   sc.jobs = rng.uniform_int(opt.min_jobs, opt.max_jobs);
-  sc.loss_count = rng.uniform(0.0, 1.0) < opt.loss_share
+  // Shares of scenarios with a device loss, a stall, a degraded device
+  // and soft-error pressure. Job sizes and the retry budget keep the
+  // FleetScenario defaults.
+  constexpr double kLossShare = 0.75;
+  constexpr double kStallShare = 0.25;
+  constexpr double kDegradeShare = 0.25;
+  constexpr double kMtbfShare = 0.5;
+  sc.loss_count = rng.uniform(0.0, 1.0) < kLossShare
                       ? rng.uniform_int(1, std::max(1, opt.max_losses))
                       : 0;
-  sc.stall_count = rng.uniform(0.0, 1.0) < opt.stall_share ? 1 : 0;
-  sc.degrade_count = rng.uniform(0.0, 1.0) < opt.degrade_share ? 1 : 0;
-  sc.block = opt.block;
-  sc.min_blocks = opt.min_blocks;
-  sc.max_blocks = opt.max_blocks;
+  sc.stall_count = rng.uniform(0.0, 1.0) < kStallShare ? 1 : 0;
+  sc.degrade_count = rng.uniform(0.0, 1.0) < kDegradeShare ? 1 : 0;
   // Same calibration as the single-node campaign: log-uniform MTBF that
   // yields a handful of arrivals per job at test_rig makespans.
-  sc.mtbf_s = rng.uniform(0.0, 1.0) < opt.mtbf_share
+  sc.mtbf_s = rng.uniform(0.0, 1.0) < kMtbfShare
                   ? std::pow(10.0, rng.uniform(-5.0, -3.9))
                   : 0.0;
   sc.max_arrivals = 6;
-  sc.max_retries = opt.max_retries;
   sc.seed = rng.next_u64() | 1ULL;
   return sc;
 }
@@ -388,8 +390,19 @@ bool parse_fleet_scenario(const std::string& text, FleetScenario* out,
         return fail(where() + "unknown fleet_scenario key '" + key + "'");
       }
     }
+    // Range checks for every field the service or a driver checks, so a
+    // bad replay line is a parse error instead of an abort mid-run.
     if (sc.devices < 1 || sc.jobs < 1 || sc.block < 1) {
       return fail(where() + "devices, jobs and block must be positive");
+    }
+    if (sc.min_blocks < 1 || sc.min_blocks > sc.max_blocks) {
+      return fail(where() + "need 1 <= min_blocks <= max_blocks");
+    }
+    if (sc.loss_count < 0 || sc.stall_count < 0 || sc.degrade_count < 0 ||
+        sc.max_arrivals < 0 || sc.max_retries < 0) {
+      return fail(where() +
+                  "losses, stalls, degrades, max_arrivals and max_retries "
+                  "must be >= 0");
     }
   }
 

@@ -131,16 +131,6 @@ struct FleetCampaignOptions {
   int min_jobs = 1;
   int max_jobs = 3;
   int max_losses = 2;
-  /// Share of scenarios with at least one device loss.
-  double loss_share = 0.75;
-  double stall_share = 0.25;
-  double degrade_share = 0.25;
-  /// Share of scenarios that also run soft-error pressure.
-  double mtbf_share = 0.5;
-  int block = 16;
-  int min_blocks = 3;
-  int max_blocks = 5;
-  int max_retries = 3;
   /// Scenario-level parallelism (see fault::CampaignOptions::threads);
   /// the summary is bit-identical at every thread count.
   int threads = 1;

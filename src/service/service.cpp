@@ -67,7 +67,6 @@ FactorizationService::FactorizationService(sim::Fleet& fleet,
                                            ServiceOptions options)
     : fleet_(fleet), opt_(std::move(options)) {
   FTLA_CHECK(opt_.max_retries >= 0);
-  FTLA_CHECK(opt_.checkpoint_interval >= 1);
 }
 
 void FactorizationService::submit(JobSpec spec) {
@@ -82,10 +81,10 @@ void FactorizationService::submit(JobSpec spec) {
       spec.trace.span_id = spec.trace.trace_id;
     }
     spec.trace.tenant = spec.tenant;
-    span(spec.trace.trace_id,
-         obs::derive_span_id(spec.trace.span_id, kSubmitChild),
-         spec.trace.span_id, "submit", "marker", -1, spec.tenant, now, now,
-         "ok", "job=" + std::to_string(spec.id));
+    obs::record_span(opt_.trace, spec.trace.on(-1),
+                     obs::derive_span_id(spec.trace.span_id, kSubmitChild),
+                     spec.trace.span_id, "submit", "marker", now, now, "ok",
+                     "job=" + std::to_string(spec.id));
   }
   QueuedJob q;
   q.spec = spec;
@@ -204,28 +203,6 @@ void FactorizationService::counter(const std::string& name,
   if (opt_.metrics != nullptr) opt_.metrics->add_counter(name, delta);
 }
 
-void FactorizationService::span(obs::TraceId trace_id, obs::SpanId id,
-                                obs::SpanId parent, const std::string& name,
-                                const char* kind, int device,
-                                const std::string& tenant, double start,
-                                double end, const char* status,
-                                const std::string& detail) {
-  if (opt_.trace == nullptr || trace_id == 0) return;
-  obs::TraceSpan s;
-  s.trace_id = trace_id;
-  s.span_id = id;
-  s.parent_span = parent;
-  s.name = name;
-  s.kind = kind;
-  s.device = device;
-  s.tenant = tenant;
-  s.start = start;
-  s.end = end;
-  s.status = status;
-  s.detail = detail;
-  opt_.trace->record(s);
-}
-
 void FactorizationService::account(const JobResult& r) {
   if (r.tenant.empty()) return;
   const std::string base = "tenant." + r.tenant;
@@ -306,12 +283,13 @@ JobResult FactorizationService::run_job(const JobSpec& spec,
       discover_loss(dev, e.at(), spec.id, "placement");
       if (tracing) {
         ++place_losses;
-        span(r.trace_id,
-             obs::derive_span_id(
-                 root, kPlaceLossChildBase +
-                           static_cast<std::uint64_t>(place_losses)),
-             root, "loss", "marker", dev, spec.tenant, e.at(), e.at(),
-             "loss", "at=placement device=" + std::to_string(dev));
+        obs::record_span(
+            opt_.trace, spec.trace.on(dev),
+            obs::derive_span_id(root,
+                                kPlaceLossChildBase +
+                                    static_cast<std::uint64_t>(place_losses)),
+            root, "loss", "marker", e.at(), e.at(), "loss",
+            "at=placement device=" + std::to_string(dev));
       }
       continue;
     }
@@ -324,12 +302,14 @@ JobResult FactorizationService::run_job(const JobSpec& spec,
         root, kAttemptChildBase + static_cast<std::uint64_t>(r.attempts));
     if (tracing) {
       if (r.attempts == 1) {
-        span(r.trace_id, obs::derive_span_id(root, kQueueChild), root,
-             "queue", "queue", -1, spec.tenant, submit_time, t0, "ok", "");
+        obs::record_span(opt_.trace, spec.trace.on(-1),
+                         obs::derive_span_id(root, kQueueChild), root,
+                         "queue", "queue", submit_time, t0, "ok");
       }
-      span(r.trace_id, obs::derive_span_id(attempt_id, kPlaceChild),
-           attempt_id, "place", "marker", dev, spec.tenant, t0, t0, "ok",
-           "attempt=" + std::to_string(r.attempts));
+      obs::record_span(opt_.trace, spec.trace.on(dev),
+                       obs::derive_span_id(attempt_id, kPlaceChild),
+                       attempt_id, "place", "marker", t0, t0, "ok",
+                       "attempt=" + std::to_string(r.attempts));
     }
     note(t0, "service:place",
          "job=" + std::to_string(spec.id) + " device=" +
@@ -371,7 +351,7 @@ JobResult FactorizationService::run_job(const JobSpec& spec,
     o.verify_interval = spec.verify_interval;
     o.placement = spec.placement;
     o.recovery = spec.recovery;
-    o.checkpoint_interval = opt_.checkpoint_interval;
+    o.checkpoint_interval = kCheckpointInterval;
     o.transfer_guard = spec.transfer_guard;
     if (numeric && opt_.checkpoint_resume) o.panel_checkpoint = &ck;
     if (tracing) {
@@ -398,12 +378,13 @@ JobResult FactorizationService::run_job(const JobSpec& spec,
       ++r.migrations;
       counter("service.migrations", 1);
       if (tracing) {
-        span(r.trace_id, obs::derive_span_id(attempt_id, kLossChild),
-             attempt_id, "loss", "marker", dev, spec.tenant, e.at(), e.at(),
-             "loss", "at=mid-run");
-        span(r.trace_id, attempt_id, root, "attempt", "attempt", dev,
-             spec.tenant, t0, e.at(), "loss",
-             "attempt=" + std::to_string(r.attempts));
+        obs::record_span(opt_.trace, spec.trace.on(dev),
+                         obs::derive_span_id(attempt_id, kLossChild),
+                         attempt_id, "loss", "marker", e.at(), e.at(), "loss",
+                         "at=mid-run");
+        obs::record_span(opt_.trace, spec.trace.on(dev), attempt_id, root,
+                         "attempt", "attempt", t0, e.at(), "loss",
+                         "attempt=" + std::to_string(r.attempts));
       }
       if (r.attempts >= 1 + opt_.max_retries) {
         r.outcome = JobOutcome::ExhaustedRetries;
@@ -415,14 +396,14 @@ JobResult FactorizationService::run_job(const JobSpec& spec,
       // Deterministic exponential backoff on the virtual clock.
       earliest = e.at() + kBackoffBaseS * std::ldexp(1.0, r.attempts - 1);
       if (tracing) {
-        span(r.trace_id,
-             obs::derive_span_id(
-                 root, kMigrateChildBase +
-                           static_cast<std::uint64_t>(r.migrations)),
-             root, "migrate", "migrate", -1, spec.tenant, e.at(), earliest,
-             "ok",
-             "from=" + std::to_string(dev) + " resume_iterations=" +
-                 std::to_string(ck.iterations));
+        obs::record_span(
+            opt_.trace, spec.trace.on(-1),
+            obs::derive_span_id(root,
+                                kMigrateChildBase +
+                                    static_cast<std::uint64_t>(r.migrations)),
+            root, "migrate", "migrate", e.at(), earliest, "ok",
+            "from=" + std::to_string(dev) +
+                " resume_iterations=" + std::to_string(ck.iterations));
       }
       note(e.at(), "service:migrate",
            "job=" + std::to_string(spec.id) + " from=" +
@@ -442,9 +423,10 @@ JobResult FactorizationService::run_job(const JobSpec& spec,
     r.device_seconds += r.end_time - t0;
     r.checkpoint_bytes += res.checkpoint_bytes;
     if (tracing) {
-      span(r.trace_id, attempt_id, root, "attempt", "attempt", dev,
-           spec.tenant, t0, r.end_time, res.success ? "ok" : "error",
-           "attempt=" + std::to_string(r.attempts));
+      obs::record_span(opt_.trace, spec.trace.on(dev), attempt_id, root,
+                       "attempt", "attempt", t0, r.end_time,
+                       res.success ? "ok" : "error",
+                       "attempt=" + std::to_string(r.attempts));
     }
     r.note = res.note;
     if (!res.success) {
@@ -463,12 +445,14 @@ JobResult FactorizationService::run_job(const JobSpec& spec,
     break;
   }
   if (tracing) {
-    span(r.trace_id, obs::derive_span_id(root, kCompleteChild), root,
-         "complete", "marker", r.device, spec.tenant, r.end_time, r.end_time,
-         to_string(r.outcome), "");
-    span(r.trace_id, root, 0, "job", "job", r.device, spec.tenant,
-         submit_time, r.end_time, r.success ? "ok" : "error",
-         "job=" + std::to_string(spec.id));
+    obs::record_span(opt_.trace, spec.trace.on(r.device),
+                     obs::derive_span_id(root, kCompleteChild), root,
+                     "complete", "marker", r.end_time, r.end_time,
+                     to_string(r.outcome));
+    obs::record_span(opt_.trace, spec.trace.on(r.device), root, 0, "job",
+                     "job", submit_time, r.end_time,
+                     r.success ? "ok" : "error",
+                     "job=" + std::to_string(spec.id));
   }
   return r;
 }

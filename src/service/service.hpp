@@ -9,7 +9,7 @@
 //                    discovered lost;
 //   * checkpoints  — the ABFT driver streams completed panel columns
 //                    into a host-side abft::PanelCheckpoint every
-//                    checkpoint_interval iterations (host memory, so it
+//                    kCheckpointInterval iterations (host memory, so it
 //                    survives the device);
 //   * migration    — a sim::DeviceLostError unwinding out of a job
 //                    marks the device lost and re-places the job on a
@@ -136,13 +136,14 @@ struct JobResult {
   std::int64_t checkpoint_bytes = 0;
 };
 
+/// Panel-checkpoint cadence in outer iterations (also the driver's
+/// device-snapshot cadence for Recovery::Checkpoint).
+inline constexpr int kCheckpointInterval = 2;
+
 struct ServiceOptions {
   /// Re-placements allowed after mid-run device losses; attempt count
   /// is bounded by 1 + max_retries.
   int max_retries = 3;
-  /// Panel-checkpoint cadence in outer iterations (also the driver's
-  /// device-snapshot cadence for Recovery::Checkpoint).
-  int checkpoint_interval = 2;
   /// When false, retries restart cold (no panel checkpoint is kept) —
   /// the baseline the recovered-makespan acceptance test compares
   /// against.
@@ -203,11 +204,6 @@ class FactorizationService {
   void note(double time, const std::string& name,
             const std::string& detail);
   void counter(const std::string& name, long long delta);
-  /// Records one causal-trace span (no-op when tracing is off).
-  void span(obs::TraceId trace_id, obs::SpanId id, obs::SpanId parent,
-            const std::string& name, const char* kind, int device,
-            const std::string& tenant, double start, double end,
-            const char* status, const std::string& detail);
   /// Per-tenant accounting folded after each drained job.
   void account(const JobResult& r);
 

@@ -1,10 +1,9 @@
 #include "sim/profiler.hpp"
 
-#include <algorithm>
 #include <map>
 #include <string>
-#include <utility>
-#include <vector>
+
+#include "sim/trace_export.hpp"
 
 namespace ftla::sim {
 
@@ -23,55 +22,25 @@ obs::ProfileReport build_profile(const Machine& machine,
                             spans.dropped(), top_k);
 }
 
-void append_machine_timeseries(const Machine& machine,
+void append_machine_timeseries(const obs::SpanStore& spans, double makespan,
                                obs::TimeSeriesStore* out) {
-  // Step functions over the trace records' start/end deltas — the same
-  // derivation trace_export.cpp uses for Chrome counter tracks.
-  using Deltas = std::vector<std::pair<double, long long>>;
-  Deltas sm_use;
-  Deltas h2d_use;
-  Deltas d2h_use;
-  Deltas verify_use;
-  for (const auto& r : machine.trace()) {
-    if (r.lane >= 0) {  // GPU pool work: kernels and d2d copies
-      sm_use.emplace_back(r.start, r.units);
-      sm_use.emplace_back(r.end, -r.units);
-    } else if (r.lane == kH2dLane) {
-      h2d_use.emplace_back(r.start, 1);
-      h2d_use.emplace_back(r.end, -1);
-    } else if (r.lane == kD2hLane) {
-      d2h_use.emplace_back(r.start, 1);
-      d2h_use.emplace_back(r.end, -1);
-    }
-    if (r.name.rfind("verify", 0) == 0 || r.name.rfind("recalc", 0) == 0) {
-      verify_use.emplace_back(r.start, 1);
-      verify_use.emplace_back(r.end, -1);
-    }
-  }
-  const double makespan = machine.makespan();
-  const auto series = [&](const char* name, Deltas& deltas) {
-    if (deltas.empty()) return;
-    std::sort(deltas.begin(), deltas.end());
-    long long level = 0;
-    double last_t = 0.0;
-    for (std::size_t i = 0; i < deltas.size();) {
-      const double t = deltas[i].first;
-      for (; i < deltas.size() && deltas[i].first == t; ++i) {
-        level += deltas[i].second;
-      }
+  const Occupancy occ = derive_occupancy(spans.snapshot());
+  const auto series = [&](const char* name, const OccupancySteps& steps) {
+    if (steps.empty()) return;
+    for (const auto& [t, level] : steps) {
       out->sample_gauge(name, t, static_cast<double>(level));
-      last_t = t;
     }
     // Close the series at the makespan so the final (idle) level is
     // visible in the last rollup window.
-    if (last_t < makespan) {
-      out->sample_gauge(name, makespan, static_cast<double>(level));
+    if (steps.back().first < makespan) {
+      out->sample_gauge(name, makespan,
+                        static_cast<double>(steps.back().second));
     }
   };
-  series("timeseries.sim.sm_units_in_use", sm_use);
-  series("timeseries.sim.h2d_copies_in_flight", h2d_use);
-  series("timeseries.sim.d2h_copies_in_flight", d2h_use);
-  series("timeseries.sim.outstanding_verifications", verify_use);
+  series("timeseries.sim.sm_units_in_use", occ.sm_units);
+  series("timeseries.sim.h2d_copies_in_flight", occ.h2d_copies);
+  series("timeseries.sim.d2h_copies_in_flight", occ.d2h_copies);
+  series("timeseries.sim.outstanding_verifications", occ.verifications);
 }
 
 }  // namespace ftla::sim

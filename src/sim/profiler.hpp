@@ -25,15 +25,14 @@ namespace ftla::sim {
                                                const obs::SpanStore& spans,
                                                int top_k = 12);
 
-/// Derives resource-occupancy gauge series from a finished run's trace
-/// and appends them to `out` (same step-function derivation as the
-/// Chrome-trace counter tracks): timeseries.sim.sm_units_in_use,
+/// Derives resource-occupancy gauge series from a finished run's spans
+/// and appends them to `out` (the step functions of the Chrome-trace
+/// counter tracks, sim/trace_export.hpp): timeseries.sim.sm_units_in_use,
 /// timeseries.sim.h2d_copies_in_flight,
 /// timeseries.sim.d2h_copies_in_flight and
 /// timeseries.sim.outstanding_verifications, each sampled at every
-/// level change and closed with a final sample at the makespan.
-/// Deterministic: the trace is replayed in a canonical sorted order.
-void append_machine_timeseries(const Machine& machine,
+/// level change and closed with a final sample at `makespan`.
+void append_machine_timeseries(const obs::SpanStore& spans, double makespan,
                                obs::TimeSeriesStore* out);
 
 }  // namespace ftla::sim

@@ -4,7 +4,10 @@
 #include <fstream>
 #include <map>
 #include <ostream>
+#include <set>
 #include <vector>
+
+#include "sim/machine.hpp"
 
 namespace ftla::sim {
 
@@ -36,8 +39,8 @@ void json_escape(std::ostream& os, const std::string& s) {
   }
 }
 
-/// True for obs kinds whose spans duplicate the machine's own trace
-/// records — the merger skips them.
+/// True for obs kinds that duplicate the machine's spans — the merger
+/// skips them.
 bool is_machine_span(obs::EventKind k) {
   return k == obs::EventKind::Kernel || k == obs::EventKind::HostTask ||
          k == obs::EventKind::Copy || k == obs::EventKind::Sync;
@@ -107,20 +110,57 @@ void write_event_args(std::ostream& os, const obs::Event& e) {
   os << "}";
 }
 
-void write_trace_impl(const Machine& machine,
-                      const std::vector<obs::Event>* events,
-                      std::ostream& os) {
+OccupancySteps to_steps(std::vector<std::pair<double, long long>>& deltas) {
+  std::sort(deltas.begin(), deltas.end());
+  OccupancySteps steps;
+  long long level = 0;
+  for (std::size_t i = 0; i < deltas.size();) {
+    const double t = deltas[i].first;
+    for (; i < deltas.size() && deltas[i].first == t; ++i) {
+      level += deltas[i].second;
+    }
+    steps.emplace_back(t, level);
+  }
+  return steps;
+}
+
+}  // namespace
+
+Occupancy derive_occupancy(const std::vector<obs::Span>& spans) {
+  std::vector<std::pair<double, long long>> sm, h2d, d2h, verify;
+  for (const auto& s : spans) {
+    if (s.lane >= 0) {  // GPU pool work: kernels and d2d copies
+      sm.emplace_back(s.start, s.units);
+      sm.emplace_back(s.end, -s.units);
+    } else if (s.lane == kH2dLane) {
+      h2d.emplace_back(s.start, 1);
+      h2d.emplace_back(s.end, -1);
+    } else if (s.lane == kD2hLane) {
+      d2h.emplace_back(s.start, 1);
+      d2h.emplace_back(s.end, -1);
+    }
+    if (s.name.rfind("verify", 0) == 0 || s.name.rfind("recalc", 0) == 0) {
+      verify.emplace_back(s.start, 1);
+      verify.emplace_back(s.end, -1);
+    }
+  }
+  return Occupancy{to_steps(sm), to_steps(h2d), to_steps(d2h),
+                   to_steps(verify)};
+}
+
+void write_chrome_trace(const obs::SpanStore& store,
+                        const std::vector<obs::Event>& events,
+                        std::ostream& os) {
+  const std::vector<obs::Span> spans = store.snapshot();
   os << "{\"traceEvents\":[";
   bool first = true;
   // Lane naming metadata.
-  std::map<int, bool> lanes;
-  for (const auto& r : machine.trace()) lanes[r.lane] = true;
-  if (events != nullptr) {
-    for (const auto& e : *events) {
-      if (!is_machine_span(e.kind)) lanes[e.lane] = true;
-    }
+  std::set<int> lanes;
+  for (const auto& s : spans) lanes.insert(s.lane);
+  for (const auto& e : events) {
+    if (!is_machine_span(e.kind)) lanes.insert(e.lane);
   }
-  for (const auto& [lane, _] : lanes) {
+  for (const int lane : lanes) {
     if (!first) os << ",";
     first = false;
     os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":"
@@ -129,68 +169,39 @@ void write_trace_impl(const Machine& machine,
     os << "\"}}";
   }
   // Complete events; virtual seconds -> microseconds.
-  for (const auto& r : machine.trace()) {
+  for (const auto& s : spans) {
     if (!first) os << ",";
     first = false;
     os << "{\"name\":\"";
-    json_escape(os, r.name);
-    os << "\",\"cat\":\"" << to_string(r.cls)
-       << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << lane_tid(r.lane)
-       << ",\"ts\":" << r.start * 1e6 << ",\"dur\":" << (r.end - r.start) * 1e6
-       << ",\"args\":{\"sm_units\":" << r.units;
-    if (r.flops != 0) os << ",\"flops\":" << r.flops;
+    json_escape(os, s.name);
+    os << "\",\"cat\":\"" << s.cls
+       << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << lane_tid(s.lane)
+       << ",\"ts\":" << s.start * 1e6
+       << ",\"dur\":" << (s.end - s.start) * 1e6
+       << ",\"args\":{\"sm_units\":" << s.units;
+    if (s.flops != 0) os << ",\"flops\":" << s.flops;
     os << "}}";
   }
 
   // Counter tracks ("ph":"C"): SM occupancy, copy-engine busy and
-  // outstanding verification work over time, derived from the same
-  // trace records as step functions over their start/end deltas.
-  using Deltas = std::vector<std::pair<double, long long>>;
-  Deltas sm_use, h2d_use, d2h_use, verify_use;
-  for (const auto& r : machine.trace()) {
-    if (r.lane >= 0) {  // GPU pool work: kernels and d2d copies
-      sm_use.emplace_back(r.start, r.units);
-      sm_use.emplace_back(r.end, -r.units);
-    } else if (r.lane == kH2dLane) {
-      h2d_use.emplace_back(r.start, 1);
-      h2d_use.emplace_back(r.end, -1);
-    } else if (r.lane == kD2hLane) {
-      d2h_use.emplace_back(r.start, 1);
-      d2h_use.emplace_back(r.end, -1);
-    }
-    if (r.name.rfind("verify", 0) == 0 || r.name.rfind("recalc", 0) == 0) {
-      verify_use.emplace_back(r.start, 1);
-      verify_use.emplace_back(r.end, -1);
-    }
-  }
+  // outstanding verification work over time.
+  const Occupancy occ = derive_occupancy(spans);
   auto counter_track = [&](const char* name, const char* key,
-                           Deltas& deltas) {
-    if (deltas.empty()) return;
-    std::sort(deltas.begin(), deltas.end());
-    long long level = 0;
-    for (std::size_t i = 0; i < deltas.size();) {
-      const double t = deltas[i].first;
-      for (; i < deltas.size() && deltas[i].first == t; ++i) {
-        level += deltas[i].second;
-      }
+                           const OccupancySteps& steps) {
+    for (const auto& [t, level] : steps) {
       if (!first) os << ",";
       first = false;
       os << "{\"name\":\"" << name << "\",\"ph\":\"C\",\"pid\":1,\"ts\":"
          << t * 1e6 << ",\"args\":{\"" << key << "\":" << level << "}}";
     }
   };
-  counter_track("sm_units_in_use", "units", sm_use);
-  counter_track("h2d_engine_busy", "copies", h2d_use);
-  counter_track("d2h_engine_busy", "copies", d2h_use);
-  counter_track("outstanding_verifications", "spans", verify_use);
-
-  if (events == nullptr) {
-    os << "]}";
-    return;
-  }
+  counter_track("sm_units_in_use", "units", occ.sm_units);
+  counter_track("h2d_engine_busy", "copies", occ.h2d_copies);
+  counter_track("d2h_engine_busy", "copies", occ.d2h_copies);
+  counter_track("outstanding_verifications", "spans", occ.verifications);
 
   // Semantic telemetry events as thread-scoped instant events.
-  for (const auto& e : *events) {
+  for (const auto& e : events) {
     if (is_machine_span(e.kind)) continue;
     if (!first) os << ",";
     first = false;
@@ -213,7 +224,7 @@ void write_trace_impl(const Machine& machine,
     const obs::Event* repair = nullptr;  // first correction / chk repair
   };
   std::map<std::int64_t, Chain> chains;
-  for (const auto& e : *events) {
+  for (const auto& e : events) {
     if (e.correlation < 0) continue;
     Chain& c = chains[e.correlation];
     switch (e.kind) {
@@ -246,68 +257,46 @@ void write_trace_impl(const Machine& machine,
   os << "]}";
 }
 
-}  // namespace
-
-void write_chrome_trace(const Machine& machine, std::ostream& os) {
-  write_trace_impl(machine, nullptr, os);
-}
-
-void write_chrome_trace(const Machine& machine,
-                        const std::vector<obs::Event>& events,
-                        std::ostream& os) {
-  write_trace_impl(machine, &events, os);
-}
-
-bool write_chrome_trace_file(const Machine& machine,
-                             const std::string& path) {
-  std::ofstream f(path);
-  if (!f) return false;
-  write_chrome_trace(machine, f);
-  return static_cast<bool>(f);
-}
-
-bool write_chrome_trace_file(const Machine& machine,
+bool write_chrome_trace_file(const obs::SpanStore& spans,
                              const std::vector<obs::Event>& events,
                              const std::string& path) {
   std::ofstream f(path);
   if (!f) return false;
-  write_chrome_trace(machine, events, f);
+  write_chrome_trace(spans, events, f);
   return static_cast<bool>(f);
 }
 
-void print_trace_summary(const Machine& machine, std::ostream& os,
-                         int strip_width) {
-  const auto& trace = machine.trace();
-  const double span = machine.makespan();
+void print_trace_summary(const obs::SpanStore& store, double makespan,
+                         std::ostream& os, int strip_width) {
+  const std::vector<obs::Span> spans = store.snapshot();
   struct LaneStat {
     long long count = 0;
     double busy = 0.0;
     std::vector<char> strip;
   };
   std::map<int, LaneStat> lanes;
-  for (const auto& r : trace) {
-    auto& ls = lanes[r.lane];
+  for (const auto& s : spans) {
+    auto& ls = lanes[s.lane];
     ++ls.count;
-    ls.busy += r.end - r.start;
+    ls.busy += s.end - s.start;
     if (ls.strip.empty()) ls.strip.assign(strip_width, '.');
-    if (span > 0.0) {
-      int from = static_cast<int>(r.start / span * strip_width);
-      int to = static_cast<int>(r.end / span * strip_width);
+    if (makespan > 0.0) {
+      int from = static_cast<int>(s.start / makespan * strip_width);
+      int to = static_cast<int>(s.end / makespan * strip_width);
       from = std::clamp(from, 0, strip_width - 1);
       to = std::clamp(to, from, strip_width - 1);
       for (int i = from; i <= to; ++i) ls.strip[i] = '#';
     }
   }
-  os << "trace summary — makespan " << span << " s, " << trace.size()
+  os << "trace summary — makespan " << makespan << " s, " << spans.size()
      << " ops";
-  if (machine.trace_dropped() > 0) {
-    os << " (" << machine.trace_dropped()
-       << " records dropped at the trace cap of " << machine.trace_limit()
-       << ")";
+  if (store.dropped() > 0) {
+    os << " (" << store.dropped() << " records dropped at the trace cap of "
+       << store.limit() << ")";
   }
   os << "\n";
   for (const auto& [lane, ls] : lanes) {
-    const double util = span > 0.0 ? ls.busy / span : 0.0;
+    const double util = makespan > 0.0 ? ls.busy / makespan : 0.0;
     os << "  " << lane_name(lane) << ": " << ls.count << " ops, busy "
        << ls.busy << " s (" << static_cast<int>(util * 100.0) << "%)\n    ["
        << std::string(ls.strip.begin(), ls.strip.end()) << "]\n";

@@ -268,6 +268,32 @@ TEST(ScenarioIo, ParseReportsLineNumbers) {
   EXPECT_NE(err.find("2"), std::string::npos) << err;
 }
 
+TEST(ScenarioIo, RejectsFieldsADriverWouldAbortOn) {
+  // Each line parses apart from one field out of range; the parser must
+  // refuse it, so a replay exits with a usage error instead of aborting
+  // inside the driver.
+  const std::string base = "scenario algo=cholesky n=64 block=16 ";
+  for (const std::string bad :
+       {"k=0", "ckpt=0", "k=-1", "max_arrivals=-1", "n=0",
+        "algo=lu variant=online-abft", "algo=qr variant=offline-abft"}) {
+    Scenario sc;
+    std::string err;
+    EXPECT_FALSE(parse_scenario(base + bad + "\n", &sc, &err)) << bad;
+    EXPECT_NE(err.find("line 1"), std::string::npos) << bad << ": " << err;
+  }
+  Scenario sc;
+  std::string err;
+  EXPECT_FALSE(parse_scenario(base + "\nfault type=storage bits=64\n", &sc,
+                              &err));
+  EXPECT_NE(err.find("bits"), std::string::npos) << err;
+  // The boundary values still parse.
+  EXPECT_TRUE(parse_scenario(
+      base + "k=1 ckpt=1 max_arrivals=0 algo=lu variant=no-ft\n"
+             "fault type=storage bits=0,63\n",
+      &sc, &err))
+      << err;
+}
+
 TEST(Shrink, ProducesMinimalReplayablePlan) {
   // A NoFt run with a pile of faults silently corrupts; the shrinker
   // must cut the plan to <= 2 faults (here: one) that still reproduce
@@ -338,7 +364,8 @@ TEST(TransferFault, MidH2dCaughtByNextPreReferenceVerification) {
 
   auto a = a0;
   sim::Machine m(sim::test_rig(), sim::ExecutionMode::Numeric);
-  m.set_trace_enabled(true);
+  obs::SpanStore spans;
+  m.set_span_store(&spans);
   Injector inj({spec});
   obs::RingBufferSink sink;
   Rng xfer_rng(1);
@@ -380,7 +407,7 @@ TEST(TransferFault, MidH2dCaughtByNextPreReferenceVerification) {
   // ...and the merged Chrome trace renders it: instant events for the
   // injection and detection plus a flow arrow between them.
   std::ostringstream os;
-  sim::write_chrome_trace(m, events, os);
+  sim::write_chrome_trace(spans, events, os);
   const std::string trace = os.str();
   EXPECT_NE(trace.find("fault:transfer"), std::string::npos);
   EXPECT_NE(trace.find("\"detection\""), std::string::npos);

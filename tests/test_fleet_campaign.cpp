@@ -250,6 +250,24 @@ TEST(FleetCampaign, SloFeedIsDeterministicAcrossThreadCounts) {
   EXPECT_EQ(serial_slo.latency_p99(), parallel_slo.latency_p99());
 }
 
+TEST(FleetCampaign, ParseRejectsFieldsTheServiceWouldAbortOn) {
+  const std::string base = "fleet_scenario devices=2 jobs=1 ";
+  for (const std::string bad :
+       {"min_blocks=5 max_blocks=3", "min_blocks=0", "max_retries=-1",
+        "max_arrivals=-1", "losses=-1", "stalls=-1", "degrades=-1"}) {
+    FleetScenario sc;
+    std::string err;
+    EXPECT_FALSE(parse_fleet_scenario(base + bad + "\n", &sc, &err)) << bad;
+    EXPECT_NE(err.find("line 1"), std::string::npos) << bad << ": " << err;
+  }
+  FleetScenario sc;
+  std::string err;
+  EXPECT_TRUE(parse_fleet_scenario(
+      base + "min_blocks=4 max_blocks=4 max_retries=0 max_arrivals=0\n",
+      &sc, &err))
+      << err;
+}
+
 TEST(FleetCampaign, FailingScenarioDumpReplays) {
   // Any scenario the campaign would dump must replay through the same
   // entry point the CLI's --replay uses. Use a healthy scenario (the

@@ -271,15 +271,17 @@ TEST(Machine, UtilizationBetweenZeroAndOne) {
 
 TEST(Machine, TraceRecordsLanesAndTimes) {
   auto m = make_numeric();
-  m.set_trace_enabled(true);
+  obs::SpanStore spans;
+  m.set_span_store(&spans);
   m.launch(0, blas3(40e9), {});
   m.host_compute(KernelDesc{"h", KernelClass::HostPotf2, 10'000'000'000LL, 0},
                  {});
   m.sync_all();
-  ASSERT_EQ(m.trace().size(), 2u);
-  EXPECT_EQ(m.trace()[0].lane, 0);
-  EXPECT_EQ(m.trace()[1].lane, kHostLane);
-  EXPECT_DOUBLE_EQ(m.trace()[0].end, 1.0);
+  const std::vector<obs::Span> trace = spans.snapshot();
+  ASSERT_EQ(trace.size(), 2u);
+  EXPECT_EQ(trace[0].lane, 0);
+  EXPECT_EQ(trace[1].lane, kHostLane);
+  EXPECT_DOUBLE_EQ(trace[0].end, 1.0);
 }
 
 TEST(Machine, ConcurrentKernelLimitInflatesFootprint) {

@@ -235,7 +235,8 @@ TEST(ObservabilityEndToEnd, FaultyCholeskyTraceAndMetricsReconcile) {
   auto a0 = test::random_spd(n, 91);
   auto a = a0;
   sim::Machine m(profile, sim::ExecutionMode::Numeric);
-  m.set_trace_enabled(true);
+  SpanStore spans;
+  m.set_span_store(&spans);
 
   RingBufferSink sink;
   MetricsRegistry metrics;
@@ -304,7 +305,7 @@ TEST(ObservabilityEndToEnd, FaultyCholeskyTraceAndMetricsReconcile) {
   // (3) The exported Chrome trace carries the fault instant event and an
   // injection->detection flow pair sharing the injection id.
   std::ostringstream os;
-  sim::write_chrome_trace(m, sink.events(), os);
+  sim::write_chrome_trace(spans, sink.events(), os);
   const auto objs = trace_objects(os.str());
   ASSERT_GT(objs.size(), 10u);
 
@@ -452,7 +453,7 @@ TEST(ObservabilityEndToEnd, CleanRunHasNoDetectionAndNoFlows) {
   EXPECT_EQ(metrics.counters().at("abft.verify.gemm_blocks"),
             res.verified.gemm_blocks);
   std::ostringstream os;
-  sim::write_chrome_trace(m, sink.events(), os);
+  sim::write_chrome_trace(SpanStore{}, sink.events(), os);
   const std::string s = os.str();
   EXPECT_EQ(s.find("\"cat\":\"fault\","), std::string::npos);
   EXPECT_NE(s.find("\"cat\":\"verification\""), std::string::npos);

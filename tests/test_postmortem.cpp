@@ -218,6 +218,69 @@ TEST(CliPostmortem, SdcReplayDumpsBundleViaEnv) {
   EXPECT_NE(b.reason.find("sdc"), std::string::npos);
 }
 
+/// Writes `text` to a temporary file and returns its path.
+std::string write_plan(const std::string& name, const std::string& text) {
+  const std::string path = tmp_path(name);
+  std::ofstream out(path);
+  out << text;
+  return path;
+}
+
+/// Runs `cmd` with FTLA_POSTMORTEM=`bundle_name` armed and expects a
+/// usage error whose bundle names `reason`. Each test uses its own
+/// bundle name: ctest runs the cases as concurrent processes.
+void expect_usage_bundle(const std::string& cmd, const std::string& reason,
+                         const std::string& bundle_name) {
+  const std::string bundle = tmp_path(bundle_name);
+  std::remove(bundle.c_str());
+  EXPECT_EQ(run_cmd("FTLA_POSTMORTEM=" + bundle + " " + cmd +
+                    " >/dev/null 2>&1"),
+            common::kExitUsage)
+      << cmd;
+  FlightBundle b;
+  ASSERT_TRUE(read_flight_bundle_file(bundle, &b)) << cmd;
+  EXPECT_EQ(b.exit_code, common::kExitUsage) << cmd;
+  EXPECT_NE(b.reason.find(reason), std::string::npos) << b.reason;
+}
+
+TEST(CliPostmortem, CampaignReplayRejectsOutOfRangeScenario) {
+  for (const std::string field : {"k=0", "ckpt=0"}) {
+    const std::string plan = write_plan(
+        "range_plan.txt", "scenario algo=cholesky n=64 block=16 " + field +
+                              "\n");
+    expect_usage_bundle(std::string(FTLA_CAMPAIGN_BIN) + " --replay " + plan,
+                        "k and ckpt must be >= 1", "range_plan.json");
+  }
+}
+
+TEST(CliPostmortem, FleetReplayRejectsOutOfRangeScenario) {
+  for (const std::string fields : {"min_blocks=5 max_blocks=3",
+                                   "max_retries=-1"}) {
+    const std::string plan =
+        write_plan("range_fleet.txt",
+                   "fleet_scenario devices=2 jobs=1 " + fields + "\n");
+    expect_usage_bundle(std::string(FTLA_FLEET_BIN) + " --replay " + plan,
+                        "unparsable replay scenario: line 1",
+                        "range_fleet.json");
+  }
+}
+
+TEST(CliPostmortem, CkptIntervalBelowOneIsUsageError) {
+  expect_usage_bundle(std::string(FTLA_CLI_BIN) +
+                          " --machine test --n 64 --ckpt-interval 0",
+                      "--ckpt-interval must be positive", "range_ckpt.json");
+}
+
+TEST(CliPostmortem, NegativeBlockIsUsageError) {
+  // --block 0 keeps meaning the machine's MAGMA default.
+  expect_usage_bundle(std::string(FTLA_CLI_BIN) + " --machine test --n 64 " +
+                          "--block -4",
+                      "--block must be >= 0", "range_block.json");
+  EXPECT_EQ(run_cmd(std::string(FTLA_CLI_BIN) +
+                    " --machine test --n 64 --block 0 >/dev/null"),
+            common::kExitSuccess);
+}
+
 TEST(CliPostmortem, SuccessfulRunWritesBundleOnlyWhenAsked) {
   // --postmortem-out dumps on success too (exit_code 0); the env-var
   // path must NOT fire for a clean exit.

@@ -55,15 +55,14 @@ void expect_bit_identical(const Matrix<double>& a, const Matrix<double>& b) {
 // the device stream each kernel lands on (the executor picks it) and
 // every time. Host and copy lanes stay, since they name the resource.
 struct Issued {
-  std::vector<std::tuple<std::string, sim::KernelClass, std::int64_t, int,
-                         int>>
+  std::vector<std::tuple<std::string, std::string, std::int64_t, int, int>>
       ops;
   std::map<obs::EventKind, std::vector<std::string>> events;
 };
 
-Issued issued(const Machine& m, const obs::RingBufferSink& sink) {
+Issued issued(const obs::SpanStore& spans, const obs::RingBufferSink& sink) {
   Issued out;
-  for (const sim::TraceRecord& r : m.trace()) {
+  for (const obs::Span& r : spans.snapshot()) {
     out.ops.emplace_back(r.name, r.cls, r.flops, r.units,
                          r.lane < 0 ? r.lane : 0);
   }
@@ -114,7 +113,8 @@ TEST_P(CholeskyConformance, DagBitIdenticalToBulk) {
     const bool numeric = mode == ExecutionMode::Numeric;
     auto bulk = a0;
     Machine mb(small_rig(), mode);
-    mb.set_trace_enabled(true);
+    obs::SpanStore spb;
+    mb.set_span_store(&spb);
     obs::RingBufferSink sb;
     opt.event_sink = &sb;
     opt.runtime = RuntimeMode::Bulk;
@@ -123,14 +123,15 @@ TEST_P(CholeskyConformance, DagBitIdenticalToBulk) {
 
     auto dag = a0;
     Machine md(small_rig(), mode);
-    md.set_trace_enabled(true);
+    obs::SpanStore spd;
+    md.set_span_store(&spd);
     obs::RingBufferSink sd;
     opt.event_sink = &sd;
     opt.runtime = RuntimeMode::Dag;
     const CholeskyResult rd = cholesky(md, numeric ? &dag : nullptr, n, opt);
     ASSERT_TRUE(rd.success) << rd.note;
 
-    expect_same_work(issued(mb, sb), issued(md, sd));
+    expect_same_work(issued(spb, sb), issued(spd, sd));
     expect_bit_identical(bulk, dag);
     EXPECT_EQ(rd.errors_detected, 0);
     EXPECT_EQ(rd.checksum_repairs, 0);
@@ -348,7 +349,8 @@ TEST(LuConformance, DagBitIdenticalToBulk) {
 
     auto bulk = a0;
     Machine mb(small_rig(), mode);
-    mb.set_trace_enabled(true);
+    obs::SpanStore spb;
+    mb.set_span_store(&spb);
     obs::RingBufferSink sb;
     opt.event_sink = &sb;
     opt.runtime = RuntimeMode::Bulk;
@@ -357,14 +359,15 @@ TEST(LuConformance, DagBitIdenticalToBulk) {
 
     auto dag = a0;
     Machine md(small_rig(), mode);
-    md.set_trace_enabled(true);
+    obs::SpanStore spd;
+    md.set_span_store(&spd);
     obs::RingBufferSink sd;
     opt.event_sink = &sd;
     opt.runtime = RuntimeMode::Dag;
     const CholeskyResult rd = lu(md, numeric ? &dag : nullptr, n, opt);
     ASSERT_TRUE(rd.success) << rd.note;
 
-    expect_same_work(issued(mb, sb), issued(md, sd));
+    expect_same_work(issued(spb, sb), issued(spd, sd));
     expect_bit_identical(bulk, dag);
     EXPECT_EQ(rb.verified.total(), rd.verified.total());
   }
@@ -397,7 +400,8 @@ TEST(QrConformance, DagBitIdenticalToBulk) {
     auto bulk = a0;
     std::vector<double> tau_bulk;
     Machine mb(small_rig(), mode);
-    mb.set_trace_enabled(true);
+    obs::SpanStore spb;
+    mb.set_span_store(&spb);
     obs::RingBufferSink sb;
     opt.event_sink = &sb;
     opt.runtime = RuntimeMode::Bulk;
@@ -408,7 +412,8 @@ TEST(QrConformance, DagBitIdenticalToBulk) {
     auto dag = a0;
     std::vector<double> tau_dag;
     Machine md(small_rig(), mode);
-    md.set_trace_enabled(true);
+    obs::SpanStore spd;
+    md.set_span_store(&spd);
     obs::RingBufferSink sd;
     opt.event_sink = &sd;
     opt.runtime = RuntimeMode::Dag;
@@ -416,7 +421,7 @@ TEST(QrConformance, DagBitIdenticalToBulk) {
         qr(md, numeric ? &dag : nullptr, &tau_dag, n, opt);
     ASSERT_TRUE(rd.success) << rd.note;
 
-    expect_same_work(issued(mb, sb), issued(md, sd));
+    expect_same_work(issued(spb, sb), issued(spd, sd));
     expect_bit_identical(bulk, dag);
     ASSERT_EQ(tau_bulk.size(), tau_dag.size());
     for (std::size_t i = 0; i < tau_bulk.size(); ++i) {

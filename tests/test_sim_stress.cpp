@@ -29,7 +29,8 @@ TEST_P(SimStress, RandomProgramsRespectGlobalInvariants) {
   p.coexec_spare_units = rng.uniform_int(0, 2);
   p.max_concurrent_kernels = rng.uniform_int(2, 8);
   Machine m(p, ExecutionMode::TimingOnly);
-  m.set_trace_enabled(true);
+  obs::SpanStore spans;
+  m.set_span_store(&spans);
 
   std::vector<StreamId> streams{m.default_stream()};
   for (int i = 0; i < rng.uniform_int(1, 5); ++i)
@@ -87,7 +88,7 @@ TEST_P(SimStress, RandomProgramsRespectGlobalInvariants) {
   // Trace invariants: every op within [0, makespan], non-negative
   // durations, per-lane FIFO (stream ops never overlap within a lane),
   // and SM-pool capacity never exceeded at any event boundary.
-  const auto& trace = m.trace();
+  const std::vector<obs::Span> trace = spans.snapshot();
   std::vector<Issued> gpu_ops;
   std::map<int, double> lane_last_end;
   for (const auto& r : trace) {
@@ -144,14 +145,15 @@ TEST(SimStress, DeterministicAcrossRuns) {
 
 TEST(SimStress, MakespanAtLeastBusiestLane) {
   Machine m(test_rig(), ExecutionMode::TimingOnly);
-  m.set_trace_enabled(true);
+  obs::SpanStore spans;
+  m.set_span_store(&spans);
   auto s1 = m.create_stream();
   for (int i = 0; i < 10; ++i) {
     m.launch(s1, KernelDesc{"k", KernelClass::Blas3, 4'000'000'000LL, 0}, {});
   }
   m.sync_all();
   double busy = 0.0;
-  for (const auto& r : m.trace()) busy += r.end - r.start;
+  for (const auto& r : spans.snapshot()) busy += r.end - r.start;
   EXPECT_GE(m.makespan() + 1e-12, busy) << "one FIFO lane: span == sum";
   EXPECT_NEAR(m.makespan(), busy, 1e-9);
 }

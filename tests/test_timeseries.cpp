@@ -4,8 +4,10 @@
 // simulated run (machine occupancy + telemetry counters).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "abft/cholesky.hpp"
@@ -16,6 +18,7 @@
 #include "sim/machine.hpp"
 #include "sim/profile.hpp"
 #include "sim/profiler.hpp"
+#include "sim/trace_export.hpp"
 
 namespace ftla::obs {
 namespace {
@@ -155,7 +158,8 @@ TEST(TimeSeriesJson, RejectsWrongSchemaVersion) {
 std::string run_and_export(int threads) {
   common::set_global_threads(threads);
   sim::Machine machine(sim::test_rig(), sim::ExecutionMode::Numeric);
-  machine.set_trace_enabled(true);
+  SpanStore spans;
+  machine.set_span_store(&spans);
   TimeSeriesStore store;
 
   Matrix<double> a(64, 64);
@@ -168,7 +172,7 @@ std::string run_and_export(int threads) {
   const auto res = abft::cholesky(machine, &a, 64, opt, &injector);
   EXPECT_TRUE(res.success);
 
-  sim::append_machine_timeseries(machine, &store);
+  sim::append_machine_timeseries(spans, machine.makespan(), &store);
   TimeSeriesReport rep =
       build_timeseries_report(store, machine.makespan() / 10.0);
   std::ostringstream os;
@@ -191,6 +195,72 @@ TEST(TimeSeriesEndToEnd, MachineAndTelemetryFeedIsByteStable) {
   EXPECT_GT(rep.series.at("timeseries.sim.sm_units_in_use").samples, 0);
   EXPECT_GT(rep.series.at("timeseries.abft.verified_blocks").samples, 0);
   EXPECT_GT(rep.series.at("timeseries.abft.errors_detected").samples, 0);
+}
+
+TEST(TimeSeriesEndToEnd, ChromeCounterTracksMatchMachineSeries) {
+  // The Chrome counter tracks and the timeseries.sim.* series read one
+  // derivation: every counter event of a traced tardis DAG run equals
+  // the matching sample, and each series adds only its closing sample
+  // at the makespan.
+  sim::Machine machine(sim::tardis(), sim::ExecutionMode::TimingOnly);
+  SpanStore spans;
+  machine.set_span_store(&spans);
+  abft::CholeskyOptions opt;
+  opt.runtime = abft::RuntimeMode::Dag;
+  opt.placement = abft::UpdatePlacement::Gpu;
+  const auto res = abft::cholesky(machine, nullptr, 2048, opt);
+  ASSERT_TRUE(res.success) << res.note;
+  ASSERT_EQ(res.runtime, abft::RuntimeMode::Dag);
+
+  std::ostringstream chrome;
+  sim::write_chrome_trace(spans, {}, chrome);
+  TimeSeriesStore store;
+  sim::append_machine_timeseries(spans, machine.makespan(), &store);
+  const auto series = store.snapshot();
+
+  // Counter events read {"name":N,"ph":"C","pid":1,"ts":T,"args":{K:L}}.
+  std::map<std::string, std::vector<std::pair<std::string, long long>>>
+      tracks;
+  const std::string text = chrome.str();
+  const std::string marker = "\",\"ph\":\"C\",\"pid\":1,\"ts\":";
+  for (auto p = text.find(marker); p != std::string::npos;
+       p = text.find(marker, p + 1)) {
+    const auto name = text.rfind("{\"name\":\"", p) + 9;
+    const auto ts = p + marker.size();
+    const auto ts_end = text.find(',', ts);
+    const auto close = text.find("}}", ts_end);
+    const auto colon = text.rfind(':', close);
+    tracks[text.substr(name, p - name)].emplace_back(
+        text.substr(ts, ts_end - ts),
+        std::stoll(text.substr(colon + 1, close - colon - 1)));
+  }
+  const std::pair<const char*, const char*> pairs[] = {
+      {"sm_units_in_use", "timeseries.sim.sm_units_in_use"},
+      {"h2d_engine_busy", "timeseries.sim.h2d_copies_in_flight"},
+      {"d2h_engine_busy", "timeseries.sim.d2h_copies_in_flight"},
+      {"outstanding_verifications",
+       "timeseries.sim.outstanding_verifications"}};
+  ASSERT_EQ(tracks.size(), 4u);
+  for (const auto& [track_name, series_name] : pairs) {
+    SCOPED_TRACE(track_name);
+    const auto& track = tracks.at(track_name);
+    const auto& samples = series.at(series_name);
+    ASSERT_FALSE(track.empty());
+    ASSERT_GE(samples.size(), track.size());
+    ASSERT_LE(samples.size(), track.size() + 1);
+    for (std::size_t i = 0; i < track.size(); ++i) {
+      std::ostringstream ts;
+      ts << samples[i].time * 1e6;
+      EXPECT_EQ(ts.str(), track[i].first) << "event " << i;
+      EXPECT_EQ(static_cast<long long>(samples[i].value), track[i].second)
+          << "event " << i;
+    }
+    if (samples.size() > track.size()) {
+      EXPECT_EQ(samples.back().time, machine.makespan());
+      EXPECT_EQ(static_cast<long long>(samples.back().value),
+                track.back().second);
+    }
+  }
 }
 
 }  // namespace

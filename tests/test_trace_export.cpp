@@ -13,9 +13,11 @@
 namespace ftla::sim {
 namespace {
 
-Machine traced_machine() {
+// A short run recorded into `spans`: one copy each way, a kernel and a
+// host task.
+Machine traced_machine(obs::SpanStore& spans) {
   Machine m(test_rig(), ExecutionMode::Numeric);
-  m.set_trace_enabled(true);
+  m.set_span_store(&spans);
   auto buf = m.alloc(64);
   std::vector<double> host(64, 1.0);
   m.memcpy_h2d(buf, 0, host.data(), 64, 0);
@@ -30,9 +32,10 @@ Machine traced_machine() {
 }
 
 TEST(ChromeTrace, EmitsValidEventSkeleton) {
-  auto m = traced_machine();
+  obs::SpanStore spans;
+  traced_machine(spans);
   std::ostringstream os;
-  write_chrome_trace(m, os);
+  write_chrome_trace(spans, {}, os);
   const std::string s = os.str();
   EXPECT_EQ(s.front(), '{');
   EXPECT_EQ(s.back(), '}');
@@ -47,9 +50,10 @@ TEST(ChromeTrace, EmitsValidEventSkeleton) {
 }
 
 TEST(ChromeTrace, BalancedBracesAndQuotes) {
-  auto m = traced_machine();
+  obs::SpanStore spans;
+  traced_machine(spans);
   std::ostringstream os;
-  write_chrome_trace(m, os);
+  write_chrome_trace(spans, {}, os);
   const std::string s = os.str();
   int depth = 0;
   int quotes = 0;
@@ -64,9 +68,10 @@ TEST(ChromeTrace, BalancedBracesAndQuotes) {
 }
 
 TEST(ChromeTrace, FileRoundTrip) {
-  auto m = traced_machine();
+  obs::SpanStore spans;
+  traced_machine(spans);
   const std::string path = ::testing::TempDir() + "/ftla_trace.json";
-  ASSERT_TRUE(write_chrome_trace_file(m, path));
+  ASSERT_TRUE(write_chrome_trace_file(spans, {}, path));
   std::ifstream f(path);
   ASSERT_TRUE(f.good());
   std::string content((std::istreambuf_iterator<char>(f)),
@@ -75,14 +80,17 @@ TEST(ChromeTrace, FileRoundTrip) {
 }
 
 TEST(ChromeTrace, WriteToBadPathFails) {
-  auto m = traced_machine();
-  EXPECT_FALSE(write_chrome_trace_file(m, "/nonexistent-dir/x/y.json"));
+  obs::SpanStore spans;
+  traced_machine(spans);
+  EXPECT_FALSE(
+      write_chrome_trace_file(spans, {}, "/nonexistent-dir/x/y.json"));
 }
 
 TEST(TraceSummary, ReportsEveryLane) {
-  auto m = traced_machine();
+  obs::SpanStore spans;
+  const Machine m = traced_machine(spans);
   std::ostringstream os;
-  print_trace_summary(m, os, 40);
+  print_trace_summary(spans, m.makespan(), os, 40);
   const std::string s = os.str();
   EXPECT_NE(s.find("host CPU"), std::string::npos);
   EXPECT_NE(s.find("stream 0"), std::string::npos);
@@ -98,59 +106,73 @@ TEST(TraceSummary, ReportsEveryLane) {
 
 TEST(TraceSummary, EmptyTraceIsSafe) {
   Machine m(test_rig(), ExecutionMode::Numeric);
-  m.set_trace_enabled(true);
+  obs::SpanStore spans;
+  m.set_span_store(&spans);
   std::ostringstream os;
-  print_trace_summary(m, os);
+  print_trace_summary(spans, m.makespan(), os);
   EXPECT_NE(os.str().find("0 ops"), std::string::npos);
 }
 
 TEST(Trace, DisabledByDefault) {
+  // With no store attached the machine records nothing: a store attached
+  // afterwards sees only the ops issued after it.
   Machine m(test_rig(), ExecutionMode::Numeric);
   m.launch(0, KernelDesc{"k", KernelClass::Blas3, 1000, 0}, {});
-  EXPECT_TRUE(m.trace().empty());
+  EXPECT_EQ(m.span_store(), nullptr);
+  obs::SpanStore spans;
+  m.set_span_store(&spans);
+  EXPECT_EQ(spans.size(), 0u);
+  m.launch(0, KernelDesc{"k2", KernelClass::Blas3, 1000, 0}, {});
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans.snapshot()[0].name, "k2");
 }
 
 TEST(TraceCap, DropsBeyondLimitAndCounts) {
   Machine m(test_rig(), ExecutionMode::Numeric);
-  m.set_trace_enabled(true);
-  m.set_trace_limit(4);
+  obs::SpanStore spans(/*limit=*/4);
+  m.set_span_store(&spans);
   for (int i = 0; i < 10; ++i) {
     m.launch(0, KernelDesc{"k" + std::to_string(i), KernelClass::Blas3,
                            1000, 0},
              {});
   }
   m.sync_all();
-  EXPECT_EQ(m.trace().size(), 4u);
-  EXPECT_EQ(m.trace_dropped(), 6u);
+  EXPECT_EQ(spans.limit(), 4u);
+  EXPECT_EQ(spans.size(), 4u);
+  EXPECT_EQ(spans.dropped(), 6u);
   // The earliest records are the ones retained.
-  EXPECT_EQ(m.trace()[0].name, "k0");
-  EXPECT_EQ(m.trace()[3].name, "k3");
+  const std::vector<obs::Span> kept = spans.snapshot();
+  EXPECT_EQ(kept[0].name, "k0");
+  EXPECT_EQ(kept[3].name, "k3");
 }
 
 TEST(TraceCap, SummaryReportsDroppedRecords) {
   Machine m(test_rig(), ExecutionMode::Numeric);
-  m.set_trace_enabled(true);
-  m.set_trace_limit(2);
+  obs::SpanStore spans(/*limit=*/2);
+  m.set_span_store(&spans);
   for (int i = 0; i < 5; ++i) {
     m.launch(0, KernelDesc{"k", KernelClass::Blas3, 1000, 0}, {});
   }
   m.sync_all();
   std::ostringstream os;
-  print_trace_summary(m, os);
+  print_trace_summary(spans, m.makespan(), os);
   const std::string s = os.str();
-  EXPECT_NE(s.find("3 records dropped at the trace cap of 2"),
-            std::string::npos);
+  EXPECT_NE(s.find("2 ops (3 records dropped at the trace cap of 2)"),
+            std::string::npos)
+      << s;
 }
 
 TEST(TraceCap, NoDropMessageUnderLimit) {
-  auto m = traced_machine();
+  obs::SpanStore spans;
+  const Machine m = traced_machine(spans);
   std::ostringstream os;
-  print_trace_summary(m, os);
+  print_trace_summary(spans, m.makespan(), os);
   EXPECT_EQ(os.str().find("dropped"), std::string::npos);
 }
 
 TEST(ChromeTrace, MergesObsInstantEvents) {
-  auto m = traced_machine();
+  obs::SpanStore spans;
+  traced_machine(spans);
   std::vector<obs::Event> events;
   obs::Event v;
   v.kind = obs::EventKind::Verification;
@@ -161,7 +183,7 @@ TEST(ChromeTrace, MergesObsInstantEvents) {
   v.pass = false;
   events.push_back(v);
   std::ostringstream os;
-  write_chrome_trace(m, events, os);
+  write_chrome_trace(spans, events, os);
   const std::string s = os.str();
   EXPECT_NE(s.find("\"cat\":\"verification\""), std::string::npos);
   EXPECT_NE(s.find("\"ph\":\"i\""), std::string::npos);
@@ -172,9 +194,10 @@ TEST(ChromeTrace, MergesObsInstantEvents) {
 }
 
 TEST(ChromeTrace, ObsKernelEventsAreNotDuplicated) {
-  // Kernel/Copy obs events mirror the machine's own trace records; the
-  // merger must render spans from the trace only.
-  auto m = traced_machine();
+  // Kernel/Copy obs events mirror the machine's spans; the merger must
+  // render them from the span store only.
+  obs::SpanStore spans;
+  traced_machine(spans);
   std::vector<obs::Event> events;
   obs::Event k;
   k.kind = obs::EventKind::Kernel;
@@ -183,7 +206,7 @@ TEST(ChromeTrace, ObsKernelEventsAreNotDuplicated) {
   k.end = 1e-3;
   events.push_back(k);
   std::ostringstream os;
-  write_chrome_trace(m, events, os);
+  write_chrome_trace(spans, events, os);
   const std::string s = os.str();
   std::size_t hits = 0;
   for (auto p = s.find("\"name\":\"work\""); p != std::string::npos;
@@ -194,7 +217,8 @@ TEST(ChromeTrace, ObsKernelEventsAreNotDuplicated) {
 }
 
 TEST(ChromeTrace, FlowNeedsInjectionAndDetection) {
-  auto m = traced_machine();
+  obs::SpanStore spans;
+  traced_machine(spans);
   std::vector<obs::Event> events;
   obs::Event inj;
   inj.kind = obs::EventKind::FaultInjected;
@@ -205,7 +229,7 @@ TEST(ChromeTrace, FlowNeedsInjectionAndDetection) {
   // Injection alone: no flow arrows.
   {
     std::ostringstream os;
-    write_chrome_trace(m, events, os);
+    write_chrome_trace(spans, events, os);
     EXPECT_EQ(os.str().find("\"ph\":\"s\""), std::string::npos);
   }
   obs::Event det;
@@ -216,7 +240,7 @@ TEST(ChromeTrace, FlowNeedsInjectionAndDetection) {
   events.push_back(det);
   {
     std::ostringstream os;
-    write_chrome_trace(m, events, os);
+    write_chrome_trace(spans, events, os);
     const std::string s = os.str();
     EXPECT_NE(s.find("\"ph\":\"s\""), std::string::npos);
     EXPECT_NE(s.find("\"ph\":\"f\""), std::string::npos);

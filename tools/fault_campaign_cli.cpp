@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
     if (!fault::parse_scenario(text.str(), &sc, &err)) {
       std::fprintf(stderr, "%s: %s\n", replay_path.c_str(), err.c_str());
       return g_recorder.finish(fault::kExitUsage,
-                               "unparsable replay scenario");
+                               "unparsable replay scenario: " + err);
     }
     const fault::ScenarioResult res = fault::run_scenario(sc);
     std::printf("verdict   : %s\n", fault::to_string(res.verdict));
@@ -238,7 +238,8 @@ int main(int argc, char** argv) {
     report.add_meta("scenarios", std::to_string(opt.scenarios));
     report.add_meta("seed", std::to_string(opt.seed));
     report.add_meta("threads", std::to_string(opt.threads));
-    report.add_meta("guarded_variant", abft::to_string(opt.guarded));
+    report.add_meta("guarded_variant",
+                    abft::to_string(fault::kGuardedVariant));
     report.metrics = metrics;
     if (!obs::write_metrics_json_file(report, report_path)) {
       std::fprintf(stderr, "failed to write %s\n", report_path.c_str());
@@ -253,7 +254,8 @@ int main(int argc, char** argv) {
     analytics.meta["scenarios"] = std::to_string(opt.scenarios);
     analytics.meta["seed"] = std::to_string(opt.seed);
     analytics.meta["threads"] = std::to_string(opt.threads);
-    analytics.meta["guarded_variant"] = abft::to_string(opt.guarded);
+    analytics.meta["guarded_variant"] =
+        abft::to_string(fault::kGuardedVariant);
     if (!fault::write_analytics_json_file(analytics, analytics_path)) {
       std::fprintf(stderr, "failed to write %s\n", analytics_path.c_str());
       return g_recorder.finish(fault::kExitIoError,

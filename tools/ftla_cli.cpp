@@ -190,8 +190,10 @@ Args parse(int argc, char** argv) {
     else usage(("unknown option " + opt).c_str());
   }
   if (a.n <= 0) usage("--n must be positive");
+  if (a.block < 0) usage("--block must be >= 0 (0 = MAGMA's)");
   if (a.threads < 0) usage("--threads must be >= 0");
   if (a.k <= 0) usage("--k must be positive");
+  if (a.ckpt_interval < 1) usage("--ckpt-interval must be positive");
   return a;
 }
 
@@ -231,7 +233,6 @@ int main(int argc, char** argv) {
   const bool want_timeseries = !args.timeseries_path.empty();
   const bool want_trace =
       !args.trace_path.empty() || args.summary || want_timeseries;
-  machine.set_trace_enabled(want_trace);
 
   // Telemetry capture: one event sink + metrics registry shared by the
   // simulator, the fault injector and the ABFT driver.
@@ -245,19 +246,19 @@ int main(int argc, char** argv) {
     g_recorder.attach_metrics(&metrics);
   }
 
-  // Profiler capture: the span store collects every simulated activity
-  // from the machine while the driver tags ABFT phases and iterations
-  // on the same store (the wiring convention of docs/observability.md).
+  // Span capture: one store collects every simulated activity from the
+  // machine, and the Chrome trace, the summary, the occupancy series and
+  // the profile all read it. Under --profile-out the driver also tags
+  // ABFT phases and iterations on it (the wiring convention of
+  // docs/observability.md).
   const bool want_profile = !args.profile_path.empty();
   obs::SpanStore spans;
-  if (want_profile) {
-    machine.set_span_store(&spans);
-    g_recorder.attach_spans(&spans);
-  }
+  if (want_trace || want_profile) machine.set_span_store(&spans);
+  if (want_profile) g_recorder.attach_spans(&spans);
 
   // Time-series capture: verification progress from the telemetry layer
   // lands here during the run; resource occupancy is derived from the
-  // trace afterwards.
+  // spans afterwards.
   obs::TimeSeriesStore timeseries;
 
   Matrix<double> a;
@@ -431,10 +432,11 @@ int main(int argc, char** argv) {
     // NaN-safe: a NaN residual must classify as corrupt.
     if (!(resid < fault::kSdcResidualThreshold)) exit_code = fault::kExitSdc;
   }
-  if (args.summary) sim::print_trace_summary(machine, std::cout);
+  if (args.summary) {
+    sim::print_trace_summary(spans, machine.makespan(), std::cout);
+  }
   if (!args.trace_path.empty()) {
-    if (sim::write_chrome_trace_file(machine, sink.events(),
-                                     args.trace_path)) {
+    if (sim::write_chrome_trace_file(spans, sink.events(), args.trace_path)) {
       std::printf("chrome trace      : %s (open in chrome://tracing or "
                   "ui.perfetto.dev)\n",
                   args.trace_path.c_str());
@@ -444,7 +446,7 @@ int main(int argc, char** argv) {
     }
   }
   if (want_timeseries) {
-    sim::append_machine_timeseries(machine, &timeseries);
+    sim::append_machine_timeseries(spans, machine.makespan(), &timeseries);
     const double window = args.timeseries_window > 0.0
                               ? args.timeseries_window
                               : machine.makespan() / 20.0;
@@ -508,10 +510,8 @@ int main(int argc, char** argv) {
       m.counter("faults.pending") = injector.pending_count();
     }
     m.set_gauge("sim.makespan_s", machine.makespan());
-    m.counter("sim.trace_records") =
-        static_cast<long long>(machine.trace().size());
-    m.counter("sim.trace_dropped") =
-        static_cast<long long>(machine.trace_dropped());
+    m.counter("sim.trace_records") = static_cast<long long>(spans.size());
+    m.counter("sim.trace_dropped") = static_cast<long long>(spans.dropped());
     m.counter("obs.events_posted") = sink.posted();
     m.counter("obs.events_dropped") = static_cast<long long>(sink.dropped());
     if (want_profile) {

@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
     if (!service::parse_fleet_scenario(text.str(), &sc, &err)) {
       std::fprintf(stderr, "%s: %s\n", replay_path.c_str(), err.c_str());
       return g_recorder.finish(common::kExitUsage,
-                               "unparsable replay scenario");
+                               "unparsable replay scenario: " + err);
     }
     const service::FleetScenarioResult res = service::run_fleet_scenario(sc);
     print_result(res);
