@@ -208,11 +208,14 @@ void Run::allocate() {
         h_panel_[0] = Matrix<double>(b_, n_);
         h_panel_[1] = Matrix<double>(b_, n_);
       }
+      h_diag_chk_ = Matrix<double>(kChecksumRows, b_);
     }
-    h_diag_chk_ = Matrix<double>(kChecksumRows, b_);
   }
-  h_diag_ = Matrix<double>(b_, b_);
-  if (m_.numeric()) pristine_ = *a_;
+  // Host staging holds payloads only; TimingOnly copies pass nullptr.
+  if (m_.numeric()) {
+    h_diag_ = Matrix<double>(b_, b_);
+    pristine_ = *a_;
+  }
 
   checkpointing_ = copt_.recovery == Recovery::Checkpoint &&
                    opt_.variant != Variant::Offline;

@@ -42,7 +42,8 @@ CholeskyResult cula_like_cholesky(sim::Machine& m, Matrix<double>* a, int n,
   const auto s = m.default_stream();
 
   auto d_a = m.alloc(static_cast<std::int64_t>(n) * n);
-  Matrix<double> h_diag(b, b);
+  Matrix<double> h_diag;  // host staging: payloads only in Numeric mode
+  if (m.numeric()) h_diag = Matrix<double>(b, b);
   m.memcpy_h2d(d_a, 0, m.numeric() ? a->data() : nullptr,
                static_cast<std::int64_t>(n) * n, s, /*blocking=*/true);
   m.sync_all();

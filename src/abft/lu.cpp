@@ -57,10 +57,13 @@ void LuRun::allocate() {
         2LL * (static_cast<std::int64_t>(nb_) * nb_ + 2 * nb_) *
         std::max(b_, kChecksumRows);
     d_scratch_ = m_.alloc(scratch_capacity_);
-    h_panel_chk_ = Matrix<double>(2 * nb_, b_);
   }
-  h_panel_ = Matrix<double>(n_, b_);
-  if (m_.numeric()) pristine_ = *a_;
+  // Host staging holds payloads only; TimingOnly copies pass nullptr.
+  if (m_.numeric()) {
+    if (ft_) h_panel_chk_ = Matrix<double>(2 * nb_, b_);
+    h_panel_ = Matrix<double>(n_, b_);
+    pristine_ = *a_;
+  }
   create_streams(/*xfer=*/false);
 }
 
@@ -221,7 +224,7 @@ void LuRun::iteration(int j) {
           m_.memcpy_h2d_2d(
               d_cchk_, static_cast<std::int64_t>(off(j)) * (2 * nb_) + 2 * j,
               2 * nb_, m_.numeric() ? &h_panel_chk_(2 * j, 0) : nullptr,
-              h_panel_chk_.ld(), 2 * (nb_ - j), jb, c.stream);
+              2 * nb_, 2 * (nb_ - j), jb, c.stream);
         },
         update, s_compute_);
   }

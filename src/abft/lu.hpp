@@ -41,7 +41,7 @@
 namespace ftla::abft {
 
 /// The shared driver options; `variant` is NoFt or EnhancedOnline.
-struct LuOptions : DriverOptions {};
+using LuOptions = DriverOptions;
 
 /// Factorizes `*a` in place into packed L\U (unit-lower L below the
 /// diagonal, U on and above). Same Numeric/TimingOnly contract as

@@ -1,7 +1,5 @@
 #include "abft/modular_redundancy.hpp"
 
-#include <cmath>
-#include <functional>
 #include <string>
 
 #include "abft/cholesky.hpp"
@@ -12,99 +10,36 @@ namespace ftla::abft {
 
 namespace {
 
+/// Elementwise agreement tolerance of the compare/vote sweep.
+constexpr double kCompareRtol = 1e-12;
+/// Full restarts allowed when a replica fail-stops or the vote fails.
+constexpr int kMaxReruns = 2;
+
 // Runs one NoFT replica. Faults (transient by definition) fire only on
 // the attempt whose injector is non-null.
 CholeskyResult run_replica(sim::Machine& m, Matrix<double>* a, int n,
-                           const RedundancyOptions& opt,
-                           fault::Injector* injector) {
+                           int block_size, fault::Injector* injector) {
   CholeskyOptions copt;
   copt.variant = Variant::NoFt;
-  copt.block_size = opt.block_size;
+  copt.block_size = block_size;
   return cholesky(m, a, n, copt, injector);
 }
 
-// Virtual cost of an elementwise sweep over `replicas` lower triangles,
-// executed on the host (where the voted result is assembled).
-void charge_sweep(sim::Machine& m, int n, int replicas,
-                  const std::function<void()>& body) {
-  sim::KernelDesc d{"mr_sweep", sim::KernelClass::HostChecksum,
-                    static_cast<std::int64_t>(replicas) * n * (n + 1) / 2,
-                    0};
-  m.host_compute(d, body);
+bool agree(double x, double y) {
+  return approx_equal(x, y, kCompareRtol, kCompareRtol);
 }
 
-bool agree(double x, double y, double rtol) {
-  return approx_equal(x, y, rtol, rtol);
-}
-
-}  // namespace
-
-CholeskyResult dmr_cholesky(sim::Machine& m, Matrix<double>* a, int n,
-                            const RedundancyOptions& opt,
-                            fault::Injector* injector) {
-  FTLA_CHECK(n > 0);
-  if (m.numeric()) FTLA_CHECK(a != nullptr && a->rows() == n);
-
-  const double t0 = m.host_now();
-  CholeskyResult out;
-  Matrix<double> pristine;
-  if (m.numeric()) pristine = *a;
-
-  for (int attempt = 0;; ++attempt) {
-    Matrix<double> r1, r2;
-    if (m.numeric()) {
-      r1 = pristine;
-      r2 = pristine;
-    }
-    auto res1 = run_replica(m, m.numeric() ? &r1 : nullptr, n, opt,
-                            attempt == 0 ? injector : nullptr);
-    auto res2 = run_replica(m, m.numeric() ? &r2 : nullptr, n, opt, nullptr);
-    if (!res1.success || !res2.success) {
-      out.fail_stop_observed = true;
-      ++out.errors_detected;  // a replica crash is itself a detection
-      if (attempt >= opt.max_reruns) {
-        out.note = "replica fail-stop: " +
-                   (res1.success ? res2.note : res1.note);
-        break;
-      }
-      ++out.reruns;
-      continue;
-    }
-    bool mismatch = false;
-    charge_sweep(m, n, 2, [&] {
-      for (int j = 0; j < n && !mismatch; ++j) {
-        for (int i = j; i < n; ++i) {
-          if (!agree(r1(i, j), r2(i, j), opt.compare_rtol)) {
-            mismatch = true;
-            break;
-          }
-        }
-      }
-    });
-    if (mismatch) {
-      ++out.errors_detected;
-      if (attempt >= opt.max_reruns) {
-        out.note = "DMR mismatch persisted through max_reruns";
-        break;
-      }
-      ++out.reruns;  // DMR cannot tell which replica is right: redo both
-      continue;
-    }
-    if (m.numeric()) *a = r1;
-    out.success = true;
-    break;
-  }
-
-  m.sync_all();
-  out.seconds = m.host_now() - t0;
-  const double flops = static_cast<double>(n) * n * n / 3.0;
-  out.gflops = out.seconds > 0.0 ? flops / out.seconds / 1e9 : 0.0;
-  return out;
-}
-
-CholeskyResult tmr_cholesky(sim::Machine& m, Matrix<double>* a, int n,
-                            const RedundancyOptions& opt,
-                            fault::Injector* injector) {
+// Temporal redundancy over `replicas` (2 or 3) NoFT factorizations.
+// Each attempt runs the replicas in turn, the injector striking only
+// the first replica of the first attempt, and stops at the first
+// fail-stop. Otherwise one host sweep over the lower triangles votes
+// every element into replica 0: with two replicas any disagreement has
+// no majority, so the attempt reruns (DMR detects but cannot tell
+// which replica is right); with three, the majority value wins and
+// only a three-way split reruns.
+CholeskyResult redundant_cholesky(sim::Machine& m, Matrix<double>* a, int n,
+                                  int block_size, int replicas,
+                                  fault::Injector* injector) {
   FTLA_CHECK(n > 0);
   if (m.numeric()) FTLA_CHECK(a != nullptr && a->rows() == n);
 
@@ -117,10 +52,10 @@ CholeskyResult tmr_cholesky(sim::Machine& m, Matrix<double>* a, int n,
     Matrix<double> r[3];
     bool ok = true;
     std::string note;
-    for (int k = 0; k < 3 && ok; ++k) {
+    for (int k = 0; k < replicas && ok; ++k) {
       if (m.numeric()) r[k] = pristine;
       auto res =
-          run_replica(m, m.numeric() ? &r[k] : nullptr, n, opt,
+          run_replica(m, m.numeric() ? &r[k] : nullptr, n, block_size,
                       attempt == 0 && k == 0 ? injector : nullptr);
       if (!res.success) {
         ok = false;
@@ -130,7 +65,7 @@ CholeskyResult tmr_cholesky(sim::Machine& m, Matrix<double>* a, int n,
     if (!ok) {
       out.fail_stop_observed = true;
       ++out.errors_detected;  // a replica crash is itself a detection
-      if (attempt >= opt.max_reruns) {
+      if (attempt >= kMaxReruns) {
         out.note = "replica fail-stop: " + note;
         break;
       }
@@ -140,18 +75,27 @@ CholeskyResult tmr_cholesky(sim::Machine& m, Matrix<double>* a, int n,
 
     bool unrecoverable = false;
     int votes_corrected = 0;
-    charge_sweep(m, n, 3, [&] {
-      if (!m.numeric()) return;
+    // Virtual cost: one elementwise sweep over every replica's lower
+    // triangle, on the host, where the voted result is assembled.
+    sim::KernelDesc d{"mr_sweep", sim::KernelClass::HostChecksum,
+                      static_cast<std::int64_t>(replicas) * n * (n + 1) / 2,
+                      0};
+    m.host_compute(d, [&] {
       for (int j = 0; j < n; ++j) {
         for (int i = j; i < n; ++i) {
-          const double x = r[0](i, j), y = r[1](i, j), z = r[2](i, j);
-          const bool xy = agree(x, y, opt.compare_rtol);
-          const bool xz = agree(x, z, opt.compare_rtol);
-          const bool yz = agree(y, z, opt.compare_rtol);
+          const double x = r[0](i, j), y = r[1](i, j);
+          const bool xy = agree(x, y);
+          if (replicas == 2) {
+            if (xy) continue;
+            unrecoverable = true;
+            return;
+          }
+          const double z = r[2](i, j);
+          const bool xz = agree(x, z);
           if (xy && xz) continue;       // unanimous
           if (xy || xz) {               // r[0] in the majority
             ++votes_corrected;
-          } else if (yz) {              // r[0] is the outlier
+          } else if (agree(y, z)) {     // r[0] is the outlier
             r[0](i, j) = y;
             ++votes_corrected;
           } else {
@@ -163,8 +107,8 @@ CholeskyResult tmr_cholesky(sim::Machine& m, Matrix<double>* a, int n,
     });
     if (unrecoverable) {
       ++out.errors_detected;
-      if (attempt >= opt.max_reruns) {
-        out.note = "TMR three-way disagreement persisted";
+      if (attempt >= kMaxReruns) {
+        out.note = "replicas still disagree after max reruns";
         break;
       }
       ++out.reruns;
@@ -182,6 +126,18 @@ CholeskyResult tmr_cholesky(sim::Machine& m, Matrix<double>* a, int n,
   const double flops = static_cast<double>(n) * n * n / 3.0;
   out.gflops = out.seconds > 0.0 ? flops / out.seconds / 1e9 : 0.0;
   return out;
+}
+
+}  // namespace
+
+CholeskyResult dmr_cholesky(sim::Machine& m, Matrix<double>* a, int n,
+                            int block_size, fault::Injector* injector) {
+  return redundant_cholesky(m, a, n, block_size, 2, injector);
+}
+
+CholeskyResult tmr_cholesky(sim::Machine& m, Matrix<double>* a, int n,
+                            int block_size, fault::Injector* injector) {
+  return redundant_cholesky(m, a, n, block_size, 3, injector);
 }
 
 }  // namespace ftla::abft

@@ -16,13 +16,10 @@
 
 namespace ftla::abft {
 
-struct RedundancyOptions {
-  int block_size = 0;  ///< 0 = machine profile default
-  /// Elementwise agreement tolerance for compare/vote.
-  double compare_rtol = 1e-12;
-  /// Full restarts allowed when detection (DMR) or voting (TMR) fails.
-  int max_reruns = 2;
-};
+// Both share one replica loop: an attempt stops at the first replica
+// that fail-stops, and a failed attempt is re-run up to twice. Only the
+// first replica of the first attempt sees `injector`; `block_size` 0
+// selects the machine profile's default.
 
 /// Runs the factorization twice and compares the factors elementwise.
 /// A mismatch proves a transient error struck one replica; the pair is
@@ -30,14 +27,14 @@ struct RedundancyOptions {
 /// Numeric mode only for fault experiments; TimingOnly prices the
 /// schedule (two factorizations + one comparison sweep).
 CholeskyResult dmr_cholesky(sim::Machine& machine, Matrix<double>* a, int n,
-                            const RedundancyOptions& options = {},
+                            int block_size = 0,
                             fault::Injector* injector = nullptr);
 
 /// Runs the factorization three times and majority-votes every element
 /// of the lower triangle. An element where all three replicas disagree
 /// is unrecoverable and forces a re-run.
 CholeskyResult tmr_cholesky(sim::Machine& machine, Matrix<double>* a, int n,
-                            const RedundancyOptions& options = {},
+                            int block_size = 0,
                             fault::Injector* injector = nullptr);
 
 }  // namespace ftla::abft

@@ -62,12 +62,15 @@ void QrRun::allocate() {
     scratch_capacity_ =
         2LL * (static_cast<std::int64_t>(nb_) * nb_ + 2 * nb_) * b_;
     d_scratch_ = m_.alloc(scratch_capacity_);
-    h_panel_chk_ = Matrix<double>(n_, kChecksumRows);
   }
-  h_panel_ = Matrix<double>(n_, b_);
-  h_t_ = Matrix<double>(b_, b_);
-  h_tau_.assign(static_cast<std::size_t>(n_), 0.0);
-  if (m_.numeric()) pristine_ = *a_;
+  // Host staging holds payloads only; TimingOnly copies pass nullptr.
+  if (m_.numeric()) {
+    if (ft_) h_panel_chk_ = Matrix<double>(n_, kChecksumRows);
+    h_panel_ = Matrix<double>(n_, b_);
+    h_t_ = Matrix<double>(b_, b_);
+    h_tau_.assign(static_cast<std::size_t>(n_), 0.0);
+    pristine_ = *a_;
+  }
   create_streams(/*xfer=*/false);
 }
 
@@ -241,7 +244,7 @@ void QrRun::iteration(int j) {
           m_.memcpy_h2d_2d(d_rchk_,
                            static_cast<std::int64_t>(2 * j) * n_ + off(j), n_,
                            m_.numeric() ? &h_panel_chk_(off(j), 0) : nullptr,
-                           h_panel_chk_.ld(), mrem, kChecksumRows, c.stream);
+                           n_, mrem, kChecksumRows, c.stream);
         },
         update, s_compute_);
   }

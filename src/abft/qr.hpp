@@ -36,7 +36,7 @@
 namespace ftla::abft {
 
 /// The shared driver options; `variant` is NoFt or EnhancedOnline.
-struct QrOptions : DriverOptions {};
+using QrOptions = DriverOptions;
 
 /// Factorizes `*a` in place into the packed Householder form (V below
 /// the diagonal, R on/above); `tau` receives n reflector scalars.

@@ -115,43 +115,25 @@ ScenarioResult run_scenario(const Scenario& sc) {
     dbg_sink = std::make_unique<obs::JsonlStreamSink>(std::cerr);
   }
 
+  // One options struct for every driver: LU and QR read its
+  // DriverOptions part and ignore the Cholesky-only fields.
+  abft::CholeskyOptions o;
+  o.variant = sc.variant;
+  o.block_size = sc.block;
+  o.verify_interval = sc.verify_interval;
+  o.placement = sc.placement;
+  o.runtime = sc.runtime;
+  o.recovery = sc.recovery;
+  o.checkpoint_interval = sc.checkpoint_interval;
+  o.transfer_guard = sc.transfer_guard;
+  o.event_sink = dbg_sink.get();
+
   abft::CholeskyResult res;
   std::vector<double> tau;
   switch (sc.algo) {
-    case Algo::Cholesky: {
-      abft::CholeskyOptions o;
-      o.variant = sc.variant;
-      o.block_size = sc.block;
-      o.verify_interval = sc.verify_interval;
-      o.placement = sc.placement;
-      o.runtime = sc.runtime;
-      o.recovery = sc.recovery;
-      o.checkpoint_interval = sc.checkpoint_interval;
-      o.transfer_guard = sc.transfer_guard;
-      o.event_sink = dbg_sink.get();
-      res = abft::cholesky(m, &a, n, o, &inj);
-      break;
-    }
-    case Algo::Lu: {
-      abft::LuOptions o;
-      o.variant = sc.variant;
-      o.block_size = sc.block;
-      o.runtime = sc.runtime;
-      o.verify_interval = sc.verify_interval;
-      o.event_sink = dbg_sink.get();
-      res = abft::lu(m, &a, n, o, &inj);
-      break;
-    }
-    case Algo::Qr: {
-      abft::QrOptions o;
-      o.variant = sc.variant;
-      o.block_size = sc.block;
-      o.runtime = sc.runtime;
-      o.verify_interval = sc.verify_interval;
-      o.event_sink = dbg_sink.get();
-      res = abft::qr(m, &a, &tau, n, o, &inj);
-      break;
-    }
+    case Algo::Cholesky: res = abft::cholesky(m, &a, n, o, &inj); break;
+    case Algo::Lu: res = abft::lu(m, &a, n, o, &inj); break;
+    case Algo::Qr: res = abft::qr(m, &a, &tau, n, o, &inj); break;
   }
 
   ScenarioResult out;

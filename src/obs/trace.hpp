@@ -177,9 +177,12 @@ struct TraceTree {
 };
 
 /// Cross-device reassembly: groups spans by trace and rebuilds each
-/// parent/child tree. Trees are ordered by trace_id.
+/// parent/child tree. Trees are ordered by trace_id. The nodes point
+/// into `report.spans`, so the report must outlive the trees; a
+/// temporary report is refused.
 [[nodiscard]] std::vector<TraceTree> assemble_traces(
     const TraceReport& report);
+std::vector<TraceTree> assemble_traces(TraceReport&&) = delete;
 
 /// Span filter for the CLI. Zero / empty / -2 fields match everything.
 struct TraceFilter {

@@ -14,7 +14,6 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
-#include "obs/timeseries.hpp"
 #include "sim/machine.hpp"
 
 namespace ftla::service {
@@ -127,10 +126,6 @@ std::vector<JobResult> FactorizationService::drain() {
     if (opt_.metrics != nullptr) {
       opt_.metrics->record_histogram("service.job_latency_s", r.latency());
     }
-    if (opt_.timeseries != nullptr) {
-      opt_.timeseries->sample_counter("service.jobs_finished", r.end_time,
-                                      1.0);
-    }
     if (opt_.slo != nullptr) {
       opt_.slo->record_job(r.end_time, r.success, r.sdc, r.latency());
     }
@@ -173,10 +168,6 @@ void FactorizationService::discover_loss(int device, double time, int job_id,
   if (fleet_.state(device) == sim::DeviceState::Lost) return;
   fleet_.mark_lost(device);
   counter("fleet.device_losses", 1);
-  if (opt_.timeseries != nullptr) {
-    opt_.timeseries->sample_gauge("fleet.devices_usable", time,
-                                  static_cast<double>(fleet_.usable_count()));
-  }
   note(time, "service:device_lost",
        "device=" + std::to_string(device) + " job=" +
            std::to_string(job_id) + " at=" + where);
@@ -353,6 +344,7 @@ JobResult FactorizationService::run_job(const JobSpec& spec,
     o.recovery = spec.recovery;
     o.checkpoint_interval = kCheckpointInterval;
     o.transfer_guard = spec.transfer_guard;
+    o.event_sink = opt_.event_sink;
     if (numeric && opt_.checkpoint_resume) o.panel_checkpoint = &ck;
     if (tracing) {
       o.trace = opt_.trace;

@@ -24,10 +24,9 @@
 //                    (fault::FaultProcess rate multiplier).
 //
 // Every decision is emitted through the observability layer
-// (obs::EventKind::Note events, service.* / fleet.* metrics,
-// time-series samples), and every admitted job ends in exactly one
-// JobOutcome — the zero-dropped-jobs invariant the fleet campaign
-// certifies (fleet_campaign.hpp).
+// (obs::EventKind::Note events, service.* / fleet.* metrics), and every
+// admitted job ends in exactly one JobOutcome — the zero-dropped-jobs
+// invariant the fleet campaign certifies (fleet_campaign.hpp).
 #pragma once
 
 #include <cstdint>
@@ -46,7 +45,6 @@ class EventSink;
 class FlightRecorder;
 class MetricsRegistry;
 class SloEngine;
-class TimeSeriesStore;
 }  // namespace ftla::obs
 
 namespace ftla::service {
@@ -149,10 +147,11 @@ struct ServiceOptions {
   /// against.
   bool checkpoint_resume = true;
 
-  /// Observability hooks (optional, not owned).
+  /// Observability hooks (optional, not owned). The sink also receives
+  /// each attempt's driver events (injections, verifications,
+  /// detections, corrections); the registry stays service-level.
   obs::EventSink* event_sink = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
-  obs::TimeSeriesStore* timeseries = nullptr;
   /// Causal-trace store; with it set, every job records a span tree
   /// (submit → queue → attempts → driver → complete) and propagates its
   /// context into the ABFT driver (docs/observability.md).

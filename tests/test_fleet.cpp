@@ -5,10 +5,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/event_sink.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/trace.hpp"
 #include "service/fleet_campaign.hpp"
@@ -620,6 +623,63 @@ TEST(ServiceBreadcrumbs, RecoveryPathLeavesAReconcilableTrail) {
                        << " ... " << want.second << "\"\nbundle:\n"
                        << bundle_text.str();
   }
+}
+
+// ----- driver events on the service's sink ---------------------------
+
+TEST(ServiceEvents, FaultedJobDriverEventsReachTheServiceSink) {
+  // Soft errors strike a one-job fleet run: the driver's injection and
+  // detection events land on the service's sink, paired by correlation
+  // id, and watching them changes nothing the service reports.
+  JobSpec spec = basic_job(128);
+  spec.mtbf_s = 2e-5;
+  spec.fault_seed = 3;
+
+  Fleet watched_fleet(small_fleet(1), ExecutionMode::Numeric);
+  obs::RingBufferSink sink;
+  ServiceOptions so;
+  so.event_sink = &sink;
+  FactorizationService watched(watched_fleet, so);
+  watched.submit(spec);
+  const std::vector<JobResult> a = watched.drain();
+
+  Fleet plain_fleet(small_fleet(1), ExecutionMode::Numeric);
+  FactorizationService plain(plain_fleet, ServiceOptions{});
+  plain.submit(spec);
+  const std::vector<JobResult> b = plain.drain();
+
+  ASSERT_EQ(a.size(), 1u);
+  ASSERT_EQ(b.size(), 1u);
+  ASSERT_GT(a[0].faults_detected, 0);
+  std::set<std::int64_t> injected;
+  std::set<std::int64_t> detected;
+  for (const obs::Event& e : sink.events()) {
+    if (e.kind == obs::EventKind::FaultInjected) injected.insert(e.correlation);
+    if (e.kind == obs::EventKind::Detection) detected.insert(e.correlation);
+  }
+  int paired = 0;
+  for (const std::int64_t id : detected) paired += injected.count(id) > 0;
+  EXPECT_GT(paired, 0);
+
+  EXPECT_EQ(a[0].outcome, b[0].outcome);
+  EXPECT_EQ(a[0].success, b[0].success);
+  EXPECT_EQ(a[0].residual, b[0].residual);
+  EXPECT_EQ(a[0].sdc, b[0].sdc);
+  EXPECT_EQ(a[0].attempts, b[0].attempts);
+  EXPECT_EQ(a[0].device, b[0].device);
+  EXPECT_EQ(a[0].migrations, b[0].migrations);
+  EXPECT_EQ(a[0].resumed_iterations, b[0].resumed_iterations);
+  EXPECT_EQ(a[0].submit_time, b[0].submit_time);
+  EXPECT_EQ(a[0].start_time, b[0].start_time);
+  EXPECT_EQ(a[0].end_time, b[0].end_time);
+  EXPECT_EQ(a[0].seconds, b[0].seconds);
+  EXPECT_EQ(a[0].faults_fired, b[0].faults_fired);
+  EXPECT_EQ(a[0].faults_detected, b[0].faults_detected);
+  EXPECT_EQ(a[0].reruns, b[0].reruns);
+  EXPECT_EQ(a[0].rollbacks, b[0].rollbacks);
+  EXPECT_EQ(a[0].note, b[0].note);
+  EXPECT_EQ(a[0].device_seconds, b[0].device_seconds);
+  EXPECT_EQ(a[0].checkpoint_bytes, b[0].checkpoint_bytes);
 }
 
 }  // namespace

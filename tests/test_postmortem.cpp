@@ -4,7 +4,8 @@
 // leave behind a parseable postmortem bundle that reconciles with the
 // metrics report. The exit-3 case kills a campaign mid-flight with
 // --abort-after, the "run died partway" acceptance scenario. The same
-// spawned-binary harness checks ftla_cli's runtime label.
+// spawned-binary harness checks ftla_cli's runtime label and the
+// saved-profile perf gate.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -346,6 +347,36 @@ TEST(CliRuntimeLabel, RejectsDagForVariantsWithNoGraphDriver) {
     const std::string bulk = cli_stdout(run + variant);
     EXPECT_NE(bulk.find("runtime = bulk\n"), std::string::npos) << bulk;
   }
+}
+
+// --------------------------- saved-profile gate ------------------------
+
+TEST(CliProfileGate, GatesSavedProfilesAndRunsNothing) {
+  // The perf gate reads what ftla_cli --profile-out saved: a profile
+  // gates clean against itself, a run with a different verification
+  // interval drifts beyond the tolerance, and the profile tool has no
+  // run mode of its own.
+  const std::string base = tmp_path("gate_k1.json");
+  const std::string perturbed = tmp_path("gate_k4.json");
+  const std::string run = std::string(FTLA_CLI_BIN) +
+                          " --mode timing --machine test --n 512 --block 64"
+                          " --variant enhanced";
+  ASSERT_EQ(run_cmd(run + " --profile-out " + base + " >/dev/null"),
+            common::kExitSuccess);
+  ASSERT_EQ(run_cmd(run + " --k 4 --profile-out " + perturbed + " >/dev/null"),
+            common::kExitSuccess);
+  const std::string gate =
+      std::string(FTLA_PROFILE_BIN) + " --check-against " + base + " --from ";
+  EXPECT_EQ(run_cmd(gate + base + " >/dev/null"), common::kExitSuccess);
+  EXPECT_EQ(run_cmd(gate + perturbed + " >/dev/null"), common::kExitFailStop);
+
+  expect_usage_bundle(std::string(FTLA_PROFILE_BIN) + " --from " + base +
+                          " --machine test",
+                      "unknown option --machine", "gate_machine.json");
+  expect_usage_bundle(std::string(FTLA_PROFILE_BIN) + " --n 1024",
+                      "unknown option --n", "gate_n.json");
+  expect_usage_bundle(FTLA_PROFILE_BIN, "--from is required",
+                      "gate_no_from.json");
 }
 
 }  // namespace

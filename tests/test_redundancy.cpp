@@ -33,6 +33,15 @@ FaultSpec computing_fault(int iter) {
   return s;
 }
 
+// A violent computing error in a diagonal block breaks positive
+// definiteness, so the replica it strikes fail-stops.
+FaultSpec fail_stop_fault() {
+  FaultSpec s = computing_fault(3);
+  s.op = Op::Syrk;
+  s.magnitude = -1e6;
+  return s;
+}
+
 TEST(Dmr, FaultFreeProducesCorrectFactor) {
   const int n = 64;
   auto a0 = test::random_spd(n, 1);
@@ -55,6 +64,37 @@ TEST(Dmr, DetectsComputingErrorAndReruns) {
   EXPECT_EQ(res.errors_detected, 1);
   EXPECT_EQ(res.reruns, 1);
   EXPECT_LT(blas::cholesky_residual(a0.view(), a.view()), 1e-12);
+}
+
+TEST(Dmr, FailStopReplicaEndsTheAttemptAndReruns) {
+  const int n = 96;
+  auto a0 = test::random_spd(n, 6);
+  // Replica 0 fail-stops, so the attempt ends there without running
+  // replica 1, and the pair is re-run fault-free.
+  Injector inj({fail_stop_fault()});
+  auto a = a0;
+  Machine m(small_rig(), ExecutionMode::Numeric);
+  auto res = dmr_cholesky(m, &a, n, {}, &inj);
+  ASSERT_TRUE(res.success) << res.note;
+  EXPECT_TRUE(res.fail_stop_observed);
+  EXPECT_EQ(res.errors_detected, 1);
+  EXPECT_EQ(res.reruns, 1);
+  EXPECT_LT(blas::cholesky_residual(a0.view(), a.view()), 1e-12);
+
+  // The failed attempt cost less than one whole replica on top of a
+  // clean DMR run: only the replica that fail-stopped ran in it.
+  auto clean_a = a0;
+  Machine clean_m(small_rig(), ExecutionMode::Numeric);
+  const double clean = dmr_cholesky(clean_m, &clean_a, n).seconds;
+  auto one_a = a0;
+  Machine one_m(small_rig(), ExecutionMode::Numeric);
+  CholeskyOptions noft;
+  noft.variant = Variant::NoFt;
+  ASSERT_TRUE(cholesky(one_m, &one_a, n, noft).success);
+  one_m.sync_all();
+  const double replica = one_m.host_now();  // staging included
+  EXPECT_GT(res.seconds - clean, 0.0);
+  EXPECT_LT(res.seconds - clean, replica);
 }
 
 TEST(Tmr, FaultFreeProducesCorrectFactor) {
@@ -109,18 +149,12 @@ TEST(Tmr, FailStopReplicaTriggersRerun) {
   auto a0 = test::random_spd(n, 6);
   auto a = a0;
   Machine m(small_rig(), ExecutionMode::Numeric);
-  // A storage fault on the SYRK path breaks positive definiteness in
-  // replica 0; the triple is re-run and succeeds fault-free.
-  FaultSpec s;
-  s.type = FaultType::Storage;
-  s.op = Op::Syrk;
-  s.iteration = 3;
-  s.block_row = 3;
-  s.block_col = 2;
-  s.bits = {56, 57, 58};  // enormous excursion
-  Injector inj({s});
+  // Replica 0 fail-stops; the triple is re-run and succeeds fault-free.
+  Injector inj({fail_stop_fault()});
   auto res = tmr_cholesky(m, &a, n, {}, &inj);
   ASSERT_TRUE(res.success) << res.note;
+  EXPECT_TRUE(res.fail_stop_observed);
+  EXPECT_EQ(res.reruns, 1);
   EXPECT_LT(blas::cholesky_residual(a0.view(), a.view()), 1e-12);
 }
 

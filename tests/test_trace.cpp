@@ -156,7 +156,8 @@ TEST(TraceAssembly, RebuildsCrossDeviceParentage) {
   const TraceId t = obs::derive_trace_id(11, 0);
   TraceStore store;
   store.append(migrated_job(t));
-  const auto trees = obs::assemble_traces(TraceReport::build(store));
+  const TraceReport report = TraceReport::build(store);
+  const auto trees = obs::assemble_traces(report);
   ASSERT_EQ(trees.size(), 1u);
   EXPECT_EQ(trees[0].trace_id, t);
   EXPECT_EQ(trees[0].missing_parents, 0);
@@ -180,7 +181,8 @@ TEST(TraceAssembly, MissingParentSurfacesAsExtraRoot) {
   // dropped it at capacity): must stay visible, not vanish.
   store.record(span(t, obs::derive_span_id(t, 99), 0xdeadbeefULL,
                     "orphan", "task", 1, 0.5, 0.6));
-  const auto trees = obs::assemble_traces(TraceReport::build(store));
+  const TraceReport report = TraceReport::build(store);
+  const auto trees = obs::assemble_traces(report);
   ASSERT_EQ(trees.size(), 1u);
   EXPECT_EQ(trees[0].missing_parents, 1);
   ASSERT_EQ(trees[0].roots.size(), 2u);

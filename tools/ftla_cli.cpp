@@ -23,7 +23,8 @@
 //                                         (schema docs/observability.md)
 //     --profile-out FILE.json             write the simulated-time profile
 //                                         (phase decomposition + critical
-//                                         path; ftla_profile_cli reads it)
+//                                         path); ftla_profile_cli --from
+//                                         prints, rewrites and gates it
 //     --timeseries-out FILE.json          write windowed time-series rollups
 //                                         (resource occupancy + verification
 //                                         progress over virtual time)
@@ -41,6 +42,8 @@
 //   ftla_cli --machine bulldozer64 --n 30720 --mode timing --variant enhanced --k 5
 //   ftla_cli --n 1024 --faults 3 --variant online --trace-out run.json
 //   ftla_cli --n 1024 --faults 2 --trace-out run.json --metrics-out m.json
+//   ftla_cli --mode timing --n 1024 --profile-out p.json   (then
+//     ftla_profile_cli --from p.json --check-against BASELINE.json)
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -270,6 +273,8 @@ int main(int argc, char** argv) {
   }
   Matrix<double>* ap = numeric ? &a : nullptr;
 
+  // One options struct for every driver: LU and QR read its
+  // DriverOptions part and ignore the Cholesky-only fields.
   abft::CholeskyOptions opt;
   opt.block_size = args.block;
   opt.verify_interval = args.k;
@@ -285,11 +290,30 @@ int main(int argc, char** argv) {
   else if (args.placement == "blocking")
     opt.placement = abft::UpdatePlacement::Blocking;
   else usage("unknown --placement");
-  abft::RuntimeMode runtime_mode;
-  if (args.runtime == "bulk") runtime_mode = abft::RuntimeMode::Bulk;
-  else if (args.runtime == "dag") runtime_mode = abft::RuntimeMode::Dag;
+  if (args.runtime == "bulk") opt.runtime = abft::RuntimeMode::Bulk;
+  else if (args.runtime == "dag") opt.runtime = abft::RuntimeMode::Dag;
   else usage("unknown --runtime");
-  opt.runtime = runtime_mode;
+  if (args.algo == "lu" || args.algo == "qr") {
+    if (args.variant != "enhanced" && args.variant != "noft") {
+      usage(("--algo " + args.algo + " supports --variant enhanced|noft")
+                .c_str());
+    }
+  } else if (args.algo != "cholesky") {
+    usage("unknown --algo");
+  }
+  // cula, dmr and tmr are separate baselines rather than a Variant.
+  const bool baseline =
+      args.variant == "cula" || args.variant == "dmr" || args.variant == "tmr";
+  if (args.variant == "enhanced") opt.variant = abft::Variant::EnhancedOnline;
+  else if (args.variant == "online") opt.variant = abft::Variant::Online;
+  else if (args.variant == "offline") opt.variant = abft::Variant::Offline;
+  else if (args.variant == "noft") opt.variant = abft::Variant::NoFt;
+  else if (!baseline) usage("unknown --variant");
+  else if (opt.runtime == abft::RuntimeMode::Dag) {
+    // These baselines have no task-graph driver: refuse rather than run
+    // bulk under a dag label.
+    usage("--runtime dag supports --variant enhanced|online|offline|noft");
+  }
   if (want_obs) {
     opt.event_sink = &sink;
     opt.metrics = &metrics;
@@ -315,74 +339,18 @@ int main(int argc, char** argv) {
 
   abft::CholeskyResult res;
   std::vector<double> tau;
-  if (args.algo == "qr") {
-    if (args.variant != "enhanced" && args.variant != "noft") {
-      usage("--algo qr supports --variant enhanced|noft");
-    }
-    abft::QrOptions qopt;
-    qopt.variant = args.variant == "enhanced" ? abft::Variant::EnhancedOnline
-                                              : abft::Variant::NoFt;
-    qopt.block_size = args.block;
-    qopt.verify_interval = args.k;
-    qopt.concurrent_recalc = args.opt1;
-    qopt.runtime = runtime_mode;
-    if (want_obs) {
-      qopt.event_sink = &sink;
-      qopt.metrics = &metrics;
-    }
-    if (want_profile) qopt.profile = &spans;
-    if (want_timeseries) qopt.timeseries = &timeseries;
-    res = abft::qr(machine, ap, numeric ? &tau : nullptr, args.n, qopt, inj);
-  } else if (args.algo == "lu") {
-    if (args.variant != "enhanced" && args.variant != "noft") {
-      usage("--algo lu supports --variant enhanced|noft");
-    }
-    abft::LuOptions lopt;
-    lopt.variant = args.variant == "enhanced" ? abft::Variant::EnhancedOnline
-                                              : abft::Variant::NoFt;
-    lopt.block_size = args.block;
-    lopt.verify_interval = args.k;
-    lopt.concurrent_recalc = args.opt1;
-    lopt.runtime = runtime_mode;
-    if (want_obs) {
-      lopt.event_sink = &sink;
-      lopt.metrics = &metrics;
-    }
-    if (want_profile) lopt.profile = &spans;
-    if (want_timeseries) lopt.timeseries = &timeseries;
-    res = abft::lu(machine, ap, args.n, lopt, inj);
-  } else if (args.algo != "cholesky") {
-    usage("unknown --algo");
-  } else if (args.variant == "enhanced") {
-    opt.variant = abft::Variant::EnhancedOnline;
-    res = abft::cholesky(machine, ap, args.n, opt, inj);
-  } else if (args.variant == "online") {
-    opt.variant = abft::Variant::Online;
-    res = abft::cholesky(machine, ap, args.n, opt, inj);
-  } else if (args.variant == "offline") {
-    opt.variant = abft::Variant::Offline;
-    res = abft::cholesky(machine, ap, args.n, opt, inj);
-  } else if (args.variant == "noft") {
-    opt.variant = abft::Variant::NoFt;
-    res = abft::cholesky(machine, ap, args.n, opt, inj);
-  } else if (runtime_mode == abft::RuntimeMode::Dag &&
-             (args.variant == "cula" || args.variant == "dmr" ||
-              args.variant == "tmr")) {
-    // These baselines have no task-graph driver: refuse rather than run
-    // bulk under a dag label.
-    usage("--runtime dag supports --variant enhanced|online|offline|noft");
+  if (args.algo == "lu") {
+    res = abft::lu(machine, ap, args.n, opt, inj);
+  } else if (args.algo == "qr") {
+    res = abft::qr(machine, ap, numeric ? &tau : nullptr, args.n, opt, inj);
   } else if (args.variant == "cula") {
     res = abft::cula_like_cholesky(machine, ap, args.n, args.block);
   } else if (args.variant == "dmr") {
-    abft::RedundancyOptions ropt;
-    ropt.block_size = args.block;
-    res = abft::dmr_cholesky(machine, ap, args.n, ropt, inj);
+    res = abft::dmr_cholesky(machine, ap, args.n, args.block, inj);
   } else if (args.variant == "tmr") {
-    abft::RedundancyOptions ropt;
-    ropt.block_size = args.block;
-    res = abft::tmr_cholesky(machine, ap, args.n, ropt, inj);
+    res = abft::tmr_cholesky(machine, ap, args.n, args.block, inj);
   } else {
-    usage("unknown --variant");
+    res = abft::cholesky(machine, ap, args.n, opt, inj);
   }
   g_recorder.note("factorization returned");
 
