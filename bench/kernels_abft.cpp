@@ -24,7 +24,7 @@ void BM_EncodeBlock(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 4LL * b * b);
 }
-BENCHMARK(BM_EncodeBlock)->Arg(128)->Arg(256)->Arg(512);
+BENCHMARK(BM_EncodeBlock)->Arg(16)->Arg(128)->Arg(256)->Arg(512);
 
 void BM_VerifyCleanBlock(benchmark::State& state) {
   const int b = static_cast<int>(state.range(0));

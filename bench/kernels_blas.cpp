@@ -1,6 +1,10 @@
 // Raw wall-clock throughput of the host level-3 BLAS substrate that
 // executes every simulated kernel's numerics: GFLOP/s per kernel x size
 // x thread count, plus the naive reference GEMM as the speedup baseline.
+// Single-threaded extras: a 16-wide gemm (the unpacked small path) and
+// the cholesky_residual oracle at n = 64, 128 (the fleet's sizes) and
+// each --sizes value; its rate counts the n(n+1)(n+2)/3 flops of the
+// dot products that form the lower triangle of L L^T.
 //
 // Usage:
 //   kernels_blas [--sizes 256,512,1024] [--threads 1,2,4]
@@ -176,6 +180,35 @@ int main(int argc, char** argv) {
     }
   }
   common::set_global_threads(1);
+  {
+    const int n = 16;
+    Matrix<double> a(n, n), b(n, n), c(n, n);
+    make_uniform(a, 1);
+    make_uniform(b, 2);
+    const double sec = best_seconds([&] {
+      blas::gemm(Trans::No, Trans::Yes, -1.0, a.view(), b.view(), 1.0,
+                 c.view());
+    });
+    cells.push_back({"gemm", n, 1, 2.0 * n * n * n / sec / 1e9});
+  }
+  std::vector<int> residual_sizes = {64, 128};
+  for (const int n : sizes) {
+    if (std::find(residual_sizes.begin(), residual_sizes.end(), n) ==
+        residual_sizes.end()) {
+      residual_sizes.push_back(n);
+    }
+  }
+  for (const int n : residual_sizes) {
+    Matrix<double> a(n, n);
+    make_spd_diag_dominant(a, 6);
+    Matrix<double> l = a;
+    blas::potrf(l.view());
+    const double sec =
+        best_seconds([&] { blas::cholesky_residual(a.view(), l.view()); });
+    cells.push_back({"cholesky_residual", n, 1,
+                     static_cast<double>(n) * (n + 1) * (n + 2) / 3.0 / sec /
+                         1e9});
+  }
 
   Table table({"kernel", "n", "threads", "GFLOP/s"});
   obs::MetricsRegistry metrics;

@@ -7,6 +7,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "blas/pair.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 
@@ -43,14 +44,30 @@ decltype(auto) with_redundancy(int r, F&& f) {
   }
 }
 
+/// Four lanes side by side in two Pairs, one column each: lane_sums
+/// over Quad rounds every column exactly as lane_sums over double does.
+struct Quad {
+  blas::Pair lo, hi;
+  Quad& operator+=(const Quad& v) {
+    lo += v.lo;
+    hi += v.hi;
+    return *this;
+  }
+  friend Quad operator*(double w, const Quad& v) {
+    const blas::Pair ww = {w, w};
+    return {ww * v.lo, ww * v.hi};
+  }
+};
+
 /// The R weighted sums of one lane of `len` elements x(0..len): sum k
 /// weighs element i by (i+1)^k. Every sum accumulates in element order,
-/// so encoding and the decoder's recheck round alike.
-template <int R, class X>
-std::array<double, R> lane_sums(int len, const X& x) {
-  std::array<double, R> s{};
+/// so encoding and the decoder's recheck round alike. V = Quad runs four
+/// lanes at once.
+template <int R, class V = double, class X>
+std::array<V, R> lane_sums(int len, const X& x) {
+  std::array<V, R> s{};
   for (int i = 0; i < len; ++i) {
-    const double v = x(i);
+    const V v = x(i);
     const double r = i + 1.0;
     double w = r;
     s[0] += v;
@@ -305,8 +322,25 @@ void encode_block(ConstMatrixView<double> a, MatrixView<double> chk) {
     constexpr int R = decltype(r)::value;
     // Each column's sums are computed start-to-finish by one lane, so
     // the result is bit-identical for every thread count / partition.
+    // Four columns share a sweep, one per lane.
     const auto encode_cols = [&](std::int64_t c0, std::int64_t c1) {
-      for (int c = static_cast<int>(c0); c < c1; ++c) {
+      int c = static_cast<int>(c0);
+      for (; c + 4 <= c1; c += 4) {
+        const double* x0 = &a(0, c);
+        const double* x1 = &a(0, c + 1);
+        const double* x2 = &a(0, c + 2);
+        const double* x3 = &a(0, c + 3);
+        const auto s = lane_sums<R, Quad>(a.rows(), [&](int i) {
+          return Quad{{x0[i], x1[i]}, {x2[i], x3[i]}};
+        });
+        for (int k = 0; k < R; ++k) {
+          chk(k, c) = s[k].lo[0];
+          chk(k, c + 1) = s[k].lo[1];
+          chk(k, c + 2) = s[k].hi[0];
+          chk(k, c + 3) = s[k].hi[1];
+        }
+      }
+      for (; c < c1; ++c) {
         const double* col = &a(0, c);
         const auto s = lane_sums<R>(a.rows(), [col](int i) { return col[i]; });
         for (int k = 0; k < R; ++k) chk(k, c) = s[k];

@@ -45,8 +45,13 @@ double lu_residual(ConstMatrixView<double> a_original,
 /// Matrix norm of a general rectangular view.
 double lange(Norm norm, ConstMatrixView<double> a);
 
-/// Relative factorization residual ||A - L L^T||_F / ||A||_F, using only
-/// the lower triangles (the canonical accuracy check for Cholesky).
+/// Relative factorization residual of a Cholesky factor (the canonical
+/// accuracy check): the Frobenius norm of the lower triangle of
+/// A - L L^T, diagonal included, over ||A||_F of all of A. Only L's lower
+/// triangle is read, so its strict upper triangle may hold anything
+/// (potrf leaves the input there). Each (L L^T)(i,j) is summed from +0 in
+/// k order and the squares are accumulated in (j, i) order, so the value
+/// does not depend on how the kernel is tiled.
 double cholesky_residual(ConstMatrixView<double> a_original,
                          ConstMatrixView<double> l);
 

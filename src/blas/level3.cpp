@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "blas/level2.hpp"
+#include "blas/pair.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 
@@ -40,15 +41,56 @@ void gemm_small(Trans ta, Trans tb, double alpha, ConstMatrixView<double> a,
   const int n = c.cols();
   const int k = ta == Trans::No ? a.cols() : a.rows();
   if (ta == Trans::No) {
-    // Column-major friendly: C(:,j) += alpha * A(:,l) * op(B)(l,j).
+    // C(i,j) += t * A(i,l) with t = alpha * op(B)(l,j), in l order,
+    // skipping t == 0 (so a zero of op(B) keeps a NaN or Inf of A out of
+    // C). Each C element's adds are independent of its neighbours', so
+    // C(:,j) is swept in 8-row strips that stay in four Pairs across the
+    // whole l loop, then in 2-row strips (one Pair, e.g. a checksum
+    // block's two rows), and an odd last row keeps a scalar.
+    const auto t_at = [&](int l, int j) {
+      return alpha * (tb == Trans::No ? b(l, j) : b(j, l));
+    };
     for (int j = 0; j < n; ++j) {
       double* cj = &c(0, j);
-      for (int l = 0; l < k; ++l) {
-        const double blj = tb == Trans::No ? b(l, j) : b(j, l);
-        const double t = alpha * blj;
-        if (t == 0.0) continue;
-        const double* al = &a(0, l);
-        for (int i = 0; i < m; ++i) cj[i] += t * al[i];
+      int i = 0;
+      for (; i + 8 <= m; i += 8) {
+        Pair c0 = load_pair(cj + i);
+        Pair c1 = load_pair(cj + i + 2);
+        Pair c2 = load_pair(cj + i + 4);
+        Pair c3 = load_pair(cj + i + 6);
+        for (int l = 0; l < k; ++l) {
+          const double t = t_at(l, j);
+          if (t == 0.0) continue;
+          const Pair tt = {t, t};
+          const double* al = &a(i, l);
+          c0 += tt * load_pair(al);
+          c1 += tt * load_pair(al + 2);
+          c2 += tt * load_pair(al + 4);
+          c3 += tt * load_pair(al + 6);
+        }
+        store_pair(cj + i, c0);
+        store_pair(cj + i + 2, c1);
+        store_pair(cj + i + 4, c2);
+        store_pair(cj + i + 6, c3);
+      }
+      for (; i + 2 <= m; i += 2) {
+        Pair c0 = load_pair(cj + i);
+        for (int l = 0; l < k; ++l) {
+          const double t = t_at(l, j);
+          if (t == 0.0) continue;
+          const Pair tt = {t, t};
+          c0 += tt * load_pair(&a(i, l));
+        }
+        store_pair(cj + i, c0);
+      }
+      if (i < m) {
+        double s = cj[i];
+        for (int l = 0; l < k; ++l) {
+          const double t = t_at(l, j);
+          if (t == 0.0) continue;
+          s += t * a(i, l);
+        }
+        cj[i] = s;
       }
     }
   } else if (tb == Trans::No) {
@@ -119,10 +161,6 @@ void pack_b_panel(Trans tb, ConstMatrixView<double> b, int pc, int jc,
     }
   }
 }
-
-/// Two doubles in one vector register: the GNU vector extension, which
-/// GCC and Clang lower for any target.
-using Pair = double __attribute__((vector_size(16)));
 
 /// C[0:mr, 0:nr] += ap * bp over kc. The 4 x 6 tile lives in twelve
 /// two-lane accumulators, c<row pair><column>; with the two A pairs, a

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <tuple>
 
 #include "blas/level3.hpp"
@@ -478,6 +479,94 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(kContractKC - 1, kContractKC + 1,
                                          2 * kContractKC + 3),
                        ::testing::Values(1, 4)));
+
+// --------------------------------------------------------------------
+// Numeric contract of the unpacked small path (m*n*k <= 32^3) with
+// op(A) = A. After beta scales C, every C element adds the rounded
+// products t * A(i,l), t = alpha * op(B)(l,j), in l order, skipping
+// every l where t == 0, so a zero of op(B) keeps an Inf or NaN column
+// of A out of C. How rows are grouped into registers is not part of
+// it.
+// --------------------------------------------------------------------
+
+void small_sweep_model(Trans tb, double alpha, ConstMatrixView<double> a,
+                       ConstMatrixView<double> b, double beta,
+                       MatrixView<double> c) {
+  const int m = c.rows();
+  const int n = c.cols();
+  const int k = a.cols();
+  for (int j = 0; j < n; ++j) {
+    for (int i = 0; i < m; ++i) {
+      if (beta == 0.0) {
+        c(i, j) = 0.0;
+      } else if (beta != 1.0) {
+        c(i, j) *= beta;
+      }
+    }
+    for (int l = 0; l < k; ++l) {
+      const double t = alpha * (tb == Trans::No ? b(l, j) : b(j, l));
+      if (t == 0.0) continue;
+      for (int i = 0; i < m; ++i) {
+        // Rounded on its own even where the build contracts a*b+c.
+        const volatile double prod = t * a(i, l);
+        c(i, j) += prod;
+      }
+    }
+  }
+}
+
+class SmallGemmContractParam
+    : public ::testing::TestWithParam<std::tuple<Trans, int>> {};
+
+TEST_P(SmallGemmContractParam, SweepIsBitIdenticalToTheContract) {
+  const auto [tb, m] = GetParam();
+  const int n = 5;
+  const int k = 7;
+  ASSERT_LE(static_cast<long long>(m) * n * k, 32LL * 32 * 32);
+  const int br = tb == Trans::No ? k : n;
+  const int bc = tb == Trans::No ? n : k;
+  auto big_a = random_matrix(m + 3, k + 2, 61);
+  auto big_b = random_matrix(br + 2, bc + 3, 62);
+  MatrixView<double> av = big_a.block(2, 1, m, k);
+  MatrixView<double> bv = big_b.block(1, 2, br, bc);
+  // Columns 2 and 5 of A hold NaN and Inf; the matching rows of op(B)
+  // are zero, so the skip must keep them out of every C element.
+  const double poison[] = {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()};
+  const int poisoned[] = {2, 5};
+  for (int p = 0; p < 2; ++p) {
+    const int l = poisoned[p];
+    for (int i = 0; i < m; ++i) av(i, l) = poison[p] * (i % 2 ? -1.0 : 1.0);
+    for (int j = 0; j < n; ++j) (tb == Trans::No ? bv(l, j) : bv(j, l)) = 0.0;
+  }
+  for (const double alpha : {1.0, -1.0, 0.37}) {
+    for (const double beta : {0.0, 1.0, -0.5}) {
+      auto big_c = random_matrix(m + 4, n + 2, 63);
+      big_c(3, 1) = -0.0;
+      auto model = big_c;
+      gemm(Trans::No, tb, alpha, av, bv, beta, big_c.block(3, 1, m, n));
+      small_sweep_model(tb, alpha, av, bv, beta, model.block(3, 1, m, n));
+      int mismatches = 0;
+      for (int j = 0; j < big_c.cols(); ++j) {
+        for (int i = 0; i < big_c.rows(); ++i) {
+          if (std::bit_cast<std::uint64_t>(big_c(i, j)) !=
+              std::bit_cast<std::uint64_t>(model(i, j))) {
+            ++mismatches;
+          }
+        }
+      }
+      EXPECT_EQ(mismatches, 0) << "alpha=" << alpha << " beta=" << beta;
+    }
+  }
+}
+
+// Every row count up to two 8-row strips plus one, and 31 (three strips,
+// a 2-row strip and an odd row).
+INSTANTIATE_TEST_SUITE_P(
+    TransRows, SmallGemmContractParam,
+    ::testing::Combine(::testing::Values(Trans::No, Trans::Yes),
+                       ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
+                                         12, 13, 14, 15, 16, 17, 31)));
 
 TEST(FlopCounts, MatchClosedForms) {
   EXPECT_EQ(gemm_flops(3, 4, 5), 120);

@@ -7,17 +7,20 @@
 // derives (SYRK, GEMM, POTF2/Algorithm 2, TRSM).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "abft/checksum.hpp"
 #include "blas/lapack.hpp"
 #include "blas/level3.hpp"
 #include "common/fp.hpp"
+#include "common/thread_pool.hpp"
 #include "test_util.hpp"
 
 namespace ftla::abft {
@@ -60,6 +63,70 @@ TEST(Encode, WeightsAreOneAndRowIndex) {
   EXPECT_DOUBLE_EQ(chk(1, 0), 1 + 4 + 9 + 16);
   EXPECT_DOUBLE_EQ(chk(0, 1), 5.0);
   EXPECT_DOUBLE_EQ(chk(1, 1), 15.0);
+}
+
+/// encode_block's contract as scalar code: column c's sum k adds the
+/// rounded products w * A(i,c), w = (i+1)^k formed by repeated
+/// multiplication, in row order from +0.
+void encode_model(ConstMatrixView<double> a, MatrixView<double> chk) {
+  const int redundancy = chk.rows();
+  for (int c = 0; c < a.cols(); ++c) {
+    double s[kMaxChecksumRows] = {};
+    for (int i = 0; i < a.rows(); ++i) {
+      const double v = a(i, c);
+      const double r = i + 1.0;
+      double w = r;
+      s[0] += v;
+      for (int k = 1; k < redundancy; ++k) {
+        // Rounded on its own even where the build contracts a*b+c.
+        const volatile double prod = w * v;
+        s[k] += prod;
+        w *= r;
+      }
+    }
+    for (int k = 0; k < redundancy; ++k) chk(k, c) = s[k];
+  }
+}
+
+class EncodeContract : public ::testing::Test {
+ protected:
+  void TearDown() override { common::set_global_threads(1); }
+
+  /// Encodes a rows x cols view (ld > rows) into an R x cols view (ld >
+  /// R) and counts the bits that differ from the model anywhere in the
+  /// checksum matrix, the cells around the view included.
+  static int mismatches(int redundancy, int rows, int cols) {
+    auto big_a = random_matrix(rows + 3, cols + 2, 71);
+    auto big_chk = random_matrix(redundancy + 2, cols + 3, 72);
+    auto model = big_chk;
+    const auto av = std::as_const(big_a).block(2, 1, rows, cols);
+    encode_block(av, big_chk.block(1, 2, redundancy, cols));
+    encode_model(av, model.block(1, 2, redundancy, cols));
+    int bad = 0;
+    for (int j = 0; j < big_chk.cols(); ++j) {
+      for (int i = 0; i < big_chk.rows(); ++i) {
+        bad += std::bit_cast<std::uint64_t>(big_chk(i, j)) !=
+               std::bit_cast<std::uint64_t>(model(i, j));
+      }
+    }
+    return bad;
+  }
+};
+
+TEST_F(EncodeContract, BitIdenticalToScalarLaneSums) {
+  // Column counts around the four-column sweep, at every redundancy.
+  for (int r = 2; r <= kMaxChecksumRows; ++r) {
+    for (const int cols : {1, 2, 3, 4, 5, 6, 7, 8, 9, 17}) {
+      EXPECT_EQ(mismatches(r, 13, cols), 0) << "R " << r << ", " << cols
+                                            << " columns";
+    }
+  }
+  // The pool path: 130 x 131 elements pass the 16384-element cutoff, and
+  // four lanes split 131 columns at 33, 66 and 99, not multiples of four.
+  common::set_global_threads(4);
+  for (int r = 2; r <= kMaxChecksumRows; ++r) {
+    EXPECT_EQ(mismatches(r, 130, 131), 0) << "R " << r << ", pool";
+  }
 }
 
 TEST(Verify, CleanBlockHasNoFindings) {

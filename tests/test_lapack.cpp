@@ -5,7 +5,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <utility>
+#include <vector>
 
 #include "blas/lapack.hpp"
 #include "blas/level3.hpp"
@@ -131,7 +133,8 @@ TEST(CholeskyResidual, DetectsCorruptedFactor) {
 }
 
 /// cholesky_residual as it read L in place, with stride ld: the
-/// reference the packed-row version must match bit for bit.
+/// reference the register-tiled version must match bit for bit. Like
+/// the oracle, it reads only L's lower triangle.
 double strided_cholesky_residual(ConstMatrixView<double> a,
                                  ConstMatrixView<double> l) {
   const int n = a.rows();
@@ -158,17 +161,38 @@ double strided_cholesky_residual(ConstMatrixView<double> a,
   return den > 0.0 ? num / den : num;
 }
 
+/// The bits of a residual, with every NaN read as one: which NaN payload
+/// survives an operation may follow its operand order.
+std::uint64_t residual_bits(double x) {
+  return std::bit_cast<std::uint64_t>(
+      std::isnan(x) ? std::numeric_limits<double>::quiet_NaN() : x);
+}
+
 TEST(CholeskyResidual, BitIdenticalToStridedLoop) {
-  for (const int n : {1, 2, 7, 64, 130, 257}) {
+  // Every size up to 40 (each remainder of the 4 x 6 tile), both sides
+  // of 64 and 128 (the fleet's sizes) and 257 (past the GEMM's KC).
+  std::vector<int> sizes;
+  for (int n = 1; n <= 40; ++n) sizes.push_back(n);
+  for (const int n : {63, 64, 65, 66, 127, 128, 129, 130, 131, 257}) {
+    sizes.push_back(n);
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const int n : sizes) {
     auto a = random_spd(n, static_cast<std::uint64_t>(n));
     auto l = a;
     potrf(l.view());
     l(n / 2, n / 3) *= 1.0 + 1e-9;  // a residual well above rounding
-    const double got = cholesky_residual(a.view(), l.view());
     const double want = strided_cholesky_residual(a.view(), l.view());
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
-              std::bit_cast<std::uint64_t>(want))
-        << "n " << n << ": " << got << " vs " << want;
+    // L's strict upper triangle is never read: NaN there moves no bit.
+    // `l` has ld == n, so a load past its last column leaves the
+    // allocation at every size that is not a tile multiple.
+    for (int j = 1; j < n; ++j) {
+      for (int i = 0; i < j; ++i) l(i, j) = nan;
+    }
+    EXPECT_EQ(residual_bits(cholesky_residual(a.view(), l.view())),
+              residual_bits(want))
+        << "n " << n;
 
     // The same factor and input seen through views with ld > n.
     Matrix<double> big_l(n + 5, n + 2, -7.0);
@@ -182,9 +206,24 @@ TEST(CholeskyResidual, BitIdenticalToStridedLoop) {
     const auto lv = std::as_const(big_l).block(4, 1, n, n);
     const auto av = std::as_const(big_a).block(1, 0, n, n);
     ASSERT_GT(lv.ld(), n);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(cholesky_residual(av, lv)),
-              std::bit_cast<std::uint64_t>(want))
+    EXPECT_EQ(residual_bits(cholesky_residual(av, lv)), residual_bits(want))
         << "n " << n << " (strided views)";
+
+    // Inf, NaN and -0.0 in the lower triangle: the same bits, or NaN on
+    // both sides. The positions hit the first column, the interior and
+    // the last diagonal element.
+    const std::pair<int, int> spots[] = {
+        {n - 1, 0}, {(2 * n) / 3, n / 3}, {n - 1, n - 1}};
+    for (const double v : {inf, nan, -0.0}) {
+      for (const auto& [i, k] : spots) {
+        auto lp = l;
+        lp(i, k) = v;
+        EXPECT_EQ(residual_bits(cholesky_residual(a.view(), lp.view())),
+                  residual_bits(strided_cholesky_residual(a.view(),
+                                                          lp.view())))
+            << "n " << n << ", L(" << i << "," << k << ") = " << v;
+      }
+    }
   }
 }
 
