@@ -6,8 +6,8 @@
 // payloads); the fault-capability tables run full numerics with real
 // injected faults at a reduced size and combine the measured behaviour
 // ratios with paper-scale baseline times.
-// Every bench accepts `--metrics-out FILE` to additionally dump its
-// measurements as a schema-versioned MetricsReport (see
+// The benches that export measurements accept `--metrics-out FILE` to
+// additionally dump them as a schema-versioned MetricsReport (see
 // docs/observability.md), so table regeneration is machine-diffable,
 // and `--profile-out FILE` to save the simulated-time profile of one
 // representative run (the largest fully optimized configuration) as a
@@ -20,6 +20,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -27,6 +28,7 @@
 
 #include "abft/cholesky.hpp"
 #include "abft/cula_like.hpp"
+#include "common/exit_codes.hpp"
 #include "common/table.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile_report.hpp"
@@ -124,6 +126,23 @@ inline void print_table(const Table& t, bool csv = true) {
   std::cout << std::endl;
 }
 
+/// Exits with a usage error unless argv is `--flag value` pairs whose
+/// flags are all in `flags`, so a mistyped or retired flag (such as the
+/// figure benches' old `--runtime`) is refused instead of ignored.
+inline void require_flags(int argc, char** argv,
+                          std::initializer_list<const char*> flags) {
+  for (int i = 1; i < argc; i += 2) {
+    bool known = false;
+    for (const char* f : flags) known = known || std::strcmp(argv[i], f) == 0;
+    if (!known || i + 1 >= argc) {
+      std::cerr << "usage error: "
+                << (known ? "missing value for " : "unknown option ")
+                << argv[i] << "\n";
+      std::exit(common::kExitUsage);
+    }
+  }
+}
+
 /// Returns the value of `--metrics-out FILE` from a bench's argv, or ""
 /// when absent.
 inline std::string metrics_out_path(int argc, char** argv) {
@@ -149,19 +168,6 @@ inline std::string timeseries_out_path(int argc, char** argv) {
     if (std::strcmp(argv[i], "--timeseries-out") == 0) return argv[i + 1];
   }
   return {};
-}
-
-/// Returns the RuntimeMode selected by `--runtime bulk|dag` from a
-/// bench's argv (docs/runtime.md), defaulting to Bulk when absent.
-inline abft::RuntimeMode runtime_override(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--runtime") != 0) continue;
-    if (std::strcmp(argv[i + 1], "dag") == 0) return abft::RuntimeMode::Dag;
-    if (std::strcmp(argv[i + 1], "bulk") == 0) return abft::RuntimeMode::Bulk;
-    std::cerr << "unknown --runtime " << argv[i + 1] << "\n";
-    std::exit(2);
-  }
-  return abft::RuntimeMode::Bulk;
 }
 
 /// Returns the comma-separated list of `--sizes N1,N2,...` from a

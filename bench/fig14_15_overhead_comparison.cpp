@@ -2,9 +2,11 @@
 // Online-ABFT and the fully optimized Enhanced Online-ABFT across the
 // matrix-size sweep on both testbeds.
 //
+// Every run is the paper's bulk-synchronous Algorithm 1;
+// bench/runtime_overhead compares the task-graph runtime against it.
+//
 // Flags: `--sizes N1,N2,...` replaces both testbeds' paper-scale sweeps
 // (CI uses this to emit BENCH_overhead.json at tractable sizes),
-// `--runtime bulk|dag` selects the execution structure (docs/runtime.md),
 // `--metrics-out FILE` dumps every overhead ratio as gauges, and
 // `--profile-out FILE` saves the simulated-time profile of the
 // largest-size enhanced run on Tardis for the perf-regression gate.
@@ -16,18 +18,10 @@ namespace {
 
 void sweep(const ftla::sim::MachineProfile& profile,
            const std::vector<int>& sizes, const char* fig,
-           ftla::abft::RuntimeMode runtime,
            ftla::obs::MetricsRegistry* metrics,
            ftla::obs::ProfileReport* prof) {
   using namespace ftla;
   using namespace ftla::bench;
-
-  // `--runtime dag` reruns the sweep on the task-graph runtime
-  // (docs/runtime.md); the default replays the bulk-synchronous oracle.
-  auto with_rt = [runtime](abft::CholeskyOptions o) {
-    o.runtime = runtime;
-    return o;
-  };
 
   print_header(std::string("Figure ") + fig + " — overhead comparison on " +
                    profile.name,
@@ -36,24 +30,23 @@ void sweep(const ftla::sim::MachineProfile& profile,
   Table t({"n", "offline-abft", "online-abft", "enhanced-online-abft"});
   double last_enhanced = 0.0;
   for (int n : sizes) {
-    const double base = timing_run(profile, n, with_rt(noft_options()));
+    const double base = timing_run(profile, n, noft_options());
     const double off =
         timing_run(profile, n,
-                   with_rt(variant_options(profile, abft::Variant::Offline))) /
+                   variant_options(profile, abft::Variant::Offline)) /
             base -
         1.0;
     const double onl =
         timing_run(profile, n,
-                   with_rt(variant_options(profile, abft::Variant::Online))) /
+                   variant_options(profile, abft::Variant::Online)) /
             base -
         1.0;
     // The largest enhanced run doubles as the profiled representative.
     const bool capture = prof != nullptr && n == sizes.back();
     const double enh_seconds =
-        capture
-            ? timing_run_profiled(profile, n,
-                                  with_rt(enhanced_options(profile, 5)), prof)
-            : timing_run(profile, n, with_rt(enhanced_options(profile, 5)));
+        capture ? timing_run_profiled(profile, n, enhanced_options(profile, 5),
+                                      prof)
+                : timing_run(profile, n, enhanced_options(profile, 5));
     const double enh = enh_seconds / base - 1.0;
     last_enhanced = enh;
     t.add_row({std::to_string(n), Table::pct(off), Table::pct(onl),
@@ -79,6 +72,7 @@ int main(int argc, char** argv) {
   using namespace ftla;
   using namespace ftla::bench;
 
+  require_flags(argc, argv, {"--sizes", "--metrics-out", "--profile-out"});
   const std::string metrics_path = metrics_out_path(argc, argv);
   const std::string profile_path = profile_out_path(argc, argv);
   const auto t_sizes = sizes_override(argc, argv, tardis_sizes());
@@ -86,15 +80,14 @@ int main(int argc, char** argv) {
 
   obs::MetricsRegistry metrics;
   obs::MetricsRegistry* mp = metrics_path.empty() ? nullptr : &metrics;
-  const abft::RuntimeMode runtime = runtime_override(argc, argv);
   obs::ProfileReport prof;
-  sweep(sim::tardis(), t_sizes, "14", runtime, mp,
+  sweep(sim::tardis(), t_sizes, "14", mp,
         profile_path.empty() ? nullptr : &prof);
-  sweep(sim::bulldozer64(), b_sizes, "15", runtime, mp, nullptr);
+  sweep(sim::bulldozer64(), b_sizes, "15", mp, nullptr);
 
   write_bench_report(metrics_path, "fig14_15_overhead_comparison",
                      {{"k", "5"},
-                      {"runtime", abft::to_string(runtime)},
+                      {"runtime", "bulk"},
                       {"tardis_max_n", std::to_string(t_sizes.back())},
                       {"bulldozer_max_n", std::to_string(b_sizes.back())}},
                      metrics);

@@ -2,8 +2,10 @@
 // MAGMA-style Cholesky, the CULA-like vendor baseline, and the three
 // ABFT schemes, across the matrix-size sweep on both testbeds.
 //
+// Every run is the paper's bulk-synchronous Algorithm 1;
+// bench/runtime_overhead compares the task-graph runtime against it.
+//
 // Flags: `--sizes N1,N2,...` replaces the paper-scale sweeps;
-// `--runtime bulk|dag` selects the execution structure (docs/runtime.md);
 // `--profile-out FILE` saves the simulated-time profile of the
 // largest-size enhanced run on Tardis (perf-regression gate input);
 // `--timeseries-out FILE` saves the windowed occupancy time-series of
@@ -16,15 +18,9 @@ namespace {
 
 void sweep(const ftla::sim::MachineProfile& profile,
            const std::vector<int>& sizes, const char* fig,
-           ftla::abft::RuntimeMode runtime,
            ftla::obs::ProfileReport* prof) {
   using namespace ftla;
   using namespace ftla::bench;
-
-  auto with_rt = [runtime](abft::CholeskyOptions o) {
-    o.runtime = runtime;
-    return o;
-  };
 
   print_header(std::string("Figure ") + fig + " — performance on " +
                    profile.name,
@@ -36,21 +32,19 @@ void sweep(const ftla::sim::MachineProfile& profile,
   for (int n : sizes) {
     const double flops = static_cast<double>(n) * n * n / 3.0 / 1e9;
     auto gf = [&](double seconds) { return flops / seconds; };
-    const double magma = gf(timing_run(profile, n, with_rt(noft_options())));
+    const double magma = gf(timing_run(profile, n, noft_options()));
     sim::Machine mc(profile, sim::ExecutionMode::TimingOnly);
     const double cula =
         gf(abft::cula_like_cholesky(mc, nullptr, n).seconds);
     const double off = gf(timing_run(
-        profile, n, with_rt(variant_options(profile, abft::Variant::Offline))));
+        profile, n, variant_options(profile, abft::Variant::Offline)));
     const double onl = gf(timing_run(
-        profile, n, with_rt(variant_options(profile, abft::Variant::Online))));
+        profile, n, variant_options(profile, abft::Variant::Online)));
     const bool capture = prof != nullptr && n == sizes.back();
-    const double enh =
-        gf(capture
-               ? timing_run_profiled(profile, n,
-                                     with_rt(enhanced_options(profile, 5)),
-                                     prof)
-               : timing_run(profile, n, with_rt(enhanced_options(profile, 5))));
+    const double enh = gf(
+        capture ? timing_run_profiled(profile, n, enhanced_options(profile, 5),
+                                      prof)
+                : timing_run(profile, n, enhanced_options(profile, 5)));
     if (enh <= cula) enhanced_always_beats_cula = false;
     t.add_row({std::to_string(n), Table::num(magma, 5), Table::num(cula, 5),
                Table::num(off, 5), Table::num(onl, 5), Table::num(enh, 5)});
@@ -66,15 +60,14 @@ int main(int argc, char** argv) {
   using namespace ftla;
   using namespace ftla::bench;
 
+  require_flags(argc, argv, {"--sizes", "--profile-out", "--timeseries-out"});
   const std::string profile_path = profile_out_path(argc, argv);
   const auto t_sizes = sizes_override(argc, argv, tardis_sizes());
   const auto b_sizes = sizes_override(argc, argv, bulldozer_sizes());
 
-  const abft::RuntimeMode runtime = runtime_override(argc, argv);
   obs::ProfileReport prof;
-  sweep(sim::tardis(), t_sizes, "16", runtime,
-        profile_path.empty() ? nullptr : &prof);
-  sweep(sim::bulldozer64(), b_sizes, "17", runtime, nullptr);
+  sweep(sim::tardis(), t_sizes, "16", profile_path.empty() ? nullptr : &prof);
+  sweep(sim::bulldozer64(), b_sizes, "17", nullptr);
   write_bench_profile(profile_path, "fig16_17_performance",
                       {{"machine", "tardis"},
                        {"variant", "enhanced"},
@@ -87,11 +80,7 @@ int main(int argc, char** argv) {
                           {"variant", "enhanced"},
                           {"n", std::to_string(t_sizes.back())},
                           {"k", "5"}},
-                         sim::tardis(), t_sizes.back(), [&] {
-                           abft::CholeskyOptions o =
-                               enhanced_options(sim::tardis(), 5);
-                           o.runtime = runtime;
-                           return o;
-                         }());
+                         sim::tardis(), t_sizes.back(),
+                         enhanced_options(sim::tardis(), 5));
   return 0;
 }

@@ -18,8 +18,8 @@
 // rows bench.runtime.<algo>.<machine>.n<N>.*.
 //
 // Cholesky placement is pinned to Gpu on both machines: the Cpu-mirror
-// placement keeps checksum updates on the host and falls back to bulk
-// by design, so it cannot exercise the graph path.
+// placement keeps checksum updates on the host, which the task graph
+// does not model (abft::dag_refusal), and Auto picks by the bulk model.
 #include <iostream>
 
 #include "abft/lu.hpp"

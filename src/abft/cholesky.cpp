@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <utility>
 #include <vector>
 
@@ -59,6 +57,18 @@ const char* to_string(RuntimeMode m) {
   return m == RuntimeMode::Dag ? "dag" : "bulk";
 }
 
+const char* dag_refusal(const CholeskyOptions& o) {
+  if (o.runtime != RuntimeMode::Dag) return nullptr;
+  if (o.variant != Variant::NoFt && o.placement == UpdatePlacement::Cpu) {
+    return "cpu_checksum_mirror";
+  }
+  if (o.recovery == Recovery::Checkpoint && o.variant != Variant::Offline) {
+    return "checkpoint_recovery";
+  }
+  if (o.panel_checkpoint != nullptr) return "panel_checkpoint";
+  return nullptr;
+}
+
 int resolve_block_size(const sim::MachineProfile& profile,
                        const DriverOptions& options) {
   return options.block_size > 0 ? options.block_size
@@ -83,12 +93,21 @@ class Run final : public Driver {
                nullptr),
         copt_(opt) {
     FTLA_CHECK(copt_.checkpoint_interval >= 1);
+    const char* dag_refused = dag_refusal(copt_);
+    FTLA_CHECK_MSG(dag_refused == nullptr, dag_refused);
+    // Panel checkpointing needs real panel data.
+    FTLA_CHECK_MSG(copt_.panel_checkpoint == nullptr || m_.numeric(),
+                   "panel checkpoints require Numeric mode");
     chk_strikes_ = true;
     placement_ = copt_.placement;
     if (!ft_) placement_ = UpdatePlacement::Gpu;  // no checksums to place
     if (placement_ == UpdatePlacement::Auto) {
-      placement_ = opt2_decide(m_.profile(), n_, b_, opt_.verify_interval)
-                       .decision;
+      // The graph keeps the checksums on the device (dag_refusal).
+      placement_ =
+          opt_.runtime == RuntimeMode::Dag
+              ? UpdatePlacement::Gpu
+              : opt2_decide(m_.profile(), n_, b_, opt_.verify_interval)
+                    .decision;
     }
     if (ft_ && tel_.active()) {
       const Opt2Estimate est =
@@ -98,9 +117,7 @@ class Run final : public Driver {
     }
     host_compare_ = placement_ == UpdatePlacement::Cpu;
     result_.chosen_placement = placement_;
-    // Panel checkpointing needs real panel data, so it is Numeric-only;
-    // a TimingOnly run silently ignores the store.
-    ck_ = m_.numeric() ? copt_.panel_checkpoint : nullptr;
+    ck_ = copt_.panel_checkpoint;
     if (ck_ != nullptr) {
       if (ck_->usable(n_, b_) && ck_->columns.rows() == n_ &&
           ck_->columns.cols() == n_) {
@@ -139,15 +156,6 @@ class Run final : public Driver {
   void allocate() override;
   void upload() override;
   void run_once() override;
-  // The graph covers the device-resident checksum placements and Rerun
-  // recovery; the CPU checksum mirror, checkpoint recovery and fleet
-  // panel checkpoints run bulk.
-  [[nodiscard]] const char* dag_fallback_reason() const override {
-    if (placement_ == UpdatePlacement::Cpu) return "cpu_checksum_mirror";
-    if (checkpointing_) return "checkpoint_recovery";
-    if (ck_ != nullptr) return "panel_checkpoint";
-    return nullptr;
-  }
   [[nodiscard]] BlockId fault_target(const fault::FaultSpec& spec,
                                      int j) const override;
   [[nodiscard]] double* stored_checksum(int row, int col) override;
@@ -228,7 +236,7 @@ void Run::allocate() {
 
   // NoFt under the DAG still gets the transfer lane: the graph overlaps
   // the diagonal staging copies with the previous trailing update.
-  create_streams(ft_ || runs_dag());
+  create_streams(ft_ || opt_.runtime == RuntimeMode::Dag);
   if (placement_ != UpdatePlacement::Gpu) s_update_ = s_compute_;
 }
 
@@ -818,15 +826,6 @@ void Run::iteration(int j) {
           m_.host_compute(vd, [this, j, jb] {
             const VerifyOutcome out = verify_block_host(
                 h_diag_.block(0, 0, jb, jb), h_diag_chk(j), Tolerance{});
-            if (std::getenv("FTLA_CAMPAIGN_DEBUG") != nullptr) {
-              std::fprintf(stderr,
-                           "arrival-verify j=%d det=%lld corr=%lld rep=%lld "
-                           "unc=%d\n",
-                           j, static_cast<long long>(out.errors_detected),
-                           static_cast<long long>(out.errors_corrected),
-                           static_cast<long long>(out.checksum_repairs),
-                           out.uncorrectable ? 1 : 0);
-            }
             tel_.block_verified(out, fault::Op::Potf2, j, j, j,
                                 blas::gemv_flops(jb, jb) * 2, off(j), jb,
                                 off(j), jb, 2 * j);

@@ -40,6 +40,15 @@ CholeskyResult cholesky(sim::Machine& machine, Matrix<double>* a, int n,
                         const CholeskyOptions& options,
                         fault::Injector* injector = nullptr);
 
+/// Why RuntimeMode::Dag refuses `options`, or nullptr when the task
+/// graph runs them (always nullptr under RuntimeMode::Bulk). The graph
+/// does not model "cpu_checksum_mirror" (placement Cpu with checksums to
+/// place; Auto resolves to Gpu under Dag), "checkpoint_recovery"
+/// (Recovery::Checkpoint, which Offline ignores) or "panel_checkpoint".
+/// cholesky() aborts on a refused request, so callers that take options
+/// from a user check here first.
+[[nodiscard]] const char* dag_refusal(const CholeskyOptions& options);
+
 /// The block size a driver will use for these options on this machine.
 int resolve_block_size(const sim::MachineProfile& profile,
                        const DriverOptions& options);

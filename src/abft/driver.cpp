@@ -45,13 +45,6 @@ Driver::Driver(sim::Machine& m, Matrix<double>* a, int n,
 
 CholeskyResult Driver::execute() {
   allocate();
-  if (opt_.runtime == RuntimeMode::Dag) {
-    if (const char* reason = dag_fallback_reason()) {
-      result_.dag_fallback = reason;
-      tel_.dag_fallback(reason);
-    }
-  }
-  if (runs_dag()) result_.runtime = RuntimeMode::Dag;
   upload();
   m_.sync_all();
   const double t0 = m_.host_now();
@@ -129,7 +122,7 @@ bool Driver::retry(const Error& e, const char* prefix, const char* reason) {
 
 void Driver::run_pass() {
   runtime::TaskGraph graph;
-  g_ = runs_dag() ? &graph : nullptr;
+  g_ = opt_.runtime == RuntimeMode::Dag ? &graph : nullptr;
   slot_ = 0;
   sanitized_ = nullptr;
   try {

@@ -77,16 +77,6 @@ class Driver {
   virtual void upload();
   /// Fetches the factor after a successful run (Numeric mode).
   virtual void download();
-  /// Why the graph does not model this configuration, which then runs
-  /// bulk under RuntimeMode::Dag too; nullptr when it does.
-  [[nodiscard]] virtual const char* dag_fallback_reason() const {
-    return nullptr;
-  }
-  /// True when this pass builds a task graph.
-  [[nodiscard]] bool runs_dag() const {
-    return opt_.runtime == RuntimeMode::Dag &&
-           dag_fallback_reason() == nullptr;
-  }
   /// Where stored checksum element (row, col) lives, for storage faults
   /// that strike checksums (only when `chk_strikes_`).
   [[nodiscard]] virtual double* stored_checksum(int row, int col);

@@ -33,7 +33,10 @@ enum class UpdatePlacement {
   Blocking,  ///< on the compute stream (the un-optimized baseline)
   Gpu,       ///< separate GPU stream, overlapped via concurrent kernels
   Cpu,       ///< host-side mirror updated by the otherwise-idle CPU
-  Auto       ///< pick Gpu/Cpu with the paper's performance model
+  /// Pick Gpu/Cpu with the paper's performance model under
+  /// RuntimeMode::Bulk; Gpu under RuntimeMode::Dag, whose graph does not
+  /// model the host mirror (dag_refusal in abft/cholesky.hpp).
+  Auto
 };
 
 [[nodiscard]] const char* to_string(UpdatePlacement p);
@@ -62,10 +65,11 @@ enum class RuntimeMode {
   /// first-class task nodes with inferred RAW/WAR/WAW edges, scheduled
   /// with cross-iteration lookahead so trailing updates, checksum
   /// updates and per-block verifications overlap. Bit-identical to
-  /// Bulk fault-free; strictly shorter simulated makespan. Drivers
-  /// fall back to Bulk for the combinations the graph does not model
-  /// (CPU-side checksum mirror, checkpoint recovery, panel
-  /// checkpoints).
+  /// Bulk fault-free; strictly shorter simulated makespan. The
+  /// Cholesky driver refuses the configurations the graph does not
+  /// model (CPU-side checksum mirror, checkpoint recovery, panel
+  /// checkpoints; dag_refusal in abft/cholesky.hpp) instead of running
+  /// them bulk.
   Dag,
 };
 
@@ -176,7 +180,8 @@ struct CholeskyOptions : DriverOptions {
   obs::TraceStore* trace = nullptr;
   obs::TraceContext trace_ctx;
 
-  /// Panel-checkpoint store (optional, not owned; Numeric mode only).
+  /// Panel-checkpoint store (optional, not owned; Numeric mode only,
+  /// RuntimeMode::Bulk only).
   /// Every `checkpoint_interval` completed iterations the driver
   /// appends the newly retired panel columns to it; when the store
   /// already matches (n, block) and holds iterations > 0, the run
@@ -223,10 +228,6 @@ struct CholeskyResult {
 
   VerificationCounters verified;
   UpdatePlacement chosen_placement = UpdatePlacement::Gpu;
-  /// The execution structure that actually ran, and why a
-  /// RuntimeMode::Dag request ran bulk (nullptr when it did not).
-  RuntimeMode runtime = RuntimeMode::Bulk;
-  const char* dag_fallback = nullptr;
   std::string note;
 };
 

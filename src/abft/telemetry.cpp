@@ -219,20 +219,6 @@ void Telemetry::placement_decided(UpdatePlacement requested,
   }
 }
 
-void Telemetry::dag_fallback(const char* reason) {
-  common::MutexLock lk(mu_);
-  if (metrics_ != nullptr) metrics_->add_counter("runtime.dag_fallbacks", 1);
-  if (sink_ != nullptr) {
-    obs::Event e;
-    e.kind = obs::EventKind::Note;
-    e.time = e.end = m_.host_now();
-    e.lane = sim::kHostLane;
-    e.name = "dag_fallback";
-    e.detail = std::string("reason=") + reason;
-    sink_->post(e);
-  }
-}
-
 void Telemetry::checkpoint_taken(int next_iteration) {
   common::MutexLock lk(mu_);
   if (metrics_ != nullptr) metrics_->add_counter("abft.checkpoints", 1);

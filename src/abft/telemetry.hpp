@@ -100,11 +100,6 @@ class Telemetry {
   void placement_decided(UpdatePlacement requested, UpdatePlacement chosen,
                          double t_pick_gpu_s, double t_pick_cpu_s);
 
-  /// RuntimeMode::Dag met a configuration the graph does not model, so
-  /// the run goes bulk: one Note event "dag_fallback" with the reason,
-  /// counted in "runtime.dag_fallbacks".
-  void dag_fallback(const char* reason);
-
   void checkpoint_taken(int next_iteration);
   void rollback(int to_iteration);
   void rerun(int rerun_count, const char* reason);

@@ -7,7 +7,6 @@
 #include <iomanip>
 #include <limits>
 #include <memory>
-#include <iostream>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -20,7 +19,6 @@
 #include "common/spd.hpp"
 #include "common/thread_pool.hpp"
 #include "fault/process.hpp"
-#include "obs/event_sink.hpp"
 #include "sim/machine.hpp"
 #include "sim/profile.hpp"
 
@@ -35,6 +33,21 @@ Verdict classify(const abft::CholeskyResult& res, double residual) {
   if (res.reruns > 0) return Verdict::Rerun;
   if (res.rollbacks > 0) return Verdict::RolledBack;
   return Verdict::Corrected;
+}
+
+// One options struct for every driver: LU and QR read its DriverOptions
+// part and ignore the Cholesky-only fields.
+abft::CholeskyOptions driver_options(const Scenario& sc) {
+  abft::CholeskyOptions o;
+  o.variant = sc.variant;
+  o.block_size = sc.block;
+  o.verify_interval = sc.verify_interval;
+  o.placement = sc.placement;
+  o.runtime = sc.runtime;
+  o.recovery = sc.recovery;
+  o.checkpoint_interval = sc.checkpoint_interval;
+  o.transfer_guard = sc.transfer_guard;
+  return o;
 }
 
 }  // namespace
@@ -94,40 +107,12 @@ ScenarioResult run_scenario(const Scenario& sc) {
   Rng xfer_rng(sc.fault_seed ^ 0x7f4a7c15ULL);
   m.set_transfer_hook([&](const sim::TransferCtx& ctx) {
     const auto specs = inj.take_transfer(ctx.seq, ctx.end, ctx.armed);
-    if (std::getenv("FTLA_CAMPAIGN_DEBUG") != nullptr) {
-      std::fprintf(stderr,
-                   "xfer name=%s seq=%lld h2d=%d %dx%d ld=%d off=%lld "
-                   "armed=%d hits=%zu t=%.4e\n",
-                   ctx.name, static_cast<long long>(ctx.seq),
-                   ctx.h2d ? 1 : 0, ctx.rows, ctx.cols, ctx.ld,
-                   static_cast<long long>(ctx.dev_off),
-                   ctx.armed ? 1 : 0, specs.size(), ctx.end);
-    }
     transfer_faults += inj.strike_transfer(
         specs, {ctx.data, ctx.rows, ctx.cols, ctx.ld, ctx.dev_off}, n,
         xfer_rng);
   });
 
-  // FTLA_CAMPAIGN_DEBUG=1 streams the full event log to stderr — the
-  // fastest way to triage a replayed failure plan.
-  std::unique_ptr<obs::JsonlStreamSink> dbg_sink;
-  if (std::getenv("FTLA_CAMPAIGN_DEBUG") != nullptr) {
-    dbg_sink = std::make_unique<obs::JsonlStreamSink>(std::cerr);
-  }
-
-  // One options struct for every driver: LU and QR read its
-  // DriverOptions part and ignore the Cholesky-only fields.
-  abft::CholeskyOptions o;
-  o.variant = sc.variant;
-  o.block_size = sc.block;
-  o.verify_interval = sc.verify_interval;
-  o.placement = sc.placement;
-  o.runtime = sc.runtime;
-  o.recovery = sc.recovery;
-  o.checkpoint_interval = sc.checkpoint_interval;
-  o.transfer_guard = sc.transfer_guard;
-  o.event_sink = dbg_sink.get();
-
+  const abft::CholeskyOptions o = driver_options(sc);
   abft::CholeskyResult res;
   std::vector<double> tau;
   switch (sc.algo) {
@@ -143,24 +128,6 @@ ScenarioResult run_scenario(const Scenario& sc) {
     switch (sc.algo) {
       case Algo::Cholesky:
         out.residual = blas::cholesky_residual(pristine.view(), a.view());
-        if (std::getenv("FTLA_CAMPAIGN_DEBUG") != nullptr) {
-          double worst = 0.0;
-          int wi = -1;
-          int wj = -1;
-          for (int jj = 0; jj < n; ++jj) {
-            for (int ii = jj; ii < n; ++ii) {
-              double r = pristine(ii, jj);
-              for (int kk = 0; kk <= jj; ++kk) r -= a(ii, kk) * a(jj, kk);
-              if (std::abs(r) > worst) {
-                worst = std::abs(r);
-                wi = ii;
-                wj = jj;
-              }
-            }
-          }
-          std::fprintf(stderr, "residual argmax |A-LL^T|(%d,%d)=%.3e\n",
-                       wi, wj, worst);
-        }
         break;
       case Algo::Lu:
         out.residual = blas::lu_residual(pristine.view(), a.view());
@@ -220,9 +187,9 @@ Scenario random_scenario(Rng& rng, const CampaignOptions& opt) {
   }
   // Some of the load runs the task-graph runtime so the zero-SDC
   // invariant is demonstrated over the DAG drivers, not just the bulk
-  // oracle. Cholesky's graph path models Gpu-placement rerun-recovery
-  // runs only (everything else falls back to bulk, docs/runtime.md), so
-  // dag draws pin those axes to guarantee real graph coverage.
+  // oracle. Cholesky's graph refuses the CPU checksum mirror and
+  // checkpoint recovery (abft::dag_refusal, docs/runtime.md), so dag
+  // draws pin those axes to Gpu placement and rerun recovery.
   if (rng.uniform(0.0, 1.0) < opt.dag_share) {
     sc.runtime = abft::RuntimeMode::Dag;
     if (sc.algo == Algo::Cholesky) {
@@ -568,6 +535,11 @@ bool parse_scenario(const std::string& text, Scenario* out,
       if (sc.algo != Algo::Cholesky && sc.variant != abft::Variant::NoFt &&
           sc.variant != abft::Variant::EnhancedOnline) {
         return fail(where() + "lu and qr run no-ft or enhanced-online-abft");
+      }
+      if (sc.algo == Algo::Cholesky) {
+        if (const char* why = abft::dag_refusal(driver_options(sc))) {
+          return fail(where() + "runtime=dag refuses " + why);
+        }
       }
     } else if (head == "fault") {
       FaultSpec f;

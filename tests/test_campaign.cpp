@@ -275,7 +275,9 @@ TEST(ScenarioIo, RejectsFieldsADriverWouldAbortOn) {
   const std::string base = "scenario algo=cholesky n=64 block=16 ";
   for (const std::string bad :
        {"k=0", "ckpt=0", "k=-1", "max_arrivals=-1", "n=0",
-        "algo=lu variant=online-abft", "algo=qr variant=offline-abft"}) {
+        "algo=lu variant=online-abft", "algo=qr variant=offline-abft",
+        "placement=cpu runtime=dag", "recovery=checkpoint runtime=dag",
+        "variant=no-ft recovery=checkpoint runtime=dag"}) {
     Scenario sc;
     std::string err;
     EXPECT_FALSE(parse_scenario(base + bad + "\n", &sc, &err)) << bad;
@@ -286,12 +288,22 @@ TEST(ScenarioIo, RejectsFieldsADriverWouldAbortOn) {
   EXPECT_FALSE(parse_scenario(base + "\nfault type=storage bits=64\n", &sc,
                               &err));
   EXPECT_NE(err.find("bits"), std::string::npos) << err;
-  // The boundary values still parse.
+  // The boundary values still parse, and so do the dag lines the graph
+  // runs: NoFt places no checksums, Offline ignores checkpoint recovery,
+  // and LU/QR ignore the Cholesky-only fields.
   EXPECT_TRUE(parse_scenario(
       base + "k=1 ckpt=1 max_arrivals=0 algo=lu variant=no-ft\n"
              "fault type=storage bits=0,63\n",
       &sc, &err))
       << err;
+  for (const std::string good :
+       {"variant=no-ft placement=cpu runtime=dag",
+        "variant=offline-abft recovery=checkpoint runtime=dag",
+        "algo=lu placement=cpu recovery=checkpoint runtime=dag",
+        "placement=auto runtime=dag", "placement=cpu recovery=checkpoint"}) {
+    EXPECT_TRUE(parse_scenario(base + good + "\n", &sc, &err))
+        << good << ": " << err;
+  }
 }
 
 TEST(Shrink, ProducesMinimalReplayablePlan) {

@@ -149,6 +149,20 @@ TEST(Checkpoint, TimingOnlyChargesSnapshotCost) {
   EXPECT_LT(t_ckpt / t_plain - 1.0, 0.35) << "snapshots should be cheap-ish";
 }
 
+TEST(CheckpointDeath, PanelCheckpointNeedsNumericMode) {
+  // A TimingOnly run has no panel data to store.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  PanelCheckpoint ck;
+  CholeskyOptions opt;
+  opt.panel_checkpoint = &ck;
+  EXPECT_DEATH(
+      {
+        Machine m(small_rig(), ExecutionMode::TimingOnly);
+        (void)cholesky(m, nullptr, 64, opt);
+      },
+      "Numeric mode");
+}
+
 TEST(Checkpoint, StringName) {
   EXPECT_STREQ(to_string(Recovery::Rerun), "rerun");
   EXPECT_STREQ(to_string(Recovery::Checkpoint), "checkpoint");

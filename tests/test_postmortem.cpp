@@ -319,34 +319,27 @@ std::string cli_stdout(const std::string& args) {
   return text.str();
 }
 
-TEST(CliRuntimeLabel, NamesTheRuntimeThatRanAndWhyDagFellBack) {
-  // The task graph does not model the CPU checksum mirror, so a
-  // --runtime dag request with --placement cpu runs bulk, and the label
-  // must say so; with --placement gpu the graph runs.
-  const std::string run =
-      "--machine tardis --n 1024 --mode timing --runtime dag --placement ";
-  const std::string cpu = cli_stdout(run + "cpu");
-  EXPECT_NE(cpu.find("runtime = bulk (dag fallback: cpu_checksum_mirror)\n"),
-            std::string::npos)
-      << cpu;
-  const std::string gpu = cli_stdout(run + "gpu");
-  EXPECT_NE(gpu.find("runtime = dag\n"), std::string::npos) << gpu;
-  EXPECT_EQ(gpu.find("fallback"), std::string::npos) << gpu;
-}
-
 TEST(CliRuntimeLabel, RejectsDagForVariantsWithNoGraphDriver) {
-  // cula, dmr and tmr have no task-graph driver, so --runtime dag with
-  // one of them is a usage error rather than a bulk run; the same flags
-  // without it still run.
-  const std::string run = "--machine tardis --n 1024 --mode timing --variant ";
-  for (const std::string variant : {"cula", "dmr", "tmr"}) {
-    EXPECT_EQ(run_cmd(std::string(FTLA_CLI_BIN) + " " + run + variant +
+  // cula, dmr and tmr have no task-graph driver, and the Cholesky graph
+  // models neither the CPU checksum mirror nor checkpoint recovery, so
+  // --runtime dag with one of them is a usage error rather than a bulk
+  // run; the same flags without it still run.
+  const std::string run = "--machine tardis --n 1024 --mode timing ";
+  for (const std::string flags :
+       {"--variant cula", "--variant dmr", "--variant tmr",
+        "--placement cpu", "--recovery checkpoint"}) {
+    EXPECT_EQ(run_cmd(std::string(FTLA_CLI_BIN) + " " + run + flags +
                       " --runtime dag > /dev/null 2>&1"),
               common::kExitUsage)
-        << variant;
-    const std::string bulk = cli_stdout(run + variant);
+        << flags;
+    const std::string bulk = cli_stdout(run + flags);
     EXPECT_NE(bulk.find("runtime = bulk\n"), std::string::npos) << bulk;
   }
+  // With the default placement (Auto, which resolves to Gpu under the
+  // graph) the task graph runs.
+  const std::string dag =
+      cli_stdout("--machine tardis --n 2048 --mode timing --runtime dag");
+  EXPECT_NE(dag.find("runtime = dag\n"), std::string::npos) << dag;
 }
 
 // --------------------------- saved-profile gate ------------------------

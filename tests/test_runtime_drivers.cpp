@@ -18,8 +18,8 @@
 #include "abft/qr.hpp"
 #include "blas/lapack.hpp"
 #include "obs/event_sink.hpp"
-#include "obs/metrics.hpp"
 #include "sim/profile.hpp"
+#include "sim/profiler.hpp"
 #include "test_util.hpp"
 
 namespace ftla::abft {
@@ -152,66 +152,70 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(UpdatePlacement::Blocking, UpdatePlacement::Gpu),
         ::testing::Values(1, 2), ::testing::Values(false, true)));
 
-TEST(CholeskyConformance, CpuPlacementFallsBackToBulk) {
-  // The graph does not model the host checksum mirror; the driver must
-  // run the bulk path and still be correct.
-  const int n = 64;
-  const auto a0 = test::random_spd(n, 77);
-  auto a = a0;
-  Machine m(small_rig(), ExecutionMode::Numeric);
-  CholeskyOptions opt;
-  opt.variant = Variant::EnhancedOnline;
-  opt.placement = UpdatePlacement::Cpu;
-  opt.runtime = RuntimeMode::Dag;
-  const CholeskyResult res = cholesky(m, &a, n, opt);
-  ASSERT_TRUE(res.success) << res.note;
-  EXPECT_LT(blas::cholesky_residual(a0.view(), a.view()), 1e-12);
-}
+// --------------------- Cholesky: what the graph refuses ----------------
 
-TEST(CholeskyConformance, CheckpointRecoveryFallsBackToBulk) {
+// A Dag request for a configuration the graph does not model aborts in
+// the driver (ftla_cli and parse_scenario refuse it before any run),
+// and the same options run under Bulk.
+void expect_dag_refused(CholeskyOptions opt, const char* reason) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const int n = 64;
   const auto a0 = test::random_spd(n, 78);
+  opt.runtime = RuntimeMode::Dag;
+  EXPECT_DEATH(
+      {
+        auto a = a0;
+        Machine m(small_rig(), ExecutionMode::Numeric);
+        (void)cholesky(m, &a, n, opt);
+      },
+      reason);
+  opt.runtime = RuntimeMode::Bulk;
   auto a = a0;
   Machine m(small_rig(), ExecutionMode::Numeric);
-  CholeskyOptions opt;
-  opt.variant = Variant::EnhancedOnline;
-  opt.recovery = Recovery::Checkpoint;
-  opt.runtime = RuntimeMode::Dag;
   const CholeskyResult res = cholesky(m, &a, n, opt);
   ASSERT_TRUE(res.success) << res.note;
   EXPECT_LT(blas::cholesky_residual(a0.view(), a.view()), 1e-12);
 }
 
-TEST(CholeskyConformance, DagFallbackIsReported) {
-  // A Dag request that runs bulk says so once per driver call — one
-  // "dag_fallback" note with the reason and one runtime.dag_fallbacks
-  // count — and nothing else does.
-  const auto fallback_notes = [](RuntimeMode runtime,
-                                 UpdatePlacement placement) {
-    Machine m(small_rig(), ExecutionMode::TimingOnly);
-    obs::RingBufferSink sink;
-    obs::MetricsRegistry metrics;
+TEST(DagRefusalDeath, CpuChecksumMirror) {
+  CholeskyOptions opt;
+  opt.placement = UpdatePlacement::Cpu;
+  expect_dag_refused(opt, "cpu_checksum_mirror");
+}
+
+TEST(DagRefusalDeath, CheckpointRecovery) {
+  CholeskyOptions opt;
+  opt.recovery = Recovery::Checkpoint;
+  expect_dag_refused(opt, "checkpoint_recovery");
+}
+
+TEST(DagRefusalDeath, PanelCheckpoint) {
+  PanelCheckpoint ck;
+  CholeskyOptions opt;
+  opt.panel_checkpoint = &ck;
+  expect_dag_refused(opt, "panel_checkpoint");
+}
+
+TEST(CholeskyDagPlacement, AutoResolvesToGpuAndRunsTheGraph) {
+  // Bulk's Opt-2 model puts the checksum mirror on the host here; the
+  // graph keeps checksums on the device, so Dag resolves Auto to Gpu.
+  const auto run = [](RuntimeMode runtime, obs::ProfileReport* prof) {
+    Machine m(sim::tardis(), ExecutionMode::TimingOnly);
+    obs::SpanStore spans;
+    m.set_span_store(&spans);
     CholeskyOptions opt;
-    opt.variant = Variant::EnhancedOnline;
-    opt.placement = placement;
     opt.runtime = runtime;
-    opt.event_sink = &sink;
-    opt.metrics = &metrics;
-    EXPECT_TRUE(cholesky(m, nullptr, 64, opt).success);
-    std::vector<std::string> notes;
-    for (const obs::Event& e : sink.events()) {
-      if (e.kind == obs::EventKind::Note && e.name == "dag_fallback") {
-        notes.push_back(e.detail);
-      }
-    }
-    EXPECT_EQ(metrics.counter("runtime.dag_fallbacks"),
-              static_cast<long long>(notes.size()));
-    return notes;
+    opt.profile = &spans;
+    const CholeskyResult res = cholesky(m, nullptr, 2048, opt);
+    EXPECT_TRUE(res.success) << res.note;
+    *prof = sim::build_profile(m, spans);
+    return res.chosen_placement;
   };
-  EXPECT_EQ(fallback_notes(RuntimeMode::Dag, UpdatePlacement::Cpu),
-            std::vector<std::string>{"reason=cpu_checksum_mirror"});
-  EXPECT_TRUE(fallback_notes(RuntimeMode::Dag, UpdatePlacement::Gpu).empty());
-  EXPECT_TRUE(fallback_notes(RuntimeMode::Bulk, UpdatePlacement::Cpu).empty());
+  obs::ProfileReport prof;
+  EXPECT_EQ(run(RuntimeMode::Bulk, &prof), UpdatePlacement::Cpu);
+  EXPECT_EQ(prof.task_nodes, 0);
+  EXPECT_EQ(run(RuntimeMode::Dag, &prof), UpdatePlacement::Gpu);
+  EXPECT_GT(prof.task_nodes, 0);
 }
 
 // --------------------- Cholesky: faults under the DAG ------------------

@@ -101,7 +101,9 @@ obs::FlightRecorder g_recorder;
                "                      phases (the conformance oracle) or the\n"
                "                      dependency-driven task graph\n"
                "                      (docs/runtime.md); dag needs --variant\n"
-               "                      enhanced|online|offline|noft\n"
+               "                      enhanced|online|offline|noft and, for\n"
+               "                      cholesky, refuses --placement cpu and\n"
+               "                      --recovery checkpoint\n"
                "  --trace-out FILE    Chrome trace with fault annotations\n"
                "                      (instant events + injection->detection\n"
                "                      flow arrows); --trace is an alias\n"
@@ -314,6 +316,15 @@ int main(int argc, char** argv) {
     // bulk under a dag label.
     usage("--runtime dag supports --variant enhanced|online|offline|noft");
   }
+  // The driver aborts on a configuration its graph refuses; say so here,
+  // before anything runs.
+  if (args.algo == "cholesky") {
+    if (const char* why = abft::dag_refusal(opt)) {
+      usage((std::string("--runtime dag refuses ") + why +
+             " (the task graph does not model it; use --runtime bulk)")
+                .c_str());
+    }
+  }
   if (want_obs) {
     opt.event_sink = &sink;
     opt.metrics = &metrics;
@@ -357,13 +368,9 @@ int main(int argc, char** argv) {
   std::printf("machine           : %s (%s mode)\n", profile.name.c_str(),
               numeric ? "numeric" : "timing-only");
   std::printf("problem           : n = %d, block = %d, variant = %s, K = %d, "
-              "runtime = %s",
+              "runtime = %s\n",
               args.n, block, args.variant.c_str(), args.k,
-              abft::to_string(res.runtime));
-  if (res.dag_fallback != nullptr) {
-    std::printf(" (dag fallback: %s)", res.dag_fallback);
-  }
-  std::printf("\n");
+              abft::to_string(opt.runtime));
   std::printf("success           : %s%s%s\n", res.success ? "yes" : "no",
               res.note.empty() ? "" : " — ", res.note.c_str());
   std::printf("virtual time      : %.6f s (%.2f GFLOP/s)\n", res.seconds,
@@ -395,10 +402,11 @@ int main(int argc, char** argv) {
     } else {
       resid = blas::cholesky_residual(a0.view(), a.view());
     }
-    std::printf("residual          : %.3e %s\n", resid,
-                resid < 1e-8 ? "(clean)" : "(CORRUPTED)");
     // NaN-safe: a NaN residual must classify as corrupt.
-    if (!(resid < fault::kSdcResidualThreshold)) exit_code = fault::kExitSdc;
+    const bool clean = resid < fault::kSdcResidualThreshold;
+    std::printf("residual          : %.3e %s\n", resid,
+                clean ? "(clean)" : "(CORRUPTED)");
+    if (!clean) exit_code = fault::kExitSdc;
   }
   if (args.summary) {
     sim::print_trace_summary(spans, machine.makespan(), std::cout);
