@@ -10,9 +10,11 @@
 #include "abft/overhead_model.hpp"
 #include "bench_util.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ftla;
   using namespace ftla::bench;
+
+  require_flags(argc, argv, {});
 
   const int n = 10240;
 

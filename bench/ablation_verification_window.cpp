@@ -17,10 +17,12 @@
 #include "common/spd.hpp"
 #include "fault/fault.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ftla;
   using namespace ftla::bench;
   using abft::Variant;
+
+  require_flags(argc, argv, {});
 
   const int n = 512;
   const int block = 64;

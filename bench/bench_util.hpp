@@ -18,6 +18,8 @@
 // the self-contained HTML run report.
 #pragma once
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <initializer_list>
@@ -141,6 +143,29 @@ inline void require_flags(int argc, char** argv,
       std::exit(common::kExitUsage);
     }
   }
+}
+
+/// Best-of-N host wall time of `body` (seconds) for the chrono harnesses
+/// (kernels_blas, kernels_sim); repetitions adapt to the cost of one
+/// call so each cell measures for roughly a quarter second.
+template <typename Fn>
+double best_seconds(Fn&& body) {
+  using clock = std::chrono::steady_clock;
+  const auto t0 = clock::now();
+  body();  // warmup, also sizes the repetition count
+  const double once =
+      std::chrono::duration<double>(clock::now() - t0).count();
+  const int reps =
+      std::clamp(static_cast<int>(0.25 / std::max(once, 1e-4)), 1, 50);
+  double best = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    const auto t1 = clock::now();
+    body();
+    const double dt =
+        std::chrono::duration<double>(clock::now() - t1).count();
+    best = std::min(best, dt);
+  }
+  return best;
 }
 
 /// Returns the value of `--metrics-out FILE` from a bench's argv, or ""

@@ -13,9 +13,11 @@
 #include "common/spd.hpp"
 #include "fault/fault.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ftla;
   using namespace ftla::bench;
+
+  require_flags(argc, argv, {});
 
   const int n = 1024;
   const int block = 64;

@@ -102,7 +102,8 @@ void fault_table() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  require_flags(argc, argv, {});
   overhead_sweep(sim::tardis(), {5120, 10240, 20480});
   overhead_sweep(sim::bulldozer64(), {10240, 20480, 30720});
   fault_table();

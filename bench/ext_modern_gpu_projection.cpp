@@ -12,9 +12,11 @@
 
 #include "bench_util.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ftla;
   using namespace ftla::bench;
+
+  require_flags(argc, argv, {});
 
   const auto machines = {sim::tardis(), sim::bulldozer64(), sim::ampere()};
 

@@ -15,9 +15,11 @@
 #include "common/rng.hpp"
 #include "common/spd.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace ftla;
   using namespace ftla::bench;
+
+  require_flags(argc, argv, {});
 
   const int block = 64;
   const int trials = 200;

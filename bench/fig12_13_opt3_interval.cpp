@@ -44,6 +44,7 @@ int main(int argc, char** argv) {
   using namespace ftla;
   using namespace ftla::bench;
 
+  require_flags(argc, argv, {"--sizes", "--profile-out"});
   const std::string profile_path = profile_out_path(argc, argv);
   const auto t_sizes = sizes_override(argc, argv, tardis_sizes());
   const auto b_sizes = sizes_override(argc, argv, bulldozer_sizes());

@@ -108,6 +108,7 @@ int main(int argc, char** argv) {
   using ftla::bench::print_header;
   using ftla::bench::print_table;
 
+  ftla::bench::require_flags(argc, argv, {"--metrics-out"});
   std::string out = ftla::bench::metrics_out_path(argc, argv);
   if (out.empty()) out = "BENCH_fleet.json";
 

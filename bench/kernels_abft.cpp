@@ -5,6 +5,7 @@
 
 #include "abft/checksum.hpp"
 #include "blas/lapack.hpp"
+#include "common/exit_codes.hpp"
 #include "common/matrix.hpp"
 #include "common/spd.hpp"
 
@@ -72,4 +73,14 @@ BENCHMARK(BM_Potf2ChecksumTransform)->Arg(128)->Arg(256)->Arg(512);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN, except that an unknown flag is a usage error (exit 2),
+// as in every other bench.
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+    return ftla::common::kExitUsage;
+  }
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -13,7 +13,6 @@
 // Each measurement reports the fastest repetition; gauges are named
 // bench.<kernel>.n<size>.t<threads>.gflops.
 #include <algorithm>
-#include <chrono>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -62,27 +61,7 @@ std::string join(const std::vector<int>& v) {
   return out;
 }
 
-/// Best-of-N wall time of `body` (seconds); repetitions adapt to the
-/// cost of one call so each cell measures for roughly a quarter second.
-template <typename Fn>
-double best_seconds(Fn&& body) {
-  using clock = std::chrono::steady_clock;
-  const auto t0 = clock::now();
-  body();  // warmup, also sizes the repetition count
-  const double once =
-      std::chrono::duration<double>(clock::now() - t0).count();
-  const int reps =
-      std::clamp(static_cast<int>(0.25 / std::max(once, 1e-4)), 1, 50);
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t1 = clock::now();
-    body();
-    const double dt =
-        std::chrono::duration<double>(clock::now() - t1).count();
-    best = std::min(best, dt);
-  }
-  return best;
-}
+using bench::best_seconds;
 
 struct Cell {
   std::string kernel;
@@ -94,6 +73,8 @@ struct Cell {
 }  // namespace
 
 int main(int argc, char** argv) {
+  ftla::bench::require_flags(argc, argv,
+                             {"--sizes", "--threads", "--metrics-out"});
   std::vector<int> sizes = {256, 512, 1024};
   std::vector<int> threads = {1, 2, 4};
   if (const std::string s = flag_value(argc, argv, "--sizes"); !s.empty()) {

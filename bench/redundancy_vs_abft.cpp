@@ -44,7 +44,8 @@ void sweep(const ftla::sim::MachineProfile& profile,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  ftla::bench::require_flags(argc, argv, {});
   sweep(ftla::sim::tardis(), {5120, 10240, 20480});
   sweep(ftla::sim::bulldozer64(), {10240, 20480, 30720});
   std::cout << "Paper §I: DMR costs ~100% and only detects; TMR costs "

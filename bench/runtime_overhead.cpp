@@ -98,6 +98,7 @@ int main(int argc, char** argv) {
   using namespace ftla;
   using namespace ftla::bench;
 
+  require_flags(argc, argv, {"--metrics-out", "--sizes"});
   const std::string metrics_path = metrics_out_path(argc, argv);
   const std::vector<int> sizes = sizes_override(argc, argv, {2048, 4096});
 

@@ -12,6 +12,7 @@
 int main(int argc, char** argv) {
   using namespace ftla;
   using namespace ftla::bench;
+  require_flags(argc, argv, {"--metrics-out", "--profile-out"});
   const std::string metrics_path = metrics_out_path(argc, argv);
   const std::string profile_path = profile_out_path(argc, argv);
 

@@ -13,6 +13,7 @@ int main(int argc, char** argv) {
   using namespace ftla;
   using namespace ftla::bench;
 
+  require_flags(argc, argv, {"--profile-out"});
   const std::string profile_path = profile_out_path(argc, argv);
   const auto profile = sim::tardis();
   const int n = 20480;

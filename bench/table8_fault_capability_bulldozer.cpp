@@ -3,6 +3,7 @@
 #include "fault_capability.hpp"
 
 int main(int argc, char** argv) {
+  ftla::bench::require_flags(argc, argv, {"--profile-out"});
   ftla::bench::run_fault_capability(
       ftla::sim::bulldozer64(), 30720,
       /*reduced_n=*/1024,

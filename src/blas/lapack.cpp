@@ -25,10 +25,19 @@ void potf2(MatrixView<double> a) {
     d = std::sqrt(d);
     a(j, j) = d;
     if (j + 1 < n) {
-      // Column below the diagonal: a(j+1:, j) = (a(j+1:, j) - A21 * a(j,0:j)^T) / d
-      gemm(Trans::No, Trans::Yes, -1.0, a.block(j + 1, 0, n - j - 1, j),
-           a.block(j, 0, 1, j), 1.0, a.block(j + 1, j, n - j - 1, 1));
-      scal(n - j - 1, 1.0 / d, &a(j + 1, j), 1);
+      // Column below the diagonal:
+      // a(j+1:, j) = (a(j+1:, j) - A21 * a(j,0:j)^T) / d.
+      // Up to gemm's small-path threshold this is that path's own strip
+      // sweep, without a gemm call's shape checks and dispatch.
+      const int m = n - j - 1;
+      if (static_cast<long long>(m) * j <= kSmallWork) {
+        const auto t = [&](int l) { return -1.0 * a(j, l); };
+        strip_update(m, j, t, &a(j + 1, 0), a.ld(), &a(j + 1, j));
+      } else {
+        gemm(Trans::No, Trans::Yes, -1.0, a.block(j + 1, 0, m, j),
+             a.block(j, 0, 1, j), 1.0, a.block(j + 1, j, m, 1));
+      }
+      scal(m, 1.0 / d, &a(j + 1, j), 1);
     }
   }
 }

@@ -14,10 +14,6 @@ namespace ftla::blas {
 
 namespace {
 
-// Work (in multiply-adds) below which the packed core is not worth its
-// packing overhead; the campaign's 16-wide block operations and the
-// 2 x B checksum updates all stay on the short path.
-constexpr long long kSmallWork = 32LL * 32 * 32;
 // Work above which a GEMM fans out over the global thread pool.
 constexpr long long kParallelWork = 1LL << 21;
 
@@ -41,57 +37,14 @@ void gemm_small(Trans ta, Trans tb, double alpha, ConstMatrixView<double> a,
   const int n = c.cols();
   const int k = ta == Trans::No ? a.cols() : a.rows();
   if (ta == Trans::No) {
-    // C(i,j) += t * A(i,l) with t = alpha * op(B)(l,j), in l order,
+    // C(:,j) += t * A(:,l) with t = alpha * op(B)(l,j), in l order,
     // skipping t == 0 (so a zero of op(B) keeps a NaN or Inf of A out of
-    // C). Each C element's adds are independent of its neighbours', so
-    // C(:,j) is swept in 8-row strips that stay in four Pairs across the
-    // whole l loop, then in 2-row strips (one Pair, e.g. a checksum
-    // block's two rows), and an odd last row keeps a scalar.
-    const auto t_at = [&](int l, int j) {
-      return alpha * (tb == Trans::No ? b(l, j) : b(j, l));
-    };
+    // C), one column at a time in register strips.
     for (int j = 0; j < n; ++j) {
-      double* cj = &c(0, j);
-      int i = 0;
-      for (; i + 8 <= m; i += 8) {
-        Pair c0 = load_pair(cj + i);
-        Pair c1 = load_pair(cj + i + 2);
-        Pair c2 = load_pair(cj + i + 4);
-        Pair c3 = load_pair(cj + i + 6);
-        for (int l = 0; l < k; ++l) {
-          const double t = t_at(l, j);
-          if (t == 0.0) continue;
-          const Pair tt = {t, t};
-          const double* al = &a(i, l);
-          c0 += tt * load_pair(al);
-          c1 += tt * load_pair(al + 2);
-          c2 += tt * load_pair(al + 4);
-          c3 += tt * load_pair(al + 6);
-        }
-        store_pair(cj + i, c0);
-        store_pair(cj + i + 2, c1);
-        store_pair(cj + i + 4, c2);
-        store_pair(cj + i + 6, c3);
-      }
-      for (; i + 2 <= m; i += 2) {
-        Pair c0 = load_pair(cj + i);
-        for (int l = 0; l < k; ++l) {
-          const double t = t_at(l, j);
-          if (t == 0.0) continue;
-          const Pair tt = {t, t};
-          c0 += tt * load_pair(&a(i, l));
-        }
-        store_pair(cj + i, c0);
-      }
-      if (i < m) {
-        double s = cj[i];
-        for (int l = 0; l < k; ++l) {
-          const double t = t_at(l, j);
-          if (t == 0.0) continue;
-          s += t * a(i, l);
-        }
-        cj[i] = s;
-      }
+      const auto t_at = [&](int l) {
+        return alpha * (tb == Trans::No ? b(l, j) : b(j, l));
+      };
+      strip_update(m, k, t_at, a.data(), a.ld(), &c(0, j));
     }
   } else if (tb == Trans::No) {
     // C(i,j) += alpha * dot(A(:,i), B(:,j)) — both operands columnwise.

@@ -32,6 +32,11 @@ inline constexpr int kGemmNC = 1024; ///< packed-B panel cols (L3 resident)
 /// Diagonal-block width of the blocked triangular routines (TRSM/TRMM)
 /// and the SYRK column panel.
 inline constexpr int kTriBlock = 64;
+/// Work (in multiply-adds) up to which GEMM and SYRK skip the packed
+/// core, which is not worth its packing overhead there; the campaign's
+/// 16-wide block operations and the 2 x B checksum updates all stay on
+/// the short path. Part of the results, like kGemmKC.
+inline constexpr long long kSmallWork = 32LL * 32 * 32;
 
 /// C := alpha * op(A) op(B) + beta * C
 void gemm(Trans ta, Trans tb, double alpha, ConstMatrixView<double> a,

@@ -83,15 +83,8 @@ StreamRunStats run_on_streams(const TaskGraph& graph, sim::Machine& machine,
       }
       case Where::Device: {
         ++stats.device_tasks;
-        sim::StreamId s = pool.front();
+        const sim::StreamId s = machine.least_loaded_stream(pool);
         double s_end = machine.stream_end(s);
-        for (std::size_t q = 1; q < pool.size(); ++q) {
-          const double end = machine.stream_end(pool[q]);
-          if (end < s_end) {
-            s = pool[q];
-            s_end = end;
-          }
-        }
         for (const int p : graph.preds(id)) {
           const Issued& pred = issued[static_cast<std::size_t>(p)];
           // A host/inline pred has no event: the host clock orders us.

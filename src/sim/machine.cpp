@@ -69,7 +69,21 @@ void DeviceBuffer::release() noexcept {
 Machine::Machine(MachineProfile profile, ExecutionMode mode)
     : profile_(std::move(profile)),
       mode_(mode),
+      min_units_(0),
       gpu_pool_(profile_.sm_count + profile_.coexec_spare_units) {
+  FTLA_CHECK(profile_.max_concurrent_kernels > 0);
+  min_units_ = (profile_.sm_count + profile_.max_concurrent_kernels - 1) /
+               profile_.max_concurrent_kernels;
+  for (int i = 0; i < kKernelClasses; ++i) {
+    const auto c = static_cast<KernelClass>(i);
+    ClassCost& k = cost(c);
+    k.units = std::min(profile_.default_sm_units(c), profile_.sm_count);
+    k.footprint = std::max(k.units, min_units_);
+    // A class whose default request is empty only fails once a kernel
+    // of it needs a rate (in price()), as it always has.
+    if (k.units > 0) k.gpu_rate = profile_.gpu_rate_gflops(c, k.units) * 1e9;
+    k.host_rate = profile_.cpu_peak_gflops * profile_.cpu_efficiency(c) * 1e9;
+  }
   streams_.push_back(StreamState{});  // stream 0 = default stream
 }
 
@@ -152,27 +166,56 @@ void Machine::sync_all() {
   note_sync("sync_all");
 }
 
-int Machine::resolve_units(const KernelDesc& d) const {
-  int units = d.sm_units > 0 ? d.sm_units : profile_.default_sm_units(d.cls);
-  units = std::min(units, profile_.sm_count);
-  // When the concurrent-kernel limit N is tighter than the SM pool,
-  // inflate the footprint so at most N kernels ever co-run.
-  const int min_units =
-      (profile_.sm_count + profile_.max_concurrent_kernels - 1) /
-      profile_.max_concurrent_kernels;
-  return std::max(units, min_units);
-}
-
-double Machine::kernel_duration(const KernelDesc& d, int units) const {
-  double dur = profile_.kernel_launch_overhead_s;
-  if (d.flops > 0) {
-    const double rate = profile_.gpu_rate_gflops(d.cls, units) * 1e9;
-    dur += static_cast<double>(d.flops) / rate;
+StreamId Machine::least_loaded_stream(std::span<const StreamId> pool) const {
+  FTLA_CHECK(!pool.empty());
+  StreamId best = pool.front();
+  FTLA_CHECK(best >= 0 && best < stream_count());
+  double best_end = streams_[static_cast<std::size_t>(best)].last_end;
+  for (const StreamId s : pool.subspan(1)) {
+    FTLA_CHECK(s >= 0 && s < stream_count());
+    const double end = streams_[static_cast<std::size_t>(s)].last_end;
+    if (end < best_end) {
+      best = s;
+      best_end = end;
+    }
   }
-  return dur;
+  return best;
 }
 
-void Machine::note_span(obs::EventKind kind, const std::string& name,
+Machine::KernelPrice Machine::price(const KernelDesc& d) const {
+  // Duration comes from the units the kernel actually computes with; the
+  // *footprint* may be inflated so that at most max_concurrent_kernels
+  // ever co-run (a scheduling constraint, not a speedup).
+  const ClassCost& k = costs_[static_cast<std::size_t>(d.cls)];
+  KernelPrice p{k.units, k.footprint, profile_.kernel_launch_overhead_s};
+  if (d.sm_units > 0) {
+    p.units = std::min(d.sm_units, profile_.sm_count);
+    p.footprint = std::max(p.units, min_units_);
+  }
+  if (d.flops > 0) {
+    // An explicit request, or an empty default one (which the profile
+    // refuses), has no cached rate.
+    const double rate = d.sm_units > 0 || p.units <= 0
+                            ? profile_.gpu_rate_gflops(d.cls, p.units) * 1e9
+                            : k.gpu_rate;
+    p.seconds += static_cast<double>(d.flops) / rate;
+  }
+  return p;
+}
+
+ClassStats& Machine::gpu_stats(KernelClass c) {
+  ClassStats*& slot = cost(c).gpu;
+  if (slot == nullptr) slot = &stats_.gpu[c];
+  return *slot;
+}
+
+ClassStats& Machine::host_stats(KernelClass c) {
+  ClassStats*& slot = cost(c).host;
+  if (slot == nullptr) slot = &stats_.host[c];
+  return *slot;
+}
+
+void Machine::note_span(obs::EventKind kind, const char* name,
                         KernelClass cls, int lane, double start, double end,
                         std::int64_t flops, std::int64_t bytes, int units) {
   if (spans_ != nullptr) {
@@ -210,40 +253,30 @@ void Machine::launch(StreamId s, const KernelDesc& d, Body body) {
 
   host_time_ += profile_.host_call_overhead_s;
   gpu_pool_.prune(std::min(host_time_, gpu_pool_.last_end()));
-  // Duration comes from the units the kernel actually computes with; the
-  // *footprint* may be inflated so that at most max_concurrent_kernels
-  // ever co-run (a scheduling constraint, not a speedup).
-  const int units =
-      std::min(d.sm_units > 0 ? d.sm_units : profile_.default_sm_units(d.cls),
-               profile_.sm_count);
-  const double dur = kernel_duration(d, units);
-  const int footprint = resolve_units(d);
+  const KernelPrice p = price(d);
   const double earliest = std::max(host_time_, streams_[s].last_end);
-  const double start = gpu_pool_.allocate(earliest, dur, footprint);
-  const double end = start + dur;
+  const double start = gpu_pool_.allocate(earliest, p.seconds, p.footprint);
+  const double end = start + p.seconds;
   streams_[s].last_end = end;
 
-  auto& cs = stats_.gpu[d.cls];
+  ClassStats& cs = gpu_stats(d.cls);
   ++cs.count;
   cs.flops += d.flops;
-  cs.busy_seconds += dur;
+  cs.busy_seconds += p.seconds;
   note_span(obs::EventKind::Kernel, d.name, d.cls, s, start, end, d.flops, 0,
-            units);
+            p.units);
 }
 
 void Machine::host_compute(const KernelDesc& d, Body body) {
   tick();
   if (numeric() && body) body();
-  double dur = 0.0;
-  if (d.flops > 0) {
-    const double rate =
-        profile_.cpu_peak_gflops * profile_.cpu_efficiency(d.cls) * 1e9;
-    dur = static_cast<double>(d.flops) / rate;
-  }
+  const double dur =
+      d.flops > 0 ? static_cast<double>(d.flops) / cost(d.cls).host_rate
+                  : 0.0;
   const double start = host_time_;
   host_time_ += dur;
   stats_.host_busy_seconds += dur;
-  auto& cs = stats_.host[d.cls];
+  ClassStats& cs = host_stats(d.cls);
   ++cs.count;
   cs.flops += d.flops;
   cs.busy_seconds += dur;
@@ -420,7 +453,7 @@ void Machine::memcpy_d2d(DeviceBuffer& dst, std::int64_t dst_off,
   const double earliest = std::max(host_time_, streams_[s].last_end);
   const double start = gpu_pool_.allocate(earliest, dur, 1);
   streams_[s].last_end = start + dur;
-  auto& cs = stats_.gpu[KernelClass::Memset];
+  ClassStats& cs = gpu_stats(KernelClass::Memset);
   ++cs.count;
   cs.busy_seconds += dur;
   note_span(obs::EventKind::Copy, "d2d", KernelClass::Memset, s, start,

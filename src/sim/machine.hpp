@@ -17,12 +17,13 @@
 //     can be swept cheaply. Callers must only touch data inside bodies.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <map>
+#include <span>
 #include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -59,7 +60,11 @@ class DeviceLostError : public std::runtime_error {
 
 /// Static description of one unit of simulated work.
 struct KernelDesc {
-  std::string name;
+  /// Label with static storage (a literal or a static table entry), the
+  /// rule TaskGraph task names follow: a DAG body may launch long after
+  /// the code that built the graph returned. The machine copies the text
+  /// only into an attached span store or event sink.
+  const char* name = "";
   KernelClass cls = KernelClass::Other;
   std::int64_t flops = 0;
   /// SM units requested; 0 means the profile default for `cls`.
@@ -168,10 +173,13 @@ class DeviceBuffer {
   std::int64_t count_ = 0;
 };
 
-/// One simulated CPU+GPU node.
+/// One simulated CPU+GPU node. Not copyable: it caches pointers into
+/// its own stats, and device buffers point back at it.
 class Machine {
  public:
   Machine(MachineProfile profile, ExecutionMode mode);
+  Machine(const Machine&) = delete;
+  Machine& operator=(const Machine&) = delete;
 
   [[nodiscard]] const MachineProfile& profile() const noexcept {
     return profile_;
@@ -202,6 +210,11 @@ class Machine {
   [[nodiscard]] double stream_end(StreamId s) const {
     return streams_.at(static_cast<std::size_t>(s)).last_end;
   }
+  /// The stream of `pool` whose issued work completes first, the
+  /// earliest in `pool` on a tie; free to read, like stream_end. The
+  /// runtime's stream executor puts each Device task there.
+  [[nodiscard]] StreamId least_loaded_stream(
+      std::span<const StreamId> pool) const;
   EventId record_event(StreamId s);
   void stream_wait_event(StreamId s, EventId e);
   void sync_stream(StreamId s);
@@ -335,8 +348,31 @@ class Machine {
     double last_end = 0.0;
   };
 
-  double kernel_duration(const KernelDesc& d, int units) const;
-  int resolve_units(const KernelDesc& d) const;
+  /// What one class costs at its default SM request, fixed at
+  /// construction because the profile never changes, plus the class's
+  /// stats entries (made on first use, so stats list only classes that
+  /// ran; std::map entries never move).
+  struct ClassCost {
+    int units = 0;          ///< SMs a kernel computes with
+    int footprint = 0;      ///< SMs it reserves in the pool
+    double gpu_rate = 0.0;  ///< flop/s on `units` SMs
+    double host_rate = 0.0; ///< flop/s as host work
+    ClassStats* gpu = nullptr;
+    ClassStats* host = nullptr;
+  };
+  struct KernelPrice {
+    int units;
+    int footprint;
+    double seconds;
+  };
+
+  [[nodiscard]] ClassCost& cost(KernelClass c) {
+    return costs_[static_cast<std::size_t>(c)];
+  }
+  /// Units, footprint and duration of kernel `d` on the GPU.
+  [[nodiscard]] KernelPrice price(const KernelDesc& d) const;
+  ClassStats& gpu_stats(KernelClass c);
+  ClassStats& host_stats(KernelClass c);
   /// Device-fault gate, run at the entry of every clock-advancing
   /// operation: applies pending stall windows to the host clock, then
   /// throws DeviceLostError if the clock has reached the armed loss.
@@ -348,13 +384,16 @@ class Machine {
   void note_transfer(const char* name, bool h2d, double* data, int rows,
                      int cols, int ld, std::int64_t dev_off, double start,
                      double end, StreamId s);
-  void note_span(obs::EventKind kind, const std::string& name,
-                 KernelClass cls, int lane, double start, double end,
-                 std::int64_t flops, std::int64_t bytes, int units);
+  void note_span(obs::EventKind kind, const char* name, KernelClass cls,
+                 int lane, double start, double end, std::int64_t flops,
+                 std::int64_t bytes, int units);
   void note_sync(const char* name);
 
   MachineProfile profile_;
   ExecutionMode mode_;
+  /// Smallest footprint: at most max_concurrent_kernels ever co-run.
+  int min_units_;
+  std::array<ClassCost, kKernelClasses> costs_{};
   double host_time_ = 0.0;
   ResourceTimeline gpu_pool_;
   double h2d_free_ = 0.0;

@@ -25,8 +25,11 @@ enum class KernelClass {
   HostChecksum,    // checksum update executed on the (idle) CPU
   Compare,         // O(B) checksum comparison / correction logic
   Memset,
-  Other,
+  Other,  // keep last: kKernelClasses counts through it
 };
+
+/// Number of KernelClass values, for tables indexed by class.
+inline constexpr int kKernelClasses = static_cast<int>(KernelClass::Other) + 1;
 
 [[nodiscard]] const char* to_string(KernelClass c);
 

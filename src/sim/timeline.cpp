@@ -13,8 +13,14 @@ constexpr std::size_t kCompactMin = 256;
 }  // namespace
 
 std::size_t ResourceTimeline::first_after(double t) const {
+  std::size_t i = level_.size();
+  const std::size_t stop = i - std::min(i - head_, kWalkBack);
+  while (i != stop && level_[i - 1].first > t) --i;
+  if (i != stop) return i;
+  // Every walked breakpoint is after t: bisect those before them.
   const auto it = std::upper_bound(
-      level_.begin() + static_cast<std::ptrdiff_t>(head_), level_.end(), t,
+      level_.begin() + static_cast<std::ptrdiff_t>(head_),
+      level_.begin() + static_cast<std::ptrdiff_t>(stop), t,
       [](double v, const std::pair<double, int>& b) { return v < b.first; });
   return static_cast<std::size_t>(it - level_.begin());
 }

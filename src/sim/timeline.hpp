@@ -13,7 +13,9 @@
 // breakpoint. A head index marks the pruned prefix. allocate() costs
 // O(log B + k + r) for B breakpoints, k of them inside the scanned
 // window and r after the insertion point; usage_at() costs O(log B) and
-// prune() is amortized O(1). See docs/simulator.md.
+// prune() is amortized O(1). Requests mostly start near the end of the
+// array, so the search for a start walks back from the end before it
+// bisects. See docs/simulator.md.
 #pragma once
 
 #include <cstddef>
@@ -29,6 +31,10 @@ class ResourceTimeline {
   explicit ResourceTimeline(int capacity) : capacity_(capacity) {
     FTLA_CHECK(capacity > 0);
   }
+
+  /// Breakpoints the search for a start walks back from the end before
+  /// it bisects the rest.
+  static constexpr std::size_t kWalkBack = 32;
 
   [[nodiscard]] int capacity() const noexcept { return capacity_; }
 

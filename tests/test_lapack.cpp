@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "blas/lapack.hpp"
+#include "blas/level1.hpp"
 #include "blas/level3.hpp"
 #include "blas/reference.hpp"
 #include "common/error.hpp"
@@ -44,6 +45,47 @@ TEST(Potf2, SmallResidual) {
   auto l = a;
   potf2(l.view());
   EXPECT_LT(cholesky_residual(a.view(), l.view()), 1e-13);
+}
+
+/// Reference: potf2 with one gemm call per column.
+void potf2_gemm_per_column(MatrixView<double> a) {
+  const int n = a.rows();
+  for (int j = 0; j < n; ++j) {
+    const double d =
+        std::sqrt(a(j, j) - dot(j, &a(j, 0), a.ld(), &a(j, 0), a.ld()));
+    a(j, j) = d;
+    if (j + 1 < n) {
+      gemm(Trans::No, Trans::Yes, -1.0, a.block(j + 1, 0, n - j - 1, j),
+           a.block(j, 0, 1, j), 1.0, a.block(j + 1, j, n - j - 1, 1));
+      scal(n - j - 1, 1.0 / d, &a(j + 1, j), 1);
+    }
+  }
+}
+
+TEST(Potf2, BitIdenticalToGemmPerColumn) {
+  // b = 1..33 stay on the strip loop; at b = 512 the columns with
+  // (b-j-1)*j > kSmallWork still call gemm, and ld > b.
+  std::vector<std::pair<int, int>> shapes;  // (b, ld)
+  for (int b = 1; b <= 33; ++b) shapes.emplace_back(b, b);
+  shapes.emplace_back(512, 517);
+  for (const auto& [b, ld] : shapes) {
+    const auto spd = random_spd(b, static_cast<std::uint64_t>(b));
+    // NaN in the padding rows: reading one would poison the factor.
+    Matrix<double> want(ld, b, std::numeric_limits<double>::quiet_NaN());
+    for (int j = 0; j < b; ++j) {
+      for (int i = 0; i < b; ++i) want(i, j) = spd(i, j);
+    }
+    auto got = want;
+    potf2_gemm_per_column(want.view().block(0, 0, b, b));
+    potf2(got.view().block(0, 0, b, b));
+    for (int j = 0; j < b; ++j) {
+      for (int i = j; i < b; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got(i, j)),
+                  std::bit_cast<std::uint64_t>(want(i, j)))
+            << "b " << b << ", L(" << i << "," << j << ")";
+      }
+    }
+  }
 }
 
 TEST(Potf2, ThrowsOnIndefiniteMatrix) {

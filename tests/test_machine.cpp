@@ -7,9 +7,11 @@
 #include <atomic>
 #include <cstdlib>
 #include <functional>
+#include <map>
 #include <new>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "sim/gpublas.hpp"
 #include "sim/machine.hpp"
 #include "sim/profile.hpp"
@@ -298,6 +300,114 @@ TEST(Machine, ConcurrentKernelLimitInflatesFootprint) {
   m.sync_all();
   // 4 kernels, only 2 at a time -> 2 s.
   EXPECT_DOUBLE_EQ(m.host_now(), 2.0);
+}
+
+TEST(Machine, PerClassCostsMatchTheUncachedFormula) {
+  // The machine prices a class from constants fixed at construction. A
+  // random mix of every class, default and explicit SM requests (some
+  // above the SM count) and zero and nonzero flops on three streams
+  // must place, price and count exactly as the formula evaluated per
+  // launch does, on each preset and on a profile whose
+  // concurrent-kernel limit inflates footprints.
+  MachineProfile tight = test_rig();
+  tight.sm_count = 8;
+  tight.gpu_peak_gflops = 80.0;
+  tight.max_concurrent_kernels = 3;
+  for (const MachineProfile& p :
+       {tardis(), bulldozer64(), test_rig(), ampere(), tight}) {
+    Machine m(p, ExecutionMode::TimingOnly);
+    obs::SpanStore spans;
+    m.set_span_store(&spans);
+    const std::vector<StreamId> streams = {0, m.create_stream(),
+                                           m.create_stream()};
+    // The formula, with the launch protocol it feeds.
+    ResourceTimeline pool(p.sm_count + p.coexec_spare_units);
+    const int min_units = (p.sm_count + p.max_concurrent_kernels - 1) /
+                          p.max_concurrent_kernels;
+    std::vector<double> stream_end(streams.size(), 0.0);
+    double host = 0.0;
+    std::map<KernelClass, ClassStats> gpu;
+    std::map<KernelClass, ClassStats> cpu;
+    Rng rng(7);
+    for (int i = 0; i < 400; ++i) {
+      const auto cls =
+          static_cast<KernelClass>(rng.uniform_int(0, kKernelClasses - 1));
+      const std::int64_t flops =
+          rng.uniform_int(0, 3) == 0 ? 0 : rng.uniform_int(1, 1 << 30);
+      const int sm_units =
+          rng.uniform_int(0, 1) == 0 ? 0 : rng.uniform_int(1, p.sm_count + 2);
+      const KernelDesc d{"k", cls, flops, sm_units};
+      if (rng.uniform_int(0, 4) == 0) {
+        const double dur =
+            flops > 0 ? static_cast<double>(flops) /
+                            (p.cpu_peak_gflops * p.cpu_efficiency(cls) * 1e9)
+                      : 0.0;
+        host += dur;
+        ClassStats& cs = cpu[cls];
+        ++cs.count;
+        cs.flops += flops;
+        cs.busy_seconds += dur;
+        m.host_compute(d, {});
+        ASSERT_EQ(m.host_now(), host) << p.name << " op " << i;
+        continue;
+      }
+      const std::size_t s =
+          static_cast<std::size_t>(rng.uniform_int(0, 2));
+      const int units = std::min(
+          sm_units > 0 ? sm_units : p.default_sm_units(cls), p.sm_count);
+      double dur = p.kernel_launch_overhead_s;
+      if (flops > 0) {
+        dur += static_cast<double>(flops) /
+               (p.gpu_rate_gflops(cls, units) * 1e9);
+      }
+      host += p.host_call_overhead_s;
+      pool.prune(std::min(host, pool.last_end()));
+      const double start =
+          pool.allocate(std::max(host, stream_end[s]), dur,
+                        std::max(units, min_units));
+      stream_end[s] = start + dur;
+      ClassStats& cs = gpu[cls];
+      ++cs.count;
+      cs.flops += flops;
+      cs.busy_seconds += dur;
+      m.launch(streams[s], d, {});
+      const obs::Span span = spans.snapshot().back();
+      ASSERT_EQ(span.start, start) << p.name << " op " << i;
+      ASSERT_EQ(span.end, start + dur) << p.name << " op " << i;
+      ASSERT_EQ(span.units, units) << p.name << " op " << i;
+      ASSERT_EQ(m.stream_end(streams[s]), stream_end[s]);
+    }
+    EXPECT_EQ(m.gpu_busy_sm_seconds(), pool.busy_unit_seconds()) << p.name;
+    for (const auto& [want, got] : {std::pair{&gpu, &m.stats().gpu},
+                                    std::pair{&cpu, &m.stats().host}}) {
+      ASSERT_EQ(got->size(), want->size()) << p.name;
+      for (const auto& [cls, w] : *want) {
+        const ClassStats& g = got->at(cls);
+        EXPECT_EQ(g.count, w.count) << p.name << " " << to_string(cls);
+        EXPECT_EQ(g.flops, w.flops) << p.name << " " << to_string(cls);
+        EXPECT_EQ(g.busy_seconds, w.busy_seconds)
+            << p.name << " " << to_string(cls);
+      }
+    }
+  }
+}
+
+TEST(Machine, LeastLoadedStreamTakesTheFirstPoolStreamOnTies) {
+  auto m = make_numeric();
+  const StreamId a = m.create_stream();
+  const StreamId b = m.create_stream();
+  const StreamId c = m.create_stream();
+  // All idle: the first of the pool, whatever its id.
+  EXPECT_EQ(m.least_loaded_stream(std::vector<StreamId>{c, a, b}), c);
+  EXPECT_EQ(m.least_loaded_stream(std::vector<StreamId>{b}), b);
+  m.launch(c, blas2(10e9), {});  // c busy until 1 s, on 1 SM of 4
+  EXPECT_EQ(m.least_loaded_stream(std::vector<StreamId>{c, b, a}), b);
+  m.launch(b, blas2(5e9), {});  // b busy until 0.5 s
+  m.launch(a, blas2(5e9), {});  // a too: a tie again
+  EXPECT_EQ(m.least_loaded_stream(std::vector<StreamId>{c, a, b}), a);
+  EXPECT_EQ(m.least_loaded_stream(std::vector<StreamId>{c, b, a}), b);
+  m.launch(a, blas2(1e9), {});  // a strictly later than b now
+  EXPECT_EQ(m.least_loaded_stream(std::vector<StreamId>{c, a, b}), b);
 }
 
 // ----- body contract (Machine::Body) ---------------------------------

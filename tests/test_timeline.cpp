@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <vector>
 
@@ -261,6 +262,15 @@ class BruteForceTimeline {
 
   /// Distinct starts and ends not yet pruned: what the timeline keeps.
   [[nodiscard]] std::size_t breakpoints() const { return kept_.size(); }
+  /// Kept breakpoints strictly after `t`: how far from the end of the
+  /// timeline's array a search for `t` lands.
+  [[nodiscard]] std::size_t breakpoints_after(double t) const {
+    return static_cast<std::size_t>(
+        std::distance(kept_.upper_bound(t), kept_.end()));
+  }
+  [[nodiscard]] bool is_breakpoint(double t) const {
+    return kept_.count(t) != 0;
+  }
 
   [[nodiscard]] std::vector<double> points() const {
     std::vector<double> out;
@@ -294,7 +304,10 @@ TEST(TimelineProperty, MatchesBruteForceFirstFit) {
   // future and prune more often, so thousands of breakpoints pass
   // through the timeline, its pruned prefix repeatedly passes the point
   // where the array is compacted, and many starts land before the last
-  // breakpoint instead of at the end of the array.
+  // breakpoint instead of at the end of the array. Their far bookings
+  // also leave more than ResourceTimeline::kWalkBack breakpoints after
+  // many requested starts, so the search past its walk back from the
+  // end (the bisection) is compared too, on and off breakpoints.
   for (std::uint64_t seed = 1; seed <= 48; ++seed) {
     const bool long_run = seed > 40;
     const int steps = long_run ? 2500 : 120;
@@ -304,6 +317,8 @@ TEST(TimelineProperty, MatchesBruteForceFirstFit) {
     BruteForceTimeline slow(cap);
     double horizon = 0.0;
     int inserts_before_last = 0;
+    int bisected = 0;
+    int bisected_on_breakpoint = 0;
     for (int i = 0; i < steps; ++i) {
       const int pick = rng.uniform_int(0, long_run ? 19 : 9);
       if (pick == 0 || (long_run && pick == 10)) {
@@ -338,6 +353,10 @@ TEST(TimelineProperty, MatchesBruteForceFirstFit) {
       const double dur = pick == 4 ? 0.0 : 0.25 * rng.uniform_int(1, 10);
       const int units = rng.uniform_int(1, cap);
       const double last_point = slow.last_point();
+      if (slow.breakpoints_after(earliest) > ResourceTimeline::kWalkBack) {
+        ++bisected;
+        if (slow.is_breakpoint(earliest)) ++bisected_on_breakpoint;
+      }
       const double start = slow.allocate(earliest, dur, units);
       ASSERT_EQ(fast.allocate(earliest, dur, units), start)
           << "seed " << seed << " step " << i;
@@ -355,6 +374,8 @@ TEST(TimelineProperty, MatchesBruteForceFirstFit) {
     }
     if (long_run) {
       EXPECT_GT(inserts_before_last, steps / 10) << "seed " << seed;
+      EXPECT_GT(bisected, steps / 5) << "seed " << seed;
+      EXPECT_GT(bisected_on_breakpoint, steps / 25) << "seed " << seed;
     }
   }
 }

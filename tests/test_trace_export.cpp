@@ -14,8 +14,8 @@ namespace ftla::sim {
 namespace {
 
 // A short run recorded into `spans`: one copy each way, a kernel and a
-// host task.
-Machine traced_machine(obs::SpanStore& spans) {
+// host task. Returns the run's makespan.
+double traced_run(obs::SpanStore& spans) {
   Machine m(test_rig(), ExecutionMode::Numeric);
   m.set_span_store(&spans);
   auto buf = m.alloc(64);
@@ -28,12 +28,12 @@ Machine traced_machine(obs::SpanStore& spans) {
                  {});
   m.memcpy_d2h(host.data(), buf, 0, 64, 0);
   m.sync_all();
-  return m;
+  return m.makespan();
 }
 
 TEST(ChromeTrace, EmitsValidEventSkeleton) {
   obs::SpanStore spans;
-  traced_machine(spans);
+  traced_run(spans);
   std::ostringstream os;
   write_chrome_trace(spans, {}, os);
   const std::string s = os.str();
@@ -51,7 +51,7 @@ TEST(ChromeTrace, EmitsValidEventSkeleton) {
 
 TEST(ChromeTrace, BalancedBracesAndQuotes) {
   obs::SpanStore spans;
-  traced_machine(spans);
+  traced_run(spans);
   std::ostringstream os;
   write_chrome_trace(spans, {}, os);
   const std::string s = os.str();
@@ -69,7 +69,7 @@ TEST(ChromeTrace, BalancedBracesAndQuotes) {
 
 TEST(ChromeTrace, FileRoundTrip) {
   obs::SpanStore spans;
-  traced_machine(spans);
+  traced_run(spans);
   const std::string path = ::testing::TempDir() + "/ftla_trace.json";
   ASSERT_TRUE(write_chrome_trace_file(spans, {}, path));
   std::ifstream f(path);
@@ -81,16 +81,16 @@ TEST(ChromeTrace, FileRoundTrip) {
 
 TEST(ChromeTrace, WriteToBadPathFails) {
   obs::SpanStore spans;
-  traced_machine(spans);
+  traced_run(spans);
   EXPECT_FALSE(
       write_chrome_trace_file(spans, {}, "/nonexistent-dir/x/y.json"));
 }
 
 TEST(TraceSummary, ReportsEveryLane) {
   obs::SpanStore spans;
-  const Machine m = traced_machine(spans);
+  const double makespan = traced_run(spans);
   std::ostringstream os;
-  print_trace_summary(spans, m.makespan(), os, 40);
+  print_trace_summary(spans, makespan, os, 40);
   const std::string s = os.str();
   EXPECT_NE(s.find("host CPU"), std::string::npos);
   EXPECT_NE(s.find("stream 0"), std::string::npos);
@@ -128,13 +128,15 @@ TEST(Trace, DisabledByDefault) {
 }
 
 TEST(TraceCap, DropsBeyondLimitAndCounts) {
+  // KernelDesc names have static storage, so looped names come from a
+  // static table rather than a string built per launch.
+  static constexpr const char* kNames[] = {"k0", "k1", "k2", "k3", "k4",
+                                           "k5", "k6", "k7", "k8", "k9"};
   Machine m(test_rig(), ExecutionMode::Numeric);
   obs::SpanStore spans(/*limit=*/4);
   m.set_span_store(&spans);
-  for (int i = 0; i < 10; ++i) {
-    m.launch(0, KernelDesc{"k" + std::to_string(i), KernelClass::Blas3,
-                           1000, 0},
-             {});
+  for (const char* name : kNames) {
+    m.launch(0, KernelDesc{name, KernelClass::Blas3, 1000, 0}, {});
   }
   m.sync_all();
   EXPECT_EQ(spans.limit(), 4u);
@@ -164,15 +166,15 @@ TEST(TraceCap, SummaryReportsDroppedRecords) {
 
 TEST(TraceCap, NoDropMessageUnderLimit) {
   obs::SpanStore spans;
-  const Machine m = traced_machine(spans);
+  const double makespan = traced_run(spans);
   std::ostringstream os;
-  print_trace_summary(spans, m.makespan(), os);
+  print_trace_summary(spans, makespan, os);
   EXPECT_EQ(os.str().find("dropped"), std::string::npos);
 }
 
 TEST(ChromeTrace, MergesObsInstantEvents) {
   obs::SpanStore spans;
-  traced_machine(spans);
+  traced_run(spans);
   std::vector<obs::Event> events;
   obs::Event v;
   v.kind = obs::EventKind::Verification;
@@ -197,7 +199,7 @@ TEST(ChromeTrace, ObsKernelEventsAreNotDuplicated) {
   // Kernel/Copy obs events mirror the machine's spans; the merger must
   // render them from the span store only.
   obs::SpanStore spans;
-  traced_machine(spans);
+  traced_run(spans);
   std::vector<obs::Event> events;
   obs::Event k;
   k.kind = obs::EventKind::Kernel;
@@ -218,7 +220,7 @@ TEST(ChromeTrace, ObsKernelEventsAreNotDuplicated) {
 
 TEST(ChromeTrace, FlowNeedsInjectionAndDetection) {
   obs::SpanStore spans;
-  traced_machine(spans);
+  traced_run(spans);
   std::vector<obs::Event> events;
   obs::Event inj;
   inj.kind = obs::EventKind::FaultInjected;
