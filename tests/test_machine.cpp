@@ -392,6 +392,169 @@ TEST(Machine, PerClassCostsMatchTheUncachedFormula) {
   }
 }
 
+// The 2-D copies of the copy property test: rows x cols of the device
+// buffer at `dev_off` (leading dimension `dev_ld`) against a host
+// block with leading dimension `host_ld`.
+void copy_2d(Machine& m, bool h2d, DeviceBuffer& buf, std::int64_t dev_off,
+             int dev_ld, double* host, int host_ld, int rows, int cols,
+             StreamId s, bool blocking) {
+  if (h2d) {
+    m.memcpy_h2d_2d(buf, dev_off, dev_ld, host, host_ld, rows, cols, s,
+                    blocking);
+  } else {
+    m.memcpy_d2h_2d(host, host_ld, buf, dev_off, dev_ld, rows, cols, s,
+                    blocking);
+  }
+}
+
+TEST(Machine, CopiesMatchTheTransferFormula) {
+  // Random flat and 2-D copies in both directions, blocking or not, on
+  // three streams, with and without a fleet host link that a sibling
+  // also reserves, must produce exactly the span, stats, stream end,
+  // host clock and TransferCtx the transfer formula gives. An empty
+  // flat copy is priced; an empty 2-D copy is free; only non-empty
+  // copies get a transfer ordinal.
+  for (const bool linked : {false, true}) {
+    for (const MachineProfile& p : {test_rig(), tardis()}) {
+      Machine m(p, ExecutionMode::Numeric);
+      obs::SpanStore spans;
+      m.set_span_store(&spans);
+      std::vector<TransferCtx> seen;
+      m.set_transfer_hook([&](const TransferCtx& c) { seen.push_back(c); });
+      m.set_transfer_faults_armed(/*h2d=*/true, /*d2h=*/false);
+      ResourceTimeline link(2);
+      ResourceTimeline model_link(2);
+      if (linked) m.set_host_link(&link);
+      const std::vector<StreamId> streams = {0, m.create_stream(),
+                                             m.create_stream()};
+      constexpr int kLd = 24;
+      DeviceBuffer buf = m.alloc(kLd * kLd);
+      std::vector<double> host(kLd * kLd, 1.5);
+
+      std::vector<double> stream_end(streams.size(), 0.0);
+      double clock = 0.0;
+      double engine_free[2] = {0.0, 0.0};  // h2d, d2h
+      long long count[2] = {0, 0};
+      std::int64_t bytes[2] = {0, 0};
+      double seconds[2] = {0.0, 0.0};
+      std::size_t nspans = 0;
+      std::int64_t seq = 0;
+      Rng rng(11);
+      for (int i = 0; i < 300; ++i) {
+        const std::string at =
+            p.name + (linked ? " linked" : "") + " op " + std::to_string(i);
+        if (rng.uniform_int(0, 5) == 0) {
+          const double dt = rng.uniform(0.0, 2e-5);
+          clock += dt;
+          m.host_advance(dt);
+        }
+        if (linked && rng.uniform_int(0, 3) == 0) {
+          // A fleet sibling's transfer on the shared link.
+          const double t0 = rng.uniform(0.0, clock + 1e-4);
+          const double dt = rng.uniform(1e-7, 3e-5);
+          ASSERT_EQ(link.allocate(t0, dt, 1), model_link.allocate(t0, dt, 1));
+        }
+        const bool h2d = rng.uniform_int(0, 1) == 0;
+        const bool flat = rng.uniform_int(0, 1) == 0;
+        const bool blocking = rng.uniform_int(0, 2) == 0;
+        const std::size_t s = static_cast<std::size_t>(rng.uniform_int(0, 2));
+        const int rows =
+            rng.uniform_int(0, 4) == 0 ? 0 : rng.uniform_int(1, 12);
+        const int cols = flat ? 1 : rng.uniform_int(0, 4) == 0
+                                        ? 0
+                                        : rng.uniform_int(1, 8);
+        const int dev_ld = flat ? rows : rows + rng.uniform_int(0, 4);
+        const int host_ld = flat ? rows : rows + rng.uniform_int(0, 3);
+        const std::int64_t dev_off = rng.uniform_int(0, 40);
+        const char* name = flat ? (h2d ? "h2d" : "d2h")
+                                : (h2d ? "h2d_2d" : "d2h_2d");
+        const std::size_t seen_before = seen.size();
+        if (flat) {
+          if (h2d) {
+            m.memcpy_h2d(buf, dev_off, host.data(), rows, streams[s],
+                         blocking);
+          } else {
+            m.memcpy_d2h(host.data(), buf, dev_off, rows, streams[s],
+                         blocking);
+          }
+        } else {
+          copy_2d(m, h2d, buf, dev_off, dev_ld, host.data(), host_ld, rows,
+                  cols, streams[s], blocking);
+        }
+        const std::int64_t n = static_cast<std::int64_t>(rows) * cols;
+        if (!flat && n == 0) {
+          // Free: no clock, span, stats or ordinal.
+          ASSERT_EQ(m.host_now(), clock) << at;
+          ASSERT_EQ(spans.snapshot().size(), nspans) << at;
+          ASSERT_EQ(seen.size(), seen_before) << at;
+          continue;
+        }
+        const int d = h2d ? 0 : 1;
+        clock += p.host_call_overhead_s;
+        const double dur =
+            p.transfer_latency_s +
+            static_cast<double>(n) * sizeof(double) /
+                ((h2d ? p.h2d_bandwidth_gbs : p.d2h_bandwidth_gbs) * 1e9);
+        const double earliest =
+            std::max({clock, stream_end[s], engine_free[d]});
+        const double start =
+            linked ? model_link.allocate(earliest, dur, 1) : earliest;
+        const double end = start + dur;
+        engine_free[d] = end;
+        stream_end[s] = end;
+        ++count[d];
+        bytes[d] += n * 8;
+        seconds[d] += dur;
+        if (blocking) clock = std::max(clock, end);
+
+        const std::vector<obs::Span> all = spans.snapshot();
+        ASSERT_EQ(all.size(), ++nspans) << at;
+        const obs::Span& span = all.back();
+        EXPECT_EQ(span.kind, obs::EventKind::Copy) << at;
+        EXPECT_EQ(span.name, name) << at;
+        EXPECT_EQ(span.cls, to_string(KernelClass::Other)) << at;
+        EXPECT_EQ(span.lane, h2d ? kH2dLane : kD2hLane) << at;
+        ASSERT_EQ(span.start, start) << at;
+        ASSERT_EQ(span.end, end) << at;
+        EXPECT_EQ(span.flops, 0) << at;
+        EXPECT_EQ(span.bytes, n * 8) << at;
+        EXPECT_EQ(span.units, 0) << at;
+        ASSERT_EQ(m.stream_end(streams[s]), stream_end[s]) << at;
+        ASSERT_EQ(m.host_now(), clock) << at;
+        ASSERT_EQ(m.transfer_seq(), seq + (n > 0 ? 1 : 0)) << at;
+        if (n == 0) {
+          ASSERT_EQ(seen.size(), seen_before) << at;
+          continue;
+        }
+        ASSERT_EQ(seen.size(), seen_before + 1) << at;
+        const TransferCtx& c = seen.back();
+        EXPECT_STREQ(c.name, name) << at;
+        EXPECT_EQ(c.h2d, h2d) << at;
+        EXPECT_EQ(c.data, h2d ? buf.data() + dev_off : host.data()) << at;
+        EXPECT_EQ(c.rows, rows) << at;
+        EXPECT_EQ(c.cols, cols) << at;
+        EXPECT_EQ(c.ld, h2d ? dev_ld : host_ld) << at;
+        EXPECT_EQ(c.dev_off, h2d ? dev_off : -1) << at;
+        EXPECT_EQ(c.seq, seq++) << at;
+        EXPECT_EQ(c.start, start) << at;
+        EXPECT_EQ(c.end, end) << at;
+        EXPECT_EQ(c.stream, streams[s]) << at;
+        EXPECT_EQ(c.armed, h2d) << at;
+      }
+      const SimStats& st = m.stats();
+      EXPECT_EQ(st.h2d_count, count[0]);
+      EXPECT_EQ(st.d2h_count, count[1]);
+      EXPECT_EQ(st.h2d_bytes, bytes[0]);
+      EXPECT_EQ(st.d2h_bytes, bytes[1]);
+      EXPECT_EQ(st.h2d_seconds, seconds[0]);
+      EXPECT_EQ(st.d2h_seconds, seconds[1]);
+      EXPECT_EQ(m.makespan(),
+                std::max({clock, stream_end[0], stream_end[1], stream_end[2],
+                          engine_free[0], engine_free[1]}));
+    }
+  }
+}
+
 TEST(Machine, LeastLoadedStreamTakesTheFirstPoolStreamOnTies) {
   auto m = make_numeric();
   const StreamId a = m.create_stream();
