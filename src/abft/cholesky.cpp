@@ -457,9 +457,9 @@ void Run::offline_final_verify() {
 void Run::compare_on_host(const std::vector<BlockId>& blocks, fault::Op attr,
                           std::int64_t used) {
   const std::int64_t cols = used / 2;
-  m_.memcpy_d2h_2d(m_.numeric() ? h_scratch_.data() : nullptr, 2, d_scratch_,
-                   0, 2, 2, static_cast<int>(cols), s_compute_,
-                   /*blocking=*/true);
+  m_.memcpy_d2h_2d(m_.numeric() ? h_scratch_.data() : nullptr, 2,
+                   DMat{&d_scratch_, 0, 2, static_cast<int>(cols), 2},
+                   s_compute_, /*blocking=*/true);
   KernelDesc hd{"verify_host", KernelClass::HostChecksum, 4 * cols, 0};
   m_.host_compute(hd, [this, &blocks, attr] {
     int col = 0;
@@ -501,8 +501,8 @@ void Run::fetch_panel_for_cpu_update(int j) {
   const int slot = j & 1;
   if (panel_iter_[slot] == j) return;
   m_.stream_wait_event(s_xfer_, m_.record_event(s_compute_));
-  m_.memcpy_d2h_2d(m_.numeric() ? h_panel_[slot].data() : nullptr, b_, d_a_,
-                   off(j), n_, bs(j), off(j), s_xfer_);
+  m_.memcpy_d2h_2d(m_.numeric() ? h_panel_[slot].data() : nullptr, b_,
+                   data_region(off(j), 0, bs(j), off(j)), s_xfer_);
   panel_event_[slot] = m_.record_event(s_xfer_);
   panel_iter_[slot] = j;
 }
@@ -609,12 +609,9 @@ void Run::iteration(int j) {
           fp.push_back(runtime::rw(dtile(j, j)));
         },
         [this, j, jb, w](const runtime::TaskContext& c) {
-          if (c.tiles.armed()) {
-            for (int k = 0; k < j; ++k) c.tiles.read(dtile(j, k));
-            c.tiles.rw(dtile(j, j));
-          }
-          const DMat diag = data_block(j, j);
-          const DConstMat lc = data_region(off(j), 0, jb, w);
+          const DMat diag = use(c, runtime::rw, data_block(j, j));
+          const DConstMat lc =
+              use(c, runtime::read, data_region(off(j), 0, jb, w));
           KernelDesc d{"syrk", KernelClass::Blas3, blas::syrk_flops(jb, w),
                        0};
           m_.launch(c.stream, d, [diag, lc] {
@@ -638,13 +635,6 @@ void Run::iteration(int j) {
           fp.push_back(runtime::rw(ctile(j, j)));
         },
         [this, j, jb, w](const runtime::TaskContext& c) {
-          if (c.tiles.armed()) {
-            for (int k = 0; k < j; ++k) {
-              c.tiles.read(ctile(j, k));
-              c.tiles.read(dtile(j, k));
-            }
-            c.tiles.rw(ctile(j, j));
-          }
           if (placement_ == UpdatePlacement::Cpu) {
             wait_panel(j);
             KernelDesc d{"chk_syrk_cpu", KernelClass::HostChecksum,
@@ -658,10 +648,11 @@ void Run::iteration(int j) {
             });
             return;
           }
-          sim::gpublas::gemm(m_, c.stream, Trans::No, Trans::Yes, -1.0,
-                             cchk_strip(j, j + 1, 0, w),
-                             data_region(off(j), 0, jb, w), 1.0,
-                             cchk_block(j, j), KernelClass::Blas3Skinny);
+          sim::gpublas::gemm(
+              m_, c.stream, Trans::No, Trans::Yes, -1.0,
+              use(c, runtime::read, cchk_strip(j, j + 1, 0, w)),
+              use(c, runtime::read, data_region(off(j), 0, jb, w)), 1.0,
+              use(c, runtime::rw, cchk_block(j, j)), KernelClass::Blas3Skinny);
         },
         update, s_update_);
   }
@@ -682,29 +673,25 @@ void Run::iteration(int j) {
         fp.push_back(runtime::write(htile()));
         if (ft_) fp.push_back(runtime::read(ctile(j, j)));
       },
-      [this, j, jb](const runtime::TaskContext& c) {
-        if (c.tiles.armed()) {
-          c.tiles.read(dtile(j, j));
-          c.tiles.write(htile());
-          if (ft_) c.tiles.read(ctile(j, j));
-        }
+      [this, j](const runtime::TaskContext& c) {
         // The D2H staging copies are fault-armed only when the arrival
         // check below exists to catch them (otherwise a mid-copy strike
         // would be factored into L and laundered into consistent
         // checksums).
         const sim::TransferArmGuard diag_arm(m_, m_.h2d_faults_armed(),
                                              ft_ && copt_.transfer_guard);
-        m_.memcpy_d2h_2d(m_.numeric() ? h_diag_.data() : nullptr, b_, d_a_,
-                         static_cast<std::int64_t>(off(j)) * n_ + off(j), n_,
-                         jb, jb, c.stream);
+        m_.memcpy_d2h_2d(
+            staging(c, runtime::write, m_.numeric() ? h_diag_.data() : nullptr),
+            b_, use(c, runtime::read, data_block(j, j)), c.stream);
         if (ft_ && placement_ != UpdatePlacement::Cpu) {
           // Checksum rows ride along only because FT is on: Update
           // overhead.
           const obs::PhaseScope chk_phase(tel_.profile(), obs::Phase::Update);
           m_.memcpy_d2h_2d(
-              m_.numeric() ? h_diag_chk_.data() : nullptr, kChecksumRows,
-              d_cchk_, static_cast<std::int64_t>(off(j)) * (2 * nb_) + 2 * j,
-              2 * nb_, kChecksumRows, jb, c.stream);
+              staging(c, runtime::write,
+                      m_.numeric() ? h_diag_chk_.data() : nullptr),
+              kChecksumRows, use(c, runtime::read, cchk_block(j, j)),
+              c.stream);
         }
       },
       base, s_compute_);
@@ -743,16 +730,12 @@ void Run::iteration(int j) {
             fp.push_back(runtime::rw(dtile(i, j)));
         },
         [this, j, jb, w, below](const runtime::TaskContext& c) {
-          if (c.tiles.armed()) {
-            for (int i = j + 1; i < nb_; ++i)
-              for (int k = 0; k < j; ++k) c.tiles.read(dtile(i, k));
-            for (int k = 0; k < j; ++k) c.tiles.read(dtile(j, k));
-            for (int i = j + 1; i < nb_; ++i) c.tiles.rw(dtile(i, j));
-          }
-          sim::gpublas::gemm(m_, c.stream, Trans::No, Trans::Yes, -1.0,
-                             data_region(off(j) + jb, 0, below, w),
-                             data_region(off(j), 0, jb, w), 1.0,
-                             data_region(off(j) + jb, off(j), below, jb));
+          sim::gpublas::gemm(
+              m_, c.stream, Trans::No, Trans::Yes, -1.0,
+              use(c, runtime::read, data_region(off(j) + jb, 0, below, w)),
+              use(c, runtime::read, data_region(off(j), 0, jb, w)), 1.0,
+              use(c, runtime::rw,
+                  data_region(off(j) + jb, off(j), below, jb)));
         },
         base, s_compute_);
     hook(fault::FaultType::Computing, fault::Op::Gemm, j);
@@ -771,12 +754,6 @@ void Run::iteration(int j) {
               fp.push_back(runtime::rw(ctile(i, j)));
           },
           [this, j, jb, w](const runtime::TaskContext& c) {
-            if (c.tiles.armed()) {
-              for (int i = j + 1; i < nb_; ++i)
-                for (int k = 0; k < j; ++k) c.tiles.read(ctile(i, k));
-              for (int k = 0; k < j; ++k) c.tiles.read(dtile(j, k));
-              for (int i = j + 1; i < nb_; ++i) c.tiles.rw(ctile(i, j));
-            }
             if (placement_ == UpdatePlacement::Cpu) {
               wait_panel(j);
               KernelDesc d{"chk_gemm_cpu", KernelClass::HostChecksum,
@@ -791,11 +768,12 @@ void Run::iteration(int j) {
               });
               return;
             }
-            sim::gpublas::gemm(m_, c.stream, Trans::No, Trans::Yes, -1.0,
-                               cchk_strip(j + 1, nb_, 0, w),
-                               data_region(off(j), 0, jb, w), 1.0,
-                               cchk_strip(j + 1, nb_, off(j), jb),
-                               KernelClass::Blas3Skinny);
+            sim::gpublas::gemm(
+                m_, c.stream, Trans::No, Trans::Yes, -1.0,
+                use(c, runtime::read, cchk_strip(j + 1, nb_, 0, w)),
+                use(c, runtime::read, data_region(off(j), 0, jb, w)), 1.0,
+                use(c, runtime::rw, cchk_strip(j + 1, nb_, off(j), jb)),
+                KernelClass::Blas3Skinny);
           },
           update, s_update_);
     }
@@ -820,7 +798,7 @@ void Run::iteration(int j) {
         "verify_arrival",
         [](Footprints& fp) { fp.push_back(runtime::rw(htile())); },
         [this, j, jb](const runtime::TaskContext& c) {
-          if (c.tiles.armed()) c.tiles.rw(htile());
+          staging(c, runtime::rw);
           KernelDesc vd{"verify_arrival", KernelClass::HostChecksum,
                         blas::gemv_flops(jb, jb) * 2, 0};
           m_.host_compute(vd, [this, j, jb] {
@@ -837,7 +815,7 @@ void Run::iteration(int j) {
   step(
       "potf2", [](Footprints& fp) { fp.push_back(runtime::rw(htile())); },
       [this, jb](const runtime::TaskContext& tc) {
-        if (tc.tiles.armed()) tc.tiles.rw(htile());
+        staging(tc, runtime::rw);
         KernelDesc d{"potf2", KernelClass::HostPotf2, blas::potf2_flops(jb),
                      0};
         m_.host_compute(d, [this, jb] {
@@ -854,7 +832,7 @@ void Run::iteration(int j) {
     step(
         "chk_potf2", [](Footprints& fp) { fp.push_back(runtime::rw(htile())); },
         [this, j, jb](const runtime::TaskContext& c) {
-          if (c.tiles.armed()) c.tiles.rw(htile());
+          staging(c, runtime::rw);
           KernelDesc d{"chk_potf2", KernelClass::HostChecksum,
                        2LL * kChecksumRows * jb * jb, 0};
           m_.host_compute(d, [this, j, jb] {
@@ -870,7 +848,7 @@ void Run::iteration(int j) {
           "verify_potf2",
           [](Footprints& fp) { fp.push_back(runtime::rw(htile())); },
           [this, j, jb](const runtime::TaskContext& c) {
-            if (c.tiles.armed()) c.tiles.rw(htile());
+            staging(c, runtime::rw);
             KernelDesc vd{"verify_potf2", KernelClass::HostChecksum,
                           blas::gemv_flops(jb, jb) * 2, 0};
             m_.host_compute(vd, [this, j, jb] {
@@ -894,21 +872,18 @@ void Run::iteration(int j) {
         fp.push_back(runtime::write(dtile(j, j)));
         if (ft_) fp.push_back(runtime::write(ctile(j, j)));
       },
-      [this, j, jb](const runtime::TaskContext& c) {
-        if (c.tiles.armed()) {
-          c.tiles.read(htile());
-          c.tiles.write(dtile(j, j));
-          if (ft_) c.tiles.write(ctile(j, j));
-        }
-        m_.memcpy_h2d_2d(d_a_, static_cast<std::int64_t>(off(j)) * n_ + off(j),
-                         n_, m_.numeric() ? h_diag_.data() : nullptr, b_, jb,
-                         jb, c.stream);
+      [this, j](const runtime::TaskContext& c) {
+        m_.memcpy_h2d_2d(
+            use(c, runtime::write, data_block(j, j)),
+            staging(c, runtime::read, m_.numeric() ? h_diag_.data() : nullptr),
+            b_, c.stream);
         if (ft_ && placement_ != UpdatePlacement::Cpu) {
           const obs::PhaseScope chk_phase(tel_.profile(), obs::Phase::Update);
           m_.memcpy_h2d_2d(
-              d_cchk_, static_cast<std::int64_t>(off(j)) * (2 * nb_) + 2 * j,
-              2 * nb_, m_.numeric() ? h_diag_chk_.data() : nullptr,
-              kChecksumRows, kChecksumRows, jb, c.stream);
+              use(c, runtime::write, cchk_block(j, j)),
+              staging(c, runtime::read,
+                      m_.numeric() ? h_diag_chk_.data() : nullptr),
+              kChecksumRows, c.stream);
         }
       },
       base, s_compute_);
@@ -940,13 +915,11 @@ void Run::iteration(int j) {
             fp.push_back(runtime::rw(dtile(i, j)));
         },
         [this, j, jb, below](const runtime::TaskContext& c) {
-          if (c.tiles.armed()) {
-            c.tiles.read(dtile(j, j));
-            for (int i = j + 1; i < nb_; ++i) c.tiles.rw(dtile(i, j));
-          }
-          sim::gpublas::trsm(m_, c.stream, Side::Right, Uplo::Lower,
-                             Trans::Yes, Diag::NonUnit, 1.0, data_block(j, j),
-                             data_region(off(j) + jb, off(j), below, jb));
+          sim::gpublas::trsm(
+              m_, c.stream, Side::Right, Uplo::Lower, Trans::Yes,
+              Diag::NonUnit, 1.0, use(c, runtime::read, data_block(j, j)),
+              use(c, runtime::rw,
+                  data_region(off(j) + jb, off(j), below, jb)));
         },
         base, s_compute_);
     hook(fault::FaultType::Computing, fault::Op::Trsm, j);
@@ -964,10 +937,6 @@ void Run::iteration(int j) {
               fp.push_back(runtime::rw(ctile(i, j)));
           },
           [this, j, jb](const runtime::TaskContext& c) {
-            if (c.tiles.armed()) {
-              c.tiles.read(dtile(j, j));
-              for (int i = j + 1; i < nb_; ++i) c.tiles.rw(ctile(i, j));
-            }
             if (placement_ == UpdatePlacement::Cpu) {
               KernelDesc d{"chk_trsm_cpu", KernelClass::HostChecksum,
                            blas::trsm_flops(Side::Right, 2 * (nb_ - j - 1),
@@ -981,11 +950,11 @@ void Run::iteration(int j) {
               });
               return;
             }
-            sim::gpublas::trsm(m_, c.stream, Side::Right, Uplo::Lower,
-                               Trans::Yes, Diag::NonUnit, 1.0,
-                               data_block(j, j),
-                               cchk_strip(j + 1, nb_, off(j), jb),
-                               KernelClass::Blas3Skinny);
+            sim::gpublas::trsm(
+                m_, c.stream, Side::Right, Uplo::Lower, Trans::Yes,
+                Diag::NonUnit, 1.0, use(c, runtime::read, data_block(j, j)),
+                use(c, runtime::rw, cchk_strip(j + 1, nb_, off(j), jb)),
+                KernelClass::Blas3Skinny);
           },
           update, s_update_);
     }

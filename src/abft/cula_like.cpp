@@ -74,9 +74,8 @@ CholeskyResult cula_like_cholesky(sim::Machine& m, Matrix<double>* a, int n,
       // Synchronous schedule: the GPU drains, the block crosses over,
       // the CPU factors it, and only then does the trailing update
       // start — nothing is hidden (this is the CULA performance gap).
-      m.memcpy_d2h_2d(m.numeric() ? h_diag.data() : nullptr, b, d_a,
-                      static_cast<std::int64_t>(w) * n + w, n, jb, jb, s,
-                      /*blocking=*/true);
+      m.memcpy_d2h_2d(m.numeric() ? h_diag.data() : nullptr, b,
+                      region(w, w, jb, jb), s, /*blocking=*/true);
       KernelDesc pd{"potf2", KernelClass::HostPotf2, blas::potf2_flops(jb),
                     0};
       m.host_compute(pd, [&h_diag, jb] {
@@ -85,8 +84,8 @@ CholeskyResult cula_like_cholesky(sim::Machine& m, Matrix<double>* a, int n,
         for (int c = 1; c < jb; ++c)
           for (int r = 0; r < c; ++r) blk(r, c) = 0.0;
       });
-      m.memcpy_h2d_2d(d_a, static_cast<std::int64_t>(w) * n + w, n,
-                      m.numeric() ? h_diag.data() : nullptr, b, jb, jb, s,
+      m.memcpy_h2d_2d(region(w, w, jb, jb),
+                      m.numeric() ? h_diag.data() : nullptr, b, s,
                       /*blocking=*/true);
       if (below > 0) {
         if (j > 0) {

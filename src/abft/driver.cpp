@@ -217,16 +217,11 @@ void Driver::encode(bool lower) {
             if (row_ != nullptr) fp.push_back(runtime::write(rtile(i, k)));
           },
           [this, i, k](const runtime::TaskContext& c) {
-            if (c.tiles.armed()) {
-              c.tiles.read(dtile(i, k));
-              if (col_ != nullptr) c.tiles.write(ctile(i, k));
-              if (row_ != nullptr) c.tiles.write(rtile(i, k));
-            }
-            const DMat blk = data_block(i, k);
+            const DMat blk = use(c, runtime::read, data_block(i, k));
             const std::int64_t flops =
                 blas::gemv_flops(blk.rows, blk.cols) * 2;
             if (col_ != nullptr) {
-              const DMat chk = cchk_block(i, k);
+              const DMat chk = use(c, runtime::write, cchk_block(i, k));
               m_.launch(c.stream,
                         KernelDesc{col_->encode, KernelClass::Blas2, flops, 0},
                         [blk, chk] {
@@ -235,7 +230,7 @@ void Driver::encode(bool lower) {
                         });
             }
             if (row_ != nullptr) {
-              const DMat chk = rchk_block(i, k);
+              const DMat chk = use(c, runtime::write, rchk_block(i, k));
               m_.launch(c.stream,
                         KernelDesc{row_->encode, KernelClass::Blas2, flops, 0},
                         [blk, chk] {
@@ -348,15 +343,9 @@ void Driver::verify(const std::vector<BlockId>& blocks, fault::Op attr,
       fp_.push_back(runtime::write(stile(slot)));
       g_->add_task(
           (sums == Sums::Col ? col_ : row_)->verify, fp_,
-          [this, bi, bk, attr, sums, pos, slot,
+          [this, bi, bk, attr, sums, pos,
            iter = cur_iter_](const runtime::TaskContext& c) {
-            if (c.tiles.armed()) {
-              c.tiles.rw(dtile(bi, bk));
-              if (col_ != nullptr) c.tiles.rw(ctile(bi, bk));
-              if (row_ != nullptr) c.tiles.rw(rtile(bi, bk));
-              c.tiles.write(stile(slot));
-            }
-            issue_verify(c.stream, bi, bk, attr, sums, pos, iter);
+            issue_verify(c, bi, bk, attr, sums, pos, iter);
           },
           opts);
     }
@@ -376,10 +365,11 @@ void Driver::verify(const std::vector<BlockId>& blocks, fault::Op attr,
   }
   // Lay the recalculated checksums side by side in the scratch buffer.
   std::int64_t pos = 0;
+  runtime::TaskContext c;
   for (std::size_t q = 0; q < blocks.size(); ++q) {
     const auto [bi, bk] = blocks[q];
-    const StreamId s = s_recalc_[q % nstreams];
-    issue_verify(s, bi, bk, attr, sums, pos, cur_iter_);
+    c.stream = s_recalc_[q % nstreams];
+    issue_verify(c, bi, bk, attr, sums, pos, cur_iter_);
     pos += 2LL * (sums == Sums::Col ? bs(bk) : bs(bi));
   }
   for (int i = 0; i < nstreams; ++i) {
@@ -393,14 +383,19 @@ void Driver::verify(const std::vector<BlockId>& blocks, fault::Op attr,
 // Recalculates block (bi, bk)'s checksums into the scratch buffer at
 // `pos` (doubles) and, unless the batch compares on the host, compares
 // them against the stored checksums and corrects in place. Both kernels
-// ride `s`, so the compare observes the fresh sums.
-void Driver::issue_verify(StreamId s, int bi, int bk, fault::Op attr,
-                          Sums sums, std::int64_t pos, int iter) {
-  const DMat blk = data_block(bi, bk);
+// ride `c.stream`, so the compare observes the fresh sums.
+void Driver::issue_verify(const runtime::TaskContext& c, int bi, int bk,
+                          fault::Op attr, Sums sums, std::int64_t pos,
+                          int iter) {
+  const StreamId s = c.stream;
+  // The compare corrects the block in place.
+  const DMat blk = use(c, runtime::rw, data_block(bi, bk));
   const bool col = sums == Sums::Col;
   FTLA_CHECK(pos + 2LL * (col ? blk.cols : blk.rows) <= scratch_capacity_);
-  const DMat scratch = col ? DMat{&d_scratch_, pos, 2, blk.cols, 2}
-                           : DMat{&d_scratch_, pos, blk.rows, 2, blk.rows};
+  const DMat scratch =
+      use(c, runtime::write,
+          col ? DMat{&d_scratch_, pos, 2, blk.cols, 2}
+              : DMat{&d_scratch_, pos, blk.rows, 2, blk.rows});
   const SumNames& names = col ? *col_ : *row_;
   const std::int64_t rflops = blas::gemv_flops(blk.rows, blk.cols) * 2;
   m_.launch(s, KernelDesc{names.recalc, KernelClass::Blas2, rflops, 0},
@@ -414,13 +409,16 @@ void Driver::issue_verify(StreamId s, int bi, int bk, fault::Op attr,
             });
   if (host_compare_) return;
 
-  const DMat chk = col ? cchk_block(bi, bk) : rchk_block(bi, bk);
+  const DMat chk =
+      use(c, runtime::rw, col ? cchk_block(bi, bk) : rchk_block(bi, bk));
   // Blocks that carry both checksum sides re-derive the other side from
   // the repaired data, so the two stay coherent (corrections are rare,
   // so the O(B^2) re-encode is negligible).
   const bool both = col_ != nullptr && row_ != nullptr;
-  const DMat other = !both ? DMat{} : col ? rchk_block(bi, bk)
-                                          : cchk_block(bi, bk);
+  const DMat other =
+      !both ? DMat{}
+            : use(c, runtime::write,
+                  col ? rchk_block(bi, bk) : cchk_block(bi, bk));
   const int chk_row0 = chk_strikes_ ? 2 * bi : -1;
   m_.launch(s,
             KernelDesc{names.verify, KernelClass::Compare,
@@ -445,6 +443,46 @@ void Driver::issue_verify(StreamId s, int bi, int bk, fault::Op attr,
                                   blk.rows, off(bk), blk.cols, chk_row0);
               absorb(out);
             });
+}
+
+void Driver::record(const runtime::TaskContext& c, Mode mode,
+                    const DMat& region) const {
+  if (region.rows <= 0 || region.cols <= 0) return;
+  if (region.buf == &d_scratch_) {
+    // Verify slots are 2·b consecutive doubles.
+    const std::int64_t last =
+        region.off + static_cast<std::int64_t>(region.cols - 1) * region.ld +
+        region.rows - 1;
+    for (std::int64_t s = region.off / (2 * b_); s <= last / (2 * b_); ++s) {
+      c.tiles.record(mode(stile(static_cast<int>(s))));
+    }
+    return;
+  }
+  // The matrix and T are tiled b x b, and a checksum block is
+  // kChecksumRows rows (column sums) or columns (row sums) of b.
+  int space = kTileData;
+  int tile_rows = b_;
+  int tile_cols = b_;
+  if (region.buf == &d_cchk_) {
+    space = kTileCchk;
+    tile_rows = kChecksumRows;
+  } else if (region.buf == &d_rchk_) {
+    space = kTileRchk;
+    tile_cols = kChecksumRows;
+  } else if (region.buf == &d_t_) {
+    space = kTileT;
+  } else {
+    FTLA_CHECK_MSG(region.buf == &d_a_, "a step used an untiled buffer");
+  }
+  const auto row = static_cast<int>(region.off % region.ld);
+  const auto col = static_cast<int>(region.off / region.ld);
+  for (int k = col / tile_cols; k <= (col + region.cols - 1) / tile_cols;
+       ++k) {
+    for (int i = row / tile_rows; i <= (row + region.rows - 1) / tile_rows;
+         ++i) {
+      c.tiles.record(mode({space, i, k}));
+    }
+  }
 }
 
 // ----------------------------------------------------------------------

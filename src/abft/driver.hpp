@@ -139,6 +139,29 @@ class Driver {
     return {kTileScratch, slot, 0};
   }
 
+  // ---- what a step body uses -----------------------------------------
+  /// An operand's access mode: runtime::read, runtime::write or
+  /// runtime::rw.
+  using Mode = runtime::Footprint (*)(runtime::TileKey);
+  /// A step body passes every device region it hands to a kernel or a
+  /// copy through use(), with that operand's mode, and gets the region
+  /// back. Under an armed sanitizer it records each tile the region
+  /// covers, which the tracker checks against the step's footprint;
+  /// otherwise it costs a pointer test.
+  sim::DMat use(const runtime::TaskContext& c, Mode mode,
+                const sim::DMat& region) const {
+    if (c.tiles.armed()) record(c, mode, region);
+    return region;
+  }
+  /// The host staging buffers are one tile (htile()): a host step
+  /// records it, and a copy records its host side `host`, which it
+  /// returns.
+  double* staging(const runtime::TaskContext& c, Mode mode,
+                  double* host = nullptr) const {
+    if (c.tiles.armed()) c.tiles.record(mode(htile()));
+    return host;
+  }
+
   // ---- passes and steps ----------------------------------------------
   [[nodiscard]] bool bulk() const { return g_ == nullptr; }
 
@@ -244,6 +267,7 @@ class Driver {
   sim::DeviceBuffer d_rchk_;  ///< row checksums, n x 2nb
   sim::DeviceBuffer d_scratch_;
   std::int64_t scratch_capacity_ = 0;  ///< doubles
+  sim::DeviceBuffer d_t_;  ///< QR's block reflector factor T (b x b)
   Matrix<double> pristine_;  ///< host copy of the input, for reruns
 
   sim::StreamId s_compute_ = 0;
@@ -266,8 +290,11 @@ class Driver {
   /// Returns true when the ladder is done.
   bool retry(const Error& e, const char* prefix, const char* reason);
   void fire(fault::FaultType type, fault::Op op, int j);
-  void issue_verify(sim::StreamId s, int bi, int bk, fault::Op attr,
-                    Sums sums, std::int64_t pos, int iter);
+  void issue_verify(const runtime::TaskContext& c, int bi, int bk,
+                    fault::Op attr, Sums sums, std::int64_t pos, int iter);
+  /// Records the tiles `region` covers with `mode` (see use()).
+  void record(const runtime::TaskContext& c, Mode mode,
+              const sim::DMat& region) const;
   [[nodiscard]] std::vector<sim::StreamId> dag_streams() const;
 
   const char* name_;

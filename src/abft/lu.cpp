@@ -145,19 +145,17 @@ void LuRun::iteration(int j) {
         fp.push_back(runtime::write(htile()));
       },
       [this, j, jb, below, blocking = bulk()](const runtime::TaskContext& c) {
-        if (c.tiles.armed()) {
-          for (int i = j; i < nb_; ++i) c.tiles.read(dtile(i, j));
-          c.tiles.write(htile());
-        }
-        m_.memcpy_d2h_2d(m_.numeric() ? h_panel_.data() : nullptr, n_, d_a_,
-                         static_cast<std::int64_t>(off(j)) * n_ + off(j), n_,
-                         below, jb, c.stream, blocking);
+        m_.memcpy_d2h_2d(
+            staging(c, runtime::write,
+                    m_.numeric() ? h_panel_.data() : nullptr),
+            n_, use(c, runtime::read, data_region(off(j), off(j), below, jb)),
+            c.stream, blocking);
       },
       base, s_compute_);
   step(
       "getf2", [](Footprints& fp) { fp.push_back(runtime::rw(htile())); },
       [this, below, jb](const runtime::TaskContext& c) {
-        if (c.tiles.armed()) c.tiles.rw(htile());
+        staging(c, runtime::rw);
         KernelDesc d{"getf2", KernelClass::HostPotf2,
                      // ~ m*b^2 flops for the panel factorization
                      static_cast<std::int64_t>(below) * jb * jb, 0};
@@ -171,7 +169,7 @@ void LuRun::iteration(int j) {
         "encode_panel",
         [](Footprints& fp) { fp.push_back(runtime::rw(htile())); },
         [this, j, below, jb](const runtime::TaskContext& c) {
-          if (c.tiles.armed()) c.tiles.rw(htile());
+          staging(c, runtime::rw);
           KernelDesc d{"encode_panel", KernelClass::HostChecksum,
                        4LL * below * jb, 0};
           m_.host_compute(d, [this, j, jb] {
@@ -195,13 +193,10 @@ void LuRun::iteration(int j) {
           fp.push_back(runtime::write(dtile(i, j)));
       },
       [this, j, jb, below](const runtime::TaskContext& c) {
-        if (c.tiles.armed()) {
-          c.tiles.read(htile());
-          for (int i = j; i < nb_; ++i) c.tiles.write(dtile(i, j));
-        }
-        m_.memcpy_h2d_2d(d_a_, static_cast<std::int64_t>(off(j)) * n_ + off(j),
-                         n_, m_.numeric() ? h_panel_.data() : nullptr, n_,
-                         below, jb, c.stream);
+        m_.memcpy_h2d_2d(
+            use(c, runtime::write, data_region(off(j), off(j), below, jb)),
+            staging(c, runtime::read, m_.numeric() ? h_panel_.data() : nullptr),
+            n_, c.stream);
       },
       base, s_compute_);
   // Applied after the transfer so the corrupted value actually lands in
@@ -217,14 +212,11 @@ void LuRun::iteration(int j) {
             fp.push_back(runtime::write(ctile(i, j)));
         },
         [this, j, jb](const runtime::TaskContext& c) {
-          if (c.tiles.armed()) {
-            c.tiles.read(htile());
-            for (int i = j; i < nb_; ++i) c.tiles.write(ctile(i, j));
-          }
           m_.memcpy_h2d_2d(
-              d_cchk_, static_cast<std::int64_t>(off(j)) * (2 * nb_) + 2 * j,
-              2 * nb_, m_.numeric() ? &h_panel_chk_(2 * j, 0) : nullptr,
-              2 * nb_, 2 * (nb_ - j), jb, c.stream);
+              use(c, runtime::write, cchk_strip(j, nb_, off(j), jb)),
+              staging(c, runtime::read,
+                      m_.numeric() ? &h_panel_chk_(2 * j, 0) : nullptr),
+              2 * nb_, c.stream);
         },
         update, s_compute_);
   }
@@ -254,13 +246,10 @@ void LuRun::iteration(int j) {
           fp.push_back(runtime::rw(dtile(j, k)));
       },
       [this, j, jb, right](const runtime::TaskContext& c) {
-        if (c.tiles.armed()) {
-          c.tiles.read(dtile(j, j));
-          for (int k = j + 1; k < nb_; ++k) c.tiles.rw(dtile(j, k));
-        }
-        sim::gpublas::trsm(m_, c.stream, Side::Left, Uplo::Lower, Trans::No,
-                           Diag::Unit, 1.0, data_block(j, j),
-                           data_region(off(j), off(j) + jb, jb, right));
+        sim::gpublas::trsm(
+            m_, c.stream, Side::Left, Uplo::Lower, Trans::No, Diag::Unit, 1.0,
+            use(c, runtime::read, data_block(j, j)),
+            use(c, runtime::rw, data_region(off(j), off(j) + jb, jb, right)));
       },
       base, s_compute_);
   hook(fault::FaultType::Computing, fault::Op::Trsm, j);
@@ -276,14 +265,11 @@ void LuRun::iteration(int j) {
             fp.push_back(runtime::rw(rtile(j, k)));
         },
         [this, j, jb](const runtime::TaskContext& c) {
-          if (c.tiles.armed()) {
-            c.tiles.read(dtile(j, j));
-            for (int k = j + 1; k < nb_; ++k) c.tiles.rw(rtile(j, k));
-          }
-          sim::gpublas::trsm(m_, c.stream, Side::Left, Uplo::Lower,
-                             Trans::No, Diag::Unit, 1.0, data_block(j, j),
-                             rchk_strip(off(j), jb, j + 1, nb_),
-                             KernelClass::Blas3Skinny);
+          sim::gpublas::trsm(
+              m_, c.stream, Side::Left, Uplo::Lower, Trans::No, Diag::Unit,
+              1.0, use(c, runtime::read, data_block(j, j)),
+              use(c, runtime::rw, rchk_strip(off(j), jb, j + 1, nb_)),
+              KernelClass::Blas3Skinny);
         },
         update, s_chk_);
   }
@@ -326,17 +312,13 @@ void LuRun::iteration(int j) {
             fp.push_back(runtime::rw(dtile(i, k)));
       },
       [this, j, jb, right](const runtime::TaskContext& c) {
-        if (c.tiles.armed()) {
-          for (int i = j + 1; i < nb_; ++i) c.tiles.read(dtile(i, j));
-          for (int k = j + 1; k < nb_; ++k) c.tiles.read(dtile(j, k));
-          for (int i = j + 1; i < nb_; ++i)
-            for (int k = j + 1; k < nb_; ++k) c.tiles.rw(dtile(i, k));
-        }
         sim::gpublas::gemm(
             m_, c.stream, Trans::No, Trans::No, -1.0,
-            data_region(off(j) + jb, off(j), right, jb),
-            data_region(off(j), off(j) + jb, jb, right), 1.0,
-            data_region(off(j) + jb, off(j) + jb, right, right));
+            use(c, runtime::read, data_region(off(j) + jb, off(j), right, jb)),
+            use(c, runtime::read, data_region(off(j), off(j) + jb, jb, right)),
+            1.0,
+            use(c, runtime::rw,
+                data_region(off(j) + jb, off(j) + jb, right, right)));
       },
       base, s_compute_);
   hook(fault::FaultType::Computing, fault::Op::Gemm, j);
@@ -354,17 +336,13 @@ void LuRun::iteration(int j) {
             fp.push_back(runtime::rw(ctile(i, k)));
       },
       [this, j, jb, right](const runtime::TaskContext& c) {
-        if (c.tiles.armed()) {
-          for (int i = j + 1; i < nb_; ++i) c.tiles.read(ctile(i, j));
-          for (int k = j + 1; k < nb_; ++k) c.tiles.read(dtile(j, k));
-          for (int i = j + 1; i < nb_; ++i)
-            for (int k = j + 1; k < nb_; ++k) c.tiles.rw(ctile(i, k));
-        }
-        sim::gpublas::gemm(m_, c.stream, Trans::No, Trans::No, -1.0,
-                           cchk_strip(j + 1, nb_, off(j), jb),
-                           data_region(off(j), off(j) + jb, jb, right), 1.0,
-                           cchk_strip(j + 1, nb_, off(j) + jb, right),
-                           KernelClass::Blas3Skinny);
+        sim::gpublas::gemm(
+            m_, c.stream, Trans::No, Trans::No, -1.0,
+            use(c, runtime::read, cchk_strip(j + 1, nb_, off(j), jb)),
+            use(c, runtime::read, data_region(off(j), off(j) + jb, jb, right)),
+            1.0,
+            use(c, runtime::rw, cchk_strip(j + 1, nb_, off(j) + jb, right)),
+            KernelClass::Blas3Skinny);
       },
       update, s_chk_);
   // rchk(B') = rchk(B) - L rchk(U_row)  (right x 2(nb-j-1) GEMM)
@@ -380,17 +358,12 @@ void LuRun::iteration(int j) {
             fp.push_back(runtime::rw(rtile(i, k)));
       },
       [this, j, jb, right](const runtime::TaskContext& c) {
-        if (c.tiles.armed()) {
-          for (int i = j + 1; i < nb_; ++i) c.tiles.read(dtile(i, j));
-          for (int k = j + 1; k < nb_; ++k) c.tiles.read(rtile(j, k));
-          for (int i = j + 1; i < nb_; ++i)
-            for (int k = j + 1; k < nb_; ++k) c.tiles.rw(rtile(i, k));
-        }
-        sim::gpublas::gemm(m_, c.stream, Trans::No, Trans::No, -1.0,
-                           data_region(off(j) + jb, off(j), right, jb),
-                           rchk_strip(off(j), jb, j + 1, nb_), 1.0,
-                           rchk_strip(off(j) + jb, right, j + 1, nb_),
-                           KernelClass::Blas3Skinny);
+        sim::gpublas::gemm(
+            m_, c.stream, Trans::No, Trans::No, -1.0,
+            use(c, runtime::read, data_region(off(j) + jb, off(j), right, jb)),
+            use(c, runtime::read, rchk_strip(off(j), jb, j + 1, nb_)), 1.0,
+            use(c, runtime::rw, rchk_strip(off(j) + jb, right, j + 1, nb_)),
+            KernelClass::Blas3Skinny);
       },
       update, s_chk_);
 }

@@ -12,7 +12,6 @@
 
 namespace ftla::abft {
 
-using sim::DeviceBuffer;
 using sim::DMat;
 using sim::EventId;
 using sim::KernelClass;
@@ -47,7 +46,6 @@ class QrRun final : public Driver {
   void iteration(int j);
 
   std::vector<double>* tau_;
-  DeviceBuffer d_t_;            // the block reflector factor T (b x b)
   Matrix<double> h_panel_;      // host panel (n x b)
   Matrix<double> h_t_;          // host T (b x b)
   Matrix<double> h_panel_chk_;  // re-encoded panel row checksums (n x 2)
@@ -149,19 +147,17 @@ void QrRun::iteration(int j) {
         fp.push_back(runtime::write(htile()));
       },
       [this, j, jb, mrem, blocking = bulk()](const runtime::TaskContext& c) {
-        if (c.tiles.armed()) {
-          for (int i = j; i < nb_; ++i) c.tiles.read(dtile(i, j));
-          c.tiles.write(htile());
-        }
-        m_.memcpy_d2h_2d(m_.numeric() ? h_panel_.data() : nullptr, n_, d_a_,
-                         static_cast<std::int64_t>(off(j)) * n_ + off(j), n_,
-                         mrem, jb, c.stream, blocking);
+        m_.memcpy_d2h_2d(
+            staging(c, runtime::write,
+                    m_.numeric() ? h_panel_.data() : nullptr),
+            n_, use(c, runtime::read, data_region(off(j), off(j), mrem, jb)),
+            c.stream, blocking);
       },
       base, s_compute_);
   step(
       "geqf2+larft", [](Footprints& fp) { fp.push_back(runtime::rw(htile())); },
       [this, j, mrem, jb](const runtime::TaskContext& c) {
-        if (c.tiles.armed()) c.tiles.rw(htile());
+        staging(c, runtime::rw);
         // geqf2 ~ 2 m b^2 flops, larft ~ m b^2.
         KernelDesc d{"geqf2+larft", KernelClass::HostPotf2,
                      3LL * mrem * jb * jb, 0};
@@ -178,7 +174,7 @@ void QrRun::iteration(int j) {
         "encode_panel_r",
         [](Footprints& fp) { fp.push_back(runtime::rw(htile())); },
         [this, j, mrem, jb](const runtime::TaskContext& c) {
-          if (c.tiles.armed()) c.tiles.rw(htile());
+          staging(c, runtime::rw);
           KernelDesc d{"encode_panel_r", KernelClass::HostChecksum,
                        4LL * mrem * jb, 0};
           m_.host_compute(d, [this, j, jb] {
@@ -200,13 +196,10 @@ void QrRun::iteration(int j) {
           fp.push_back(runtime::write(dtile(i, j)));
       },
       [this, j, jb, mrem](const runtime::TaskContext& c) {
-        if (c.tiles.armed()) {
-          c.tiles.read(htile());
-          for (int i = j; i < nb_; ++i) c.tiles.write(dtile(i, j));
-        }
-        m_.memcpy_h2d_2d(d_a_, static_cast<std::int64_t>(off(j)) * n_ + off(j),
-                         n_, m_.numeric() ? h_panel_.data() : nullptr, n_,
-                         mrem, jb, c.stream);
+        m_.memcpy_h2d_2d(
+            use(c, runtime::write, data_region(off(j), off(j), mrem, jb)),
+            staging(c, runtime::read, m_.numeric() ? h_panel_.data() : nullptr),
+            n_, c.stream);
       },
       base, s_compute_);
   step(
@@ -216,14 +209,15 @@ void QrRun::iteration(int j) {
         fp.push_back(runtime::write(ttile()));
       },
       [this, jb](const runtime::TaskContext& c) {
-        if (c.tiles.armed()) {
-          c.tiles.read(htile());
-          c.tiles.write(ttile());
-        }
         // T is unprotected by checksums (see the class comment's exposure
         // note): keep its copy out of the stochastic fault surface.
         const sim::TransferArmGuard t_arm(m_, /*h2d=*/false, /*d2h=*/false);
-        m_.memcpy_h2d(d_t_, 0, m_.numeric() ? h_t_.data() : nullptr,
+        // The flat copy fills T's first jb·jb doubles: a jb x jb block
+        // with leading dimension jb.
+        const DMat t = use(c, runtime::write, DMat{&d_t_, 0, jb, jb, jb});
+        m_.memcpy_h2d(*t.buf, t.off,
+                      staging(c, runtime::read,
+                              m_.numeric() ? h_t_.data() : nullptr),
                       static_cast<std::int64_t>(jb) * jb, c.stream);
       },
       base, s_compute_);
@@ -237,14 +231,11 @@ void QrRun::iteration(int j) {
             fp.push_back(runtime::write(rtile(i, j)));
         },
         [this, j, mrem](const runtime::TaskContext& c) {
-          if (c.tiles.armed()) {
-            c.tiles.read(htile());
-            for (int i = j; i < nb_; ++i) c.tiles.write(rtile(i, j));
-          }
-          m_.memcpy_h2d_2d(d_rchk_,
-                           static_cast<std::int64_t>(2 * j) * n_ + off(j), n_,
-                           m_.numeric() ? &h_panel_chk_(off(j), 0) : nullptr,
-                           n_, mrem, kChecksumRows, c.stream);
+          m_.memcpy_h2d_2d(
+              use(c, runtime::write, rchk_strip(off(j), mrem, j, j + 1)),
+              staging(c, runtime::read,
+                      m_.numeric() ? &h_panel_chk_(off(j), 0) : nullptr),
+              n_, c.stream);
         },
         update, s_compute_);
   }
@@ -286,15 +277,11 @@ void QrRun::iteration(int j) {
             fp.push_back(runtime::rw(dtile(i, k)));
       },
       [this, j, jb, mrem, right](const runtime::TaskContext& c) {
-        if (c.tiles.armed()) {
-          for (int i = j; i < nb_; ++i) c.tiles.read(dtile(i, j));
-          c.tiles.read(ttile());
-          for (int i = j; i < nb_; ++i)
-            for (int k = j + 1; k < nb_; ++k) c.tiles.rw(dtile(i, k));
-        }
-        const DMat v = data_region(off(j), off(j), mrem, jb);
-        const DMat t = DMat{&d_t_, 0, jb, jb, b_};
-        const DMat cmat = data_region(off(j), off(j) + jb, mrem, right);
+        const DMat v =
+            use(c, runtime::read, data_region(off(j), off(j), mrem, jb));
+        const DMat t = use(c, runtime::read, DMat{&d_t_, 0, jb, jb, b_});
+        const DMat cmat =
+            use(c, runtime::rw, data_region(off(j), off(j) + jb, mrem, right));
         KernelDesc d{"larfb", KernelClass::Blas3, 4LL * mrem * jb * right, 0};
         m_.launch(c.stream, d, [v, t, cmat] {
           blas::larfb_left_t(ConstMatrixView<double>(v.view()),
@@ -317,15 +304,11 @@ void QrRun::iteration(int j) {
             fp.push_back(runtime::rw(rtile(i, k)));
       },
       [this, j, jb, mrem](const runtime::TaskContext& c) {
-        if (c.tiles.armed()) {
-          for (int i = j; i < nb_; ++i) c.tiles.read(dtile(i, j));
-          c.tiles.read(ttile());
-          for (int i = j; i < nb_; ++i)
-            for (int k = j + 1; k < nb_; ++k) c.tiles.rw(rtile(i, k));
-        }
-        const DMat v = data_region(off(j), off(j), mrem, jb);
-        const DMat t = DMat{&d_t_, 0, jb, jb, b_};
-        const DMat strip = rchk_strip(off(j), mrem, j + 1, nb_);
+        const DMat v =
+            use(c, runtime::read, data_region(off(j), off(j), mrem, jb));
+        const DMat t = use(c, runtime::read, DMat{&d_t_, 0, jb, jb, b_});
+        const DMat strip =
+            use(c, runtime::rw, rchk_strip(off(j), mrem, j + 1, nb_));
         KernelDesc d{"larfb_rchk", KernelClass::Blas3Skinny,
                      4LL * mrem * jb * 2 * (nb_ - j - 1), 0};
         m_.launch(c.stream, d, [v, t, strip] {

@@ -91,18 +91,19 @@ enum class Where {
 /// FTLA_DAG_SANITIZE), every call records the dynamic access so the
 /// sanitizer can verify it against the declared footprint and the
 /// inferred happens-before order; with no tracker armed the calls are
-/// no-ops, so instrumented bodies cost nothing in production runs.
+/// no-ops.
 struct TileAccessor {
   AccessTracker* tracker = nullptr;
   int task = -1;
 
-  /// True while a tracker records accesses. Bodies guard their
-  /// annotation walks with it, so a disarmed run walks none.
+  /// True while a tracker records accesses. A body that derives its
+  /// records from the operands it uses tests this first, so a disarmed
+  /// run derives none.
   [[nodiscard]] bool armed() const noexcept { return tracker != nullptr; }
 
-  void read(TileKey t) const;   ///< body consumed the tile's contents
-  void write(TileKey t) const;  ///< body fully overwrote the tile
-  void rw(TileKey t) const;     ///< body updated the tile in place
+  /// Records that the body accessed `f.tile` with `f.access`: e.g.
+  /// record(read(t)) when it consumed the tile's contents.
+  void record(Footprint f) const;
 };
 
 /// Handed to the body at execution time.
@@ -110,7 +111,9 @@ struct TaskContext {
   int task = -1;    ///< node id in the graph
   int stream = -1;  ///< chosen sim stream (Where::Device only)
   /// Dynamic-footprint recording handle (inert unless a sanitizer
-  /// tracker is armed on the graph).
+  /// tracker is armed on the graph); the factorization drivers record
+  /// through it from the regions their bodies hand to kernels and
+  /// copies.
   TileAccessor tiles;
 };
 

@@ -42,16 +42,8 @@ namespace {
 
 }  // namespace
 
-void TileAccessor::read(TileKey t) const {
-  if (tracker != nullptr) tracker->record(task, t, Access::Read);
-}
-
-void TileAccessor::write(TileKey t) const {
-  if (tracker != nullptr) tracker->record(task, t, Access::Write);
-}
-
-void TileAccessor::rw(TileKey t) const {
-  if (tracker != nullptr) tracker->record(task, t, Access::ReadWrite);
+void TileAccessor::record(Footprint f) const {
+  if (tracker != nullptr) tracker->record(task, f.tile, f.access);
 }
 
 bool sanitize_env_enabled() {

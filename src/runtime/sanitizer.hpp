@@ -8,8 +8,12 @@
 // order. The AccessTracker closes that gap dynamically. Arm it with
 // TaskGraph::set_access_tracker (the DAG drivers arm it when
 // FTLA_DAG_SANITIZE is set in the environment); executors then hand
-// every body a recording TileAccessor through TaskContext::tiles, and
-// each recorded access is checked two ways:
+// every body a recording TileAccessor through TaskContext::tiles. The
+// drivers' bodies record from the operands they really use — each
+// device region handed to a kernel or a copy, mapped to the tiles it
+// covers, and the host staging tile (abft::Driver::use and staging) —
+// so a footprint is checked against the body, not against a second
+// tile list. Each recorded access is checked two ways:
 //
 //   * containment — the access must be covered by the task's declared
 //     footprint (a Read may also hit a declared Write tile after the

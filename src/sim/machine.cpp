@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <string>
 
+#include "sim/device_matrix.hpp"
+
 namespace ftla::sim {
 
 DeviceLostError::DeviceLostError(int device, double at)
@@ -293,143 +295,83 @@ void Machine::host_advance(double seconds) {
 void Machine::memcpy_h2d(DeviceBuffer& dst, std::int64_t dst_off,
                          const double* src, std::int64_t n, StreamId s,
                          bool blocking) {
-  tick();
-  FTLA_CHECK(s >= 0 && s < stream_count());
-  FTLA_CHECK(dst_off >= 0 && dst_off + n <= dst.count());
-  if (numeric()) std::copy(src, src + n, dst.data() + dst_off);
-
-  host_time_ += profile_.host_call_overhead_s;
-  const double bytes = static_cast<double>(n) * sizeof(double);
-  const double dur =
-      profile_.transfer_latency_s + bytes / (profile_.h2d_bandwidth_gbs * 1e9);
-  const double earliest =
-      std::max({host_time_, streams_[s].last_end, h2d_free_});
-  const double start = reserve_link(earliest, dur);
-  const double end = start + dur;
-  h2d_free_ = end;
-  streams_[s].last_end = end;
-  ++stats_.h2d_count;
-  stats_.h2d_bytes += n * static_cast<std::int64_t>(sizeof(double));
-  stats_.h2d_seconds += dur;
-  note_span(obs::EventKind::Copy, "h2d", KernelClass::Other, kH2dLane,
-            start, end, 0, n * static_cast<std::int64_t>(sizeof(double)),
-            0);
-  if (blocking) host_time_ = std::max(host_time_, end);
-  if (numeric() && n > 0) {
-    note_transfer("h2d", true, dst.data() + dst_off, static_cast<int>(n), 1,
-                  static_cast<int>(n), dst_off, start, end, s);
-  }
+  copy<true>("h2d", /*flat=*/true, dst, dst_off, static_cast<int>(n), src,
+             static_cast<int>(n), n, 1, s, blocking);
 }
 
 void Machine::memcpy_d2h(double* dst, const DeviceBuffer& src,
                          std::int64_t src_off, std::int64_t n, StreamId s,
                          bool blocking) {
+  copy<false>("d2h", /*flat=*/true, src, src_off, static_cast<int>(n), dst,
+              static_cast<int>(n), n, 1, s, blocking);
+}
+
+void Machine::memcpy_h2d_2d(const DMat& dst, const double* src, int src_ld,
+                            StreamId s, bool blocking) {
+  copy<true>("h2d_2d", /*flat=*/false, *dst.buf, dst.off, dst.ld, src,
+             src_ld, dst.rows, dst.cols, s, blocking);
+}
+
+void Machine::memcpy_d2h_2d(double* dst, int dst_ld, const DConstMat& src,
+                            StreamId s, bool blocking) {
+  copy<false>("d2h_2d", /*flat=*/false, *src.buf, src.off, src.ld, dst,
+              dst_ld, src.rows, src.cols, s, blocking);
+}
+
+template <bool kH2d, class Dev, class Host>
+void Machine::copy(const char* name, bool flat, Dev& dev,
+                   std::int64_t dev_off, int dev_ld, Host* host, int host_ld,
+                   std::int64_t rows, int cols, StreamId s, bool blocking) {
   tick();
   FTLA_CHECK(s >= 0 && s < stream_count());
-  FTLA_CHECK(src_off >= 0 && src_off + n <= src.count());
-  if (numeric()) {
-    const double* p = src.data() + src_off;
-    std::copy(p, p + n, dst);
+  if (!flat) {
+    FTLA_CHECK(rows >= 0 && cols >= 0 && dev_ld >= rows && host_ld >= rows);
+    if (rows == 0 || cols == 0) return;  // an empty 2-D copy is free
   }
-
-  host_time_ += profile_.host_call_overhead_s;
-  const double bytes = static_cast<double>(n) * sizeof(double);
-  const double dur =
-      profile_.transfer_latency_s + bytes / (profile_.d2h_bandwidth_gbs * 1e9);
-  const double earliest =
-      std::max({host_time_, streams_[s].last_end, d2h_free_});
-  const double start = reserve_link(earliest, dur);
-  const double end = start + dur;
-  d2h_free_ = end;
-  streams_[s].last_end = end;
-  ++stats_.d2h_count;
-  stats_.d2h_bytes += n * static_cast<std::int64_t>(sizeof(double));
-  stats_.d2h_seconds += dur;
-  note_span(obs::EventKind::Copy, "d2h", KernelClass::Other, kD2hLane,
-            start, end, 0, n * static_cast<std::int64_t>(sizeof(double)),
-            0);
-  if (blocking) host_time_ = std::max(host_time_, end);
-  if (numeric() && n > 0) {
-    note_transfer("d2h", false, dst, static_cast<int>(n), 1,
-                  static_cast<int>(n), -1, start, end, s);
-  }
-}
-
-void Machine::memcpy_h2d_2d(DeviceBuffer& dst, std::int64_t dst_off,
-                            int dst_ld, const double* src, int src_ld,
-                            int rows, int cols, StreamId s, bool blocking) {
-  tick();
-  FTLA_CHECK(rows >= 0 && cols >= 0 && dst_ld >= rows && src_ld >= rows);
-  if (rows == 0 || cols == 0) return;
-  FTLA_CHECK(dst_off >= 0 &&
-             dst_off + static_cast<std::int64_t>(cols - 1) * dst_ld + rows <=
-                 dst.count());
+  FTLA_CHECK(dev_off >= 0 &&
+             dev_off + static_cast<std::int64_t>(cols - 1) * dev_ld + rows <=
+                 dev.count());
   if (numeric()) {
     for (int j = 0; j < cols; ++j) {
-      const double* sp = src + static_cast<std::int64_t>(j) * src_ld;
-      std::copy(sp, sp + rows,
-                dst.data() + dst_off + static_cast<std::int64_t>(j) * dst_ld);
+      const std::int64_t d = dev_off + static_cast<std::int64_t>(j) * dev_ld;
+      const std::int64_t h = static_cast<std::int64_t>(j) * host_ld;
+      if constexpr (kH2d) {
+        std::copy(host + h, host + h + rows, dev.data() + d);
+      } else {
+        std::copy(dev.data() + d, dev.data() + d + rows, host + h);
+      }
     }
   }
-  host_time_ += profile_.host_call_overhead_s;
-  const double bytes =
-      static_cast<double>(rows) * cols * sizeof(double);
-  const double dur =
-      profile_.transfer_latency_s + bytes / (profile_.h2d_bandwidth_gbs * 1e9);
-  const double earliest =
-      std::max({host_time_, streams_[s].last_end, h2d_free_});
-  const double start = reserve_link(earliest, dur);
-  const double end = start + dur;
-  h2d_free_ = end;
-  streams_[s].last_end = end;
-  ++stats_.h2d_count;
-  stats_.h2d_bytes += static_cast<std::int64_t>(rows) * cols * 8;
-  stats_.h2d_seconds += dur;
-  note_span(obs::EventKind::Copy, "h2d_2d", KernelClass::Other, kH2dLane,
-            start, end, 0, static_cast<std::int64_t>(rows) * cols * 8, 0);
-  if (blocking) host_time_ = std::max(host_time_, end);
-  if (numeric()) {
-    note_transfer("h2d_2d", true, dst.data() + dst_off, rows, cols, dst_ld,
-                  dst_off, start, end, s);
-  }
-}
 
-void Machine::memcpy_d2h_2d(double* dst, int dst_ld, const DeviceBuffer& src,
-                            std::int64_t src_off, int src_ld, int rows,
-                            int cols, StreamId s, bool blocking) {
-  tick();
-  FTLA_CHECK(rows >= 0 && cols >= 0 && dst_ld >= rows && src_ld >= rows);
-  if (rows == 0 || cols == 0) return;
-  FTLA_CHECK(src_off >= 0 &&
-             src_off + static_cast<std::int64_t>(cols - 1) * src_ld + rows <=
-                 src.count());
-  if (numeric()) {
-    for (int j = 0; j < cols; ++j) {
-      const double* sp =
-          src.data() + src_off + static_cast<std::int64_t>(j) * src_ld;
-      std::copy(sp, sp + rows, dst + static_cast<std::int64_t>(j) * dst_ld);
-    }
-  }
   host_time_ += profile_.host_call_overhead_s;
-  const double bytes =
-      static_cast<double>(rows) * cols * sizeof(double);
+  const double bytes = static_cast<double>(rows) * cols * sizeof(double);
+  const double bandwidth_gbs =
+      kH2d ? profile_.h2d_bandwidth_gbs : profile_.d2h_bandwidth_gbs;
   const double dur =
-      profile_.transfer_latency_s + bytes / (profile_.d2h_bandwidth_gbs * 1e9);
+      profile_.transfer_latency_s + bytes / (bandwidth_gbs * 1e9);
+  double& engine_free = kH2d ? h2d_free_ : d2h_free_;
   const double earliest =
-      std::max({host_time_, streams_[s].last_end, d2h_free_});
+      std::max({host_time_, streams_[s].last_end, engine_free});
   const double start = reserve_link(earliest, dur);
   const double end = start + dur;
-  d2h_free_ = end;
+  engine_free = end;
   streams_[s].last_end = end;
-  ++stats_.d2h_count;
-  stats_.d2h_bytes += static_cast<std::int64_t>(rows) * cols * 8;
-  stats_.d2h_seconds += dur;
-  note_span(obs::EventKind::Copy, "d2h_2d", KernelClass::Other, kD2hLane,
-            start, end, 0, static_cast<std::int64_t>(rows) * cols * 8, 0);
+  const std::int64_t moved = rows * cols * 8;
+  ++(kH2d ? stats_.h2d_count : stats_.d2h_count);
+  (kH2d ? stats_.h2d_bytes : stats_.d2h_bytes) += moved;
+  (kH2d ? stats_.h2d_seconds : stats_.d2h_seconds) += dur;
+  note_span(obs::EventKind::Copy, name, KernelClass::Other,
+            kH2d ? kH2dLane : kD2hLane, start, end, 0, moved, 0);
   if (blocking) host_time_ = std::max(host_time_, end);
-  if (numeric()) {
-    note_transfer("d2h_2d", false, dst, rows, cols, dst_ld, -1, start,
-                  end, s);
+  // Every non-empty numeric copy gets a transfer ordinal.
+  if (numeric() && rows * cols > 0) {
+    if constexpr (kH2d) {
+      note_transfer(name, true, dev.data() + dev_off, static_cast<int>(rows),
+                    cols, dev_ld, dev_off, start, end, s);
+    } else {
+      note_transfer(name, false, host, static_cast<int>(rows), cols, host_ld,
+                    -1, start, end, s);
+    }
   }
 }
 
@@ -437,6 +379,7 @@ void Machine::memcpy_d2d(DeviceBuffer& dst, std::int64_t dst_off,
                          const DeviceBuffer& src, std::int64_t src_off,
                          std::int64_t n, StreamId s) {
   tick();
+  FTLA_CHECK(s >= 0 && s < stream_count());
   FTLA_CHECK(dst_off >= 0 && dst_off + n <= dst.count());
   FTLA_CHECK(src_off >= 0 && src_off + n <= src.count());
   // An on-device DMA: bandwidth-priced, occupies one SM-equivalent of

@@ -128,6 +128,8 @@ struct SimStats {
 };
 
 class Machine;
+struct DMat;       // sim/device_matrix.hpp
+struct DConstMat;  // sim/device_matrix.hpp
 
 /// A device-memory allocation of doubles. RAII: releases its accounting
 /// (and storage in Numeric mode) on destruction. Movable, not copyable.
@@ -248,13 +250,13 @@ class Machine {
   /// Async copy device -> host on the D2H engine, ordered within `s`.
   void memcpy_d2h(double* dst, const DeviceBuffer& src, std::int64_t src_off,
                   std::int64_t n, StreamId s, bool blocking = false);
-  /// Strided 2-D copies (cudaMemcpy2D equivalents) for moving blocks and
-  /// panels that are sub-views of larger column-major matrices.
-  void memcpy_h2d_2d(DeviceBuffer& dst, std::int64_t dst_off, int dst_ld,
-                     const double* src, int src_ld, int rows, int cols,
+  /// Strided 2-D copies (cudaMemcpy2D equivalents) between a device
+  /// region — a block or panel of a larger column-major matrix — and a
+  /// host block of the same shape with leading dimension `src_ld` /
+  /// `dst_ld`. An empty region copies nothing and costs nothing.
+  void memcpy_h2d_2d(const DMat& dst, const double* src, int src_ld,
                      StreamId s, bool blocking = false);
-  void memcpy_d2h_2d(double* dst, int dst_ld, const DeviceBuffer& src,
-                     std::int64_t src_off, int src_ld, int rows, int cols,
+  void memcpy_d2h_2d(double* dst, int dst_ld, const DConstMat& src,
                      StreamId s, bool blocking = false);
 
   /// Device-to-device copy (modeled as a 1-SM copy kernel).
@@ -377,6 +379,17 @@ class Machine {
   /// operation: applies pending stall windows to the host clock, then
   /// throws DeviceLostError if the clock has reached the armed loss.
   void tick();
+  /// The one H2D (`kH2d`) or D2H copy behind the four public forms:
+  /// `rows` x `cols` column-major elements between `dev` at `dev_off`
+  /// (leading dimension `dev_ld`) and `host` (`host_ld`). It moves the
+  /// data, prices the window on the direction's engine and the host
+  /// link, counts stats, records the span `name` and hands a non-empty
+  /// numeric copy to the transfer hook. A `flat` copy is priced even
+  /// when empty; an empty 2-D copy returns before any of it.
+  template <bool kH2d, class Dev, class Host>
+  void copy(const char* name, bool flat, Dev& dev, std::int64_t dev_off,
+            int dev_ld, Host* host, int host_ld, std::int64_t rows, int cols,
+            StreamId s, bool blocking);
   /// Reserves the transfer window [earliest, +dur) on this device's
   /// copy engine and, when attached, on the fleet's shared host link;
   /// returns the contention-resolved start time.

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "sim/device_matrix.hpp"
 #include "sim/gpublas.hpp"
 #include "sim/machine.hpp"
 #include "sim/profile.hpp"
@@ -205,13 +206,14 @@ TEST(Machine, Memcpy2dStrided) {
   auto buf = m.alloc(20);  // device 4x5 matrix, ld 4
   std::vector<double> host(6);
   for (int i = 0; i < 6; ++i) host[i] = i + 1.0;  // 2x3 block, ld 2
-  m.memcpy_h2d_2d(buf, 1, 4, host.data(), 2, 2, 3, 0);
+  const DMat block{&buf, 1, 2, 3, 4};
+  m.memcpy_h2d_2d(block, host.data(), 2, 0);
   EXPECT_EQ(buf.data()[1], 1.0);
   EXPECT_EQ(buf.data()[2], 2.0);
   EXPECT_EQ(buf.data()[5], 3.0);
   EXPECT_EQ(buf.data()[9], 5.0);
   std::vector<double> back(6, 0.0);
-  m.memcpy_d2h_2d(back.data(), 2, buf, 1, 4, 2, 3, 0);
+  m.memcpy_d2h_2d(back.data(), 2, block, 0);
   EXPECT_EQ(back, host);
 }
 
@@ -251,6 +253,43 @@ TEST(MachineDeath, TimingOnlyDataAccessAborts) {
   Machine m(test_rig(), ExecutionMode::TimingOnly);
   auto buf = m.alloc(4);
   EXPECT_DEATH((void)buf.data(), "Numeric mode");
+}
+
+// Every copy checks its stream like launch and the event calls do, so a
+// bad stream id is a precondition failure, not an out-of-bounds read.
+TEST(MachineDeath, FlatCopiesRejectAnUnknownStream) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto m = make_numeric();
+  auto buf = m.alloc(4);
+  std::vector<double> host(4, 1.0);
+  EXPECT_DEATH(m.memcpy_h2d(buf, 0, host.data(), 4, 3), "stream_count");
+  EXPECT_DEATH(m.memcpy_d2h(host.data(), buf, 0, 4, -1), "stream_count");
+}
+
+TEST(MachineDeath, H2d2dRejectsAnUnknownStream) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto m = make_numeric();
+  auto buf = m.alloc(4);
+  std::vector<double> host(4, 1.0);
+  EXPECT_DEATH(m.memcpy_h2d_2d(DMat{&buf, 0, 2, 2, 2}, host.data(), 2, 1),
+               "stream_count");
+}
+
+TEST(MachineDeath, D2h2dRejectsAnUnknownStream) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto m = make_numeric();
+  auto buf = m.alloc(4);
+  std::vector<double> host(4, 1.0);
+  EXPECT_DEATH(m.memcpy_d2h_2d(host.data(), 2, DMat{&buf, 0, 2, 2, 2}, -1),
+               "stream_count");
+}
+
+TEST(MachineDeath, D2dRejectsAnUnknownStream) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto m = make_numeric();
+  auto a = m.alloc(4);
+  auto b = m.alloc(4);
+  EXPECT_DEATH(m.memcpy_d2d(b, 0, a, 0, 4, 1), "stream_count");
 }
 
 TEST(Machine, StatsAccumulate) {
@@ -398,12 +437,11 @@ TEST(Machine, PerClassCostsMatchTheUncachedFormula) {
 void copy_2d(Machine& m, bool h2d, DeviceBuffer& buf, std::int64_t dev_off,
              int dev_ld, double* host, int host_ld, int rows, int cols,
              StreamId s, bool blocking) {
+  const DMat region{&buf, dev_off, rows, cols, dev_ld};
   if (h2d) {
-    m.memcpy_h2d_2d(buf, dev_off, dev_ld, host, host_ld, rows, cols, s,
-                    blocking);
+    m.memcpy_h2d_2d(region, host, host_ld, s, blocking);
   } else {
-    m.memcpy_d2h_2d(host, host_ld, buf, dev_off, dev_ld, rows, cols, s,
-                    blocking);
+    m.memcpy_d2h_2d(host, host_ld, region, s, blocking);
   }
 }
 

@@ -435,10 +435,7 @@ TEST(TaskStorage, FootprintLargerThanAnArenaChunkRunsIntact) {
   }
   fp.push_back(write(t(1, 0, 0)));
   const int big = g.add_task("big", fp, [fp](const TaskContext& c) {
-    for (const Footprint& f : fp) {
-      if (f.access == Access::Read) c.tiles.read(f.tile);
-      if (f.access == Access::Write) c.tiles.write(f.tile);
-    }
+    for (const Footprint& f : fp) c.tiles.record(f);
   });
   const int after = g.add_task("after", {read(t(1, 0, 0))}, noop());
 
@@ -502,8 +499,8 @@ Matrix<double> stream_dag_cholesky(const Matrix<double>& a0, int b,
     for (int k = 0; k < j; ++k) {
       g.add_task("syrk", {read(t(0, j, k)), rw(t(0, j, j))},
                  [blk, j, k](const TaskContext& c) {
-                   c.tiles.read(t(0, j, k));
-                   c.tiles.rw(t(0, j, j));
+                   c.tiles.record(read(t(0, j, k)));
+                   c.tiles.record(rw(t(0, j, j)));
                    auto d = blk(j, j);
                    blas::gemm(Trans::No, Trans::Yes, -1.0,
                               ConstMatrixView<double>(blk(j, k)),
@@ -511,7 +508,7 @@ Matrix<double> stream_dag_cholesky(const Matrix<double>& a0, int b,
                  });
     }
     g.add_task("potf2", {rw(t(0, j, j))}, [blk, j](const TaskContext& c) {
-      c.tiles.rw(t(0, j, j));
+      c.tiles.record(rw(t(0, j, j)));
       auto d = blk(j, j);
       blas::potf2(d);
       for (int col = 1; col < d.cols(); ++col)
@@ -522,9 +519,9 @@ Matrix<double> stream_dag_cholesky(const Matrix<double>& a0, int b,
         g.add_task("gemm",
                    {read(t(0, i, k)), read(t(0, j, k)), rw(t(0, i, j))},
                    [blk, i, j, k](const TaskContext& c) {
-                     c.tiles.read(t(0, i, k));
-                     c.tiles.read(t(0, j, k));
-                     c.tiles.rw(t(0, i, j));
+                     c.tiles.record(read(t(0, i, k)));
+                     c.tiles.record(read(t(0, j, k)));
+                     c.tiles.record(rw(t(0, i, j)));
                      auto d = blk(i, j);
                      blas::gemm(Trans::No, Trans::Yes, -1.0,
                                 ConstMatrixView<double>(blk(i, k)),
@@ -533,8 +530,8 @@ Matrix<double> stream_dag_cholesky(const Matrix<double>& a0, int b,
       }
       g.add_task("trsm", {read(t(0, j, j)), rw(t(0, i, j))},
                  [blk, i, j](const TaskContext& c) {
-                   c.tiles.read(t(0, j, j));
-                   c.tiles.rw(t(0, i, j));
+                   c.tiles.record(read(t(0, j, j)));
+                   c.tiles.record(rw(t(0, i, j)));
                    auto p = blk(i, j);
                    blas::trsm(Side::Right, Uplo::Lower, Trans::Yes,
                               Diag::NonUnit, 1.0,

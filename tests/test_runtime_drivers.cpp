@@ -94,12 +94,11 @@ void expect_same_work(const Issued& bulk, const Issued& dag) {
 
 class CholeskyConformance
     : public ::testing::TestWithParam<
-          std::tuple<Variant, UpdatePlacement, int, bool>> {};
+          std::tuple<Variant, UpdatePlacement, int, bool, int>> {};
 
 TEST_P(CholeskyConformance, DagBitIdenticalToBulk) {
-  const auto [variant, placement, verify_interval, transfer_guard] =
+  const auto [variant, placement, verify_interval, transfer_guard, n] =
       GetParam();
-  const int n = 96;
   const auto a0 = test::random_spd(n, 321);
 
   CholeskyOptions opt;
@@ -150,7 +149,9 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(Variant::NoFt, Variant::Offline, Variant::Online,
                           Variant::EnhancedOnline),
         ::testing::Values(UpdatePlacement::Blocking, UpdatePlacement::Gpu),
-        ::testing::Values(1, 2), ::testing::Values(false, true)));
+        ::testing::Values(1, 2), ::testing::Values(false, true),
+        // 90 leaves a partial last block (10 of 16).
+        ::testing::Values(96, 90)));
 
 // --------------------- Cholesky: what the graph refuses ----------------
 
@@ -339,13 +340,15 @@ INSTANTIATE_TEST_SUITE_P(
 // --------------------- LU / QR conformance -----------------------------
 
 TEST(LuConformance, DagBitIdenticalToBulk) {
-  const int n = 96;
-  const auto a0 = test::random_spd(n, 555);
+  // 90 leaves a partial last block (10 of 16).
+  for (const int n : {96, 90})
   for (const Variant variant : {Variant::NoFt, Variant::EnhancedOnline})
   for (const int k : {1, 2})
   for (const ExecutionMode mode :
        {ExecutionMode::Numeric, ExecutionMode::TimingOnly}) {
-    SCOPED_TRACE(std::string(to_string(variant)) + " k=" + std::to_string(k));
+    SCOPED_TRACE(std::string(to_string(variant)) + " k=" + std::to_string(k) +
+                 " n=" + std::to_string(n));
+    const auto a0 = test::random_spd(n, 555);
     const bool numeric = mode == ExecutionMode::Numeric;
     LuOptions opt;
     opt.variant = variant;
@@ -389,13 +392,15 @@ TEST(LuConformance, DagMakespanStrictlyShorter) {
 }
 
 TEST(QrConformance, DagBitIdenticalToBulk) {
-  const int n = 96;
-  const auto a0 = test::random_matrix(n, n, 808);
+  // 90 leaves a partial last block (10 of 16).
+  for (const int n : {96, 90})
   for (const Variant variant : {Variant::NoFt, Variant::EnhancedOnline})
   for (const int k : {1, 2})
   for (const ExecutionMode mode :
        {ExecutionMode::Numeric, ExecutionMode::TimingOnly}) {
-    SCOPED_TRACE(std::string(to_string(variant)) + " k=" + std::to_string(k));
+    SCOPED_TRACE(std::string(to_string(variant)) + " k=" + std::to_string(k) +
+                 " n=" + std::to_string(n));
+    const auto a0 = test::random_matrix(n, n, 808);
     const bool numeric = mode == ExecutionMode::Numeric;
     QrOptions opt;
     opt.variant = variant;

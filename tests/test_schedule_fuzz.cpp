@@ -161,7 +161,8 @@ TEST(RandomSchedule, EmptyFootprintTasksStaySequencePoints) {
 // order. Because work is dispatched eagerly at issue and the
 // numeric kernels are sequential per task, any valid topological order
 // must produce bit-identical results — factors, tau, verification
-// verdicts, and correction counters alike.
+// verdicts, and correction counters alike. Each runs at n = 96 and at
+// n = 90, whose last block (10 of 16) is partial.
 
 struct FuzzOutcome {
   Matrix<double> matrix;
@@ -192,106 +193,112 @@ void expect_same_outcome(const FuzzOutcome& base, const FuzzOutcome& got,
 
 TEST(ScheduleFuzz, CholeskyDagBitIdenticalAcrossRandomSchedules) {
   SanitizeEnvGuard env;
-  const int n = 96;
-  const auto a0 = test::random_spd(n, 321);
-  const auto run = [&](std::uint64_t seed) {
-    FuzzOutcome out;
-    out.matrix = a0;
-    fault::FaultSpec s;
-    s.type = fault::FaultType::Storage;
-    s.op = fault::Op::Syrk;
-    s.iteration = 3;
-    s.block_row = 3;
-    s.block_col = 2;
-    s.elem_row = 2;
-    s.elem_col = 7;
-    s.bits = {20, 44, 54};
-    fault::Injector inj({s});
-    Machine m(small_rig(), ExecutionMode::Numeric);
-    abft::CholeskyOptions opt;
-    opt.variant = abft::Variant::EnhancedOnline;
-    opt.runtime = abft::RuntimeMode::Dag;
-    opt.dag_schedule_seed = seed;
-    out.res = abft::cholesky(m, &out.matrix, n, opt, &inj);
-    out.fired = inj.fired_count();
-    EXPECT_TRUE(out.res.success) << out.res.note;
-    return out;
-  };
-  const FuzzOutcome base = run(0);
-  EXPECT_EQ(base.fired, 1);
-  EXPECT_GE(base.res.errors_corrected, 1);
-  for (std::uint64_t seed = 1; seed <= kFuzzSeeds; ++seed) {
-    expect_same_outcome(base, run(seed), 321, seed);
+  for (const int n : {96, 90}) {
+    SCOPED_TRACE(n);
+    const auto a0 = test::random_spd(n, 321);
+    const auto run = [&](std::uint64_t seed) {
+      FuzzOutcome out;
+      out.matrix = a0;
+      fault::FaultSpec s;
+      s.type = fault::FaultType::Storage;
+      s.op = fault::Op::Syrk;
+      s.iteration = 3;
+      s.block_row = 3;
+      s.block_col = 2;
+      s.elem_row = 2;
+      s.elem_col = 7;
+      s.bits = {20, 44, 54};
+      fault::Injector inj({s});
+      Machine m(small_rig(), ExecutionMode::Numeric);
+      abft::CholeskyOptions opt;
+      opt.variant = abft::Variant::EnhancedOnline;
+      opt.runtime = abft::RuntimeMode::Dag;
+      opt.dag_schedule_seed = seed;
+      out.res = abft::cholesky(m, &out.matrix, n, opt, &inj);
+      out.fired = inj.fired_count();
+      EXPECT_TRUE(out.res.success) << out.res.note;
+      return out;
+    };
+    const FuzzOutcome base = run(0);
+    EXPECT_EQ(base.fired, 1);
+    EXPECT_GE(base.res.errors_corrected, 1);
+    for (std::uint64_t seed = 1; seed <= kFuzzSeeds; ++seed) {
+      expect_same_outcome(base, run(seed), 321, seed);
+    }
   }
 }
 
 TEST(ScheduleFuzz, LuDagBitIdenticalAcrossRandomSchedules) {
   SanitizeEnvGuard env;
-  const int n = 96;
-  const auto a0 = test::random_spd(n, 2024);
-  const auto run = [&](std::uint64_t seed) {
-    FuzzOutcome out;
-    out.matrix = a0;
-    fault::FaultSpec s;
-    s.type = fault::FaultType::Storage;
-    s.op = fault::Op::Potf2;
-    s.iteration = 2;
-    s.block_row = 3;
-    s.block_col = 2;
-    s.elem_row = 4;
-    s.elem_col = 9;
-    s.bits = {20, 44, 54};
-    fault::Injector inj({s});
-    Machine m(small_rig(), ExecutionMode::Numeric);
-    abft::LuOptions opt;
-    opt.variant = abft::Variant::EnhancedOnline;
-    opt.runtime = abft::RuntimeMode::Dag;
-    opt.dag_schedule_seed = seed;
-    out.res = abft::lu(m, &out.matrix, n, opt, &inj);
-    out.fired = inj.fired_count();
-    EXPECT_TRUE(out.res.success) << out.res.note;
-    return out;
-  };
-  const FuzzOutcome base = run(0);
-  EXPECT_GE(base.fired, 1);
-  EXPECT_GE(base.res.errors_corrected, 1);
-  for (std::uint64_t seed = 1; seed <= kFuzzSeeds; ++seed) {
-    expect_same_outcome(base, run(seed), 2024, seed);
+  for (const int n : {96, 90}) {
+    SCOPED_TRACE(n);
+    const auto a0 = test::random_spd(n, 2024);
+    const auto run = [&](std::uint64_t seed) {
+      FuzzOutcome out;
+      out.matrix = a0;
+      fault::FaultSpec s;
+      s.type = fault::FaultType::Storage;
+      s.op = fault::Op::Potf2;
+      s.iteration = 2;
+      s.block_row = 3;
+      s.block_col = 2;
+      s.elem_row = 4;
+      s.elem_col = 9;
+      s.bits = {20, 44, 54};
+      fault::Injector inj({s});
+      Machine m(small_rig(), ExecutionMode::Numeric);
+      abft::LuOptions opt;
+      opt.variant = abft::Variant::EnhancedOnline;
+      opt.runtime = abft::RuntimeMode::Dag;
+      opt.dag_schedule_seed = seed;
+      out.res = abft::lu(m, &out.matrix, n, opt, &inj);
+      out.fired = inj.fired_count();
+      EXPECT_TRUE(out.res.success) << out.res.note;
+      return out;
+    };
+    const FuzzOutcome base = run(0);
+    EXPECT_GE(base.fired, 1);
+    EXPECT_GE(base.res.errors_corrected, 1);
+    for (std::uint64_t seed = 1; seed <= kFuzzSeeds; ++seed) {
+      expect_same_outcome(base, run(seed), 2024, seed);
+    }
   }
 }
 
 TEST(ScheduleFuzz, QrDagBitIdenticalAcrossRandomSchedules) {
   SanitizeEnvGuard env;
-  const int n = 96;
-  const auto a0 = test::random_matrix(n, n, 808);
-  const auto run = [&](std::uint64_t seed) {
-    FuzzOutcome out;
-    out.matrix = a0;
-    fault::FaultSpec s;
-    s.type = fault::FaultType::Computing;
-    s.op = fault::Op::Gemm;
-    s.iteration = 1;
-    s.block_row = 3;
-    s.block_col = 4;
-    s.elem_row = 2;
-    s.elem_col = 3;
-    s.magnitude = 1e5;
-    fault::Injector inj({s});
-    Machine m(small_rig(), ExecutionMode::Numeric);
-    abft::QrOptions opt;
-    opt.variant = abft::Variant::EnhancedOnline;
-    opt.runtime = abft::RuntimeMode::Dag;
-    opt.dag_schedule_seed = seed;
-    out.res = abft::qr(m, &out.matrix, &out.tau, n, opt, &inj);
-    out.fired = inj.fired_count();
-    EXPECT_TRUE(out.res.success) << out.res.note;
-    return out;
-  };
-  const FuzzOutcome base = run(0);
-  EXPECT_GE(base.fired, 1);
-  EXPECT_GE(base.res.errors_corrected, 1);
-  for (std::uint64_t seed = 1; seed <= kFuzzSeeds; ++seed) {
-    expect_same_outcome(base, run(seed), 808, seed);
+  for (const int n : {96, 90}) {
+    SCOPED_TRACE(n);
+    const auto a0 = test::random_matrix(n, n, 808);
+    const auto run = [&](std::uint64_t seed) {
+      FuzzOutcome out;
+      out.matrix = a0;
+      fault::FaultSpec s;
+      s.type = fault::FaultType::Computing;
+      s.op = fault::Op::Gemm;
+      s.iteration = 1;
+      s.block_row = 3;
+      s.block_col = 4;
+      s.elem_row = 2;
+      s.elem_col = 3;
+      s.magnitude = 1e5;
+      fault::Injector inj({s});
+      Machine m(small_rig(), ExecutionMode::Numeric);
+      abft::QrOptions opt;
+      opt.variant = abft::Variant::EnhancedOnline;
+      opt.runtime = abft::RuntimeMode::Dag;
+      opt.dag_schedule_seed = seed;
+      out.res = abft::qr(m, &out.matrix, &out.tau, n, opt, &inj);
+      out.fired = inj.fired_count();
+      EXPECT_TRUE(out.res.success) << out.res.note;
+      return out;
+    };
+    const FuzzOutcome base = run(0);
+    EXPECT_GE(base.fired, 1);
+    EXPECT_GE(base.res.errors_corrected, 1);
+    for (std::uint64_t seed = 1; seed <= kFuzzSeeds; ++seed) {
+      expect_same_outcome(base, run(seed), 808, seed);
+    }
   }
 }
 
