@@ -300,20 +300,23 @@ std::vector<DeviceFaultSpec> sample_device_faults(
     s.time = rng.uniform(0.15, 0.85) * cfg.horizon_s;
     plan.push_back(s);
   }
+  constexpr double kStallFraction = 0.05;  // of the horizon
   for (int i = 0; i < cfg.stall_count; ++i) {
     DeviceFaultSpec s;
     s.kind = DeviceFaultKind::Stall;
     s.device = rng.uniform_int(0, cfg.devices - 1);
     s.time = rng.uniform(0.15, 0.85) * cfg.horizon_s;
-    s.duration = cfg.stall_duration_frac * cfg.horizon_s;
+    s.duration = kStallFraction * cfg.horizon_s;
     plan.push_back(s);
   }
+  // A degraded device draws soft errors this many times as often.
+  constexpr double kDegradeMultiplier = 8.0;
   for (int i = 0; i < cfg.degrade_count; ++i) {
     DeviceFaultSpec s;
     s.kind = DeviceFaultKind::Degrade;
     s.device = rng.uniform_int(0, cfg.devices - 1);
     s.time = 0.0;  // degradation is in effect from job admission
-    s.rate_multiplier = cfg.degrade_multiplier;
+    s.rate_multiplier = kDegradeMultiplier;
     plan.push_back(s);
   }
   std::stable_sort(plan.begin(), plan.end(),

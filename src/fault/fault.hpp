@@ -285,9 +285,6 @@ struct DeviceFaultPlanConfig {
   /// Fault-free fleet makespan of the workload; fail-stop and stall
   /// instants land in [0.15, 0.85] of it so losses strike mid-run.
   double horizon_s = 1.0;
-  /// Stall width as a fraction of the horizon.
-  double stall_duration_frac = 0.05;
-  double degrade_multiplier = 8.0;
   std::uint64_t seed = 1;
 };
 

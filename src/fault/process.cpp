@@ -61,15 +61,18 @@ int FaultProcess::arrivals_generated(int device) const {
 }
 
 void FaultProcess::generate_until(DeviceStream& ds, double now) {
-  const double wsum = cfg_.w_computing + cfg_.w_storage + cfg_.w_transfer;
-  FTLA_CHECK(wsum > 0.0);
+  // Relative category weights of an arrival.
+  constexpr double kComputing = 0.35;
+  constexpr double kStorage = 0.45;
+  constexpr double kTransfer = 0.20;
+  constexpr double kWeights = kComputing + kStorage + kTransfer;
   // The storm cap is per-device: a noisy sibling never consumes this
   // device's injection budget.
   while (ds.next_time <= now && ds.generated < cfg_.max_arrivals) {
-    const double u = ds.rng.next_double() * wsum;
+    const double u = ds.rng.next_double() * kWeights;
     int cat = 0;  // FaultType::Computing
-    if (u >= cfg_.w_computing) {
-      cat = u < cfg_.w_computing + cfg_.w_storage ? 1 : 2;
+    if (u >= kComputing) {
+      cat = u < kComputing + kStorage ? 1 : 2;
     }
     ++ds.pending[cat];
     ++ds.generated;
@@ -92,7 +95,9 @@ std::vector<int> FaultProcess::sample_bits() {
   // corruption macroscopic (visible to both verification and the SDC
   // oracle); extra bits defeat SEC-DED ECC. Bits stay in 8..61 so the
   // exponent can never become all-ones — a flip never yields Inf/NaN.
-  if (synth_rng_.next_double() < cfg_.p_single_bit) {
+  // A single-bit flip is absorbed when the run models ECC.
+  constexpr double kSingleBit = 0.10;
+  if (synth_rng_.next_double() < kSingleBit) {
     return {synth_rng_.uniform_int(44, 56)};
   }
   std::vector<int> bits;
@@ -141,10 +146,13 @@ std::vector<FaultSpec> FaultProcess::synthesize(FaultType type, Op op,
   s.elem_row = synth_rng_.uniform_int(0, 63);
   s.elem_col = synth_rng_.uniform_int(0, 63);
   s.bits = sample_bits();
-  s.target_checksum = synth_rng_.next_double() < cfg_.p_checksum_target;
+  // A storage strike hits a checksum row instead of matrix data, or a
+  // data strike brings a second flip in its column.
+  constexpr double kChecksumTarget = 0.15;
+  constexpr double kDoubleFault = 0.10;
+  s.target_checksum = synth_rng_.next_double() < kChecksumTarget;
   out.push_back(s);
-  if (!s.target_checksum &&
-      synth_rng_.next_double() < cfg_.p_double_fault) {
+  if (!s.target_checksum && synth_rng_.next_double() < kDoubleFault) {
     // Correlated double fault: a second flip in the same column of the
     // same block. Two errors in one block column exceed the scheme's
     // correction capability and must escalate (rollback/rerun). Rows

@@ -15,9 +15,9 @@
 //     (random element, magnitude 1e3..1e5 relative).
 //   * Storage arrivals strike a resident block of the live region —
 //     block row at or below the current panel, block column at or
-//     before it — occasionally the block's checksum rows
-//     (p_checksum_target) or a correlated pair of flips in one block
-//     column (p_double_fault, defeats single-error correction). Bit
+//     before it — occasionally the block's checksum rows (15%) or a
+//     correlated pair of flips in one block column (10% of data
+//     strikes; defeats single-error correction). Bit
 //     patterns always include a high-mantissa/exponent bit so the
 //     corruption is macroscopic, and are drawn from bits 8..61 so a
 //     flip can never manufacture an Inf/NaN from a finite value.
@@ -37,20 +37,6 @@ struct ProcessConfig {
   /// Mean time between faults, in virtual seconds. Must be > 0.
   double mtbf_s = 1.0e-3;
   std::uint64_t seed = 1;
-  /// Relative category weights (normalized internally).
-  double w_computing = 0.35;
-  double w_storage = 0.45;
-  double w_transfer = 0.20;
-  /// Probability a storage arrival strikes a checksum row instead of
-  /// matrix data.
-  double p_checksum_target = 0.15;
-  /// Probability a storage arrival lands a correlated double fault:
-  /// two elements of the same column of one block, which defeats
-  /// single-error-per-column correction and must escalate.
-  double p_double_fault = 0.10;
-  /// Probability a storage flip is single-bit (absorbed when the run
-  /// models ECC; lands otherwise).
-  double p_single_bit = 0.10;
   /// Hard cap on arrivals *per device* — bounds fault storms so the
   /// rerun escalation ladder terminates. The cap is deliberately not
   /// fleet-global: one noisy device exhausting a shared budget would
@@ -88,7 +74,7 @@ class FaultProcess {
   /// given program point (two specs for a correlated double fault).
   std::vector<FaultSpec> synthesize(FaultType type, Op op, int iteration);
 
-  /// Picks the multi-bit (or, with p_single_bit, single-bit) flip
+  /// Picks the multi-bit (or, one time in ten, single-bit) flip
   /// pattern used for storage and transfer corruption.
   std::vector<int> sample_bits();
 
