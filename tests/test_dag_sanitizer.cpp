@@ -1,8 +1,9 @@
 // Tests for the dynamic footprint sanitizer (src/runtime/sanitizer.*):
 // containment and ordering checks on hand-built graphs, the scratch
 // read-back idiom, deterministic actionable reports, recording from
-// thread-pool workers, and the drivers' FTLA_DAG_SANITIZE opt-in
-// staying clean with faults armed.
+// thread-pool workers, the tiles a driver step records from the regions
+// its body uses, and the drivers' FTLA_DAG_SANITIZE opt-in staying
+// clean with faults armed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
